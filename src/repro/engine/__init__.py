@@ -14,19 +14,13 @@ Three layers, bottom up:
   to topology nodes, coupled only by timestamped frames over
   :class:`ChannelLink` s (:mod:`repro.engine.component`), and the
   :class:`ShardedEngine` (:mod:`repro.engine.sharded`) that partitions
-  a component scenario across worker processes under conservative
-  lookahead synchronization.  Sequential execution is the one-shard
-  special case and stays byte-identical to the golden traces; see
-  docs/PDES.md for the contract.
-* **Supervision** — the :class:`Supervisor`
-  (:mod:`repro.engine.supervisor`) runs the same round protocol with
-  failure detection, deterministic epoch checkpointing
-  (:mod:`repro.engine.checkpoint`), restore/restart with backoff, a
-  degradation ladder, and an execution-layer chaos plane
-  (:class:`repro.faults.ChaosPlan`).
+  a component scenario into shards, all stepped in-process under
+  conservative lookahead synchronization.  Sequential execution is the
+  one-shard special case and stays byte-identical to the golden
+  traces; multi-shard runs are a partition-parity check, not a
+  speedup.  See docs/PDES.md for the contract.
 """
 
-from repro.engine.checkpoint import Checkpoint, CheckpointPolicy
 from repro.engine.component import (
     ChannelLink,
     Component,
@@ -57,19 +51,10 @@ from repro.engine.sharded import (
     ShardSyncError,
 )
 from repro.engine.simulator import USEC_PER_SEC, SimulationError, Simulator
-from repro.engine.supervisor import (
-    RecoveryEvent,
-    SupervisedRun,
-    Supervisor,
-    SupervisorError,
-    SupervisorPolicy,
-)
 
 __all__ = [
     "Block",
     "ChannelLink",
-    "Checkpoint",
-    "CheckpointPolicy",
     "Component",
     "Compute",
     "Event",
@@ -79,17 +64,12 @@ __all__ = [
     "Partition",
     "PartitionError",
     "ProcState",
-    "RecoveryEvent",
     "Request",
     "ShardSyncError",
     "ShardWorld",
     "ShardedEngine",
     "ShardedRun",
     "SimProcess",
-    "SupervisedRun",
-    "Supervisor",
-    "SupervisorError",
-    "SupervisorPolicy",
     "SimulationError",
     "Simulator",
     "Sleep",

@@ -10,8 +10,7 @@ placement relies on (see docs/PDES.md for the full write-up):
   object may be shared between components on different shards.  A
   component is declared with module-level ``build``/``start``/
   ``collect`` hooks (picklable by reference) plus plain-data kwargs,
-  so the same declaration instantiates identically inside a worker
-  process or the coordinating process.
+  so the same declaration instantiates identically on every shard.
 * The only coupling between shards is timestamped frames crossing
   :class:`ChannelLink` s — one per *directed* topology edge whose
   endpoints land on different shards.  A channel's ``lookahead_usec``
@@ -80,7 +79,7 @@ class Component:
     collect:
         Optional module-level ``fn(world, state, **kwargs) -> data``
         run after the simulation ends; must return plain picklable
-        data (it crosses the process boundary).
+        data (results merge across shards).
     kwargs:
         Plain-data keyword arguments passed to all three hooks.
     weight:

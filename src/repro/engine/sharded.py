@@ -9,11 +9,11 @@ Shards exchange nothing but timestamped frames over the partition's
 :class:`~repro.engine.component.ChannelLink` s.
 
 Time synchronization is conservative, in the null-message tradition
-(Chandy–Misra–Bryant), organized as synchronous rounds driven by a
-coordinator:
+(Chandy–Misra–Bryant), organized as synchronous rounds run by one driver
+(:func:`_drive`):
 
 1. Every shard reports its *next event estimate* ``ne_i`` (earliest
-   pending local event).  The coordinator folds in messages it has not
+   pending local event).  The driver folds in messages it has not
    yet delivered: ``eff_i = min(ne_i, earliest pending arrival)``.
 2. The ``eff`` values are relaxed over the channel graph to the least
    fixpoint ``lb_j = min(eff_j, min over channels (i -> j) of
@@ -24,10 +24,10 @@ coordinator:
    its sender's earliest possible action plus the channel's
    propagation delay, so every event strictly before the grant is
    safe to run.
-3. Each shard receives its pending messages, runs exactly the events
-   with ``time < grant`` (:meth:`Simulator.run_events_before`), and
-   returns newly exported frames coalesced into one flush group per
-   peer shard.  A grant beyond the horizon lets the shard run to the
+3. Each shard receives its pending messages and runs exactly the
+   events with ``time < grant`` (:meth:`Simulator.run_events_before`);
+   the frames it exports are routed to their destination shards after
+   the round.  A grant beyond the horizon lets the shard run to the
    end (:meth:`Simulator.run_until`) and finish.
 
 Three optimizations cut the per-round overhead without touching the
@@ -37,7 +37,7 @@ channel graph is static; only the finished set varies), channel
 lookahead includes each source component's declared think time
 (``min_delay_usec``) so grants advance further per round, and shards
 that are provably idle in a round are skipped instead of
-round-tripped.  :class:`SyncStats` counts rounds, steps, skips and
+stepped.  :class:`SyncStats` counts rounds, steps, skips and
 per-channel traffic so the overhead is measurable.
 
 Progress is guaranteed because lookahead is strictly positive on every
@@ -49,28 +49,24 @@ Determinism: a shard's local execution is a sequential simulation, so
 rounds only decide *when* a shard may run, never *what order* its
 events run in.  Cross-shard arrivals are inserted sorted by
 ``(arrival time, channel rank, emission seq)``, making the receiving
-heap order a pure function of the partition — not of round timing,
-transport, or process scheduling.  The one residual freedom is the
-interleave of *same-timestamp* events on *different* shards, which has
-no global definition; parity across shard counts is therefore asserted
-on the timestamp-canonical digest (:func:`repro.trace.merge
-.parity_digest`) plus exact per-event-type counts.  At one shard there
-is no freedom at all: the engine builds the identical unsharded world
-and the raw order-sensitive digest is byte-identical to the golden
-traces.
+heap order a pure function of the partition — not of round timing.
+The one residual freedom is the interleave of *same-timestamp* events
+on *different* shards, which has no global definition; parity across
+shard counts is therefore asserted on the timestamp-canonical digest
+(:func:`repro.trace.merge.parity_digest`) plus exact per-event-type
+counts.  At one shard there is no freedom at all: the engine builds
+the identical unsharded world and the raw order-sensitive digest is
+byte-identical to the golden traces.
 
-Two transports execute the same round protocol: ``inline`` drives all
-shard runtimes in-process (messages still make a pickle round-trip, so
-it is a faithful — and debuggable — model of process mode), and
-``process`` forks one worker per shard and speaks a small tuple
-protocol over pipes.  See docs/PDES.md for the full contract and a
-worked example.
+One driver steps every shard in this process.  Frames crossing the cut
+still make a pickle round-trip, so shards never share a Python object
+and each shard's state stays exactly what a separate process would
+hold.  See docs/PDES.md for the full contract and a worked example.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import pickle
 import time
 from typing import (
@@ -106,79 +102,35 @@ _INF = math.inf
 
 
 class ShardSyncError(RuntimeError):
-    """The conservative-time coordinator detected a stall or a worker
-    failure."""
-
-
-class ShardProgram:
-    """Everything a worker needs to build and run its shard.
-
-    Plain picklable data: the validated :class:`Partition` (which
-    carries the spec and the component declarations — their hooks are
-    module-level functions, pickled by reference), the seed, the
-    horizon, and the optional module-level *prepare* hook run on every
-    shard after the fabric exists but before any component builds
-    (fault-plane attachment and similar world-level setup).
-    """
-
-    __slots__ = ("partition", "seed", "duration", "trace", "prepare",
-                 "costs", "batch")
-
-    def __init__(self, partition: Partition, seed: int,
-                 duration: float, trace: bool,
-                 prepare=None, costs=DEFAULT_COSTS,
-                 batch: bool = True) -> None:
-        self.partition = partition
-        self.seed = seed
-        self.duration = float(duration)
-        self.trace = trace
-        self.prepare = prepare
-        self.costs = costs
-        #: Coalesce each round's exports into one group per peer
-        #: shard (the default).  ``False`` ships one group per frame
-        #: — the pre-batching wire behaviour, kept as the oracle for
-        #: the batched/unbatched equivalence property tests.
-        self.batch = batch
-
-    @property
-    def spec(self):
-        return self.partition.spec
-
-    @property
-    def components(self) -> List[Component]:
-        return self.partition.components
+    """The round driver detected a stall, or a run's conservation
+    ledger does not balance."""
 
 
 class _ShardRuntime:
     """One shard's live state: simulator, fabric slice, components.
 
-    Identical whether it lives in a worker process or inline in the
-    coordinating process — the constructor takes only the picklable
-    :class:`ShardProgram` plus a shard index.
+    Frames the shard's fabric exports are appended to *outbox* — the
+    driver's per-destination-shard lists, shared by every runtime —
+    as ``(rank, arrival, seq, frame, dst_key)`` in emission order.
     """
 
-    def __init__(self, program: ShardProgram, index: int) -> None:
-        self.program = program
-        self.index = index
-        self.duration = program.duration
-        partition = program.partition
+    def __init__(self, engine: "ShardedEngine", index: int, seed: int,
+                 duration: float, outbox: List[List[Tuple]]) -> None:
+        self.duration = duration
+        self.trace = engine.trace
+        partition = engine.partition
         # trace=True captures an in-memory trace for parity digests.
-        # Otherwise a single-shard (in-process) run defers to the
-        # ambient default tracer — ``tracer=None`` makes Simulator
-        # consult ``get_default_tracer()`` — so ``--trace``-style
-        # sinks installed by the caller keep working through the
-        # engine.  Multi-shard workers pin NULL_TRACER: a forked
-        # worker inheriting the parent's open trace sink would
-        # interleave garbage into it.
-        tracer = (Tracer(capacity=None) if program.trace
+        # Otherwise a single-shard run defers to the ambient default
+        # tracer — ``tracer=None`` makes Simulator consult
+        # ``get_default_tracer()`` — so ``--trace``-style sinks
+        # installed by the caller keep working through the engine.
+        # Multi-shard runs pin NULL_TRACER: several shards writing one
+        # sink would interleave unmerged per-shard streams into it.
+        tracer = (Tracer(capacity=None) if engine.trace
                   else (None if partition.shards == 1 else NULL_TRACER))
-        self.sim = Simulator(seed=program.seed, tracer=tracer)
+        self.sim = Simulator(seed=seed, tracer=tracer)
 
-        #: Frames exported this window, bucketed per destination
-        #: shard as ``{dst_shard: [(rank, arrival, seq, frame,
-        #: dst_key), ...]}`` in emission order.  :meth:`_flush`
-        #: drains it into the reply's channel-flush groups.
-        self._outbox: Dict[int, List[Tuple]] = {}
+        self._outbox = outbox
         self._emit_seq = 0
         self._out = {(ch.src_node, ch.dst_node): ch
                      for ch in partition.channels
@@ -187,61 +139,39 @@ class _ShardRuntime:
                          for ch in partition.channels
                          if ch.dst_shard == index}
 
+        spec = partition.spec
         if partition.shards == 1:
             # The unsharded special case takes the exact pre-sharding
             # construction path (no ownership filter, no boundary), so
             # its event order is byte-identical to the golden traces.
             owned = None
-            fabric = program.spec.build(self.sim)
+            fabric = spec.build(self.sim)
         else:
             owned = partition.owned_nodes(index)
-            fabric = program.spec.build(self.sim, owned_nodes=owned,
-                                        boundary=self._emit)
-        self.world = ShardWorld(self.sim, program.spec, fabric,
+            fabric = spec.build(self.sim, owned_nodes=owned,
+                                boundary=self._emit)
+        self.world = ShardWorld(self.sim, spec, fabric,
                                 shard_index=index,
                                 shard_count=partition.shards,
-                                owned=owned, costs=program.costs)
-        if program.prepare is not None:
-            program.prepare(self.world)
-        self.states = instantiate(self.world, program.components)
-        self._owned_components = [c for c in program.components
+                                owned=owned, costs=engine.costs)
+        if engine.prepare is not None:
+            engine.prepare(self.world)
+        self.states = instantiate(self.world, partition.components)
+        self._owned_components = [c for c in partition.components
                                   if c.name in self.states]
         self.finished = False
 
-    # -- boundary ------------------------------------------------------
     def _emit(self, src_node: str, dst_node: str, arrival: float,
               frame, dst_key: int) -> None:
         """Topology boundary callback: queue an exported frame for the
-        coordinator to route.  The mbuf-chain backref is shard-local
-        host state (the receiving stack allocates its own chain), so it
-        is stripped before the frame crosses the pickle boundary."""
+        driver to route.  The mbuf-chain backref is shard-local host
+        state (the receiving stack allocates its own chain), so it is
+        stripped before the frame is copied across the cut."""
         channel = self._out[(src_node, dst_node)]
         frame.packet._mbuf_chain = None
         self._emit_seq += 1
-        bucket = self._outbox.get(channel.dst_shard)
-        if bucket is None:
-            bucket = self._outbox[channel.dst_shard] = []
-        bucket.append((channel.rank, arrival, self._emit_seq, frame,
-                       dst_key))
-
-    def _flush(self) -> List[Tuple[int, List[Tuple]]]:
-        """Drain the outbox into channel-flush groups ``(dst_shard,
-        [messages...])``.  Batched mode ships one group per peer —
-        everything a round exported to that shard in a single
-        serialized unit; unbatched mode ships one group per frame
-        (the differential oracle).  The dict is retained and cleared
-        so the bucket map is not reallocated every round."""
-        if not self._outbox:
-            return []
-        if self.program.batch:
-            groups = [(dst, self._outbox[dst])
-                      for dst in sorted(self._outbox)]
-        else:
-            groups = [(dst, [message])
-                      for dst in sorted(self._outbox)
-                      for message in self._outbox[dst]]
-        self._outbox.clear()
-        return groups
+        self._outbox[channel.dst_shard].append(
+            (channel.rank, arrival, self._emit_seq, frame, dst_key))
 
     def insert(self, messages: Sequence[Tuple]) -> None:
         """Schedule inbound frames ``(rank, arrival, seq, frame,
@@ -253,29 +183,21 @@ class _ShardRuntime:
                                            self._in_node[rank],
                                            frame, dst_key)
 
-    # -- round protocol ------------------------------------------------
     def next_event(self) -> float:
         if self.finished:
             return _INF
         when = self.sim.next_event_time()
         return _INF if when is None else when
 
-    def step_with(self, grant: Optional[float],
-                  messages: Sequence[Tuple]
-                  ) -> Tuple[float, bool, List[Tuple]]:
-        """One coordinator round: deliver *messages*, run the granted
-        window (a multi-event horizon — every local event strictly
-        before the grant runs in this one round-trip), hand back
-        (next event, finished, channel-flush groups)."""
-        if messages:
-            self.insert(messages)
-        if grant is not None and not self.finished:
-            if grant > self.duration:
-                self.sim.run_until(self.duration)
-                self.finished = True
-            else:
-                self.sim.run_events_before(grant)
-        return self.next_event(), self.finished, self._flush()
+    def advance(self, grant: float) -> None:
+        """Run the granted window: every local event strictly before
+        *grant* (a multi-event horizon), or — for a grant beyond the
+        horizon — the rest of the run."""
+        if grant > self.duration:
+            self.sim.run_until(self.duration)
+            self.finished = True
+        else:
+            self.sim.run_events_before(grant)
 
     def finish(self, leftovers: Sequence[Tuple]) -> Dict[str, Any]:
         """Run to the horizon if not already there, absorb leftover
@@ -298,177 +220,25 @@ class _ShardRuntime:
             "conservation": self.world.fabric.conservation(),
             "hop_stats": self.world.fabric.hop_stats(),
         }
-        if self.program.trace:
+        if self.trace:
             payload["records"] = shipped_records(self.sim.trace)
             payload["digest"] = self.sim.trace.digest()
         return payload
 
 
-# ----------------------------------------------------------------------
-# Transports
-# ----------------------------------------------------------------------
-def _roundtrip(messages: Sequence[Tuple]) -> List[Tuple]:
-    """Pickle round-trip, so inline mode ships frames with exactly the
-    copy semantics of process mode (fresh objects, no shared state)."""
-    return pickle.loads(pickle.dumps(messages))
-
-
-class _InlineTransport:
-    """All shard runtimes in this process; the debuggable transport,
-    and the only one the one-shard fast path needs."""
-
-    def __init__(self, program: ShardProgram) -> None:
-        self.batch = program.batch
-        #: Wall-clock seconds spent serializing cross-shard frames
-        #: (surfaced in the sync stats; never part of the
-        #: deterministic subset).
-        self.serialization_sec = 0.0
-        self.runtimes = [_ShardRuntime(program, i)
-                         for i in range(program.partition.shards)]
-
-    def _ship(self, messages):
-        """Copy *messages* across the (modelled) shard boundary: one
-        pickle for the whole per-peer batch, or one per frame when
-        batching is off."""
-        started = time.perf_counter()
-        if self.batch:
-            shipped = _roundtrip(messages)
-        else:
-            shipped = [_roundtrip([m])[0] for m in messages]
-        self.serialization_sec += time.perf_counter() - started
-        return shipped
-
-    def ready(self) -> List[float]:
-        return [rt.next_event() for rt in self.runtimes]
-
-    def step(self, grants, pending):
-        replies = []
-        for rt, grant, messages in zip(self.runtimes, grants, pending):
-            if grant is None and not messages:
-                # Placeholder for a shard the coordinator did not
-                # step (finished, or skipped while idle).  The driver
-                # must ignore it — absorbing it would wrongly mark a
-                # skipped shard finished.
-                replies.append((_INF, True, []))
-                continue
-            replies.append(rt.step_with(
-                grant, self._ship(messages) if messages else []))
-        return replies
-
-    def finish(self, leftovers):
-        return [rt.finish(self._ship(msgs) if msgs else [])
-                for rt, msgs in zip(self.runtimes, leftovers)]
-
-    def close(self) -> None:
-        pass
-
-
-def _worker_main(conn, program: ShardProgram, index: int) -> None:
-    """Worker process entry: build the shard, then serve round
-    requests until told to finish."""
-    try:
-        runtime = _ShardRuntime(program, index)
-        conn.send(("ready", runtime.next_event()))
-        while True:
-            request = conn.recv()
-            op = request[0]
-            if op == "step":
-                ne, finished, outbox = runtime.step_with(request[1],
-                                                         request[2])
-                conn.send(("stepped", ne, finished, outbox))
-            elif op == "finish":
-                conn.send(("done", runtime.finish(request[1])))
-                return
-            else:  # pragma: no cover - defensive
-                raise ShardSyncError(f"unknown op {op!r}")
-    except Exception as exc:  # noqa: BLE001 - relayed to coordinator
-        import traceback
-        try:
-            conn.send(("error",
-                       f"{exc!r}\n{traceback.format_exc()}"))
-        except (BrokenPipeError, OSError):  # pragma: no cover
-            pass
-    finally:
-        conn.close()
-
-
-class _ProcessTransport:
-    """One forked worker per shard, a pipe each; the parallel
-    transport that buys wall-clock on multi-core machines."""
-
-    def __init__(self, program: ShardProgram) -> None:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        self.serialization_sec = 0.0
-        self.conns = []
-        self.procs = []
-        try:
-            for index in range(program.partition.shards):
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(target=_worker_main,
-                                   args=(child, program, index),
-                                   daemon=True)
-                proc.start()
-                child.close()
-                self.conns.append(parent)
-                self.procs.append(proc)
-        except Exception:
-            self.close()
-            raise
-
-    def _recv(self, index: int):
-        try:
-            reply = self.conns[index].recv()
-        except EOFError as exc:
-            raise ShardSyncError(
-                f"shard {index} worker died without a reply") from exc
-        if reply[0] == "error":
-            raise ShardSyncError(f"shard {index} failed:\n{reply[1]}")
-        return reply
-
-    def ready(self) -> List[float]:
-        return [self._recv(i)[1] for i in range(len(self.conns))]
-
-    def step(self, grants, pending):
-        replies: List[Optional[Tuple]] = [None] * len(self.conns)
-        active = []
-        for index, (grant, messages) in enumerate(zip(grants,
-                                                      pending)):
-            if grant is None and not messages:
-                # Placeholder the driver must ignore (see
-                # _InlineTransport.step).
-                replies[index] = (_INF, True, [])
-                continue
-            started = time.perf_counter()
-            self.conns[index].send(("step", grant, messages))
-            self.serialization_sec += time.perf_counter() - started
-            active.append(index)
-        for index in active:
-            reply = self._recv(index)
-            replies[index] = (reply[1], reply[2], reply[3])
-        return replies
-
-    def finish(self, leftovers):
-        for index, conn in enumerate(self.conns):
-            conn.send(("finish", leftovers[index]))
-        return [self._recv(i)[1] for i in range(len(self.conns))]
-
-    def close(self) -> None:
-        for conn in self.conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for proc in self.procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=10.0)
+def _copy_across_cut(messages: List[Tuple], batch: bool) -> List[Tuple]:
+    """Pickle round-trip of the frames one shard receives in a round:
+    fresh objects, so no Python object is ever shared between shards.
+    Batched copying takes the whole per-peer list in one pickle;
+    unbatched copying goes frame by frame (the pre-batching framing,
+    kept as the oracle for the batched/unbatched property tests)."""
+    if batch:
+        return pickle.loads(pickle.dumps(messages))
+    return [pickle.loads(pickle.dumps(message)) for message in messages]
 
 
 # ----------------------------------------------------------------------
-# Coordinator
+# Round driver
 # ----------------------------------------------------------------------
 def in_channel_lists(partition: Partition) -> List[List[ChannelLink]]:
     """Per-destination-shard lists of the partition's channels."""
@@ -479,19 +249,14 @@ def in_channel_lists(partition: Partition) -> List[List[ChannelLink]]:
     return in_channels
 
 
-def round_budget(partition: Partition, duration: float,
-                 extra_rounds: int = 0) -> int:
-    """The coordinator's termination guard: an upper bound on how many
-    synchronous rounds a healthy run can take.  *extra_rounds* widens
-    the budget for drivers that insert additional quiescent rounds
-    (the supervisor's checkpoint barriers)."""
+def round_budget(partition: Partition, duration: float) -> int:
+    """The driver's termination guard: an upper bound on how many
+    synchronous rounds a healthy run can take."""
     min_lookahead = partition.min_lookahead()
     if min_lookahead:
-        budget = (10_000 + int(duration / min_lookahead + 1)
-                  * 16 * partition.shards)
-    else:
-        budget = 16 + partition.shards
-    return budget + extra_rounds
+        return (10_000 + int(duration / min_lookahead + 1)
+                * 16 * partition.shards)
+    return 16 + partition.shards
 
 
 def effective_next_events(ne: Sequence[float],
@@ -595,14 +360,9 @@ def compute_grants(partition: Partition, ne: Sequence[float],
     runs, possibly in response to a frame from a third shard, and so
     on around cycles (a gateway bouncing a shard's own traffic back
     at it).  The closure carries exactly that transitive relaxation;
-    drivers hold a :class:`LookaheadClosure` across rounds and pass
-    it in (a transient one is built when omitted, e.g. by tests
+    the driver holds a :class:`LookaheadClosure` across rounds and
+    passes it in (a transient one is built when omitted, e.g. by tests
     calling this directly).
-
-    This is the single source of truth for the sync protocol; both the
-    plain driver below and the supervised driver
-    (:mod:`repro.engine.supervisor`) call it, so a protocol change can
-    never diverge between them.
     """
     if closure is None:
         closure = LookaheadClosure(partition, in_channels)
@@ -626,10 +386,11 @@ class SyncStats:
     """Per-run counters of the conservative-sync protocol.
 
     Everything here is deterministic — a pure function of the
-    partition and the workload — except ``serialization_sec``, which
-    is wall clock and therefore kept out of :meth:`as_dict` (the form
-    embedded in experiment results, where serial/parallel/cached
-    parity is asserted byte-for-byte).
+    partition and the workload — except ``serialization_sec`` (wall
+    clock spent copying frames across the cut), which is therefore
+    kept out of :meth:`as_dict` (the form embedded in experiment
+    results, where serial/parallel/cached parity is asserted
+    byte-for-byte).
     """
 
     __slots__ = ("rounds", "steps", "skipped_steps", "grants_issued",
@@ -637,13 +398,13 @@ class SyncStats:
                  "serialization_sec", "_channel_names")
 
     def __init__(self, partition: Partition) -> None:
-        #: Synchronous coordinator round-trips taken.
+        #: Synchronous rounds taken (1 for a single shard).
         self.rounds = 0
         #: Shard-step requests actually issued (rounds × shards,
         #: minus the skipped and finished ones).
         self.steps = 0
-        #: Idle shards the coordinator left alone instead of
-        #: round-tripping a no-op grant.
+        #: Idle shards left alone instead of being stepped for a
+        #: no-op grant.
         self.skipped_steps = 0
         #: Non-``None`` grants computed (null grants to finished
         #: shards excluded).
@@ -678,37 +439,38 @@ class SyncStats:
         }
 
 
-def _drive(transport, partition: Partition, duration: float,
-           stats: Optional[SyncStats] = None
-           ) -> Tuple[List[List[Tuple]], SyncStats]:
-    """Run the synchronous round protocol to completion.  Returns the
-    per-shard leftover messages (all past the horizon) and the sync
-    stats (rounds taken, steps issued/skipped, per-channel traffic).
+def _drive(runtimes: List[_ShardRuntime], outbox: List[List[Tuple]],
+           partition: Partition, duration: float, batch: bool,
+           stats: SyncStats) -> List[List[Tuple]]:
+    """Run the synchronous round protocol to completion over the
+    in-process shard *runtimes*, whose exports land in *outbox*.
+    Returns the per-shard leftover messages (all past the horizon).
+
+    Each round computes every shard's grant, then steps the shards in
+    index order: deliver the frames routed to it last round, run its
+    granted window.  Only after every shard has stepped are this
+    round's exports counted, copied across the cut and routed, so no
+    shard sees a frame emitted in the same round.
 
     Round-count reduction, on top of the widened lookahead baked into
     the channel graph: grants are multi-event horizons (one round
     runs *every* local event below the grant), and shards that are
     provably idle this round — nothing to deliver, no local event
-    below the grant, grant within the horizon — are skipped entirely
-    instead of being round-tripped for a no-op.  Skipping cannot
-    stall: the shard holding the globally minimal effective next
-    event always receives a grant strictly above it (positive
-    lookahead), so it is never skipped, and a quiescent world drives
-    every grant past the horizon, which the skip test never elides.
+    below the grant, grant within the horizon — are skipped entirely.
+    Skipping cannot stall: the shard holding the globally minimal
+    effective next event always receives a grant strictly above it
+    (positive lookahead), so it is never skipped, and a quiescent
+    world drives every grant past the horizon, which the skip test
+    never elides.
     """
     shards = partition.shards
     in_channels = in_channel_lists(partition)
     closure = LookaheadClosure(partition, in_channels)
     max_rounds = round_budget(partition, duration)
-    stats = SyncStats(partition) if stats is None else stats
 
-    ne = list(transport.ready())
+    ne = [rt.next_event() for rt in runtimes]
     finished = [False] * shards
-    # Per-shard delivery buffers, reused across rounds (cleared, not
-    # reallocated) — safe because both transports serialize messages
-    # before step() returns.
     pending: List[List[Tuple]] = [[] for _ in range(shards)]
-    stepped = [False] * shards
     while not all(finished):
         stats.rounds += 1
         if stats.rounds > max_rounds:
@@ -718,40 +480,40 @@ def _drive(transport, partition: Partition, duration: float,
                 f"duration {duration!r}us)")
         grants = compute_grants(partition, ne, finished, pending,
                                 in_channels, closure)
-        for j in range(shards):
+        for j, runtime in enumerate(runtimes):
             grant = grants[j]
+            messages = pending[j]
             if grant is None:
                 # Finished: stepped only to deliver late arrivals.
-                stepped[j] = bool(pending[j])
-                continue
-            stats.grants_issued += 1
-            if (not pending[j] and grant <= ne[j]
-                    and grant <= duration):
-                # Skip-idle: the grant would run nothing and there is
-                # nothing to deliver; leave the shard alone (its ne
-                # stays valid — it neither ran nor received).
-                grants[j] = None
-                stats.skipped_steps += 1
-                stepped[j] = False
-                continue
-            stepped[j] = True
-        replies = transport.step(grants, pending)
-        for bucket in pending:
-            bucket.clear()
-        for j in range(shards):
-            if not stepped[j]:
-                # Placeholder reply — the shard was not stepped, so
-                # its ne/finished state is unchanged.
-                continue
+                if not messages:
+                    continue
+            else:
+                stats.grants_issued += 1
+                if (not messages and grant <= ne[j]
+                        and grant <= duration):
+                    # Skip-idle: the grant would run nothing and there
+                    # is nothing to deliver; leave the shard alone (its
+                    # ne stays valid — it neither ran nor received).
+                    stats.skipped_steps += 1
+                    continue
             stats.steps += 1
-            ne_j, finished_j, groups = replies[j]
-            ne[j] = ne_j
-            finished[j] = finished_j
-            for dst, messages in groups:
-                for message in messages:
-                    stats.count_frame(message[0], message[3])
-                pending[dst].extend(messages)
-    return pending, stats
+            if messages:
+                runtime.insert(messages)
+            if grant is not None and not runtime.finished:
+                runtime.advance(grant)
+            ne[j] = runtime.next_event()
+            finished[j] = runtime.finished
+        for dst, exported in enumerate(outbox):
+            if not exported:
+                pending[dst] = []
+                continue
+            for message in exported:
+                stats.count_frame(message[0], message[3])
+            started = time.perf_counter()
+            pending[dst] = _copy_across_cut(exported, batch)
+            stats.serialization_sec += time.perf_counter() - started
+            exported.clear()
+    return pending
 
 
 # ----------------------------------------------------------------------
@@ -767,16 +529,13 @@ class ShardedRun:
         component, merged across shards.
     events / per_shard_events:
         Total and per-shard simulator event counts.
-    rounds:
-        Coordinator rounds taken (1 for a single shard).
     sync:
         Deterministic sync-protocol counters
         (:meth:`SyncStats.as_dict`: rounds, steps, skipped steps,
-        grants issued, frames / wire bytes per channel), or ``None``
-        for drivers that do not collect them.
+        grants issued, frames / wire bytes per channel).
     serialization_sec:
-        Wall-clock seconds the transport spent serializing
-        cross-shard frames (not deterministic; kept out of ``sync``).
+        Wall-clock seconds spent copying cross-shard frames across
+        the cut (not deterministic; kept out of ``sync``).
     conservation:
         Per-shard fabric ledgers; :meth:`total_conservation` folds
         them and checks the cross-shard terms cancel.
@@ -787,16 +546,12 @@ class ShardedRun:
         golden files.
     """
 
-    def __init__(self, payloads: List[Dict[str, Any]], rounds: int,
-                 partition: Partition, mode: str,
-                 sync: Optional[Dict[str, Any]] = None,
-                 serialization_sec: float = 0.0) -> None:
+    def __init__(self, payloads: List[Dict[str, Any]],
+                 partition: Partition, stats: SyncStats) -> None:
         self.partition = partition
         self.shards = partition.shards
-        self.mode = mode
-        self.rounds = rounds
-        self.sync = sync
-        self.serialization_sec = serialization_sec
+        self.sync = stats.as_dict()
+        self.serialization_sec = stats.serialization_sec
         self.collected: Dict[str, Any] = {}
         for payload in payloads:
             self.collected.update(payload["collected"])
@@ -852,6 +607,11 @@ class ShardedEngine:
     """Partition a component scenario and run it under conservative
     time synchronization.
 
+    Every shard runs in this process, stepped round by round by one
+    driver; shards share no Python object, because every frame that
+    crosses the cut is copied.  The engine is a partition-parity tool,
+    not a speedup (docs/PDES.md, "Choosing a shard count").
+
     Parameters
     ----------
     spec:
@@ -863,9 +623,6 @@ class ShardedEngine:
         event-creation order (the determinism contract).
     shards:
         Requested shard count; clamped to the component count.
-    mode:
-        ``"auto"`` (inline at one shard, processes otherwise),
-        ``"inline"``, or ``"process"``.
     assignment:
         Optional explicit placement (sequence of component-name
         groups) overriding the weight-balancing partitioner.
@@ -875,22 +632,19 @@ class ShardedEngine:
     trace:
         Capture and merge trace records (golden/parity workflows).
     batch:
-        Coalesce each round's exported frames into one group per
-        peer shard (default).  ``False`` ships one group per frame —
-        the equivalence-testing oracle.
+        Copy each round's frames for one shard in a single pickle
+        (default).  ``False`` copies frame by frame — the
+        equivalence-testing oracle.
     """
 
     def __init__(self, spec, components: Sequence[Component], *,
-                 shards: int = 1, mode: str = "auto",
+                 shards: int = 1,
                  assignment: Optional[Sequence[Sequence[str]]] = None,
                  prepare=None, costs=DEFAULT_COSTS,
                  trace: bool = False, batch: bool = True) -> None:
-        if mode not in ("auto", "inline", "process"):
-            raise ValueError(f"unknown mode {mode!r}")
         covered = cover_switches(spec, components)
         self.partition = make_partition(spec, covered, shards,
                                         explicit=assignment)
-        self.mode = mode
         self.prepare = prepare
         self.costs = costs
         self.trace = trace
@@ -903,34 +657,13 @@ class ShardedEngine:
     def run(self, duration: float, seed: int = 0) -> ShardedRun:
         """Execute until *duration* microseconds; returns the merged
         :class:`ShardedRun`."""
-        program = ShardProgram(self.partition, seed=seed,
-                               duration=duration, trace=self.trace,
-                               prepare=self.prepare, costs=self.costs,
-                               batch=self.batch)
-        mode = self.mode
-        if mode == "auto":
-            mode = "inline" if self.partition.shards == 1 \
-                else "process"
-        transport = (_ProcessTransport(program) if mode == "process"
-                     else _InlineTransport(program))
-        try:
-            leftovers, stats = _drive(transport, self.partition,
-                                      program.duration)
-            payloads = transport.finish(leftovers)
-        finally:
-            transport.close()
-        return ShardedRun(payloads, stats.rounds, self.partition,
-                          mode, sync=stats.as_dict(),
-                          serialization_sec=transport
-                          .serialization_sec)
-
-    def run_supervised(self, duration: float, seed: int = 0, *,
-                       policy=None, chaos=None):
-        """Execute under the supervision layer — failure detection,
-        checkpoint/restore, degradation — returning a
-        :class:`~repro.engine.supervisor.SupervisedRun`.  Results and
-        trace digests are identical to :meth:`run`; see
-        :mod:`repro.engine.supervisor`."""
-        from repro.engine.supervisor import Supervisor
-        return Supervisor(self, policy=policy,
-                          chaos=chaos).run(duration, seed)
+        duration = float(duration)
+        stats = SyncStats(self.partition)
+        outbox: List[List[Tuple]] = [[] for _ in range(self.shards)]
+        runtimes = [_ShardRuntime(self, i, seed, duration, outbox)
+                    for i in range(self.shards)]
+        leftovers = _drive(runtimes, outbox, self.partition, duration,
+                           self.batch, stats)
+        payloads = [runtime.finish(messages)
+                    for runtime, messages in zip(runtimes, leftovers)]
+        return ShardedRun(payloads, self.partition, stats)

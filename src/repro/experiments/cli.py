@@ -126,9 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "docs/TRACING.md); forces a serial, "
                              "uncached sweep")
     parser.add_argument("--shards", metavar="N", type=int, default=1,
-                        help="partition each simulated scenario across "
-                             "N shard processes under conservative "
-                             "time sync (see docs/PDES.md); only "
+                        help="partition each simulated scenario into "
+                             "N shards under conservative time sync, "
+                             "run in-process (a partition-parity "
+                             "tool, not a speedup; see docs/PDES.md); "
+                             "only "
                              "experiments built on the component "
                              "engine honor it, others note the "
                              "fallback and run sequentially")
@@ -140,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "docs/ARCHITECTURES.md); experiments "
                              "without multi-core support note the "
                              "fallback and run single-core")
-    parser.add_argument("--supervise", action="store_true",
-                        help="run sharded scenarios under the "
-                             "supervision layer (worker failure "
-                             "detection, epoch checkpoints, "
-                             "degradation; see docs/PDES.md); only "
-                             "component-engine experiments honor it")
     parser.add_argument("--resume", metavar="JOURNAL.JSONL",
                         default=None,
                         help="journal every completed sweep point to "
@@ -222,13 +218,6 @@ def main(argv=None) -> int:
                 else:
                     print(f"note: {name} does not support --cores; "
                           "running single-core", file=sys.stderr)
-            if args.supervise:
-                if "supervise" in accepts:
-                    kwargs["supervise"] = True
-                else:
-                    print(f"note: {name} does not support "
-                          "--supervise; running unsupervised",
-                          file=sys.stderr)
             text = EXPERIMENTS[name](**kwargs)
             experiment_log[name] = {
                 "wall_clock_sec": round(
@@ -270,7 +259,6 @@ def _write_results(args, names, runner: SweepRunner, experiment_log,
             "trace": args.trace is not None,
             "shards": args.shards,
             "cores": args.cores,
-            "supervise": args.supervise,
             "resume": args.resume,
         },
         "started_unix": started_unix,

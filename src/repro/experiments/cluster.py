@@ -39,9 +39,7 @@ from repro.core import Architecture
 from repro.core.forwarding import build_gateway
 from repro.engine.component import HostComponent, SourceComponent
 from repro.engine.process import Compute
-from repro.engine.checkpoint import CheckpointPolicy
-from repro.engine.sharded import ShardedEngine, ShardedRun
-from repro.engine.supervisor import SupervisorPolicy
+from repro.engine.sharded import ShardedEngine
 from repro.net.topology import (
     TopologySpec,
     gateway_chain_spec,
@@ -83,8 +81,8 @@ def _num(value: float, digits: int = 1) -> Optional[float]:
 
 
 # ----------------------------------------------------------------------
-# Component hooks (module-level: they cross process boundaries by
-# reference when a point runs sharded; see docs/PDES.md)
+# Component hooks (module-level functions, so a component declaration
+# stays plain picklable data; see docs/PDES.md)
 # ----------------------------------------------------------------------
 def _tail_stats(recorder: LatencyRecorder, duration_usec: float,
                 warmup_usec: float) -> Dict:
@@ -176,25 +174,6 @@ def _incast_components(arch: Architecture, fan_in: int,
     return components
 
 
-def _drive_engine(engine: ShardedEngine, duration_usec: float,
-                  seed: int, supervise: bool) -> ShardedRun:
-    """Run *engine* plainly or under the supervision layer.
-
-    Supervision is trace-neutral: the supervisor caps grants at epoch
-    barriers and takes checkpoints only at quiescent sync points, so a
-    supervised run reports byte-identical results — it merely survives
-    shard-worker failures (docs/PDES.md, "Fault tolerance").  Eight
-    epochs per run keeps the checkpoint cadence coarse enough that the
-    overhead gate (<5%, repro.bench) holds even for short windows.
-    """
-    if not supervise:
-        return engine.run(duration_usec, seed=seed)
-    policy = SupervisorPolicy(
-        checkpoint=CheckpointPolicy(epoch_usec=duration_usec / 8.0))
-    return engine.run_supervised(duration_usec, seed=seed,
-                                 policy=policy)
-
-
 # ----------------------------------------------------------------------
 # N -> 1 incast
 # ----------------------------------------------------------------------
@@ -204,25 +183,20 @@ def run_incast_point(arch: Architecture, fan_in: int,
                      warmup_usec: float = 200_000.0,
                      seed: int = 5,
                      topology: Optional[TopologySpec] = None,
-                     shards: int = 1,
-                     shard_mode: str = "auto",
-                     supervise: bool = False) -> Dict:
+                     shards: int = 1) -> Dict:
     """One (architecture, fan-in) incast measurement.
 
     *shards* > 1 runs the identical component scenario under the
     conservative-time sharded engine; every reported number is
     invariant to the shard count (the PDES parity tests pin this).
-    *supervise* runs the same rounds under the failure-detecting
-    supervisor with epoch checkpoints — results are identical by the
-    trace-neutrality contract.
     """
     arch = Architecture(arch)
     spec = topology if topology is not None else incast_spec(fan_in)
     engine = ShardedEngine(
         spec, _incast_components(arch, fan_in, rate_pps,
                                  duration_usec, warmup_usec),
-        shards=shards, mode=shard_mode)
-    run = _drive_engine(engine, duration_usec, seed, supervise)
+        shards=shards)
+    run = engine.run(duration_usec, seed=seed)
 
     server = run.collected["server"]
     ledger = run.total_conservation()
@@ -346,25 +320,21 @@ def run_chain_point(arch: Architecture, flood_pps: float,
                     warmup_usec: float = 200_000.0,
                     seed: int = 11,
                     topology: Optional[TopologySpec] = None,
-                    shards: int = 1,
-                    shard_mode: str = "auto",
-                    supervise: bool = False) -> Dict:
+                    shards: int = 1) -> Dict:
     """One (gateway architecture, transit rate) chain measurement.
 
     The gateway runs *arch* plus a local compute-bound application;
     the backend runs SOFT-LRP so the far end never confounds the
     gateway comparison.  *shards* > 1 runs the same components under
-    the sharded engine; results are shard-count invariant, and
-    *supervise* adds failure detection + epoch checkpoints without
-    changing them.
+    the sharded engine; results are shard-count invariant.
     """
     arch = Architecture(arch)
     spec = topology if topology is not None else gateway_chain_spec()
     engine = ShardedEngine(
         spec, _chain_components(arch, flood_pps, daemon_nice,
                                 duration_usec, warmup_usec),
-        shards=shards, mode=shard_mode)
-    run = _drive_engine(engine, duration_usec, seed, supervise)
+        shards=shards)
+    run = engine.run(duration_usec, seed=seed)
 
     gateway = run.collected["gateway"]
     backend = run.collected["backend"]
@@ -399,15 +369,13 @@ def run_experiment(
         systems: Sequence[Architecture] = MAIN_SYSTEMS,
         duration_usec: float = 1_000_000.0,
         runner: Optional[SweepRunner] = None,
-        shards: int = 1,
-        supervise: bool = False) -> Dict:
+        shards: int = 1) -> Dict:
     """The full cluster sweep: incast fan-in × architecture, then the
     gateway chain over transit rates.
 
     *shards* > 1 runs every point under the sharded engine; results
     (and the sweep cache keys, which bind the shard count) are
-    otherwise identical to the sequential sweep.  *supervise* runs
-    each point under the supervision layer (``--supervise``).
+    otherwise identical to the sequential sweep.
     """
     runner = runner or SweepRunner()
 
@@ -416,8 +384,7 @@ def run_experiment(
         run_incast_point,
         [dict(arch=arch, fan_in=n, rate_pps=rate_pps,
               duration_usec=duration_usec,
-              topology=incast_spec(n), shards=shards,
-              supervise=supervise)
+              topology=incast_spec(n), shards=shards)
          for arch, n in incast_grid],
         label="cluster-incast")
 
@@ -425,8 +392,7 @@ def run_experiment(
     chain_points = runner.map(
         run_chain_point,
         [dict(arch=arch, flood_pps=r, duration_usec=duration_usec,
-              topology=gateway_chain_spec(), shards=shards,
-              supervise=supervise)
+              topology=gateway_chain_spec(), shards=shards)
          for arch, r in chain_grid],
         label="cluster-chain")
 
@@ -509,8 +475,7 @@ def report(result: Dict) -> str:
 
 def main(fast: bool = False,
          runner: Optional[SweepRunner] = None,
-         shards: int = 1,
-         supervise: bool = False) -> str:
+         shards: int = 1) -> str:
     fan_ins = (1, 4) if fast else DEFAULT_FAN_INS
     chain_rates = (2_000.0, 14_000.0) if fast \
         else DEFAULT_CHAIN_RATES
@@ -519,8 +484,7 @@ def main(fast: bool = False,
                                  chain_rates=chain_rates,
                                  duration_usec=duration,
                                  runner=runner,
-                                 shards=shards,
-                                 supervise=supervise))
+                                 shards=shards))
     print(text)
     return text
 

@@ -155,8 +155,8 @@ def _recovery_usec(stamps: Sequence[float], window_end: float,
 
 
 # ----------------------------------------------------------------------
-# Component hooks (module-level: picklable by reference when a point
-# runs sharded; see docs/PDES.md)
+# Component hooks (module-level functions, so a component declaration
+# stays plain picklable data; see docs/PDES.md)
 # ----------------------------------------------------------------------
 def _attach_edge_plane(world, node: str, intensity: float,
                        duration_usec: float, seed: int):
@@ -286,7 +286,6 @@ def run_point(arch: Architecture, intensity: float,
               warmup_usec: float = 200_000.0,
               seed: int = 7,
               shards: int = 1,
-              shard_mode: str = "auto",
               cores: int = 1) -> Dict:
     """One degradation point: victim flow vs. blaster under the
     canonical fault plan at *intensity*.
@@ -303,9 +302,8 @@ def run_point(arch: Architecture, intensity: float,
     comps = degradation_components(arch, intensity, duration_usec,
                                    warmup_usec, seed, blast_pps,
                                    cores=cores)
-    engine = ShardedEngine(spec, comps, shards=shards,
-                           mode=shard_mode)
-    run = engine.run(duration_usec, seed=seed)
+    run = ShardedEngine(spec, comps, shards=shards).run(duration_usec,
+                                                        seed=seed)
 
     server = run.collected["server"]
     senders = (run.collected["victim"], run.collected["blaster"])

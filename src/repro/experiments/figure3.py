@@ -25,16 +25,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.component import (
-    HostComponent,
-    ShardWorld,
-    SourceComponent,
-    cover_switches,
-    instantiate,
-)
+from repro.engine.component import HostComponent, SourceComponent
 from repro.engine.process import Syscall
 from repro.engine.sharded import ShardedEngine
-from repro.engine.simulator import Simulator
 from repro.core import MODERN_ARCHES, Architecture
 from repro.net.topology import TopologySpec, passthrough_spec
 from repro.runner import SweepRunner
@@ -75,8 +68,8 @@ def figure3_spec(congestion: bool = True) -> TopologySpec:
 
 
 # ----------------------------------------------------------------------
-# Component hooks (module-level: picklable by reference when a point
-# runs sharded; see docs/PDES.md)
+# Component hooks (module-level functions, so a component declaration
+# stays plain picklable data; see docs/PDES.md)
 # ----------------------------------------------------------------------
 def _server_build(world, arch, cores=1, **_):
     host = world.add_host(SERVER_ADDR, Architecture(arch),
@@ -171,21 +164,14 @@ def run_point(arch: Architecture, rate_pps: float,
               payload_bytes: int = 14,
               seed: int = 1,
               congestion: bool = True,
-              probe=None,
               shards: int = 1,
-              shard_mode: str = "auto",
               cores: int = 1,
               flows: int = 1) -> Dict[str, float]:
     """One (system, offered rate) measurement.
 
-    *probe* is an optional
-    :class:`~repro.stats.timing.EventRateProbe`; when given, the run
-    is split into ``warmup`` and ``measure`` phases so the benchmark
-    harness can report per-phase engine events/sec.  The split is
-    behaviour-neutral: back-to-back ``run_until`` calls process the
-    identical event sequence.  *shards* > 1 runs the same components
-    under the conservative-time sharded engine; every reported number
-    is invariant to the shard count.
+    *shards* > 1 runs the same components under the conservative-time
+    sharded engine; every reported number is invariant to the shard
+    count.
 
     *cores* sizes the server's CpuSet (the polling architecture needs
     at least 2) and *flows* splits the blast across that many source
@@ -197,61 +183,31 @@ def run_point(arch: Architecture, rate_pps: float,
     comps = figure3_components(arch, rate_pps, warmup_usec,
                                payload_bytes=payload_bytes,
                                cores=cores, flows=flows)
-    end = warmup_usec + window_usec
-
-    if probe is not None:
-        # The probed path needs mid-run phase splits, which the
-        # round-driven engine does not expose; run the identical
-        # one-shard world directly (event-for-event the same).
-        sim = Simulator(seed=seed)
-        fabric = spec.build(sim)
-        world = ShardWorld(sim, spec, fabric)
-        covered = cover_switches(spec, comps)
-        states = instantiate(world, covered)
-        with probe.phase("warmup", sim):
-            sim.run_until(warmup_usec)
-        with probe.phase("measure", sim):
-            sim.run_until(end)
-        world.finalize()
-        collected = {comp.name: comp.run_collect(world,
-                                                 states[comp.name])
-                     for comp in covered}
-        server = collected["server"]
-        sent = collected["client"]
-        drop_wire = fabric.drops_congestion
-        events = sim.events_processed
-        sync = None
-    else:
-        engine = ShardedEngine(spec, comps, shards=shards,
-                               mode=shard_mode)
-        run = engine.run(end, seed=seed)
-        server = run.collected["server"]
-        sent = run.collected["client"]
-        drop_wire = run.total_conservation()["drops_congestion"]
-        events = run.events
-        sync = run.sync
+    run = ShardedEngine(spec, comps, shards=shards).run(
+        warmup_usec + window_usec, seed=seed)
+    server = run.collected["server"]
 
     return {
         "offered_pps": rate_pps,
         "delivered_pps": server["delivered"] * 1e6 / window_usec,
-        "sent": sent,
+        "sent": run.collected["client"],
         "drop_ipq": server["drop_ipq"],
         "drop_sockq": server["drop_sockq"],
         "drop_channel": server["drop_channel"],
         "drop_early_sockq": server["drop_early_sockq"],
         "drop_mbufs": server["drop_mbufs"],
         "drop_nic_fifo": server["drop_nic_fifo"],
-        "drop_wire": drop_wire,
+        "drop_wire": run.total_conservation()["drops_congestion"],
         "cpu_idle": server["cpu_idle"],
         "cores": cores,
         "core_usage": server["core_usage"],
         # Engine events processed: deterministic for a given point, so
-        # it survives caching/parity, and lets the sweep runner and the
-        # bench harness report events/sec against wall-clock.
-        "events": events,
+        # it survives caching/parity, and lets the sweep runner report
+        # events/sec against wall-clock.
+        "events": run.events,
         # Conservative-sync counters (rounds, grants, channel frames);
         # deterministic for a given (point, shard count).
-        "sync": sync,
+        "sync": run.sync,
     }
 
 

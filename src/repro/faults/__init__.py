@@ -10,17 +10,11 @@ process-global state), so the same plan on the same seed produces a
 byte-identical run whether it executes serially, in a worker process,
 or out of the result cache.
 
-A :class:`ChaosPlan` extends the same idiom to the *execution* layer:
-scheduled kill/stall/slow faults against the sharded engine's worker
-processes, consumed by :class:`repro.engine.supervisor.Supervisor`.
-
 See docs/FAULTS.md for the schema, per-layer hook points and
 determinism rules.
 """
 
-from repro.faults.chaos import ChaosPlan, ExecFaultRule, kill_at
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.plane import FaultPlane
 
-__all__ = ["ChaosPlan", "ExecFaultRule", "FaultPlan", "FaultRule",
-           "FaultPlane", "kill_at"]
+__all__ = ["FaultPlan", "FaultRule", "FaultPlane"]

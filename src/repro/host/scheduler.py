@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-#: Base user-mode priority (4.3BSD PUSER).
+#: Base user-process priority (4.3BSD PUSER).
 PUSER = 50.0
 #: Priority floor/ceiling.
 PRI_MIN = 0.0

@@ -237,48 +237,6 @@ def incast_spec(fan_in: int, server_addr: str = "10.0.0.1",
         bindings=tuple(bindings))
 
 
-def incast_grid_spec(racks: int, fan_in: int,
-                     queue_frames: int = DEFAULT_PORT_QUEUE,
-                     core_propagation_usec: float = 50.0,
-                     **link_kwargs) -> TopologySpec:
-    """A rack grid: *racks* independent incast racks behind one core.
-
-    Each rack ``r`` has its own switch ``rack<r>``, one server
-    (``10.<r+1>.0.1``) and *fan_in* clients (``10.<r+1>.0.10+i``); all
-    rack switches uplink to a single ``core`` switch.  Traffic in the
-    canonical workload stays rack-local, so the only inter-rack
-    coupling is the (idle) core — the topology the sharded engine's
-    lookahead exploits best, and the scenario ``repro.bench`` uses to
-    measure multi-shard scaling (one rack per shard partitions with
-    zero cross-shard frames).
-    """
-    if racks < 1 or fan_in < 1:
-        raise ValueError(
-            f"racks and fan_in must be >= 1, got {racks}, {fan_in}")
-    links: List[LinkSpec] = []
-    bindings: List[BindingSpec] = []
-    switches: List[SwitchSpec] = [SwitchSpec("core",
-                                             queue_frames=queue_frames)]
-    for r in range(racks):
-        sw = f"rack{r}"
-        switches.append(SwitchSpec(sw, queue_frames=queue_frames))
-        links.append(LinkSpec("core", sw,
-                              propagation_usec=core_propagation_usec,
-                              **link_kwargs))
-        server = f"server{r}"
-        links.append(LinkSpec(sw, server, **link_kwargs))
-        bindings.append(BindingSpec(f"10.{r + 1}.0.1", server))
-        for i in range(fan_in):
-            node = f"client{r}x{i}"
-            links.append(LinkSpec(node, sw, **link_kwargs))
-            bindings.append(
-                BindingSpec(f"10.{r + 1}.0.{10 + i}", node))
-    return TopologySpec(name=f"incast-grid-{racks}x{fan_in}",
-                        switches=tuple(switches),
-                        links=tuple(links),
-                        bindings=tuple(bindings))
-
-
 # ----------------------------------------------------------------------
 # Runtime objects
 # ----------------------------------------------------------------------

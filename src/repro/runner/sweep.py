@@ -308,7 +308,7 @@ class SweepRunner:
                 try:
                     # The function object is called directly (not
                     # resolved by name) so closures and lambdas work
-                    # in serial mode, as they always have.
+                    # in serial runs, as they always have.
                     value = _call_with_timeout(fn, kwargs,
                                                self.point_timeout_sec)
                 except Exception as exc:
@@ -385,7 +385,7 @@ class SweepRunner:
 
     def _run_isolated(self, spec, index, results, cache,
                       reporter) -> None:
-        """Crash-isolation mode: one point, one disposable worker."""
+        """Crash isolation: one point, one disposable worker."""
         fn, kwargs, point_label = spec
         for attempt in range(self.retries + 1):
             if attempt:

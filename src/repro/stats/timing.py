@@ -1,107 +1,17 @@
-"""Wall-clock instrumentation for sweep execution and the engine.
+"""Wall-clock instrumentation for sweep execution.
 
 The simulator measures *simulated* microseconds; this module measures
 the *real* seconds the simulation takes to run, so the speedup of the
-parallel/cached runner (``repro.runner``) and of the engine itself
-(``repro.bench``) are measured quantities rather than claims.
-
-* :class:`WallClock` records per-point wall-clock for a sweep run;
-  ``summary()`` is what the experiments CLI embeds in
-  ``--results-json`` output.
-* :class:`EventRateProbe` records per-phase engine throughput —
-  events processed per monotonic wall-clock second — and is the probe
-  the benchmark harness (``python -m repro.bench``) reports from.
+parallel/cached runner (``repro.runner``) is a measured quantity
+rather than a claim.  :class:`WallClock` records per-point wall-clock
+for a sweep run; ``summary()`` is what the experiments CLI embeds in
+``--results-json`` output.  End-to-end engine speed is measured by
+the benchmark in ``perfbench/`` (see ``perfbench/NOTES.md``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional
-
-
-class EventRateProbe:
-    """Per-phase engine events/sec, measured on the monotonic clock.
-
-    Usage::
-
-        probe = EventRateProbe()
-        with probe.phase("warmup", sim):
-            sim.run_until(warmup)
-        with probe.phase("measure", sim):
-            sim.run_until(end)
-        probe.summary()["events_per_sec"]
-
-    Each phase captures the delta of ``sim.events_processed`` against
-    the delta of :func:`time.monotonic`, so the number is a direct
-    engine-throughput measurement — the same quantity the benchmark
-    harness gates on.  ``sim`` may be ``None`` for phases that do not
-    run the engine (scenario construction); those contribute wall time
-    but no events.
-    """
-
-    def __init__(self, clock=time.monotonic) -> None:
-        self._clock = clock
-        self.phases: List[Dict[str, Any]] = []
-
-    def phase(self, name: str, sim=None) -> "_PhaseTimer":
-        return _PhaseTimer(self, name, sim)
-
-    def _record(self, name: str, wall_sec: float, events: int) -> None:
-        self.phases.append({
-            "phase": name,
-            "wall_sec": wall_sec,
-            "events": events,
-            "events_per_sec": (events / wall_sec
-                               if wall_sec > 0 else 0.0),
-        })
-
-    @property
-    def total_events(self) -> int:
-        return sum(p["events"] for p in self.phases)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(p["wall_sec"] for p in self.phases)
-
-    def events_per_sec(self, phase: Optional[str] = None) -> float:
-        """Aggregate events/sec, optionally restricted to one phase
-        name (phases sharing a name are pooled)."""
-        rows = [p for p in self.phases
-                if phase is None or p["phase"] == phase]
-        wall = sum(p["wall_sec"] for p in rows)
-        events = sum(p["events"] for p in rows)
-        return events / wall if wall > 0 else 0.0
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "phases": [dict(p) for p in self.phases],
-            "events": self.total_events,
-            "wall_sec": round(self.total_seconds, 6),
-            "events_per_sec": round(self.events_per_sec(), 3),
-        }
-
-
-class _PhaseTimer:
-    """Context manager recording one :class:`EventRateProbe` phase."""
-
-    def __init__(self, probe: EventRateProbe, name: str, sim) -> None:
-        self._probe = probe
-        self._name = name
-        self._sim = sim
-        self._t0 = 0.0
-        self._e0 = 0
-
-    def __enter__(self) -> "_PhaseTimer":
-        self._e0 = (self._sim.events_processed
-                    if self._sim is not None else 0)
-        self._t0 = self._probe._clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        wall = self._probe._clock() - self._t0
-        events = ((self._sim.events_processed - self._e0)
-                  if self._sim is not None else 0)
-        self._probe._record(self._name, wall, events)
 
 
 class WallClock:

@@ -103,8 +103,8 @@ def _golden_fault_plan():
 # unsharded (here, pinning the byte-exact digests) and sharded
 # (repro.engine.sharded, whose one-shard runs must reproduce these
 # digests and whose multi-shard runs must match them on the
-# timestamp-canonical parity digest).  All hooks are module-level:
-# they cross process boundaries by reference when a run is sharded.
+# timestamp-canonical parity digest).  All hooks are module-level, so
+# a declaration stays plain picklable data.
 # ----------------------------------------------------------------------
 def _build_incast_server(world):
     from repro.apps import udp_blast_sink
@@ -258,49 +258,19 @@ def _run_cluster(key: str, tracer: Tracer) -> Tracer:
 
 
 def run_cluster_sharded(key: str, shards: int = 1,
-                        mode: str = "auto",
                         duration: float = GOLDEN_DURATION,
                         batch: bool = True):
     """Run a cluster golden workload through the sharded engine with
     tracing; returns the :class:`~repro.engine.sharded.ShardedRun`.
-    The parity tests and the CI ``pdes-parity`` job compare its
-    digests against the committed goldens — *batch* toggles batched
-    channel flushes so both transport framings face the same check."""
+    The parity tests compare its digests against the committed
+    goldens — *batch* toggles batched channel flushes so both framings
+    of the cut face the same check."""
     from repro.engine.sharded import ShardedEngine
 
     spec, components, prepare = cluster_world(key)
-    engine = ShardedEngine(spec, components, shards=shards, mode=mode,
+    engine = ShardedEngine(spec, components, shards=shards,
                            prepare=prepare, trace=True, batch=batch)
     return engine.run(duration, seed=GOLDEN_SEED)
-
-
-def run_cluster_supervised(key: str, shards: int = 1,
-                           mode: str = "process",
-                           chaos=None, policy=None,
-                           duration: float = GOLDEN_DURATION):
-    """Run a cluster golden workload under the supervision layer with
-    tracing; returns the
-    :class:`~repro.engine.supervisor.SupervisedRun`.
-
-    The CI ``chaos-recovery`` job drives this with a seeded
-    :class:`~repro.faults.ChaosPlan` (worker kills mid-run) and
-    asserts the recovered run's digests still match the committed
-    goldens — checkpoint/restore must be invisible to the trace.
-    When *policy* is omitted, epoch checkpoints land every eighth of
-    *duration* so every workload crosses several restore points.
-    """
-    from repro.engine.checkpoint import CheckpointPolicy
-    from repro.engine.sharded import ShardedEngine
-    from repro.engine.supervisor import SupervisorPolicy
-
-    if policy is None:
-        policy = SupervisorPolicy(
-            checkpoint=CheckpointPolicy(epoch_usec=duration / 8.0))
-    spec, components, prepare = cluster_world(key)
-    engine = ShardedEngine(spec, components, shards=shards, mode=mode,
-                           prepare=prepare, trace=True)
-    return engine.run_supervised(duration, seed=GOLDEN_SEED,
-                                 policy=policy, chaos=chaos)
 
 
 def run_golden_workload(arch_key: str,

@@ -24,9 +24,9 @@ Two digests exist because sharding preserves *causal* order but not
   this digest (and on the per-event-type counts, which are
   order-free).
 
-Records travel between processes as plain ``(t, etype, canonical)``
-tuples — ``canonical`` is :meth:`TraceRecord.canonical`, the exact
-string the digests hash.
+Records leave each shard as plain ``(t, etype, canonical)`` tuples —
+``canonical`` is :meth:`TraceRecord.canonical`, the exact string the
+digests hash.
 """
 
 from __future__ import annotations

@@ -44,10 +44,10 @@ def one_client(results, sim):
     return body()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_mode_selection(mode):
-    sc = Scenario(Architecture.SOFT_LRP, app_mode=mode)
-    expected = (AppProcessor if mode == "kernel-process"
+@pytest.mark.parametrize("app_mode", MODES)
+def test_mode_selection(app_mode):
+    sc = Scenario(Architecture.SOFT_LRP, app_mode=app_mode)
+    expected = (AppProcessor if app_mode == "kernel-process"
                 else PerProcessAppProcessor)
     assert isinstance(sc.server.stack.app, expected)
 
@@ -57,9 +57,9 @@ def test_unknown_mode_rejected():
         Scenario(Architecture.SOFT_LRP, app_mode="fibers")
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_tcp_works_in_both_modes(mode):
-    sc = Scenario(Architecture.SOFT_LRP, app_mode=mode,
+@pytest.mark.parametrize("app_mode", MODES)
+def test_tcp_works_in_both_modes(app_mode):
+    sc = Scenario(Architecture.SOFT_LRP, app_mode=app_mode,
                   time_wait_usec=50_000.0)
     log, results = [], []
     sc.server.spawn("srv", echo_server(log))

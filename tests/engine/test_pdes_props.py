@@ -51,8 +51,8 @@ def component_names(key):
 def run_with_assignment(key, groups, batch=True):
     spec, components, prepare = golden.cluster_world(key)
     engine = ShardedEngine(spec, components, shards=len(groups),
-                           mode="inline", assignment=groups,
-                           prepare=prepare, trace=True, batch=batch)
+                           assignment=groups, prepare=prepare,
+                           trace=True, batch=batch)
     return engine.run(DURATION_USEC, seed=golden.GOLDEN_SEED)
 
 

@@ -40,8 +40,7 @@ class TestFigure3Sharding:
     ])
     def test_point_invariant_across_shard_counts(self, arch, rate):
         one = figure3.run_point(arch, rate, **self.KW)
-        two = figure3.run_point(arch, rate, shards=2,
-                                shard_mode="inline", **self.KW)
+        two = figure3.run_point(arch, rate, shards=2, **self.KW)
         assert _strip_sync(one) == _strip_sync(two)
 
     def test_trace_parity_and_round_collapse(self):
@@ -51,8 +50,7 @@ class TestFigure3Sharding:
             comps = figure3.figure3_components(
                 Architecture.SOFT_LRP, 20_000, 100_000.0)
             engine = ShardedEngine(figure3.figure3_spec(), comps,
-                                   shards=shards, mode="inline",
-                                   trace=True)
+                                   shards=shards, trace=True)
             runs.append(engine.run(end, seed=1))
         one, two = runs
         assert two.parity == one.parity
@@ -65,8 +63,7 @@ class TestFigure3Sharding:
 
     def test_sync_counters_reported(self):
         point = figure3.run_point(Architecture.SOFT_LRP, 4_000,
-                                  shards=2, shard_mode="inline",
-                                  **self.KW)
+                                  shards=2, **self.KW)
         sync = point["sync"]
         assert sync["rounds"] > 0
         assert sync["grants_issued"] > 0
@@ -87,7 +84,7 @@ class TestDegradationSharding:
                                                  intensity):
         one = degradation.run_point(arch, intensity, **self.KW)
         two = degradation.run_point(arch, intensity, shards=2,
-                                    shard_mode="inline", **self.KW)
+                                    **self.KW)
         assert _strip_sync(one) == _strip_sync(two)
 
     def test_faults_fire_on_both_sides_of_the_cut(self):
@@ -95,8 +92,7 @@ class TestDegradationSharding:
         and the NIC/mbuf windows on the server's; the merged
         accounting still reports every layer."""
         point = degradation.run_point(Architecture.SOFT_LRP, 1.0,
-                                      shards=2, shard_mode="inline",
-                                      **self.KW)
+                                      shards=2, **self.KW)
         assert point["faults"]["link_drop"] > 0
         assert point["faults"]["link_corrupt"] > 0
         assert point["faults"]["nic_stall_on"] > 0

@@ -1,7 +1,6 @@
 """``--resume`` journaling: the per-sweep checkpoint file.
 
-A :class:`RunJournal` is the sweep-level analogue of the engine's
-epoch checkpoints: every completed point is appended the moment it
+A :class:`RunJournal` appends every completed point the moment it
 finishes, so an interrupted sweep resumes where it died instead of at
 the start.  Content addressing (the same digest the cache uses) makes
 stale entries self-invalidating after any code or parameter change.
@@ -149,32 +148,3 @@ class TestCliResume:
         # Failed points are not journaled: a resume retries them.
         assert [p["result"] for p in payload["points"]
                 if p["result"] is not None]
-
-    def test_supervise_forwarded_and_fallback(self, monkeypatch,
-                                              capsys, tmp_path):
-        def supervised_main(fast=False, runner=None,
-                            supervise=False):
-            return f"supervise={supervise}"
-
-        def plain_main(fast=False, runner=None):
-            return "plain"
-
-        modules = {
-            "sup": types.SimpleNamespace(__doc__="Sup.",
-                                         main=supervised_main),
-            "plain": types.SimpleNamespace(__doc__="Plain.",
-                                           main=plain_main),
-        }
-        monkeypatch.setattr(cli, "EXPERIMENT_MODULES", modules)
-        monkeypatch.setattr(cli, "EXPERIMENTS",
-                            {n: m.main for n, m in modules.items()})
-        out = tmp_path / "results.json"
-        assert cli.main(["sup", "--supervise",
-                         "--results-json", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["invocation"]["supervise"] is True
-        assert payload["experiments"]["sup"]["report"] \
-            == "supervise=True"
-        assert cli.main(["plain", "--supervise"]) == 0
-        assert "does not support --supervise" \
-            in capsys.readouterr().err

@@ -1,121 +1,12 @@
-"""Tests for the per-phase engine events/sec probe and its agreement
-with the benchmark harness.
+"""Tests for the sweep wall-clock recorder's engine-rate summary.
 
-The probe (:class:`repro.stats.timing.EventRateProbe`) is the
-instrument ``python -m repro.bench`` gates CI on, so its arithmetic is
-pinned with a fake clock, and its event accounting is checked against
-an independent benchmark-harness run of the same figure-3 point (event
-counts are deterministic; wall-clock is not, so the cross-check uses
-counts and internal-consistency, not wall time).
+:class:`repro.stats.timing.WallClock` folds the deterministic
+``events`` count a point function reports into events per computed
+wall-clock second; cached points and points without an event count
+are left out of the rate.
 """
 
-import time
-
-from repro.bench.figure3_point import QUICK_WARMUP_USEC, QUICK_WINDOW_USEC, \
-    BENCH_RATE_PPS, bench_arch
-from repro.core import Architecture
-from repro.experiments.figure3 import run_point
-from repro.stats.timing import EventRateProbe, WallClock
-
-
-class FakeSim:
-    def __init__(self):
-        self.events_processed = 0
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-def test_probe_records_phase_deltas_with_fake_clock():
-    clock = FakeClock()
-    probe = EventRateProbe(clock=clock)
-    sim = FakeSim()
-    with probe.phase("warmup", sim):
-        sim.events_processed += 300
-        clock.now += 2.0
-    with probe.phase("measure", sim):
-        sim.events_processed += 1000
-        clock.now += 4.0
-    assert probe.phases == [
-        {"phase": "warmup", "wall_sec": 2.0, "events": 300,
-         "events_per_sec": 150.0},
-        {"phase": "measure", "wall_sec": 4.0, "events": 1000,
-         "events_per_sec": 250.0},
-    ]
-    assert probe.total_events == 1300
-    assert probe.total_seconds == 6.0
-    assert probe.events_per_sec() == 1300 / 6.0
-    assert probe.events_per_sec("measure") == 250.0
-    summary = probe.summary()
-    assert summary["events"] == 1300
-    assert summary["events_per_sec"] == round(1300 / 6.0, 3)
-
-
-def test_probe_pools_phases_sharing_a_name():
-    clock = FakeClock()
-    probe = EventRateProbe(clock=clock)
-    sim = FakeSim()
-    for _ in range(3):
-        with probe.phase("measure", sim):
-            sim.events_processed += 100
-            clock.now += 1.0
-    assert probe.events_per_sec("measure") == 100.0
-    assert probe.total_events == 300
-
-
-def test_probe_simless_phase_counts_wall_but_no_events():
-    clock = FakeClock()
-    probe = EventRateProbe(clock=clock)
-    with probe.phase("setup"):
-        clock.now += 5.0
-    assert probe.phases[0]["events"] == 0
-    assert probe.total_seconds == 5.0
-    assert probe.events_per_sec() == 0.0
-
-
-def test_probe_default_clock_is_monotonic():
-    assert EventRateProbe()._clock is time.monotonic
-
-
-def test_probe_against_live_simulation():
-    """On a real run the probe's event total must equal the
-    simulator's own counter — the probe may not lose or invent
-    events."""
-    probe = EventRateProbe()
-    result = run_point(Architecture.SOFT_LRP, BENCH_RATE_PPS,
-                       warmup_usec=QUICK_WARMUP_USEC,
-                       window_usec=QUICK_WINDOW_USEC, probe=probe)
-    assert probe.total_events == result["events"]
-    assert [p["phase"] for p in probe.phases] == ["warmup", "measure"]
-    assert all(p["events"] > 0 for p in probe.phases)
-    assert probe.events_per_sec() > 0
-
-
-def test_probe_agrees_with_bench_harness():
-    """The benchmark harness reports the same deterministic event
-    count as a probe-instrumented run of the same point, and its
-    events/sec figure is internally consistent with its own phases
-    (the wall-clock itself is machine-dependent, so the regression
-    tolerance lives in the normalized CI gate, not here)."""
-    row = bench_arch(Architecture.SOFT_LRP, quick=True)
-    probe = EventRateProbe()
-    result = run_point(Architecture.SOFT_LRP, BENCH_RATE_PPS,
-                       warmup_usec=QUICK_WARMUP_USEC,
-                       window_usec=QUICK_WINDOW_USEC, probe=probe)
-    assert row["events"] == result["events"] == probe.total_events
-    phase_events = sum(p["events"] for p in row["phases"])
-    phase_wall = sum(p["wall_sec"] for p in row["phases"])
-    assert phase_events == row["events"]
-    assert row["events_per_sec"] == round(phase_events / phase_wall, 1)
-    measure = [p for p in row["phases"] if p["phase"] == "measure"]
-    assert len(measure) == 1
-    assert row["measure_events_per_sec"] == \
-        round(measure[0]["events"] / measure[0]["wall_sec"], 1)
+from repro.stats.timing import WallClock
 
 
 def test_wallclock_engine_rate_from_point_events():
