@@ -11,9 +11,8 @@ its fair share.
 Run:  python examples/fair_scheduling.py
 """
 
-from repro.engine import Simulator, Sleep, Syscall
-from repro.net.link import Network
-from repro.core import Architecture, build_host
+from repro.engine import Sleep, Syscall, World
+from repro.core import Architecture
 from repro.apps import rpc_server, rpc_single_call_client
 from repro.apps.compute import rpc_worker
 
@@ -21,10 +20,10 @@ WORKER_CPU = 400_000.0   # 0.4 simulated seconds of pure compute
 
 
 def run(arch: Architecture) -> dict:
-    sim = Simulator(seed=3)
-    lan = Network(sim)
-    server = build_host(sim, lan, "10.0.0.1", arch)
-    client = build_host(sim, lan, "10.0.0.2", Architecture.BSD)
+    world = World(seed=3)
+    sim = world.sim
+    server = world.add_host("10.0.0.1", arch)
+    client = world.add_host("10.0.0.2", Architecture.BSD)
 
     completed, result = [], []
     worker_proc = server.spawn(

@@ -20,9 +20,9 @@ way to the backend.
 Run:  python examples/lrp_gateway.py
 """
 
-from repro.engine import Compute, Simulator, Syscall
+from repro.engine import Compute, Syscall, World
 from repro.net.topology import gateway_chain_spec
-from repro.core import Architecture, build_host
+from repro.core import Architecture
 from repro.core.forwarding import build_gateway
 from repro.workloads import RawUdpInjector
 
@@ -32,13 +32,13 @@ RIGHT = "10.0.1.2"
 
 
 def run(arch: Architecture, flood_pps: float, daemon_nice: int = 0):
-    sim = Simulator(seed=13)
-    net = gateway_chain_spec(client_addr=CLIENT, gw_addr_a=GW_A,
-                             gw_addr_b=GW_B,
-                             backend_addr=RIGHT).build(sim)
+    world = World(seed=13, topology=gateway_chain_spec(
+        client_addr=CLIENT, gw_addr_a=GW_A, gw_addr_b=GW_B,
+        backend_addr=RIGHT))
+    sim, net = world.sim, world.network
     gateway, daemon = build_gateway(sim, net, GW_A, GW_B, arch,
                                     nice=daemon_nice)
-    right = build_host(sim, net, RIGHT, Architecture.BSD)
+    right = world.add_host(RIGHT, Architecture.BSD)
     right.stack.set_gateway(GW_B)
 
     def sink():

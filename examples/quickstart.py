@@ -9,17 +9,16 @@ how the NI channel behaved.
 Run:  python examples/quickstart.py
 """
 
-from repro.engine import Simulator, Sleep, Syscall
-from repro.net.link import Network
-from repro.core import Architecture, build_host
+from repro.engine import Sleep, Syscall, World
+from repro.core import Architecture
 
 
 def main() -> None:
-    sim = Simulator(seed=42)
-    lan = Network(sim)
+    world = World(seed=42)           # a simulator plus the flat LAN
+    sim = world.sim
 
-    server = build_host(sim, lan, "10.0.0.1", Architecture.SOFT_LRP)
-    client = build_host(sim, lan, "10.0.0.2", Architecture.BSD)
+    server = world.add_host("10.0.0.1", Architecture.SOFT_LRP)
+    client = world.add_host("10.0.0.2", Architecture.BSD)
 
     replies = []
 

@@ -12,19 +12,21 @@ channel before they cost anything.
 Run:  python examples/receive_livelock.py
 """
 
-from repro.engine import Simulator, Syscall
-from repro.net.link import Network
-from repro.core import Architecture, build_host
+from repro.engine import Syscall, World
+from repro.core import MODERN_ARCHES, Architecture
 from repro.workloads import RawUdpInjector
 
 RATES = (4_000, 8_000, 12_000, 16_000, 20_000)
+#: The paper's four single-core architectures.
+ARCHES = tuple(a for a in Architecture if a not in MODERN_ARCHES)
 
 
 def deliver_rate(arch: Architecture, rate_pps: float) -> dict:
-    sim = Simulator(seed=7)
-    lan = Network(sim)
-    server = build_host(sim, lan, "10.0.0.1", arch)
-    injector = RawUdpInjector(sim, lan, "10.0.0.9", "10.0.0.1", 9000)
+    world = World(seed=7)
+    sim = world.sim
+    server = world.add_host("10.0.0.1", arch)
+    injector = RawUdpInjector(sim, world.network, "10.0.0.9", "10.0.0.1",
+                              9000)
 
     delivered = [0]
     warmup = 200_000.0
@@ -55,21 +57,21 @@ def deliver_rate(arch: Architecture, rate_pps: float) -> dict:
 
 def main() -> None:
     header = f"{'offered':>8} | " + " | ".join(
-        f"{arch.value:>12}" for arch in Architecture)
+        f"{arch.value:>12}" for arch in ARCHES)
     print("Delivered throughput (pkts/sec):")
     print(header)
     print("-" * len(header))
     summaries = {}
     for rate in RATES:
         cells = []
-        for arch in Architecture:
+        for arch in ARCHES:
             point = deliver_rate(arch, rate)
             summaries[(arch, rate)] = point
             cells.append(f"{point['delivered']:12.0f}")
         print(f"{rate:>8} | " + " | ".join(cells))
 
     print("\nWhere the drops happened at 20k pkts/s offered:")
-    for arch in Architecture:
+    for arch in ARCHES:
         p = summaries[(arch, 20_000)]
         print(f"  {arch.value:12s} ip-queue={p['ipq']:>6} "
               f"socket-queue={p['sockq']:>6} "

@@ -11,9 +11,8 @@ independent, so the blast costs the ping-pong service almost nothing.
 Run:  python examples/traffic_separation.py
 """
 
-from repro.engine import Simulator, Sleep
-from repro.net.link import Network
-from repro.core import Architecture, build_host
+from repro.engine import Sleep, World
+from repro.core import Architecture
 from repro.apps import pingpong_client, pingpong_server, spinner, \
     udp_blast_sink
 from repro.stats.metrics import LatencyRecorder
@@ -23,10 +22,10 @@ BLAST_RATES = (0, 4_000, 8_000, 12_000)
 
 
 def measure(arch: Architecture, blast_pps: float) -> dict:
-    sim = Simulator(seed=5)
-    lan = Network(sim)
-    server = build_host(sim, lan, "10.0.0.1", arch)
-    client = build_host(sim, lan, "10.0.0.2", arch)
+    world = World(seed=5)
+    sim = world.sim
+    server = world.add_host("10.0.0.1", arch)
+    client = world.add_host("10.0.0.2", arch)
     recorder = LatencyRecorder()
 
     server.spawn("pingpong", pingpong_server(7000))
@@ -42,7 +41,7 @@ def measure(arch: Architecture, blast_pps: float) -> dict:
 
     client.spawn("pingpong-cli", delayed_pingpong())
     if blast_pps:
-        injector = RawUdpInjector(sim, lan, "10.0.0.3", "10.0.0.1",
+        injector = RawUdpInjector(sim, world.network, "10.0.0.3", "10.0.0.1",
                                   9000)
         sim.schedule(50_000.0, injector.start, blast_pps)
     sim.run_until(1_200_000.0)

@@ -11,9 +11,8 @@ of demultiplexing alone.
 Run:  python examples/webserver_synflood.py
 """
 
-from repro.engine import Simulator, Sleep
-from repro.net.link import Network
-from repro.core import Architecture, build_host
+from repro.engine import Sleep, World
+from repro.core import Architecture
 from repro.apps import dummy_server, http_client, httpd_master
 from repro.workloads import RawSynInjector
 
@@ -21,13 +20,13 @@ SYN_RATES = (0, 5_000, 10_000, 20_000)
 
 
 def http_throughput(arch: Architecture, syn_pps: float) -> dict:
-    sim = Simulator(seed=11)
-    lan = Network(sim)
-    server = build_host(sim, lan, "10.0.0.1", arch,
-                        time_wait_usec=500_000.0,     # paper's setting
-                        redundant_pcb_lookup=True)    # paper's control
-    clients = build_host(sim, lan, "10.0.0.2", Architecture.BSD,
-                         time_wait_usec=500_000.0)
+    world = World(seed=11)
+    sim = world.sim
+    server = world.add_host("10.0.0.1", arch,
+                            time_wait_usec=500_000.0,    # paper's setting
+                            redundant_pcb_lookup=True)   # paper's control
+    clients = world.add_host("10.0.0.2", Architecture.BSD,
+                             time_wait_usec=500_000.0)
 
     served, completions = [], []
     server.spawn("httpd", httpd_master(server.kernel, 80, backlog=32,
@@ -45,7 +44,8 @@ def http_throughput(arch: Architecture, syn_pps: float) -> dict:
         clients.spawn(f"http-{i}", delayed_client(i))
 
     if syn_pps:
-        injector = RawSynInjector(sim, lan, "10.0.0.3", "10.0.0.1", 81)
+        injector = RawSynInjector(sim, world.network, "10.0.0.3",
+                                  "10.0.0.1", 81)
         sim.schedule(100_000.0, injector.start, syn_pps)
 
     warmup, window = 400_000.0, 800_000.0

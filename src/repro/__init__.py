@@ -9,13 +9,11 @@ models, and the four kernel architectures of the paper's evaluation
 
 Quick start::
 
-    from repro.engine import Simulator, Syscall
-    from repro.net.link import Network
-    from repro.core import Architecture, build_host
+    from repro.engine import Syscall, World
+    from repro.core import Architecture
 
-    sim = Simulator(seed=1)
-    net = Network(sim)
-    host = build_host(sim, net, "10.0.0.1", Architecture.SOFT_LRP)
+    world = World(seed=1)
+    host = world.add_host("10.0.0.1", Architecture.SOFT_LRP)
 
     def app():
         sock = yield Syscall("socket", stype="udp")
@@ -23,7 +21,7 @@ Quick start::
         dgram, src, stamp = yield Syscall("recvfrom", sock=sock)
 
     host.spawn("app", app())
-    sim.run_until(1_000_000.0)
+    world.run(1_000_000.0)
 
 See ``repro.experiments`` for the paper's tables and figures.
 """

@@ -1,6 +1,6 @@
 """Discrete-event simulation engine.
 
-Three layers, bottom up:
+Four layers, bottom up:
 
 * **Clock and events** — :class:`Simulator`, :class:`EventQueue`,
   :class:`Event`: a sequential microsecond-resolution event loop.
@@ -10,6 +10,9 @@ Three layers, bottom up:
 * **Processes** — :class:`SimProcess` and the request vocabulary
   (:class:`Compute`, :class:`Syscall`, :class:`Sleep`, ...):
   generator-based simulated programs scheduled by the host CPU model.
+* **Worlds** — :class:`World`: one simulator, its network (the flat
+  LAN or a switched topology) and the hosts on it; every scenario,
+  sharded or not, builds its machines through one.
 * **Components and sharding** — :class:`Component` declarations bound
   to topology nodes, coupled only by timestamped frames over
   :class:`ChannelLink` s (:mod:`repro.engine.component`), and the
@@ -27,7 +30,6 @@ from repro.engine.component import (
     HostComponent,
     Partition,
     PartitionError,
-    ShardWorld,
     SourceComponent,
     SwitchComponent,
     cover_switches,
@@ -51,6 +53,7 @@ from repro.engine.sharded import (
     ShardSyncError,
 )
 from repro.engine.simulator import USEC_PER_SEC, SimulationError, Simulator
+from repro.engine.world import World
 
 __all__ = [
     "Block",
@@ -66,7 +69,6 @@ __all__ = [
     "ProcState",
     "Request",
     "ShardSyncError",
-    "ShardWorld",
     "ShardedEngine",
     "ShardedRun",
     "SimProcess",
@@ -78,4 +80,5 @@ __all__ = [
     "Syscall",
     "USEC_PER_SEC",
     "WaitChannel",
+    "World",
 ]

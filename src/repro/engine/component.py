@@ -46,8 +46,7 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.simulator import Simulator
-from repro.host.costs import DEFAULT_COSTS
+from repro.engine.world import World
 
 
 class PartitionError(ValueError):
@@ -124,16 +123,16 @@ class Component:
         self.min_delay_usec = float(min_delay_usec)
 
     # Hook runners (kept separate so subclasses can specialize).
-    def run_build(self, world: "ShardWorld") -> Any:
+    def run_build(self, world: World) -> Any:
         if self.build is None:
             return None
         return self.build(world, **self.kwargs)
 
-    def run_start(self, world: "ShardWorld", state: Any) -> None:
+    def run_start(self, world: World, state: Any) -> None:
         if self.start is not None:
             self.start(world, state, **self.kwargs)
 
-    def run_collect(self, world: "ShardWorld", state: Any) -> Any:
+    def run_collect(self, world: World, state: Any) -> Any:
         if self.collect is None:
             return None
         return self.collect(world, state, **self.kwargs)
@@ -207,62 +206,7 @@ class ChannelLink:
                 f"L={self.lookahead_usec}us>")
 
 
-class ShardWorld:
-    """What a component's hooks see: one shard's slice of the world.
-
-    Carries the shard-local :class:`Simulator`, the (possibly
-    ownership-restricted) fabric, and a host registry mirroring
-    :class:`repro.experiments.common.Testbed` so experiment builders
-    port over mechanically.  In the one-shard case ``owned`` is
-    ``None`` and the world is indistinguishable from an unsharded
-    scenario.
-    """
-
-    def __init__(self, sim: Simulator, spec, fabric,
-                 shard_index: int = 0, shard_count: int = 1,
-                 owned: Optional[FrozenSet[str]] = None,
-                 costs=DEFAULT_COSTS) -> None:
-        self.sim = sim
-        self.spec = spec
-        self.fabric = fabric
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-        self.owned = owned
-        self.costs = costs
-        #: Hosts registered via :meth:`add_host`/:meth:`adopt`; their
-        #: CPU stats are finalized when the shard finishes.
-        self.hosts: List[Any] = []
-
-    def owns(self, node: str) -> bool:
-        """Whether *node* (and everything attached there) is this
-        shard's to build."""
-        return self.owned is None or node in self.owned
-
-    def add_host(self, addr, arch, name: Optional[str] = None,
-                 **kwargs):
-        """Build and register a host at *addr* (must be bound to an
-        owned node in the spec)."""
-        from repro.core import build_host
-        host = build_host(self.sim, self.fabric, addr, arch,
-                          costs=self.costs, name=name, **kwargs)
-        self.hosts.append(host)
-        return host
-
-    def adopt(self, host):
-        """Register a host built by other means (e.g.
-        :func:`repro.core.forwarding.build_gateway`) for stat
-        finalization."""
-        self.hosts.append(host)
-        return host
-
-    def finalize(self) -> None:
-        """Freeze per-host CPU accounting (idle time, utilization) at
-        the current clock; called once after the run completes."""
-        for host in self.hosts:
-            host.kernel.finalize_stats()
-
-
-def instantiate(world: ShardWorld,
+def instantiate(world: World,
                 components: Sequence[Component]) -> Dict[str, Any]:
     """Build this shard's components: every owned ``build`` hook in
     declaration order, then every owned ``start`` hook in declaration

@@ -3,8 +3,9 @@
 The :class:`ShardedEngine` runs one scenario — a
 :class:`~repro.net.topology.TopologySpec` plus a declaration-ordered
 list of :class:`~repro.engine.component.Component` s — across one or
-more *shards*, each holding its own :class:`Simulator`, its own slice
-of the fabric, and the components placed on it by the partitioner.
+more *shards*, each holding its own
+:class:`~repro.engine.world.World` (a simulator plus its slice of the
+network) and the components placed on it by the partitioner.
 Shards exchange nothing but timestamped frames over the partition's
 :class:`~repro.engine.component.ChannelLink` s.
 
@@ -83,12 +84,11 @@ from repro.engine.component import (
     ChannelLink,
     Component,
     Partition,
-    ShardWorld,
     cover_switches,
     instantiate,
     make_partition,
 )
-from repro.engine.simulator import Simulator
+from repro.engine.world import World
 from repro.host.costs import DEFAULT_COSTS
 from repro.trace.merge import (
     merge_records,
@@ -107,9 +107,10 @@ class ShardSyncError(RuntimeError):
 
 
 class _ShardRuntime:
-    """One shard's live state: simulator, fabric slice, components.
+    """One shard's live state: its world (simulator, network slice,
+    hosts) and the components placed on it.
 
-    Frames the shard's fabric exports are appended to *outbox* — the
+    Frames the shard's network exports are appended to *outbox* — the
     driver's per-destination-shard lists, shared by every runtime —
     as ``(rank, arrival, seq, frame, dst_key)`` in emission order.
     """
@@ -128,7 +129,6 @@ class _ShardRuntime:
         # sink would interleave unmerged per-shard streams into it.
         tracer = (Tracer(capacity=None) if engine.trace
                   else (None if partition.shards == 1 else NULL_TRACER))
-        self.sim = Simulator(seed=seed, tracer=tracer)
 
         self._outbox = outbox
         self._emit_seq = 0
@@ -139,21 +139,16 @@ class _ShardRuntime:
                          for ch in partition.channels
                          if ch.dst_shard == index}
 
-        spec = partition.spec
-        if partition.shards == 1:
-            # The unsharded special case takes the exact pre-sharding
-            # construction path (no ownership filter, no boundary), so
-            # its event order is byte-identical to the golden traces.
-            owned = None
-            fabric = spec.build(self.sim)
-        else:
-            owned = partition.owned_nodes(index)
-            fabric = spec.build(self.sim, owned_nodes=owned,
-                                boundary=self._emit)
-        self.world = ShardWorld(self.sim, spec, fabric,
-                                shard_index=index,
-                                shard_count=partition.shards,
-                                owned=owned, costs=engine.costs)
+        # The unsharded special case takes the exact pre-sharding
+        # construction path (no ownership filter, so nothing crosses
+        # the boundary), and its event order is byte-identical to the
+        # golden traces.
+        owned = (None if partition.shards == 1
+                 else partition.owned_nodes(index))
+        self.world = World(seed, topology=partition.spec,
+                           costs=engine.costs, tracer=tracer,
+                           owned=owned, boundary=self._emit)
+        self.sim = self.world.sim
         if engine.prepare is not None:
             engine.prepare(self.world)
         self.states = instantiate(self.world, partition.components)
@@ -179,9 +174,9 @@ class _ShardRuntime:
         deterministic cross-shard tie order of the contract."""
         for rank, arrival, _seq, frame, dst_key in sorted(
                 messages, key=lambda m: (m[1], m[0], m[2])):
-            self.world.fabric.import_frame(arrival,
-                                           self._in_node[rank],
-                                           frame, dst_key)
+            self.world.network.import_frame(arrival,
+                                            self._in_node[rank],
+                                            frame, dst_key)
 
     def next_event(self) -> float:
         if self.finished:
@@ -206,10 +201,11 @@ class _ShardRuntime:
         collect results."""
         if leftovers:
             self.insert(leftovers)
-        if not self.finished:
-            self.sim.run_until(self.duration)
+        if self.finished:
+            self.world.finalize()
+        else:
+            self.world.run(self.duration)
             self.finished = True
-        self.world.finalize()
         collected = {}
         for comp in self._owned_components:
             collected[comp.name] = comp.run_collect(
@@ -217,8 +213,8 @@ class _ShardRuntime:
         payload: Dict[str, Any] = {
             "collected": collected,
             "events": self.sim.events_processed,
-            "conservation": self.world.fabric.conservation(),
-            "hop_stats": self.world.fabric.hop_stats(),
+            "conservation": self.world.network.conservation(),
+            "hop_stats": self.world.network.hop_stats(),
         }
         if self.trace:
             payload["records"] = shipped_records(self.sim.trace)

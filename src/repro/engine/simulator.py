@@ -7,13 +7,15 @@ paper reports per-packet costs (e.g. "hardware plus software interrupt,
 approximately 60 usecs").
 
 The run loop is the hottest code in the repository — every simulated
-packet costs tens of events — so :meth:`Simulator.run_until` reads the
-event heap directly instead of going through ``EventQueue.peek_time`` /
-``pop`` (one heap access per event instead of three) and recycles
-fired :class:`Event` handles back into the queue's pool when the
-scheduler kept no reference to them.  The observable semantics are
-identical to the straightforward peek/pop loop; the golden-trace suite
-pins this (same events, same times, same order).
+packet costs tens of events.  One loop (``Simulator._drain``) serves
+:meth:`~Simulator.run_until`, :meth:`~Simulator.run_events_before` and
+:meth:`~Simulator.run`; it reads the event heap directly instead of
+going through ``EventQueue.peek_time`` / ``pop`` (one heap access per
+event instead of three) and recycles fired :class:`Event` handles back
+into the queue's pool when the scheduler kept no reference to them.
+The observable semantics are identical to the straightforward peek/pop
+loop; the golden-trace suite pins this (same events, same times, same
+order).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import random
 from heapq import heappop
+from math import inf, nextafter
 from sys import getrefcount
 from typing import Any, Callable, Dict, Optional
 
@@ -100,10 +103,6 @@ class Simulator:
         self.hosts[unique] = host
         return unique
 
-    def host(self, name: str) -> Any:
-        """Look up a registered host by name (KeyError if absent)."""
-        return self.hosts[name]
-
     # ------------------------------------------------------------------
     # Randomness
     # ------------------------------------------------------------------
@@ -170,27 +169,23 @@ class Simulator:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run_until(self, time: float) -> None:
-        """Process events until the clock reaches *time*.
-
-        The clock is left at exactly *time* even if the queue drains
-        earlier, so back-to-back ``run_until`` calls behave like a
-        continuous run.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"run_until({time!r}) is in the past (now={self.now!r})")
+    def _drain(self, limit: float, max_events: int = -1) -> None:
+        """The event loop: fire, in order, every pending event with
+        ``time <= limit``, stopping early after *max_events* fired
+        events (``-1``: no cap) or on :meth:`stop`.  The clock is left
+        at the last fired event."""
         queue = self._queue
         heap = queue._heap
         pool = queue._pool
         trace = self.trace
         processed = self.events_processed
+        stop_at = -1 if max_events < 0 else processed + max_events
         self._running = True
         try:
-            while self._running and heap:
+            while self._running and heap and processed != stop_at:
                 entry = heap[0]
                 when = entry[0]
-                if when > time:
+                if when > limit:
                     break
                 heappop(heap)
                 if len(entry) == 4:
@@ -229,6 +224,18 @@ class Simulator:
         finally:
             self.events_processed = processed
             self._running = False
+
+    def run_until(self, time: float) -> None:
+        """Process events until the clock reaches *time*.
+
+        The clock is left at exactly *time* even if the queue drains
+        earlier, so back-to-back ``run_until`` calls behave like a
+        continuous run.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"run_until({time!r}) is in the past (now={self.now!r})")
+        self._drain(time)
         if time > self.now:
             self.now = time
 
@@ -243,55 +250,10 @@ class Simulator:
         ``bound``.  Unlike :meth:`run_until`, the clock is left at the
         last processed event (not advanced to the bound), so messages
         arriving later at ``time >= bound`` can still be scheduled.
-
-        Event-for-event identical to :meth:`run_until` over the same
-        window: same callbacks, same order, same trace records.
+        For float times, ``time < bound`` is exactly ``time <=`` the
+        largest float below *bound*.
         """
-        queue = self._queue
-        heap = queue._heap
-        pool = queue._pool
-        trace = self.trace
-        processed = self.events_processed
-        self._running = True
-        try:
-            while self._running and heap:
-                entry = heap[0]
-                when = entry[0]
-                if when >= bound:
-                    break
-                heappop(heap)
-                if len(entry) == 4:
-                    self.now = when
-                    processed += 1
-                    if trace.enabled:
-                        trace.event_fired(callback_name(entry[2]))
-                    entry[2](*entry[3])
-                    continue
-                event = entry[2]
-                event._pending = False
-                if event.cancelled:
-                    queue._dead -= 1
-                    entry = None
-                    if (getrefcount(event) == 2
-                            and len(pool) < _POOL_LIMIT):
-                        pool.append(event)
-                    continue
-                self.now = when
-                processed += 1
-                callback = event.callback
-                args = event.args
-                if trace.enabled:
-                    trace.event_fired(callback_name(callback))
-                callback(*args)
-                entry = None
-                if getrefcount(event) == 2 and len(pool) < _POOL_LIMIT:
-                    event.callback = _noop
-                    event.args = ()
-                    event.cancelled = True
-                    pool.append(event)
-        finally:
-            self.events_processed = processed
-            self._running = False
+        self._drain(nextafter(bound, -inf))
 
     def next_event_time(self) -> Optional[float]:
         """Firing time of the earliest live pending event, or ``None``.
@@ -304,26 +266,9 @@ class Simulator:
         return self._queue.peek_time()
 
     def run(self, max_events: Optional[int] = None) -> None:
-        """Process events until the queue is empty (or *max_events*)."""
-        queue = self._queue
-        trace = self.trace
-        self._running = True
-        processed = 0
-        try:
-            while self._running:
-                event = queue.pop()
-                if event is None:
-                    break
-                self.now = event.time
-                self.events_processed += 1
-                if trace.enabled:
-                    trace.event_fired(callback_name(event.callback))
-                event.callback(*event.args)
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    break
-        finally:
-            self._running = False
+        """Process events until the queue is empty (or *max_events*
+        have fired)."""
+        self._drain(inf, -1 if max_events is None else max_events)
 
     def stop(self) -> None:
         """Stop the currently executing :meth:`run` / :meth:`run_until`."""

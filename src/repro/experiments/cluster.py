@@ -142,7 +142,7 @@ def _incast_server_collect(world, state, duration_usec, warmup_usec,
 
 def _incast_client_build(world, index, rate_pps, **_):
     injector = RawUdpInjector(
-        world.sim, world.fabric,
+        world.sim, world.network,
         f"10.0.0.{INCAST_CLIENT_BASE + index}",
         INCAST_SERVER_ADDR, INCAST_PORT, src_port=20000 + index)
     # Staggered starts de-phase the per-client packet trains, as
@@ -235,7 +235,7 @@ def run_incast_point(arch: Architecture, fan_in: int,
 # ----------------------------------------------------------------------
 def _chain_gateway_build(world, arch, daemon_nice, **_):
     gateway, daemon = build_gateway(
-        world.sim, world.fabric, CHAIN_GW_A, CHAIN_GW_B,
+        world.sim, world.network, CHAIN_GW_A, CHAIN_GW_B,
         Architecture(arch), nice=daemon_nice, costs=world.costs)
     world.adopt(gateway)
     return {"gateway": gateway, "daemon": daemon}
@@ -283,7 +283,7 @@ def _chain_backend_collect(world, recorder, duration_usec,
 
 
 def _chain_client_build(world, flood_pps, **_):
-    injector = RawUdpInjector(world.sim, world.fabric,
+    injector = RawUdpInjector(world.sim, world.network,
                               CHAIN_CLIENT_ADDR, CHAIN_BACKEND_ADDR,
                               CHAIN_PORT, next_hop=CHAIN_GW_A)
     world.sim.schedule(10_000.0, injector.start, flood_pps)

@@ -166,7 +166,7 @@ def _attach_edge_plane(world, node: str, intensity: float,
     if plan is None:
         return None
     plane = FaultPlane(world.sim, plan)
-    world.fabric.attach_link_fault_plane(node, "sw0", plane)
+    world.network.attach_link_fault_plane(node, "sw0", plane)
     return plane
 
 
@@ -231,7 +231,7 @@ def _deg_server_collect(world, state, duration_usec, warmup_usec, **_):
 def _deg_victim_build(world, intensity, duration_usec, seed, **_):
     plane = _attach_edge_plane(world, "victim", intensity,
                                duration_usec, seed)
-    injector = RawUdpInjector(world.sim, world.fabric, CLIENT_A_ADDR,
+    injector = RawUdpInjector(world.sim, world.network, CLIENT_A_ADDR,
                               SERVER_ADDR, VICTIM_PORT, src_port=22000)
     world.sim.schedule(10_000.0, injector.start, VICTIM_PPS)
     return injector, plane
@@ -243,7 +243,7 @@ def _deg_blaster_build(world, intensity, duration_usec, seed,
     # from the victim's (identical plans share per-rule RNG seeds).
     plane = _attach_edge_plane(world, "blaster", intensity,
                                duration_usec, seed + 1)
-    blaster = BurstyUdpBlaster(world.sim, world.fabric, CLIENT_C_ADDR,
+    blaster = BurstyUdpBlaster(world.sim, world.network, CLIENT_C_ADDR,
                                SERVER_ADDR, BLAST_PORT)
     world.sim.schedule(20_000.0, blaster.start, blast_pps)
     return blaster, plane

@@ -117,7 +117,7 @@ def _client_build(world, rate_pps, payload_bytes, flows=1, **_):
     injectors = []
     port = None
     for i in range(flows):
-        injector = RawUdpInjector(world.sim, world.fabric,
+        injector = RawUdpInjector(world.sim, world.network,
                                   CLIENT_A_ADDR, SERVER_ADDR,
                                   BLAST_PORT,
                                   payload_bytes=payload_bytes,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.engine.process import Syscall
 from repro.core import Architecture
-from repro.core.costs import DEFAULT_COSTS
+from repro.host.costs import DEFAULT_COSTS
 from repro.runner import SweepRunner
 from repro.stats.report import format_table
 from repro.workloads import RawUdpInjector

@@ -118,7 +118,7 @@ def _build_incast_server(world):
 def _build_incast_client(world, index, rate_pps):
     from repro.workloads import RawUdpInjector
 
-    injector = RawUdpInjector(world.sim, world.fabric,
+    injector = RawUdpInjector(world.sim, world.network,
                               f"10.0.0.{10 + index}", "10.0.0.1",
                               9000, src_port=20000 + index)
     world.sim.schedule(5_000.0 + 137.0 * index, injector.start,
@@ -130,7 +130,7 @@ def _build_chain_gateway(world):
     from repro.core import Architecture
     from repro.core.forwarding import build_gateway
 
-    gateway, _daemon = build_gateway(world.sim, world.fabric,
+    gateway, _daemon = build_gateway(world.sim, world.network,
                                      "10.0.0.254", "10.0.1.254",
                                      Architecture.SOFT_LRP)
     return world.adopt(gateway)
@@ -158,7 +158,7 @@ def _build_chain_backend(world):
 def _build_chain_client(world):
     from repro.workloads import RawUdpInjector
 
-    injector = RawUdpInjector(world.sim, world.fabric, "10.0.0.2",
+    injector = RawUdpInjector(world.sim, world.network, "10.0.0.2",
                               "10.0.1.1", 9000,
                               next_hop="10.0.0.254")
     world.sim.schedule(5_000.0, injector.start, 2_000.0)
@@ -178,7 +178,7 @@ def _prepare_cluster_faults(world):
     from repro.faults import FaultPlane
 
     plane = FaultPlane(world.sim, _golden_fault_plan())
-    world.fabric.attach_link_fault_plane("client0", "sw0", plane)
+    world.network.attach_link_fault_plane("client0", "sw0", plane)
 
 
 def cluster_world(key: str):
@@ -240,20 +240,15 @@ def _run_cluster(key: str, tracer: Tracer) -> Tracer:
     """Unsharded digest run of one cluster workload: the exact event
     order the golden files pin (and the one-shard sharded run must
     reproduce byte-for-byte)."""
-    from repro.engine.component import (
-        ShardWorld,
-        cover_switches,
-        instantiate,
-    )
-    from repro.engine.simulator import Simulator
+    from repro.engine.component import cover_switches, instantiate
+    from repro.engine.world import World
 
     spec, components, prepare = cluster_world(key)
-    sim = Simulator(seed=GOLDEN_SEED, tracer=tracer)
-    world = ShardWorld(sim, spec, spec.build(sim))
+    world = World(GOLDEN_SEED, topology=spec, tracer=tracer)
     if prepare is not None:
         prepare(world)
     instantiate(world, cover_switches(spec, components))
-    sim.run_until(GOLDEN_DURATION)
+    world.sim.run_until(GOLDEN_DURATION)
     return tracer
 
 
@@ -277,27 +272,20 @@ def run_golden_workload(arch_key: str,
                         tracer: Optional[Tracer] = None) -> Tracer:
     """Run the canonical workload on *arch_key*'s architecture with
     tracing enabled; returns the (unbounded) tracer."""
-    from repro.core import Architecture, build_host
+    from repro.core import Architecture
     from repro.engine.process import Sleep, Syscall
-    from repro.engine.simulator import Simulator
-    from repro.net.link import Network
+    from repro.engine.world import World
 
     if tracer is None:
         tracer = Tracer(capacity=None)
     if arch_key in CLUSTER_KEYS:
         return _run_cluster(arch_key, tracer)
-    sim = Simulator(seed=GOLDEN_SEED, tracer=tracer)
-    network = Network(sim)
-    fault_plane = None
-    if arch_key.endswith("-faults"):
-        from repro.faults import FaultPlane
-        fault_plane = FaultPlane(sim, _golden_fault_plan())
-        fault_plane.attach_network(network)
-    server = build_host(sim, network, "10.0.0.1", _arch_of(arch_key),
-                        fault_plane=fault_plane,
-                        **_server_kwargs(arch_key))
-    client = build_host(sim, network, "10.0.0.2", Architecture.BSD,
-                        fault_plane=fault_plane)
+    world = World(GOLDEN_SEED, tracer=tracer,
+                  fault_plan=(_golden_fault_plan()
+                              if arch_key.endswith("-faults") else None))
+    server = world.add_host("10.0.0.1", _arch_of(arch_key),
+                            **_server_kwargs(arch_key))
+    client = world.add_host("10.0.0.2", Architecture.BSD)
 
     def udp_sink():
         sock = yield Syscall("socket", stype="udp")
@@ -340,7 +328,7 @@ def run_golden_workload(arch_key: str,
     server.spawn("tcp-server", tcp_server())
     client.spawn("udp-client", udp_client())
     client.spawn("tcp-client", tcp_client())
-    sim.run_until(GOLDEN_DURATION)
+    world.sim.run_until(GOLDEN_DURATION)
     return tracer
 
 

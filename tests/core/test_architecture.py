@@ -14,7 +14,7 @@ from repro.core import (
     SoftLrpStack,
     build_host,
 )
-from repro.core.costs import DEFAULT_COSTS
+from repro.host.costs import DEFAULT_COSTS
 
 
 @pytest.mark.parametrize("arch,stack_cls,nic_cls", [

@@ -2,20 +2,20 @@
 
 The hot-path overhaul replaced the heap-of-Events queue with a
 tuple-keyed, lazy-delete, pooling implementation.  The old queue is
-kept verbatim as :class:`~repro.engine.event.LegacyEventQueue` — the
-*oracle*.  These tests run arbitrary interleavings of schedule /
-cancel / pop / peek (including detached entries, compaction-triggering
-cancel storms, and pool reuse) against both implementations and
-require identical observable behaviour at every step.
+kept verbatim below as :class:`LegacyEventQueue` — the *oracle*.
+These tests run arbitrary interleavings of schedule / cancel / pop /
+peek (including detached entries, compaction-triggering cancel storms,
+and pool reuse) against both implementations and require identical
+observable behaviour at every step.
 """
+
+import heapq
+import itertools
+from typing import Any, Callable, Optional
 
 import pytest
 
-from repro.engine.event import (
-    _COMPACT_MIN,
-    EventQueue,
-    LegacyEventQueue,
-)
+from repro.engine.event import _COMPACT_MIN, Event, EventQueue
 
 try:
     from hypothesis import given, settings
@@ -23,6 +23,49 @@ try:
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - minimal environments
     HAVE_HYPOTHESIS = False
+
+
+class LegacyEventQueue:
+    """The pre-overhaul queue: a heap of :class:`Event` objects.
+
+    Kept as the differential-testing oracle for :class:`EventQueue`;
+    not used by the simulator.  Its observable behaviour (time order,
+    FIFO tie-break, cancellation semantics) is the specification the
+    production queue is property-tested against.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[Event] = []
+        self._seq = itertools.count()
+
+    def __len__(self) -> int:
+        return sum(1 for event in self._heap if not event.cancelled)
+
+    def push(self, time: float, callback: Callable[..., Any],
+             args: tuple = ()) -> Event:
+        """Schedule *callback(*args)* at absolute simulated *time*."""
+        event = Event(time, next(self._seq), callback, args)
+        heapq.heappush(self._heap, event)
+        return event
+
+    def peek_time(self) -> Optional[float]:
+        """Return the firing time of the next live event, or ``None``."""
+        self._drop_cancelled()
+        if not self._heap:
+            return None
+        return self._heap[0].time
+
+    def pop(self) -> Optional[Event]:
+        """Remove and return the next live event, or ``None`` if empty."""
+        self._drop_cancelled()
+        if not self._heap:
+            return None
+        return heapq.heappop(self._heap)
+
+    def _drop_cancelled(self) -> None:
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
 
 
 def _tagged(tag):

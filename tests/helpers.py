@@ -2,29 +2,22 @@
 
 from __future__ import annotations
 
-from repro.engine import Simulator, Syscall
-from repro.net.link import Network
-from repro.core import Architecture, build_host
+from repro.engine import Syscall, World
+from repro.core import Architecture
 
 SERVER = "10.0.0.1"
 CLIENT = "10.0.0.2"
 
 
-class Scenario:
+class Scenario(World):
     """Two hosts on a LAN: a server (arch under test) and a client."""
 
     def __init__(self, arch: Architecture, seed: int = 1,
                  client_arch: Architecture = Architecture.BSD,
                  **server_kwargs):
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim)
-        self.server = build_host(self.sim, self.network, SERVER, arch,
-                                 **server_kwargs)
-        self.client = build_host(self.sim, self.network, CLIENT,
-                                 client_arch)
-
-    def run(self, usec: float) -> None:
-        self.sim.run_until(usec)
+        super().__init__(seed)
+        self.server = self.add_host(SERVER, arch, **server_kwargs)
+        self.client = self.add_host(CLIENT, client_arch)
 
 
 def udp_echo_server(port: int, log: list, sim):
