@@ -17,7 +17,7 @@ from repro.runner import SweepRunner
 
 WINDOW = 300_000.0
 
-RUNNER = SweepRunner.from_env("REPRO_BENCH")
+RUNNER = SweepRunner.from_env()
 
 
 def test_early_demux_livelocks_on_corrupt_flood(once):

@@ -12,7 +12,7 @@ from repro.workloads import RawUdpInjector
 from repro.experiments import sensitivity
 from repro.runner import SweepRunner
 
-RUNNER = SweepRunner.from_env("REPRO_BENCH")
+RUNNER = SweepRunner.from_env()
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.runner import SweepRunner
 RATES = (2_000, 6_000, 8_000, 10_000, 12_000, 16_000, 20_000)
 WINDOW = 400_000.0
 
-RUNNER = SweepRunner.from_env("REPRO_BENCH")
+RUNNER = SweepRunner.from_env()
 
 
 def sweep(arch):

@@ -17,7 +17,7 @@ from repro.runner import SweepRunner
 RATES = (0, 4_000, 6_000, 10_000)
 DURATION = 800_000.0
 
-RUNNER = SweepRunner.from_env("REPRO_BENCH")
+RUNNER = SweepRunner.from_env()
 
 
 def sweep(arch):

@@ -15,7 +15,7 @@ from repro.runner import SweepRunner
 WARMUP = 300_000.0
 WINDOW = 500_000.0
 
-RUNNER = SweepRunner.from_env("REPRO_BENCH")
+RUNNER = SweepRunner.from_env()
 
 
 def point(arch, rate):

@@ -11,7 +11,7 @@ from repro.core import Architecture
 from repro.experiments import table1
 from repro.runner import SweepRunner
 
-RUNNER = SweepRunner.from_env("REPRO_BENCH")
+RUNNER = SweepRunner.from_env()
 
 
 def test_latency_row(once):

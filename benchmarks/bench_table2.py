@@ -13,7 +13,7 @@ from repro.runner import SweepRunner
 
 SCALE = 0.03  # worker CPU = 345 ms; keeps each run ~seconds
 
-RUNNER = SweepRunner.from_env("REPRO_BENCH")
+RUNNER = SweepRunner.from_env()
 
 
 def test_fast_row(once):

@@ -93,7 +93,6 @@ from repro.host.costs import DEFAULT_COSTS
 from repro.trace.merge import (
     merge_records,
     parity_digest,
-    raw_digest,
     shipped_records,
 )
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -587,13 +586,6 @@ class ShardedRun:
                 f"exported={total['exported']} "
                 f"imported={total['imported']}")
         return total
-
-    def raw_trace_digest(self) -> Optional[Dict[str, Any]]:
-        """Order-sensitive digest of the merged stream (meaningful
-        for golden comparison only at one shard)."""
-        if self.records is None:
-            return None
-        return raw_digest(self.records)
 
 
 # ----------------------------------------------------------------------

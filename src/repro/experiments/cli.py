@@ -26,7 +26,6 @@ import time
 from repro import __version__
 from repro.runner import (
     ResultCache,
-    RunJournal,
     SweepRunner,
     default_cache_dir,
 )
@@ -113,13 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--point-timeout", metavar="SEC", type=float,
                         default=None,
                         help="per-point wall-clock budget in seconds; "
-                             "a point exceeding it fails (and retries "
-                             "if --retries > 0) instead of wedging "
-                             "the sweep")
-    parser.add_argument("--retries", metavar="N", type=int, default=0,
-                        help="re-attempt a failed sweep point up to N "
-                             "times with exponential backoff before "
-                             "recording it as failed")
+                             "a point exceeding it fails instead of "
+                             "wedging the sweep")
     parser.add_argument("--trace", metavar="OUT.JSONL", default=None,
                         help="stream an event trace of every simulated "
                              "run to this JSONL file (see "
@@ -142,14 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "docs/ARCHITECTURES.md); experiments "
                              "without multi-core support note the "
                              "fallback and run single-core")
-    parser.add_argument("--resume", metavar="JOURNAL.JSONL",
-                        default=None,
-                        help="journal every completed sweep point to "
-                             "this file and, when it already exists, "
-                             "resume from it: journaled points are "
-                             "served without recomputation (content-"
-                             "addressed, so stale entries are ignored "
-                             "after code/parameter changes)")
     return parser
 
 
@@ -182,18 +168,9 @@ def main(argv=None) -> int:
     cache = None
     if args.cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    journal = None
-    if args.resume is not None:
-        journal = RunJournal(args.resume)
-        if journal.resumed_from:
-            print(f"resuming: {journal.resumed_from} completed "
-                  f"point(s) journaled in {args.resume}",
-                  file=sys.stderr)
     runner = SweepRunner(workers=args.parallel, cache=cache,
                          progress=True,
-                         point_timeout_sec=args.point_timeout,
-                         retries=args.retries,
-                         journal=journal)
+                         point_timeout_sec=args.point_timeout)
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
@@ -233,14 +210,12 @@ def main(argv=None) -> int:
             _write_results(args, names, runner, experiment_log,
                            started_unix,
                            time.monotonic() - started)
-        if journal is not None:
-            journal.close()
     if runner.failed:
         for descriptor in runner.failed:
             print(f"FAILED point: {descriptor['label']} — "
                   f"{descriptor['error']}", file=sys.stderr)
-        print(f"{len(runner.failed)} sweep point(s) exhausted their "
-              "retries", file=sys.stderr)
+        print(f"{len(runner.failed)} sweep point(s) failed",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -255,11 +230,9 @@ def _write_results(args, names, runner: SweepRunner, experiment_log,
             "parallel": args.parallel,
             "cache": args.cache,
             "point_timeout": args.point_timeout,
-            "retries": args.retries,
             "trace": args.trace is not None,
             "shards": args.shards,
             "cores": args.cores,
-            "resume": args.resume,
         },
         "started_unix": started_unix,
         "wall_clock_sec": round(elapsed_sec, 3),

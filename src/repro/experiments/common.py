@@ -12,7 +12,7 @@ the same :class:`~repro.engine.world.World`.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable
+from typing import Generator
 
 from repro.engine.process import Sleep
 from repro.engine.world import World
@@ -43,14 +43,3 @@ class Testbed(World):
     apart by this class."""
 
     __test__ = False  # not a test class, despite the Test* name
-
-
-def count_in_window(stamps: Iterable[float], start: float,
-                    end: float) -> int:
-    return sum(1 for t in stamps if start <= t < end)
-
-
-def rate_in_window(stamps: Iterable[float], start: float,
-                   end: float) -> float:
-    n = count_in_window(stamps, start, end)
-    return n * 1e6 / (end - start)

@@ -189,9 +189,6 @@ class Kernel:
         for hook in self.reap_hooks:
             hook(proc)
 
-    def context_of(self, proc: SimProcess) -> ProcContext:
-        return self._contexts[proc.pid]
-
     # ------------------------------------------------------------------
     # Request handling (called from ProcContext.begin)
     # ------------------------------------------------------------------
@@ -353,9 +350,6 @@ class Kernel:
     @property
     def ncores(self) -> int:
         return len(self.cpus)
-
-    def cpu_for(self, core: int):
-        return self.cpus[core]
 
     def finalize_stats(self) -> None:
         """Fold open idle intervals on every core; call before reading

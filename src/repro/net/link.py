@@ -29,6 +29,45 @@ from repro.net.signalling import SignallingDirectory
 ATM_155_BITS_PER_USEC = 155.0
 
 
+class CongestionKnee:
+    """The stochastic congestion knee of the flat LAN and of switched
+    topologies.
+
+    An EWMA (weight 0.05) over frame inter-arrival gaps estimates the
+    offered rate; above *knee_pps* a frame drops with probability
+    ``slope`` per excess pkt/sec, capped at 0.2.  Drops draw from the
+    ``"net.congestion"`` named stream (not ``sim.rng``) so enabling
+    the knee — or injecting faults — never perturbs anyone else's
+    randomness; see :meth:`Simulator.named_rng`.
+    """
+
+    def __init__(self, sim: Simulator, knee_pps: float,
+                 slope: float) -> None:
+        self.sim = sim
+        self.knee_pps = knee_pps
+        self.slope = slope
+        self._rng = sim.named_rng("net.congestion")
+        self._last_arrival = 0.0
+        self._ewma_interarrival: Optional[float] = None
+
+    def drop(self) -> bool:
+        """Note one frame arrival now; ``True`` if it is dropped."""
+        now = self.sim.now
+        gap = now - self._last_arrival
+        self._last_arrival = now
+        if self._ewma_interarrival is None:
+            self._ewma_interarrival = gap if gap > 0 else 1.0
+            return False
+        alpha = 0.05
+        self._ewma_interarrival = ((1 - alpha) * self._ewma_interarrival
+                                   + alpha * max(gap, 1e-6))
+        rate_pps = 1e6 / self._ewma_interarrival
+        if rate_pps <= self.knee_pps:
+            return False
+        p_drop = min(0.2, self.slope * (rate_pps - self.knee_pps))
+        return self._rng.random() < p_drop
+
+
 class Network:
     """A switched LAN forwarding frames between attached NICs."""
 
@@ -42,12 +81,9 @@ class Network:
         self.bandwidth = bandwidth_bits_per_usec
         self.propagation = propagation_usec
         self.port_queue_frames = port_queue_frames
-        self.congestion_knee_pps = congestion_knee_pps
-        self.congestion_slope = congestion_slope
-        # Congestion drops draw from a named stream (not sim.rng) so
-        # enabling them — or injecting faults — never perturbs anyone
-        # else's randomness; see Simulator.named_rng.
-        self._congestion_rng = sim.named_rng("net.congestion")
+        self.congestion = (CongestionKnee(sim, congestion_knee_pps,
+                                          congestion_slope)
+                           if congestion_knee_pps is not None else None)
 
         #: Attached :class:`~repro.faults.plane.FaultPlane`, if any.
         self.fault_plane = None
@@ -58,10 +94,6 @@ class Network:
         self._tx_busy_until: Dict[int, float] = {}
         self._rx_busy_until: Dict[int, float] = {}
         self._rx_queued: Dict[int, int] = {}
-
-        # Congestion-rate estimation (EWMA of inter-arrival times).
-        self._last_arrival = 0.0
-        self._ewma_interarrival: Optional[float] = None
 
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -107,7 +139,7 @@ class Network:
         done_tx = start + tx_time
         self._tx_busy_until[src_key] = done_tx
 
-        if self.maybe_congestion_drop():
+        if self.congestion is not None and self.congestion.drop():
             self.drops_congestion += 1
             return False
 
@@ -148,24 +180,3 @@ class Network:
         self._rx_queued[dst_key] -= 1
         self.frames_delivered += 1
         dst_nic.receive_frame(frame)
-
-    # ------------------------------------------------------------------
-    def maybe_congestion_drop(self) -> bool:
-        """Stochastic drop above the configured congestion knee."""
-        if self.congestion_knee_pps is None:
-            return False
-        now = self.sim.now
-        gap = now - self._last_arrival
-        self._last_arrival = now
-        if self._ewma_interarrival is None:
-            self._ewma_interarrival = gap if gap > 0 else 1.0
-            return False
-        alpha = 0.05
-        self._ewma_interarrival = ((1 - alpha) * self._ewma_interarrival
-                                   + alpha * max(gap, 1e-6))
-        rate_pps = 1e6 / self._ewma_interarrival
-        if rate_pps <= self.congestion_knee_pps:
-            return False
-        excess = rate_pps - self.congestion_knee_pps
-        p_drop = min(0.2, self.congestion_slope * excess)
-        return self._congestion_rng.random() < p_drop

@@ -64,7 +64,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.engine.simulator import Simulator
 from repro.net.addr import IPAddr
-from repro.net.link import ATM_155_BITS_PER_USEC
+from repro.net.link import ATM_155_BITS_PER_USEC, CongestionKnee
 from repro.net.packet import Frame
 from repro.net.signalling import SignallingDirectory
 from repro.trace.tracer import flow_of
@@ -516,20 +516,13 @@ class Topology:
         self.routes: Dict[str, Dict[str, str]] = {}
         self.build_routes()
 
-        # Stochastic congestion knee (mirrors the flat LAN's
-        # Network.maybe_congestion_drop): an EWMA over injection
-        # inter-arrival gaps estimates the offered rate; above the
-        # knee, frames drop at the source access link with probability
-        # ramping by ``congestion_slope`` per excess pkt/sec.  The RNG
-        # stream only exists when the knee is configured, so specs
-        # without one draw nothing (golden-trace compatible).
-        self._congestion_knee = spec.congestion_knee_pps
-        self._congestion_slope = spec.congestion_slope
-        self._cong_last_arrival = 0.0
-        self._cong_ewma: Optional[float] = None
-        self._congestion_rng = (sim.named_rng("net.congestion")
-                                if self._congestion_knee is not None
-                                else None)
+        # The flat LAN's stochastic congestion knee, applied to
+        # injections: above it, frames drop at the source access link.
+        # Specs without a knee draw nothing (golden-trace compatible).
+        self.congestion = (CongestionKnee(sim, spec.congestion_knee_pps,
+                                          spec.congestion_slope)
+                           if spec.congestion_knee_pps is not None
+                           else None)
 
         # Network-compatible counters (totals across every hop).
         self.frames_sent = 0
@@ -599,7 +592,7 @@ class Topology:
             self.drops_no_route += 1
             return False
 
-        if self._maybe_congestion_drop():
+        if self.congestion is not None and self.congestion.drop():
             self.drops_congestion += 1
             return False
 
@@ -630,28 +623,6 @@ class Topology:
 
         self._in_flight += 1
         return self._inject(src_node, frame, dst_key, dst_node)
-
-    def _maybe_congestion_drop(self) -> bool:
-        """Stochastic drop above the configured congestion knee —
-        the exact EWMA estimator of the flat LAN (see
-        :meth:`repro.net.link.Network.maybe_congestion_drop`)."""
-        if self._congestion_knee is None:
-            return False
-        now = self.sim.now
-        gap = now - self._cong_last_arrival
-        self._cong_last_arrival = now
-        if self._cong_ewma is None:
-            self._cong_ewma = gap if gap > 0 else 1.0
-            return False
-        alpha = 0.05
-        self._cong_ewma = ((1 - alpha) * self._cong_ewma
-                           + alpha * max(gap, 1e-6))
-        rate_pps = 1e6 / self._cong_ewma
-        if rate_pps <= self._congestion_knee:
-            return False
-        excess = rate_pps - self._congestion_knee
-        p_drop = min(0.2, self._congestion_slope * excess)
-        return self._congestion_rng.random() < p_drop
 
     # ------------------------------------------------------------------
     # Hop-by-hop machinery

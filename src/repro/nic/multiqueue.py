@@ -15,8 +15,6 @@ comparison interesting (see docs/ARCHITECTURES.md).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.engine.simulator import Simulator
 from repro.net.addr import IPAddr
 from repro.net.link import Network
@@ -56,11 +54,6 @@ class MultiQueueNic(BaseNic):
         def release() -> None:
             self.rx_ring_used[queue] -= 1
         return release
-
-    def reseed(self, seed: int) -> None:
-        """Install a new RSS key; in-flight ring contents are kept
-        (re-seeding redistributes future frames, it drops nothing)."""
-        self.hasher = RssHasher(seed)
 
     def receive_frame(self, frame: Frame) -> None:
         self.rx_frames += 1

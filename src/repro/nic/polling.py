@@ -40,10 +40,6 @@ class PollingNic(BaseNic):
         self.poll_rounds = 0    # poll_burst calls
         self.empty_polls = 0    # poll_burst calls that found nothing
 
-    @property
-    def ring_occupancy(self) -> int:
-        return len(self._ring)
-
     def receive_frame(self, frame: Frame) -> None:
         self.rx_frames += 1
         trace = self.sim.trace

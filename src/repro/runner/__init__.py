@@ -13,24 +13,22 @@ subsystem that executes such grids fast and reproducibly:
   function's source, its full parameter binding (architecture, sweep
   parameters, seed) and the package version, so identical points are
   never simulated twice (``--cache``) and any relevant change is an
-  automatic cache miss;
-* :class:`~repro.runner.cache.RunJournal` — an append-only per-sweep
-  checkpoint file: every completed point lands in it immediately, and
-  ``--resume <path>`` replays an interrupted sweep from it without
-  recomputing finished points;
-* :class:`~repro.stats.timing.WallClock` (re-exported) — per-point
-  wall-clock accounting, so the speedup the runner delivers is itself
-  a measured result.
+  automatic cache miss.  Points are stored as they complete, so
+  re-running an interrupted sweep with the same cache resumes it.
+
+Each point runs once and leaves one record in
+:attr:`SweepRunner.points_log`; :meth:`SweepRunner.summary` derives
+the per-point wall-clock accounting from those records, so the
+speedup the runner delivers is itself a measured result.
 
 Serial, parallel and warm-cache executions of the same sweep are
-byte-identical; ``tests/runner/`` and the CI sweep-parity job enforce
-this.  See docs/RUNNING.md for the user-facing tour.
+byte-identical; ``tests/runner/`` enforces this.  See docs/RUNNING.md
+for the user-facing tour.
 """
 
 from repro.runner.cache import (
     CACHE_DIR_ENV,
     ResultCache,
-    RunJournal,
     canonicalize,
     cores_identity,
     default_cache_dir,
@@ -40,15 +38,12 @@ from repro.runner.cache import (
 )
 from repro.runner.progress import ProgressReporter, format_eta
 from repro.runner.sweep import SweepRunner
-from repro.stats.timing import WallClock
 
 __all__ = [
     "CACHE_DIR_ENV",
     "ProgressReporter",
     "ResultCache",
-    "RunJournal",
     "SweepRunner",
-    "WallClock",
     "canonicalize",
     "cores_identity",
     "default_cache_dir",

@@ -230,68 +230,3 @@ class ResultCache:
         return {"dir": str(self.root), "hits": self.hits,
                 "misses": self.misses}
 
-
-class RunJournal:
-    """An append-only per-sweep record of completed points, keyed by
-    content digest — the checkpoint file behind ``--resume``.
-
-    Where :class:`ResultCache` is a *global* memo shared across runs
-    and experiments, a journal belongs to one logical sweep
-    invocation: every computed point is appended as one JSONL line the
-    moment it completes, so a sweep killed at point 400/500 resumes
-    with 400 journal hits and 100 computations.  Content addressing
-    makes resumption safe by construction — if the experiment code,
-    cost model, parameters or topology changed since the interrupted
-    run, the digests no longer match and the stale lines are simply
-    never consulted.
-
-    Failed points are deliberately *not* journaled; a resume retries
-    them.  A truncated final line (the crash landed mid-write) is
-    skipped on load.
-    """
-
-    def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        self.entries: Dict[str, Any] = {}
-        self.hits = 0
-        self.recorded = 0
-        if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        self.entries[entry["digest"]] = entry["result"]
-                    except (ValueError, KeyError, TypeError):
-                        continue
-        self.resumed_from = len(self.entries)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-
-    def get(self, digest: str) -> Tuple[bool, Any]:
-        if digest in self.entries:
-            self.hits += 1
-            return True, self.entries[digest]
-        return False, None
-
-    def record(self, digest: str, result: Any,
-               meta: Optional[Dict[str, Any]] = None) -> None:
-        if digest in self.entries:
-            return
-        entry = {"digest": digest, "result": result,
-                 "meta": meta or {}}
-        self.entries[digest] = result
-        self.recorded += 1
-        self._fh.write(json.dumps(entry) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def stats(self) -> Dict[str, Any]:
-        return {"path": str(self.path),
-                "resumed_from": self.resumed_from,
-                "hits": self.hits, "recorded": self.recorded}

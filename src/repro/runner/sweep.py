@@ -7,18 +7,25 @@ deterministic simulation.  :class:`SweepRunner` executes such grids
 * **in parallel** — points fan out across worker processes via
   :mod:`concurrent.futures` (each point is a whole simulation, so
   process granularity is right and no state is shared);
-* **memoized** — completed points are stored in a content-addressed
-  on-disk :class:`~repro.runner.cache.ResultCache`, so re-runs and
-  partial sweeps are nearly instant;
+* **memoized** — each completed point is stored in a content-addressed
+  on-disk :class:`~repro.runner.cache.ResultCache` the moment it
+  finishes, so re-runs, partial sweeps and interrupted sweeps only
+  compute what is missing;
 * **observably** — per-point progress and ETA stream to stderr
-  (:mod:`repro.runner.progress`), and per-point wall-clock is recorded
-  in a :class:`~repro.stats.timing.WallClock` so the runner's own
-  speedup is measurable.
+  (:mod:`repro.runner.progress`), and every point leaves one record in
+  :attr:`SweepRunner.points_log` (parameters, digest, wall-clock,
+  result or error), from which :meth:`SweepRunner.summary` derives the
+  sweep's wall-clock accounting.
+
+Each point runs once.  A point is a pure, seeded simulation, so a
+second attempt could only raise the same exception again; a point that
+raises or exceeds its timeout is recorded as failed (result ``None``)
+and the sweep continues.
 
 Results are returned in *submission order* regardless of completion
 order, and a sweep executed with 0, 1 or N workers — cold or warm
 cache — produces byte-identical results (asserted by
-``tests/runner/test_parity.py`` and by CI).
+``tests/runner/test_parity.py`` and ``tests/runner/test_cli_sweeps.py``).
 
 Two interplays are handled conservatively:
 
@@ -38,13 +45,14 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from functools import partial
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, TextIO, Tuple)
 
 from repro.runner.cache import (
     ResultCache,
-    RunJournal,
     canonicalize,
     cores_identity,
     point_digest,
@@ -52,11 +60,19 @@ from repro.runner.cache import (
     topology_identity,
 )
 from repro.runner.progress import ProgressReporter
-from repro.stats.timing import WallClock
 from repro.trace import get_default_tracer
 
 #: A sweep point: ``(function, kwargs)`` or ``(function, kwargs, label)``.
 PointSpec = Tuple
+
+
+class _Point(NamedTuple):
+    """A normalized sweep point."""
+
+    fn: Callable
+    kwargs: Dict[str, Any]
+    label: str
+    digest: str
 
 
 class PointTimeout(RuntimeError):
@@ -110,6 +126,14 @@ def _call_with_timeout(fn: Callable, kwargs: Dict[str, Any],
         signal.signal(signal.SIGALRM, previous)
 
 
+def _timed(fn: Callable, kwargs: Dict[str, Any],
+           timeout_sec: Optional[float]) -> Tuple[Any, float]:
+    """``(fn(**kwargs), wall_sec)`` under the point timeout."""
+    started = time.perf_counter()
+    result = _call_with_timeout(fn, kwargs, timeout_sec)
+    return result, time.perf_counter() - started
+
+
 def _invoke(dotted_module: str, qualname: str, kwargs: Dict[str, Any],
             timeout_sec: Optional[float] = None) -> Tuple[Any, float]:
     """Worker-side execution of one point; returns (result, wall_sec).
@@ -119,10 +143,7 @@ def _invoke(dotted_module: str, qualname: str, kwargs: Dict[str, Any],
     timeout is enforced worker-side (each worker's main thread), so a
     wedged point kills only its own attempt.
     """
-    fn = _resolve(dotted_module, qualname)
-    started = time.perf_counter()
-    result = _call_with_timeout(fn, kwargs, timeout_sec)
-    return result, time.perf_counter() - started
+    return _timed(_resolve(dotted_module, qualname), kwargs, timeout_sec)
 
 
 def _default_label(fn: Callable, kwargs: Dict[str, Any]) -> str:
@@ -142,21 +163,15 @@ class SweepRunner:
         execution (the default, byte-identical to the historical
         per-experiment loops).
     :param cache: a :class:`ResultCache`, or ``None`` to disable
-        memoization.
+        memoization.  Every computed point is stored as it completes,
+        so re-running an interrupted sweep with the same cache resumes
+        it; failed points are never stored, so only they recompute.
     :param progress: stream per-point progress lines to stderr.
     :param label: name shown in progress lines and the results log.
+    :param stream: where progress lines go (default stderr).
     :param point_timeout_sec: per-point wall-clock budget; a point
-        exceeding it fails with :class:`PointTimeout` (and is retried
-        if retries are configured).  ``None`` disables the guard.
-    :param retries: how many times a failed point is re-attempted
-        before being recorded as failed (result ``None``).
-    :param retry_backoff_sec: sleep before retry *n* is
-        ``retry_backoff_sec * 2**n`` — real seconds, since the failures
-        being absorbed (dying workers, timeouts) are host-level.
-    :param journal: a :class:`~repro.runner.cache.RunJournal`; every
-        computed point is appended to it, and points already journaled
-        (by digest) are served from it without recomputation — the
-        mechanism behind the CLI's ``--resume``.
+        exceeding it fails with :class:`PointTimeout`.  ``None``
+        disables the guard.
     """
 
     def __init__(self, workers: int = 0,
@@ -164,47 +179,40 @@ class SweepRunner:
                  progress: bool = False,
                  label: str = "sweep",
                  stream: Optional[TextIO] = None,
-                 point_timeout_sec: Optional[float] = None,
-                 retries: int = 0,
-                 retry_backoff_sec: float = 0.5,
-                 journal: Optional[RunJournal] = None) -> None:
+                 point_timeout_sec: Optional[float] = None) -> None:
         self.workers = max(0, int(workers))
         self.cache = cache
         self.progress = progress
         self.label = label
         self.stream = stream
         self.point_timeout_sec = point_timeout_sec
-        self.retries = max(0, int(retries))
-        self.retry_backoff_sec = retry_backoff_sec
-        self.journal = journal
-        self._active_journal: Optional[RunJournal] = None
-        self.wallclock = WallClock()
-        #: One entry per executed point, in submission order; the CLI
+        #: One entry per executed point, in submission order, with the
+        #: same keys for computed, cached and failed points; the CLI
         #: serializes this into ``--results-json`` output.
         self.points_log: List[Dict[str, Any]] = []
         self.notes: List[str] = []
-        #: Descriptors of points that exhausted their retries this
-        #: runner's lifetime: ``{label, fn, params, error}``.
+        #: Descriptors of points that failed this runner's lifetime:
+        #: ``{label, fn, params, error}``.
         self.failed: List[Dict[str, Any]] = []
 
     @property
     def failed_points(self) -> int:
-        """Count of points that exhausted their retries (see
-        :attr:`failed` for the descriptors)."""
+        """Count of failed points (see :attr:`failed` for the
+        descriptors)."""
         return len(self.failed)
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_env(cls, prefix: str = "REPRO_SWEEP",
-                 **overrides: Any) -> "SweepRunner":
-        """Build a runner from ``<prefix>_WORKERS`` / ``<prefix>_CACHE``
-        / ``<prefix>_PROGRESS`` environment variables (used by the
-        benchmark harness so ``pytest benchmarks/`` can be accelerated
-        without touching the benchmarks)."""
-        workers = int(os.environ.get(f"{prefix}_WORKERS", "0") or "0")
-        cache_dir = os.environ.get(f"{prefix}_CACHE", "")
+    def from_env(cls, **overrides: Any) -> "SweepRunner":
+        """Build a runner from the ``REPRO_BENCH_WORKERS`` /
+        ``REPRO_BENCH_CACHE`` / ``REPRO_BENCH_PROGRESS`` environment
+        variables (used by the benchmark suite so ``pytest
+        benchmarks/`` can be accelerated without touching the
+        benchmarks)."""
+        workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0") or "0")
+        cache_dir = os.environ.get("REPRO_BENCH_CACHE", "")
         cache = ResultCache(cache_dir) if cache_dir else None
-        progress = os.environ.get(f"{prefix}_PROGRESS", "") == "1"
+        progress = os.environ.get("REPRO_BENCH_PROGRESS", "") == "1"
         options = dict(workers=workers, cache=cache, progress=progress)
         options.update(overrides)
         return cls(**options)
@@ -225,59 +233,47 @@ class SweepRunner:
                    progress: Optional[bool] = None) -> List[Any]:
         """Execute heterogeneous points (possibly differing functions);
         results in input order."""
-        specs = [self._normalize(spec) for spec in specs]
+        points = [self._normalize(spec) for spec in specs]
         tracing = get_default_tracer() is not None
         workers = self.workers if not tracing else 0
         cache = self.cache if not tracing else None
-        journal = self.journal if not tracing else None
-        self._active_journal = journal
-        if tracing and (self.workers > 1 or self.cache is not None
-                        or self.journal is not None):
+        if tracing and (self.workers > 1 or self.cache is not None):
             note = ("tracer active: sweep forced serial with cache "
                     "bypassed so the trace observes every event")
             if note not in self.notes:
                 self.notes.append(note)
 
         reporter = ProgressReporter(
-            total=len(specs),
+            total=len(points),
             label=label or self.label,
             workers=workers,
             enabled=self.progress if progress is None else progress,
             stream=self.stream)
 
-        results: List[Any] = [None] * len(specs)
+        results: List[Any] = [None] * len(points)
         pending: List[int] = []
         log_start = len(self.points_log)
-        for index, (fn, kwargs, point_label) in enumerate(specs):
-            digest = point_digest(fn, kwargs)
-            if journal is not None:
-                hit, value = journal.get(digest)
-                if hit:
-                    results[index] = value
-                    self._log_point(fn, kwargs, point_label, digest,
-                                    cached=True, wall_sec=0.0,
-                                    result=value, seq=index,
-                                    resumed=True)
-                    reporter.point_done(point_label, 0.0, cached=True)
-                    continue
+        for index, point in enumerate(points):
             if cache is not None:
-                hit, value = cache.get(digest)
+                hit, value = cache.get(point.digest)
                 if hit:
-                    if journal is not None:
-                        journal.record(digest, value)
                     results[index] = value
-                    self._log_point(fn, kwargs, point_label, digest,
-                                    cached=True, wall_sec=0.0,
-                                    result=value, seq=index)
-                    reporter.point_done(point_label, 0.0, cached=True)
+                    self._log_point(point, index, reporter,
+                                    result=value, cached=True)
                     continue
             pending.append(index)
 
         if len(pending) > 1 and workers > 1:
-            self._run_parallel(specs, pending, results, cache,
+            self._run_parallel(points, pending, results, cache,
                                min(workers, len(pending)), reporter)
         else:
-            self._run_serial(specs, pending, results, cache, reporter)
+            for index in pending:
+                point = points[index]
+                # The function object is called directly (not resolved
+                # by name) so closures and lambdas work in serial runs.
+                self._settle(point, index, results, cache, reporter,
+                             partial(_timed, point.fn, point.kwargs,
+                                     self.point_timeout_sec))
         reporter.close()
         # Parallel futures complete (and log) in nondeterministic
         # order; restore submission order so results JSON is stable
@@ -290,203 +286,141 @@ class SweepRunner:
         return results
 
     # ------------------------------------------------------------------
-    def _normalize(self, spec: PointSpec) -> Tuple[Callable, Dict, str]:
+    def _normalize(self, spec: PointSpec) -> _Point:
         if len(spec) == 3:
             fn, kwargs, point_label = spec
         else:
             fn, kwargs = spec
             point_label = None
-        return fn, dict(kwargs), point_label or _default_label(fn, kwargs)
+        kwargs = dict(kwargs)
+        return _Point(fn, kwargs,
+                      point_label or _default_label(fn, kwargs),
+                      point_digest(fn, kwargs))
 
-    def _run_serial(self, specs, pending, results, cache,
-                    reporter) -> None:
-        for index in pending:
-            fn, kwargs, point_label = specs[index]
-            attempt = 0
-            while True:
-                started = time.perf_counter()
-                try:
-                    # The function object is called directly (not
-                    # resolved by name) so closures and lambdas work
-                    # in serial runs, as they always have.
-                    value = _call_with_timeout(fn, kwargs,
-                                               self.point_timeout_sec)
-                except Exception as exc:
-                    wall = time.perf_counter() - started
-                    if attempt < self.retries:
-                        self._note_retry(point_label, exc, attempt)
-                        time.sleep(self.retry_backoff_sec * 2 ** attempt)
-                        attempt += 1
-                        continue
-                    self._finish_failed(specs[index], exc, wall,
-                                        reporter, seq=index)
-                    break
-                wall = time.perf_counter() - started
-                results[index] = value
-                self._finish_computed(specs[index], value, wall, cache,
-                                      reporter, seq=index)
-                break
-
-    def _run_parallel(self, specs, pending, results, cache, workers,
+    def _run_parallel(self, points, pending, results, cache, workers,
                       reporter) -> None:
-        attempts = {index: 0 for index in pending}
+        unfinished = set(pending)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {}
-                for index in pending:
-                    futures[self._submit(pool, specs[index])] = index
-                outstanding = set(futures)
-                while outstanding:
-                    finished, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        index = futures.pop(future)
-                        try:
-                            value, wall = future.result()
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as exc:
-                            if attempts[index] < self.retries:
-                                self._note_retry(specs[index][2], exc,
-                                                 attempts[index])
-                                time.sleep(self.retry_backoff_sec
-                                           * 2 ** attempts[index])
-                                attempts[index] += 1
-                                retry = self._submit(pool, specs[index])
-                                futures[retry] = index
-                                outstanding.add(retry)
-                                continue
-                            self._finish_failed(specs[index], exc, 0.0,
-                                                reporter, seq=index)
-                            attempts.pop(index)
-                            continue
-                        results[index] = value
-                        self._finish_computed(specs[index], value, wall,
-                                              cache, reporter,
-                                              seq=index)
-                        attempts.pop(index)
+                futures = {self._submit(pool, points[index]): index
+                           for index in pending}
+                for future in as_completed(futures):
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        raise future.exception()
+                    index = futures[future]
+                    self._settle(points[index], index, results, cache,
+                                 reporter, future.result)
+                    unfinished.discard(index)
         except BrokenProcessPool as exc:
             # A worker died hard (segfault, os._exit, OOM-kill).  The
             # pool cannot say which point did it, so every unfinished
-            # point re-runs in its own single-worker pool: the culprit
-            # fails alone, innocent bystanders complete.
-            survivors = sorted(attempts)
+            # point runs once in its own single-worker pool: the
+            # culprit fails alone, innocent bystanders complete.
             self.notes.append(
                 f"worker pool broke ({exc!r}); re-running "
-                f"{len(survivors)} unfinished point(s) in isolation")
-            for index in survivors:
-                self._run_isolated(specs[index], index, results, cache,
-                                   reporter)
+                f"{len(unfinished)} unfinished point(s) in isolation")
+            for index in sorted(unfinished):
+                self._settle(points[index], index, results, cache,
+                             reporter,
+                             partial(self._run_isolated, points[index]))
 
-    def _submit(self, pool, spec):
-        fn, kwargs, _ = spec
-        return pool.submit(_invoke, fn.__module__, fn.__qualname__,
-                           kwargs, self.point_timeout_sec)
+    def _submit(self, pool, point: _Point):
+        return pool.submit(_invoke, point.fn.__module__,
+                           point.fn.__qualname__, point.kwargs,
+                           self.point_timeout_sec)
 
-    def _run_isolated(self, spec, index, results, cache,
-                      reporter) -> None:
+    def _run_isolated(self, point: _Point) -> Tuple[Any, float]:
         """Crash isolation: one point, one disposable worker."""
-        fn, kwargs, point_label = spec
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self.retry_backoff_sec * 2 ** (attempt - 1))
-            try:
-                with ProcessPoolExecutor(max_workers=1) as solo:
-                    value, wall = solo.submit(
-                        _invoke, fn.__module__, fn.__qualname__,
-                        kwargs, self.point_timeout_sec).result()
-            except Exception as exc:
-                if attempt < self.retries:
-                    self._note_retry(point_label, exc, attempt)
-                    continue
-                self._finish_failed(spec, exc, 0.0, reporter, seq=index)
-                return
-            results[index] = value
-            self._finish_computed(spec, value, wall, cache, reporter,
-                                  seq=index)
+        with ProcessPoolExecutor(max_workers=1) as solo:
+            return self._submit(solo, point).result()
+
+    def _settle(self, point: _Point, seq: int, results, cache, reporter,
+                compute: Callable[[], Tuple[Any, float]]) -> None:
+        """Run one point's single attempt and log it: a result is
+        stored in *results* and the cache, an exception is recorded as
+        a failed point."""
+        started = time.perf_counter()
+        try:
+            value, wall_sec = compute()
+        except Exception as exc:
+            self._log_point(point, seq, reporter, error=exc,
+                            wall_sec=time.perf_counter() - started)
             return
-
-    def _note_retry(self, point_label, exc, attempt) -> None:
-        self.notes.append(
-            f"retrying {point_label} after {type(exc).__name__} "
-            f"(attempt {attempt + 1}/{self.retries})")
-
-    def _finish_failed(self, spec, exc, wall_sec, reporter,
-                       seq: int) -> None:
-        """Record a point that exhausted its retries: result ``None``,
-        error captured in the points log, sweep continues."""
-        fn, kwargs, point_label = spec
-        digest = point_digest(fn, kwargs)
-        self.failed.append({
-            "label": point_label,
-            "fn": f"{fn.__module__}.{fn.__qualname__}",
-            "params": canonicalize(kwargs),
-            "error": repr(exc),
-        })
-        self.wallclock.record(point_label, wall_sec, cached=False)
-        self.points_log.append({
-            "label": point_label,
-            "fn": f"{fn.__module__}.{fn.__qualname__}",
-            "digest": digest,
-            "topology": topology_identity(kwargs),
-            "shards": shards_identity(kwargs),
-            "cores": cores_identity(kwargs),
-            "params": canonicalize(kwargs),
-            "cached": False,
-            "resumed": False,
-            "wall_clock_sec": round(wall_sec, 6),
-            "result": None,
-            "error": repr(exc),
-            "_seq": seq,
-        })
-        reporter.point_done(point_label, wall_sec, cached=False)
-
-    def _finish_computed(self, spec, value, wall_sec, cache,
-                         reporter, seq: int) -> None:
-        fn, kwargs, point_label = spec
-        digest = point_digest(fn, kwargs)
-        meta = {
-            "fn": f"{fn.__module__}.{fn.__qualname__}",
-            "label": point_label,
-            "params": canonicalize(kwargs),
-        }
+        results[seq] = value
         if cache is not None:
-            cache.put(digest, value, meta=meta)
-        if self._active_journal is not None:
-            self._active_journal.record(digest, value, meta=meta)
-        self._log_point(fn, kwargs, point_label, digest, cached=False,
-                        wall_sec=wall_sec, result=value, seq=seq)
-        reporter.point_done(point_label, wall_sec, cached=False)
+            fn, kwargs, point_label, digest = point
+            cache.put(digest, value, meta={
+                "fn": f"{fn.__module__}.{fn.__qualname__}",
+                "label": point_label,
+                "params": canonicalize(kwargs),
+            })
+        self._log_point(point, seq, reporter, result=value,
+                        wall_sec=wall_sec)
 
-    def _log_point(self, fn, kwargs, point_label, digest, cached,
-                   wall_sec, result, seq: int,
-                   resumed: bool = False) -> None:
-        events = (result.get("events")
-                  if isinstance(result, dict) else None)
-        sync = (result.get("sync")
-                if isinstance(result, dict) else None)
-        self.wallclock.record(point_label, wall_sec, cached=cached,
-                              events=events)
+    def _log_point(self, point: _Point, seq: int, reporter,
+                   result: Any = None, wall_sec: float = 0.0,
+                   cached: bool = False,
+                   error: Optional[BaseException] = None) -> None:
+        fn, kwargs, point_label, digest = point
+        name = f"{fn.__module__}.{fn.__qualname__}"
+        params = canonicalize(kwargs)
+        if error is not None:
+            self.failed.append({"label": point_label, "fn": name,
+                                "params": params, "error": repr(error)})
         self.points_log.append({
             "label": point_label,
-            "fn": f"{fn.__module__}.{fn.__qualname__}",
+            "fn": name,
             "digest": digest,
             "topology": topology_identity(kwargs),
             "shards": shards_identity(kwargs),
             "cores": cores_identity(kwargs),
-            "params": canonicalize(kwargs),
+            "params": params,
             "cached": cached,
-            "resumed": resumed,
             "wall_clock_sec": round(wall_sec, 6),
             # Conservative-sync counters, lifted out of the result so
             # results-JSON consumers can aggregate rounds/grants/frames
             # across a sweep without knowing each experiment's schema.
-            "sync": sync,
+            "sync": (result.get("sync")
+                     if isinstance(result, dict) else None),
             "result": result,
+            "error": repr(error) if error is not None else None,
             "_seq": seq,
         })
+        reporter.point_done(point_label, wall_sec, cached=cached)
 
     # ------------------------------------------------------------------
+    def _wallclock(self) -> Dict[str, Any]:
+        """Per-point wall-clock accounting over :attr:`points_log`."""
+        walls = [p["wall_clock_sec"] for p in self.points_log]
+        computed = [p for p in self.points_log if not p["cached"]]
+        computed_sec = sum(p["wall_clock_sec"] for p in computed)
+        out: Dict[str, Any] = {
+            "points": len(walls),
+            "cached_points": len(walls) - len(computed),
+            # Under a parallel runner the summed per-point wall-clock
+            # is the aggregate *work*, which exceeds the elapsed time;
+            # the ratio of the two is the realized speedup.
+            "total_point_sec": round(sum(walls), 6),
+            "computed_point_sec": round(computed_sec, 6),
+            "mean_computed_sec": (round(computed_sec / len(computed), 6)
+                                  if computed else None),
+            "max_point_sec": round(max(walls), 6) if walls else None,
+        }
+        # Engine throughput over the computed points whose function
+        # reports an event count (e.g. figure3.run_point's "events"
+        # field): total events / total computed wall-clock.
+        counted = [(p["result"]["events"], p["wall_clock_sec"])
+                   for p in computed
+                   if isinstance(p["result"], dict)
+                   and p["result"].get("events") is not None
+                   and p["wall_clock_sec"] > 0]
+        if counted:
+            events = sum(n for n, _ in counted)
+            out["engine_events"] = events
+            out["engine_events_per_sec"] = round(
+                events / sum(wall for _, wall in counted), 3)
+        return out
+
     def summary(self) -> Dict[str, Any]:
         """Machine-readable run summary (embedded in results JSON)."""
         out: Dict[str, Any] = {
@@ -494,12 +428,10 @@ class SweepRunner:
             # The descriptors themselves (kwargs, not just a count),
             # so a results JSON names exactly which points died.
             "failed_points": list(self.failed),
-            "wallclock": self.wallclock.summary(),
+            "wallclock": self._wallclock(),
+            "cache": (self.cache.stats() if self.cache is not None
+                      else None),
         }
-        out["cache"] = (self.cache.stats() if self.cache is not None
-                        else None)
-        out["journal"] = (self.journal.stats()
-                          if self.journal is not None else None)
         if self.notes:
             out["notes"] = list(self.notes)
         return out

@@ -1,15 +1,12 @@
-"""Instrumentation: counters, latency recorders, wall-clock timing,
-table formatting."""
+"""Instrumentation: counters, latency recorders, table formatting."""
 
 from repro.stats.metrics import Counter, IntervalRate, LatencyRecorder
 from repro.stats.report import format_series, format_table
-from repro.stats.timing import WallClock
 
 __all__ = [
     "Counter",
     "IntervalRate",
     "LatencyRecorder",
-    "WallClock",
     "format_series",
     "format_table",
 ]

@@ -3,26 +3,21 @@
 Each shard of a sharded run (:mod:`repro.engine.sharded`) traces its
 own events into its own :class:`~repro.trace.tracer.Tracer`.  This
 module reassembles those streams into one global trace and reduces it
-to digests comparable across shard counts.
+to a digest comparable across shard counts.
 
-Two digests exist because sharding preserves *causal* order but not
-*tie* order:
-
-* :func:`raw_digest` — the order-sensitive hash
-  :meth:`Tracer.digest` computes, reproduced from shipped records.
-  For a one-shard run it is byte-identical to the unsharded tracer's
-  ``order_hash`` (the golden files pin this).
-* :func:`parity_digest` — timestamp-canonical: records sharing an
-  identical timestamp are sorted by their canonical rendering before
-  hashing.  Within one simulator, same-time events fire in schedule
-  order (heap insertion sequence); across shards that global sequence
-  does not exist, so two records at exactly equal times on different
-  shards have no defined interleave.  Canonicalizing inside each
-  timestamp makes the digest invariant to that interleave while still
-  pinning every record, every argument, and all cross-timestamp
-  order.  Multi-shard parity with the one-shard run is asserted on
-  this digest (and on the per-event-type counts, which are
-  order-free).
+Sharding preserves *causal* order but not *tie* order, so the
+order-sensitive hash :meth:`Tracer.digest` computes (the one the
+golden files pin) is not comparable across shard counts.
+:func:`parity_digest` is timestamp-canonical instead: records sharing
+an identical timestamp are sorted by their canonical rendering before
+hashing.  Within one simulator, same-time events fire in schedule
+order (heap insertion sequence); across shards that global sequence
+does not exist, so two records at exactly equal times on different
+shards have no defined interleave.  Canonicalizing inside each
+timestamp makes the digest invariant to that interleave while still
+pinning every record, every argument, and all cross-timestamp order.
+Multi-shard parity with the one-shard run is asserted on this digest
+(and on the per-event-type counts, which are order-free).
 
 Records leave each shard as plain ``(t, etype, canonical)`` tuples —
 ``canonical`` is :meth:`TraceRecord.canonical`, the exact string the
@@ -33,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from heapq import merge as _heap_merge
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 #: One shipped trace record: (timestamp, event type, canonical line).
 ShippedRecord = Tuple[float, str, str]
@@ -62,26 +57,6 @@ def merge_records(per_shard: Sequence[Sequence[ShippedRecord]]
     return [entry[3] for entry in _heap_merge(*keyed)]
 
 
-def _digest_over(lines: Iterable[str], counts: Dict[str, int],
-                 n: int, key: str) -> Dict[str, Any]:
-    hasher = hashlib.sha256()
-    for line in lines:
-        hasher.update(line.encode("utf-8"))
-        hasher.update(b"\n")
-    return {"n": n, "counts": dict(sorted(counts.items())),
-            key: hasher.hexdigest()}
-
-
-def raw_digest(records: Sequence[ShippedRecord]) -> Dict[str, Any]:
-    """The order-sensitive digest of *records* as shipped — identical
-    to :meth:`Tracer.digest` over the same underlying trace."""
-    counts: Dict[str, int] = {}
-    for _, etype, _line in records:
-        counts[etype] = counts.get(etype, 0) + 1
-    return _digest_over((line for _, _, line in records), counts,
-                        len(records), "order_hash")
-
-
 def parity_digest(records: Sequence[ShippedRecord]) -> Dict[str, Any]:
     """The timestamp-canonical digest: invariant to the interleave of
     same-timestamp records, sensitive to everything else."""
@@ -99,4 +74,9 @@ def parity_digest(records: Sequence[ShippedRecord]) -> Dict[str, Any]:
         group.append(line)
     group.sort()
     lines.extend(group)
-    return _digest_over(lines, counts, len(lines), "parity_hash")
+    hasher = hashlib.sha256()
+    for line in lines:
+        hasher.update(line.encode("utf-8"))
+        hasher.update(b"\n")
+    return {"n": len(lines), "counts": dict(sorted(counts.items())),
+            "parity_hash": hasher.hexdigest()}

@@ -147,11 +147,6 @@ class Tracer:
         self._sink = open(path, "w")
         self._sink_owned = True
 
-    def set_sink(self, fileobj) -> None:
-        """Stream records to an already-open file object."""
-        self._sink = fileobj
-        self._sink_owned = False
-
     def close(self) -> None:
         if self._sink is not None and self._sink_owned:
             self._sink.close()

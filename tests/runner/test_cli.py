@@ -13,9 +13,21 @@ def tiny_point(x, scale=2):
     return {"x": x, "y": x * scale}
 
 
+def failing_point(x):
+    if x == 2:
+        raise RuntimeError("point exploded")
+    return {"x": x}
+
+
 def tiny_main(fast=False, runner=None):
     runner.map(tiny_point, [dict(x=1), dict(x=2)], label="tiny")
     return "tiny report"
+
+
+def failing_main(fast=False, runner=None):
+    runner.map(failing_point, [dict(x=1), dict(x=2), dict(x=3)],
+               label="stub")
+    return "ok"
 
 
 def sharded_main(fast=False, runner=None, shards=1):
@@ -168,3 +180,27 @@ class TestResultsJson:
                                          "hits": 2, "misses": 0}
         assert [p["result"] for p in warm["points"]] \
             == [p["result"] for p in cold["points"]]
+
+
+class TestFailedPoints:
+    def test_failed_points_exit_nonzero_with_descriptors(
+            self, monkeypatch, tmp_path, capsys):
+        stub = types.SimpleNamespace(__doc__="Stub experiment.",
+                                     main=failing_main)
+        monkeypatch.setattr(cli, "EXPERIMENT_MODULES", {"stub": stub})
+        monkeypatch.setattr(cli, "EXPERIMENTS", {"stub": failing_main})
+        out = tmp_path / "results.json"
+        assert cli.main(["stub", "--results-json", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED point: failing_point(x=2)" in err
+        assert "point exploded" in err
+        assert "1 sweep point(s) failed" in err
+        payload = json.loads(out.read_text())
+        failed = payload["sweep"]["failed_points"]
+        assert isinstance(failed, list) and len(failed) == 1
+        assert failed[0]["params"] == {"x": 2}
+        assert "RuntimeError" in failed[0]["error"]
+        assert failed[0]["fn"].endswith("failing_point")
+        # The sweep went on past the failure.
+        assert [p["result"] for p in payload["points"]] \
+            == [{"x": 1}, None, {"x": 3}]

@@ -79,7 +79,7 @@ def test_cluster_points_log_pins_the_shard_count(tmp_path, shards):
 
 def test_degradation_sweep_injects_faults(tmp_path):
     payload = _sweep(tmp_path, "degradation", "degradation", "--fast",
-                     "--point-timeout", "600", "--retries", "1")
+                     "--point-timeout", "600")
     assert payload["sweep"]["failed_points"] == []
     for arch in ("4.4BSD", "SOFT-LRP", "NI-LRP"):
         faulted = [p for p in payload["points"]

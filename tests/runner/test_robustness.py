@@ -1,13 +1,13 @@
-"""Sweep-runner robustness: per-point timeouts, bounded retry with
-backoff, and crash isolation — a dying point must never take the sweep
-(or sibling points) down with it."""
+"""Sweep-runner robustness: per-point timeouts, one attempt per point,
+and crash isolation — a dying point must never take the sweep (or
+sibling points) down with it."""
 
 import os
 import time
 
 import pytest
 
-from repro.runner import SweepRunner
+from repro.runner import ResultCache, SweepRunner
 from repro.runner.sweep import PointTimeout
 
 
@@ -61,25 +61,18 @@ def test_serial_timeout_fails_point_not_sweep():
     assert descriptor["fn"].endswith("slow_point")
 
 
-def test_serial_retry_recovers_transient_failure(tmp_path):
-    marker = str(tmp_path / "marker")
-    runner = SweepRunner(retries=1, retry_backoff_sec=0.01)
-    results = runner.map(flaky_point, [dict(marker=marker)])
-    assert results == ["recovered"]
-    assert runner.failed_points == 0
-    assert any("retrying" in note for note in runner.notes)
-
-
-def test_serial_exhausted_retries_record_failure():
-    runner = SweepRunner(retries=2, retry_backoff_sec=0.01)
+def test_serial_failing_point_runs_once(tmp_path):
+    """A second attempt would find the marker and return; one attempt
+    leaves the point failed."""
+    runner = SweepRunner()
     results = runner.map_points([
-        (failing_point, {"message": "always"}),
+        (flaky_point, {"marker": str(tmp_path / "marker")}),
         (ok_point, {"x": 5}),
     ])
     assert results == [None, 10]
     assert runner.failed_points == 1
-    retry_notes = [n for n in runner.notes if "retrying" in n]
-    assert len(retry_notes) == 2
+    assert "transient failure" in runner.failed[0]["error"]
+    assert runner.notes == []
 
 
 def test_timeout_disabled_by_default():
@@ -114,15 +107,36 @@ def test_parallel_worker_crash_is_isolated():
     assert any("isolation" in note for note in runner.notes)
 
 
-def test_parallel_retry_of_failing_point():
-    runner = SweepRunner(workers=2, retries=1, retry_backoff_sec=0.01)
+def test_parallel_failing_point_runs_once(tmp_path):
+    runner = SweepRunner(workers=2)
     results = runner.map_points([
-        (failing_point, {"message": "nope"}),
+        (flaky_point, {"marker": str(tmp_path / "marker")}),
         (ok_point, {"x": 2}),
     ])
     assert results == [None, 4]
     assert runner.failed_points == 1
-    assert any("retrying" in n for n in runner.notes)
+    assert runner.notes == []
+
+
+# ----------------------------------------------------------------------
+# One record per point
+# ----------------------------------------------------------------------
+def test_points_log_entries_share_one_schema(tmp_path):
+    """Computed, cached and failed entries carry the same keys, so a
+    consumer can read ``sync`` or ``error`` across any sweep."""
+    cache = ResultCache(tmp_path)
+    SweepRunner(cache=cache).map(ok_point, [dict(x=1)])
+    runner = SweepRunner(cache=cache)
+    runner.map_points([
+        (ok_point, {"x": 1}),                    # cached
+        (ok_point, {"x": 2}),                    # computed
+        (failing_point, {"message": "boom"}),    # failed
+    ])
+    cached, computed, failed = runner.points_log
+    assert cached["cached"] and not computed["cached"]
+    assert failed["error"] and computed["error"] is None
+    assert failed["sync"] is None and failed["result"] is None
+    assert set(cached) == set(computed) == set(failed)
 
 
 # ----------------------------------------------------------------------
