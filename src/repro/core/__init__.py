@@ -14,7 +14,7 @@ from repro.core.architecture import (
     STACK_CLASSES,
     build_host,
 )
-from repro.core.bsd_stack import BsdStack
+from repro.core.bsd_stack import BsdStack, RssStack
 from repro.core.early_demux import EarlyDemuxStack
 from repro.core.forwarding import (
     ForwardingDaemon,
@@ -26,7 +26,6 @@ from repro.core.ni_lrp import NiLrpStack
 from repro.core.nic_os import NicOsStack
 from repro.core.polling_stack import PollingStack
 from repro.core.proxy import ProtocolDaemon
-from repro.core.rss_stack import RssStack
 from repro.core.soft_lrp import SoftLrpStack
 from repro.core.stack_base import NetworkStack
 from repro.host.costs import DEFAULT_COSTS, CostModel

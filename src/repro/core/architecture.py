@@ -15,16 +15,14 @@ from repro.host.costs import DEFAULT_COSTS, CostModel
 from repro.host.kernel import Kernel
 from repro.net.link import Network
 from repro.nic.demux import DEFAULT_RSS_SEED, DemuxTable
-from repro.nic.multiqueue import MultiQueueNic
 from repro.nic.polling import PollingNic
 from repro.nic.programmable import AgentNic, ProgrammableNic
 from repro.nic.simple import SimpleNic
-from repro.core.bsd_stack import BsdStack
+from repro.core.bsd_stack import BsdStack, RssStack
 from repro.core.early_demux import EarlyDemuxStack
 from repro.core.ni_lrp import NiLrpStack
 from repro.core.nic_os import NicOsStack
 from repro.core.polling_stack import PollingStack
-from repro.core.rss_stack import RssStack
 from repro.core.soft_lrp import SoftLrpStack
 
 
@@ -52,8 +50,9 @@ STACK_CLASSES = {
     Architecture.NIC_OS: NicOsStack,
 }
 
-#: Architectures whose NIC/stack pairing needs special construction in
-#: :func:`build_host` (everything else takes a SimpleNic).
+#: The modern stacks beyond the paper's four: multi-core hosts whose
+#: NIC differs from the paper's (RSS takes a SimpleNic with one queue
+#: per core; the others a polling or policy-running adaptor).
 MODERN_ARCHES = (Architecture.RSS, Architecture.POLLING,
                  Architecture.NIC_OS)
 
@@ -130,9 +129,9 @@ def build_host(sim: Simulator, network: Network, addr,
         stack = NicOsStack(kernel, nic, addr, demux_table=demux_table,
                            **stack_kwargs)
     elif arch == Architecture.RSS:
-        nic = MultiQueueNic(sim, network, addr, queues=cores,
-                            rss_seed=stack_kwargs.pop(
-                                "rss_seed", DEFAULT_RSS_SEED))
+        nic = SimpleNic(sim, network, addr, queues=cores,
+                        rss_seed=stack_kwargs.pop(
+                            "rss_seed", DEFAULT_RSS_SEED))
         stack = RssStack(kernel, nic, addr, **stack_kwargs)
     elif arch == Architecture.POLLING:
         nic = PollingNic(sim, network, addr)

@@ -12,14 +12,23 @@ CPU time is charged to whichever process happened to be running.
 Every pathology in Section 2.2 is a consequence of this structure, and
 all of them are reproduced mechanistically here: eager processing,
 late packet drop, shared-queue traffic interference, mis-accounting.
+
+RSS is this stack on a multi-queue NIC.  Each core keeps its own IP
+queue and software interrupt, fed by the queue whose vector it owns,
+so under overload one flow's livelock consumes only the cores its
+packets hash to.  What changes is *where* receive work runs, not
+*when*: it is still eager, at interrupt priority, and charged to
+whatever was running on the interrupted core.  RSS buys isolation by
+*spatial* separation where LRP buys it by *deferring* work to the
+receiver's schedulable context.  With one core it is 4.4BSD exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional
+from typing import Generator, Optional
 
-from repro.engine.process import Block, Compute, SimProcess
+from repro.engine.process import Compute
 from repro.host.interrupts import (
     HARDWARE,
     SOFTWARE,
@@ -29,7 +38,6 @@ from repro.host.interrupts import (
 from repro.net.ip import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.net.packet import Frame
 from repro.core.stack_base import NetworkStack
-from repro.net.checksum import verify_packet
 from repro.sockets.socket import Socket
 from repro.trace.tracer import flow_of
 
@@ -44,17 +52,23 @@ class BsdStack(NetworkStack):
 
     def __init__(self, *args, ipq_maxlen: int = IPQ_MAXLEN, **kwargs):
         super().__init__(*args, **kwargs)
-        self.ipq: Deque[IpPacket] = deque()
+        ncores = self.kernel.ncores
+        #: Per-core IP queues and softnet-posted flags, indexed by the
+        #: core the receive interrupt arrived on.
+        self.ipqs = [deque() for _ in range(ncores)]
         self.ipq_maxlen = ipq_maxlen
-        self._softnet_posted = False
+        self._softnet_posted = [False] * ncores
         #: Daemon-bound packets (ICMP etc.) processed in softint too.
         self.icmp_handler = None
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def rx_interrupt(self, frame: Frame, ring_release) -> IntrTask:
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
+    def rx_interrupt(self, frame: Frame, ring_release,
+                     core: int) -> IntrTask:
+        cpu = self.kernel.cpus[core]
+        charge = self.kernel.accounting.interrupt_charger(cpu)
+        ipq = self.ipqs[core]
 
         def action() -> None:
             ring_release()
@@ -68,9 +82,9 @@ class BsdStack(NetworkStack):
                     trace.pkt_drop("mbufs", flow_of(frame.packet),
                                    reason="pool_exhausted")
                 return
-            if len(self.ipq) >= self.ipq_maxlen:
-                # The shared-IP-queue drop: any flow can push any other
-                # flow's packets out here.
+            if len(ipq) >= self.ipq_maxlen:
+                # The shared-IP-queue drop: any flow can push out the
+                # packets of any other flow on the same core.
                 self.stats.incr("drop_ipq")
                 if trace.enabled:
                     trace.pkt_drop("ipq", flow_of(frame.packet),
@@ -80,26 +94,27 @@ class BsdStack(NetworkStack):
             if trace.enabled:
                 trace.pkt_enqueue("ipq", flow_of(frame.packet))
             frame.packet._mbuf_chain = chain
-            self.ipq.append(frame.packet)
-            if not self._softnet_posted:
-                self._softnet_posted = True
-                self.kernel.cpu.post(IntrTask(
-                    self._softnet(), SOFTWARE, "softnet", charge))
+            ipq.append(frame.packet)
+            if not self._softnet_posted[core]:
+                self._softnet_posted[core] = True
+                cpu.post(IntrTask(
+                    self._softnet(core), SOFTWARE, "softnet", charge))
 
         return SimpleIntrTask(self.costs.hw_intr + self.costs.mbuf_alloc,
                               HARDWARE, "nic-rx", action=action,
                               charge=charge)
 
-    def _softnet(self) -> Generator:
-        """The software-interrupt drain loop (ipintr)."""
-        while self.ipq:
-            packet = self.ipq.popleft()
+    def _softnet(self, core: int) -> Generator:
+        """The software-interrupt drain loop (ipintr) of one core."""
+        ipq = self.ipqs[core]
+        while ipq:
+            packet = ipq.popleft()
             yield Compute(self.costs.sw_intr_dispatch)
             yield from self._ip_input_eager(packet)
             chain = getattr(packet, "_mbuf_chain", None)
             if chain is not None:
                 chain.free()
-        self._softnet_posted = False
+        self._softnet_posted[core] = False
 
     def _ip_input_eager(self, packet: IpPacket) -> Generator:
         """IP + transport input, in software-interrupt context."""
@@ -121,25 +136,9 @@ class BsdStack(NetworkStack):
             self.forward_packet(packet)
             self.stats.incr("ip_forwarded")
             return
-        if packet.corrupt and not verify_packet(packet):
-            yield Compute(self.costs.checksum_cost(packet.payload_len))
-            self.stats.incr("drop_corrupt")
-            if self.sim.trace.enabled:
-                self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                        reason="bad_checksum")
-            return
-        if packet.is_fragment:
-            yield Compute(self.costs.ip_reassembly_per_frag)
-            packet = self.reassemble(packet)
+        if packet.corrupt or packet.is_fragment:
+            packet = yield from self.ip_input_checks(packet)
             if packet is None:
-                return
-            if packet.corrupt and not verify_packet(packet):
-                # A corrupted fragment poisons the whole datagram.
-                yield Compute(self.costs.checksum_cost(packet.payload_len))
-                self.stats.incr("drop_corrupt")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                            reason="bad_checksum")
                 return
         if packet.proto == IPPROTO_UDP:
             yield from self._udp_input_eager(packet)
@@ -186,35 +185,9 @@ class BsdStack(NetworkStack):
                 self.ip_output(reply, packet.src, IPPROTO_ICMP,
                                reply.total_len)
 
-    # ------------------------------------------------------------------
-    # UDP receive syscall: wait on the socket queue
-    # ------------------------------------------------------------------
-    def recv_dgram_gen(self, proc: SimProcess, sock: Socket) -> Generator:
-        while True:
-            item = sock.rcv_dgrams.pop()
-            if item is not None:
-                (dgram, stamp), src = item
-                yield Compute(self.costs.dequeue
-                              + self.costs.copy_cost(dgram.payload_len)
-                              + self.costs.mbuf_free)
-                sock.msgs_received += 1
-                sock.bytes_received += dgram.payload_len
-                self.stats.incr("udp_delivered")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_deliver("app",
-                                               sock.trace_flow(src))
-                return dgram, src, stamp
-            yield Block(sock.rcv_wait)
 
-    # ------------------------------------------------------------------
-    # Asynchronous TCP work: software interrupts
-    # ------------------------------------------------------------------
-    def post_tcp_work(self, sock: Socket, kind: str) -> None:
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
+class RssStack(BsdStack):
+    """4.4BSD on a multi-queue NIC (``build_host`` wires one receive
+    queue per core); only the name differs."""
 
-        def body() -> Generator:
-            yield Compute(self.costs.sw_intr_dispatch)
-            yield from self.tcp_timer_gen(sock, kind)
-
-        self.kernel.cpu.post(
-            IntrTask(body(), SOFTWARE, f"tcp-{kind}", charge))
+    arch_name = "RSS"

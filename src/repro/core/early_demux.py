@@ -20,17 +20,17 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.engine.process import Block, Compute, SimProcess
+from repro.engine.process import Compute
 from repro.host.interrupts import (
     HARDWARE,
     SOFTWARE,
     IntrTask,
     SimpleIntrTask,
 )
-from repro.net.checksum import verify_packet
-from repro.net.ip import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, IpPacket
+from repro.net.ip import IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.net.packet import Frame
 from repro.core.lrp_base import LrpStackBase
+from repro.core.stack_base import NetworkStack
 from repro.sockets.socket import Socket, SockType
 from repro.trace.tracer import flow_of
 
@@ -39,6 +39,11 @@ class EarlyDemuxStack(LrpStackBase):
     """Early demultiplexing with eager protocol processing."""
 
     arch_name = "Early-Demux"
+
+    #: Receive syscalls only drain the socket queue, and asynchronous
+    #: TCP work runs in software interrupts: plain BSD semantics.
+    recv_dgram_gen = NetworkStack.recv_dgram_gen
+    post_tcp_work = NetworkStack.post_tcp_work
 
     def __init__(self, *args, **kwargs):
         # No idle thread, no APP process: processing is eager, never
@@ -52,8 +57,10 @@ class EarlyDemuxStack(LrpStackBase):
         are still processed eagerly and dropped late, as in BSD."""
 
     # ------------------------------------------------------------------
-    def rx_interrupt(self, frame: Frame, ring_release) -> IntrTask:
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
+    def rx_interrupt(self, frame: Frame, ring_release,
+                     core: int) -> IntrTask:
+        cpu = self.kernel.cpus[core]
+        charge = self.kernel.accounting.interrupt_charger(cpu)
 
         def hw_action() -> None:
             ring_release()
@@ -79,9 +86,8 @@ class EarlyDemuxStack(LrpStackBase):
                     trace.pkt_drop("sockq", flow_of(frame.packet),
                                    reason="early_sockq_full")
                 return
-            self.kernel.cpu.post(IntrTask(
-                self._eager_input(frame.packet), SOFTWARE,
-                "early-demux-input", charge))
+            cpu.post(IntrTask(self._eager_input(frame.packet), SOFTWARE,
+                              "early-demux-input", charge))
 
         return SimpleIntrTask(self.costs.hw_intr + self.costs.soft_demux,
                               HARDWARE, "rx-demux", action=hw_action,
@@ -92,24 +98,9 @@ class EarlyDemuxStack(LrpStackBase):
         lookup (the demux already identified the endpoint)."""
         yield Compute(self.costs.sw_intr_dispatch + self.costs.ip_input)
         self.stats.incr("ip_in")
-        if packet.corrupt and not verify_packet(packet):
-            yield Compute(self.costs.checksum_cost(packet.payload_len))
-            self.stats.incr("drop_corrupt")
-            if self.sim.trace.enabled:
-                self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                        reason="bad_checksum")
-            return
-        if packet.is_fragment:
-            yield Compute(self.costs.ip_reassembly_per_frag)
-            packet = self.reassemble(packet)
+        if packet.corrupt or packet.is_fragment:
+            packet = yield from self.ip_input_checks(packet)
             if packet is None:
-                return
-            if packet.corrupt and not verify_packet(packet):
-                yield Compute(self.costs.checksum_cost(packet.payload_len))
-                self.stats.incr("drop_corrupt")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                            reason="bad_checksum")
                 return
         if packet.proto == IPPROTO_UDP:
             sock = self._socket_for(packet)
@@ -127,36 +118,3 @@ class EarlyDemuxStack(LrpStackBase):
                 self.stats.incr("drop_tcp_pcb_miss")
                 return
             yield from self.tcp_input_gen(sock, packet)
-
-    # ------------------------------------------------------------------
-    # Receive syscall: plain BSD semantics (socket queue only).
-    # ------------------------------------------------------------------
-    def recv_dgram_gen(self, proc: SimProcess, sock: Socket) -> Generator:
-        while True:
-            item = sock.rcv_dgrams.pop()
-            if item is not None:
-                (dgram, stamp), src = item
-                yield Compute(self.costs.dequeue
-                              + self.costs.copy_cost(dgram.payload_len)
-                              + self.costs.mbuf_free)
-                sock.msgs_received += 1
-                sock.bytes_received += dgram.payload_len
-                self.stats.incr("udp_delivered")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_deliver("app",
-                                               sock.trace_flow(src))
-                return dgram, src, stamp
-            yield Block(sock.rcv_wait)
-
-    # ------------------------------------------------------------------
-    # Asynchronous TCP work: software interrupts, as in BSD.
-    # ------------------------------------------------------------------
-    def post_tcp_work(self, sock: Socket, kind: str) -> None:
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
-
-        def body() -> Generator:
-            yield Compute(self.costs.sw_intr_dispatch)
-            yield from self.tcp_timer_gen(sock, kind)
-
-        self.kernel.cpu.post(
-            IntrTask(body(), SOFTWARE, f"tcp-{kind}", charge))

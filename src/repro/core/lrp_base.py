@@ -26,14 +26,12 @@ from typing import Generator, List, Optional
 
 from repro.engine.process import Block, Compute, Sleep, SimProcess, WaitChannel
 from repro.net.addr import endpoint
-from repro.net.checksum import verify_packet
 from repro.net.ip import IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.nic.channels import NiChannel
 from repro.nic.demux import flow_key
 from repro.core.app_thread import AppProcessor, PerProcessAppProcessor
 from repro.core.stack_base import NetworkStack
 from repro.sockets.socket import Socket, SockType
-from repro.trace.tracer import flow_of
 
 #: Poll period of the idle-priority protocol thread, microseconds.
 IDLE_THREAD_POLL = 1_000.0
@@ -196,16 +194,8 @@ class LrpStackBase(NetworkStack):
             item = sock.rcv_dgrams.pop()
             if item is not None:
                 (dgram, stamp), src = item
-                yield Compute(self.costs.dequeue
-                              + self.costs.copy_cost(dgram.payload_len)
-                              + self.costs.mbuf_free)
-                sock.msgs_received += 1
-                sock.bytes_received += dgram.payload_len
-                self.stats.incr("udp_delivered")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_deliver("app",
-                                               sock.trace_flow(src))
-                return dgram, src, stamp
+                return (yield from self.deliver_to_app(
+                    sock, dgram, src, stamp, self.costs.dequeue))
             channel = sock.channel
             packet = channel.pop() if channel is not None else None
             if packet is not None:
@@ -227,15 +217,9 @@ class LrpStackBase(NetworkStack):
                     # wait queue rather than their socket's; rouse
                     # them all — each re-checks its own queue.
                     self.kernel.wake_all(channel.wait_channel)
-                yield Compute(self.costs.copy_cost(dgram.payload_len)
-                              + self.costs.mbuf_free)
-                sock.msgs_received += 1
-                sock.bytes_received += dgram.payload_len
-                self.stats.incr("udp_delivered")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_deliver("app",
-                                               sock.trace_flow(src))
-                return dgram, src, stamp
+                # The channel pop above already paid for the dequeue.
+                return (yield from self.deliver_to_app(
+                    sock, dgram, src, stamp, 0.0))
             if channel is None:
                 yield Block(sock.rcv_wait)
                 continue
@@ -251,30 +235,12 @@ class LrpStackBase(NetworkStack):
         Returns ``(dgram, source, stamp)`` or ``None``."""
         yield Compute(self.costs.ip_input)
         self.stats.incr("ip_in")
-        if packet.corrupt and not verify_packet(packet):
-            yield Compute(self.costs.checksum_cost(packet.payload_len))
-            self.stats.incr("drop_corrupt")
-            if self.sim.trace.enabled:
-                self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                        reason="bad_checksum")
-            return None
-        if packet.is_fragment:
-            yield Compute(self.costs.ip_reassembly_per_frag)
-            whole = self.reassemble(packet)
-            if whole is None:
-                # Missing pieces may sit on the special NI channel
-                # (fragments that arrived before their head fragment).
-                whole = yield from self._drain_fragment_channel(sock)
-            if whole is None:
-                return None
-            packet = whole
-            if packet.corrupt and not verify_packet(packet):
-                # A corrupted fragment poisons the whole datagram.
-                yield Compute(self.costs.checksum_cost(packet.payload_len))
-                self.stats.incr("drop_corrupt")
-                if self.sim.trace.enabled:
-                    self.sim.trace.pkt_drop("ip", flow_of(packet),
-                                            reason="bad_checksum")
+        if packet.corrupt or packet.is_fragment:
+            # Missing pieces may sit on the special NI channel
+            # (fragments that arrived before their head fragment).
+            packet = yield from self.ip_input_checks(
+                packet, lambda: self._drain_fragment_channel(sock))
+            if packet is None:
                 return None
         if self.redundant_pcb_lookup:
             # Figure 5 fairness control: pay the BSD lookup cost even
@@ -323,6 +289,11 @@ class LrpStackBase(NetworkStack):
             return None
         return self.udp_pcb.lookup(packet.dst, transport.dst_port,
                                    packet.src, transport.src_port)
+
+    def post_tcp_work(self, sock: Socket, kind: str) -> None:
+        """TCP timers run in the APP process, at the receiver's
+        priority and on the receiver's bill (Section 3.4)."""
+        self.app.notify(sock, kind)
 
     # ------------------------------------------------------------------
     # Idle-priority protocol thread (Section 3.3)

@@ -11,8 +11,7 @@ and its Figure 4 latency barely moves with background load.
 
 from __future__ import annotations
 
-from repro.host.interrupts import HARDWARE, IntrTask, SimpleIntrTask
-from repro.net.packet import Frame
+from repro.host.interrupts import HARDWARE, SimpleIntrTask
 from repro.nic.channels import NiChannel
 from repro.nic.programmable import ProgrammableNic
 from repro.core.lrp_base import LrpStackBase
@@ -38,11 +37,6 @@ class NiLrpStack(LrpStackBase):
         # empty->non-empty transition; those flags stay armed.
 
     # ------------------------------------------------------------------
-    def rx_interrupt(self, frame: Frame, ring_release) -> IntrTask:
-        raise AssertionError(
-            "NI-LRP receives through the programmable NIC, not the "
-            "host interrupt path")
-
     def _ni_channel_interrupt(self, channel: NiChannel) -> None:
         """Host interrupt raised by the NIC on a watched channel's
         empty->non-empty transition.  Minimal processing: acknowledge
@@ -68,9 +62,6 @@ class NiLrpStack(LrpStackBase):
                                             HARDWARE, "ni-wakeup",
                                             action=action,
                                             charge=charge))
-
-    def post_tcp_work(self, sock: Socket, kind: str) -> None:
-        self.app.notify(sock, kind)
 
     # ------------------------------------------------------------------
     # VCI signalling (Section 4.1: the U-Net firmware "performs

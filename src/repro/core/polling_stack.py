@@ -23,8 +23,6 @@ from collections import deque
 from typing import Generator
 
 from repro.engine.process import Compute
-from repro.host.interrupts import IntrTask
-from repro.net.packet import Frame
 from repro.nic.polling import PollingNic
 from repro.core.bsd_stack import BsdStack
 from repro.sockets.socket import Socket
@@ -68,10 +66,6 @@ class PollingStack(BsdStack):
         self.poll_thread.usrpri = POLL_PRIORITY
 
     # ------------------------------------------------------------------
-    def rx_interrupt(self, frame: Frame, ring_release) -> IntrTask:
-        raise AssertionError(
-            "kernel-bypass polling has no receive interrupt path")
-
     def post_tcp_work(self, sock: Socket, kind: str) -> None:
         # No software interrupts: queue for the poll loop, which runs
         # within POLL_IDLE_USEC even when the ring is empty.

@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.host.interrupts import HARDWARE, IntrTask, SimpleIntrTask
 from repro.net.packet import Frame
 from repro.core.lrp_base import LrpStackBase
-from repro.sockets.socket import Socket
 from repro.trace.tracer import flow_of
 
 
@@ -25,8 +24,10 @@ class SoftLrpStack(LrpStackBase):
 
     arch_name = "SOFT-LRP"
 
-    def rx_interrupt(self, frame: Frame, ring_release) -> IntrTask:
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
+    def rx_interrupt(self, frame: Frame, ring_release,
+                     core: int) -> IntrTask:
+        charge = self.kernel.accounting.interrupt_charger(
+            self.kernel.cpus[core])
 
         def action() -> None:
             ring_release()
@@ -67,8 +68,3 @@ class SoftLrpStack(LrpStackBase):
         return SimpleIntrTask(self.costs.hw_intr + self.costs.soft_demux,
                               HARDWARE, "rx-demux", action=action,
                               charge=charge)
-
-    def post_tcp_work(self, sock: Socket, kind: str) -> None:
-        """TCP timers run in the APP process, at the receiver's
-        priority and on the receiver's bill (Section 3.4)."""
-        self.app.notify(sock, kind)

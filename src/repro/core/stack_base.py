@@ -12,13 +12,19 @@ Every kernel variant (4.4BSD, Early-Demux, SOFT-LRP, NI-LRP) shares:
   machinery that applies its actions (emitting segments, arming
   timers, waking waiters, completing handshakes, TIME_WAIT cleanup).
 
+* the receive steps every eager or lazy path runs somewhere: the
+  checksum and reassembly step of IP input, the final socket-queue
+  enqueue, and the copy-out to the application.
+
 Subclasses decide *where receive processing happens and who pays for
 it* — the whole subject of the paper:
 
 * :meth:`rx_interrupt` — the body of the device interrupt for a frame;
-* :meth:`recv_dgram_gen` — the receive-syscall path for UDP;
+* :meth:`recv_dgram_gen` — the receive-syscall path for UDP (default:
+  BSD's, which only drains the socket queue);
 * :meth:`post_tcp_work` — the execution context for asynchronous TCP
-  events (incoming segments, retransmit timers).
+  events (incoming segments, retransmit timers; default: BSD's
+  software interrupt).
 """
 
 from __future__ import annotations
@@ -26,13 +32,12 @@ from __future__ import annotations
 from typing import Generator, Iterable, List, Optional
 
 from repro.engine.process import Block, Compute, SimProcess
+from repro.host.interrupts import SOFTWARE, IntrTask
 from repro.host.kernel import Kernel
-from repro.engine.process import WaitChannel
 from repro.mem.pool import MbufPool
-from repro.net.addr import ANY_ADDR, Endpoint, IPAddr, endpoint
+from repro.net.addr import IPAddr, endpoint
 from repro.net.checksum import stamp_packet, verify_packet
 from repro.net.ip import (
-    IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
     IpPacket,
@@ -140,21 +145,37 @@ class NetworkStack:
     # ------------------------------------------------------------------
     # Architecture hooks
     # ------------------------------------------------------------------
-    def rx_interrupt(self, frame: Frame, ring_release):
-        """Build the device-interrupt task for *frame* (SimpleNic
-        variants).  Must be overridden unless a ProgrammableNic is in
-        use."""
+    def rx_interrupt(self, frame: Frame, ring_release, core: int):
+        """Build the device-interrupt task for *frame*, which arrived
+        on the receive queue wired to core *core* (SimpleNic stacks).
+        Must be overridden unless the NIC never interrupts per
+        frame."""
         raise NotImplementedError
 
-    def recv_dgram_gen(self, proc: SimProcess, sock: Socket):
-        """Generator implementing the UDP receive path."""
-        raise NotImplementedError
+    def recv_dgram_gen(self, proc: SimProcess, sock: Socket) -> Generator:
+        """Generator implementing the UDP receive path: wait on the
+        socket queue, which eager input fills."""
+        while True:
+            item = sock.rcv_dgrams.pop()
+            if item is not None:
+                (dgram, stamp), src = item
+                return (yield from self.deliver_to_app(
+                    sock, dgram, src, stamp, self.costs.dequeue))
+            yield Block(sock.rcv_wait)
 
     def post_tcp_work(self, sock: Socket, kind: str) -> None:
         """Arrange for asynchronous TCP work (*kind* is ``"input"``,
         ``"rexmt"`` or ``"persist"``) to run in the architecture's
-        chosen context."""
-        raise NotImplementedError
+        chosen context: here a software interrupt on the boot core,
+        billed to whatever it interrupts."""
+        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
+
+        def body() -> Generator:
+            yield Compute(self.costs.sw_intr_dispatch)
+            yield from self.tcp_timer_gen(sock, kind)
+
+        self.kernel.cpu.post(
+            IntrTask(body(), SOFTWARE, f"tcp-{kind}", charge))
 
     def endpoint_attached(self, sock: Socket) -> None:
         """Called when a socket gains a local/foreign binding; LRP
@@ -602,12 +623,7 @@ class NetworkStack:
             # TCP always verifies (checksumming is mandatory); the cost
             # is charged only on the failing path so fault-free runs
             # keep their historical timing.
-            yield Compute(self.costs.checksum_cost(seg.payload_len))
-            self.stats.incr("drop_corrupt")
-            trace = self.sim.trace
-            if trace.enabled:
-                trace.pkt_drop("tcp", flow_of(packet),
-                               reason="bad_checksum")
+            yield from self._checksum_drop(packet, seg.payload_len, "tcp")
             return
         if sock.listening:
             yield from self._listener_input_gen(sock, packet, seg)
@@ -670,8 +686,58 @@ class NetworkStack:
         self.listener_backlog_changed(listener)
 
     # ------------------------------------------------------------------
-    # UDP shared input step (post-demux / post-PCB-lookup)
+    # Shared receive steps
     # ------------------------------------------------------------------
+    def ip_input_checks(self, packet: IpPacket,
+                        incomplete=None) -> Generator:
+        """The checksum and reassembly step of IP input, in the
+        caller's context.  Returns the verified whole datagram, or
+        ``None`` if *packet* was dropped or its datagram is still
+        incomplete.  *incomplete*, if given, is a generator function
+        tried when reassembly comes up short (LRP drains its fragment
+        channel).  Callers enter only for ``packet.corrupt or
+        packet.is_fragment``, so clean packets pay no extra frame."""
+        if packet.corrupt and not verify_packet(packet):
+            yield from self._checksum_drop(packet, packet.payload_len, "ip")
+            return None
+        if not packet.is_fragment:
+            return packet
+        yield Compute(self.costs.ip_reassembly_per_frag)
+        whole = self.reassemble(packet)
+        if whole is None and incomplete is not None:
+            whole = yield from incomplete()
+        if whole is None:
+            return None
+        if whole.corrupt and not verify_packet(whole):
+            # A corrupted fragment poisons the whole datagram.
+            yield from self._checksum_drop(whole, whole.payload_len, "ip")
+            return None
+        return whole
+
+    def _checksum_drop(self, packet: IpPacket, nbytes: int,
+                       stage: str) -> Generator:
+        """Charge the failed verification over *nbytes* and drop
+        *packet* at *stage*."""
+        yield Compute(self.costs.checksum_cost(nbytes))
+        self.stats.incr("drop_corrupt")
+        if self.sim.trace.enabled:
+            self.sim.trace.pkt_drop(stage, flow_of(packet),
+                                    reason="bad_checksum")
+
+    def deliver_to_app(self, sock: Socket, dgram: UdpDatagram, src,
+                       stamp: float, cost: float) -> Generator:
+        """Last step of a UDP receive syscall: charge *cost* plus the
+        copy-out, account the delivery and return the ``recvfrom``
+        result ``(dgram, src, stamp)``."""
+        yield Compute(cost + self.costs.copy_cost(dgram.payload_len)
+                      + self.costs.mbuf_free)
+        sock.msgs_received += 1
+        sock.bytes_received += dgram.payload_len
+        self.stats.incr("udp_delivered")
+        if self.sim.trace.enabled:
+            self.sim.trace.pkt_deliver("app", sock.trace_flow(src))
+        return dgram, src, stamp
+
     def udp_deliver_to_socket(self, sock: Socket,
                               packet: IpPacket) -> bool:
         """Final UDP step: queue the datagram on the socket (and on

@@ -9,9 +9,8 @@ from repro.host.interrupts import (
     PROCESS,
     SOFTWARE,
     InterruptContextError,
-    InterruptRouter,
     IntrTask,
-    simple_task,
+    SimpleIntrTask,
 )
 from repro.host.kernel import Kernel, KernelPanic, ProcContext
 from repro.host.scheduler import (
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_COSTS",
     "HARDWARE",
     "InterruptContextError",
-    "InterruptRouter",
     "IntrTask",
     "Kernel",
     "KernelPanic",
@@ -39,8 +37,8 @@ __all__ = [
     "PUSER",
     "Scheduler",
     "SOFTWARE",
+    "SimpleIntrTask",
     "TICK_USEC",
     "core_usage",
     "priority_for",
-    "simple_task",
 ]

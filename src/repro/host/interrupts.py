@@ -145,37 +145,3 @@ class SimpleIntrTask(IntrTask):
             self.action()
         self.done = True
         return None
-
-
-def simple_task(cost: float, work_class: int, label: str,
-                action: Optional[Callable[[], None]] = None,
-                charge: Optional[Callable[[float], None]] = None) -> IntrTask:
-    """Build an interrupt task that computes for *cost* then runs
-    *action* (an instantaneous effect such as queueing a packet)."""
-    return SimpleIntrTask(cost, work_class, label,
-                          action=action, charge=charge)
-
-
-class InterruptRouter:
-    """Steers interrupt tasks onto the cores of a multi-core host.
-
-    Single-queue devices post everything to core 0 (the boot CPU,
-    matching the single-core model); multi-queue NICs pass an explicit
-    core index per task — the MSI-X vector of the queue the frame
-    landed on.  Per-core post counts are kept so tests and experiment
-    collectors can see how interrupt load spread.
-    """
-
-    __slots__ = ("cpus", "posted_by_core")
-
-    def __init__(self, cpus):
-        self.cpus = list(cpus)
-        self.posted_by_core = [0] * len(self.cpus)
-
-    @property
-    def ncores(self) -> int:
-        return len(self.cpus)
-
-    def post(self, task: IntrTask, core: int = 0) -> None:
-        self.posted_by_core[core] += 1
-        self.cpus[core].post(task)

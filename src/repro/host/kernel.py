@@ -5,8 +5,8 @@ cores, each with its own run queue), the accounting policy and the
 cache model, and drives simulated processes.  ``kernel.cpu`` and
 ``kernel.scheduler`` alias core 0, so single-queue network stacks
 (``repro.core``) plug in unchanged by registering syscall handlers and
-posting interrupt tasks to ``kernel.cpu``; multi-queue NICs post to
-``kernel.cpus[n]`` via the per-core interrupt router.
+posting interrupt tasks to ``kernel.cpu``; a multi-queue NIC posts
+each queue's tasks to ``kernel.cpus[queue]``.
 
 Syscall handlers may be *generator functions*: they are pushed onto the
 calling process's generator stack, so any ``Compute`` they yield is
@@ -38,7 +38,7 @@ from repro.host.accounting import Accounting
 from repro.host.cache import CacheModel
 from repro.host.costs import DEFAULT_COSTS, CostModel
 from repro.host.cpu import CpuSet
-from repro.host.interrupts import PROCESS, InterruptRouter
+from repro.host.interrupts import HARDWARE, PROCESS, SimpleIntrTask
 from repro.host.scheduler import TICK_USEC, Scheduler
 
 #: schedcpu (estcpu decay) period, in ticks: once per second at HZ=100.
@@ -124,7 +124,6 @@ class Kernel:
         self.cpu = self.cpus[0]
         self.schedulers = [Scheduler(core=i) for i in range(ncores)]
         self.scheduler = self.schedulers[0]
-        self.intr = InterruptRouter(self.cpus)
         for cpu, scheduler in zip(self.cpus, self.schedulers):
             scheduler.trace = sim.trace
             cpu.process_source = scheduler
@@ -319,10 +318,8 @@ class Kernel:
     # Clock ticks
     # ------------------------------------------------------------------
     def _hardclock(self) -> None:
-        from repro.host.interrupts import HARDWARE, simple_task
-
         self.ticks += 1
-        task = simple_task(
+        task = SimpleIntrTask(
             self.costs.hardclock, HARDWARE, "hardclock",
             action=self._tick_body,
             charge=self.accounting.interrupt_charger(self.cpu))

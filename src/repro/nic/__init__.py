@@ -1,4 +1,4 @@
-"""Network interface models: channels, demux, and two adaptors."""
+"""Network interface models: channels, demux, and the adaptors."""
 
 from repro.nic.base import BaseNic, IFQ_MAXLEN
 from repro.nic.channels import DEFAULT_CHANNEL_DEPTH, NiChannel
@@ -14,7 +14,6 @@ from repro.nic.demux import (
     rss_key,
     toeplitz_hash,
 )
-from repro.nic.multiqueue import MultiQueueNic
 from repro.nic.polling import PollingNic
 from repro.nic.programmable import AgentNic, ProgrammableNic, TokenBucket
 from repro.nic.simple import SimpleNic
@@ -29,7 +28,6 @@ __all__ = [
     "FRAGMENT",
     "IFQ_MAXLEN",
     "MATCHED",
-    "MultiQueueNic",
     "NiChannel",
     "PollingNic",
     "ProgrammableNic",

@@ -1,6 +1,7 @@
-"""Common NIC machinery: the driver interface queue and send path.
+"""Common NIC machinery: the driver interface queue and send path,
+and the adaptor-level admission of frames into a host receive ring.
 
-Both NIC models share the BSD driver structure on the transmit side:
+Every NIC model shares the BSD driver structure on the transmit side:
 packets the stack emits go to a bounded *interface queue* and drain at
 wire speed ("the resulting IP packets are then transmitted, or — if
 the interface is currently busy — placed in the driver's interface
@@ -81,3 +82,22 @@ class BaseNic:
     # ------------------------------------------------------------------
     def receive_frame(self, frame: Frame) -> None:  # pragma: no cover
         raise NotImplementedError
+
+    def _rx_admit(self, frame: Frame, ring_used: int) -> bool:
+        """Count an arriving frame and admit it to a host DMA ring that
+        holds *ring_used* of the subclass's ``rx_ring_size`` frames.
+        A stalled adaptor or a full ring drops it at the ``rx_ring``
+        stage before any host CPU is spent."""
+        self.rx_frames += 1
+        if self.stalled:
+            self.rx_drops_stall += 1
+            reason = "nic_stall"
+        elif ring_used >= self.rx_ring_size:
+            self.rx_drops_ring += 1
+            reason = "ring_full"
+        else:
+            return True
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.pkt_drop("rx_ring", flow_of(frame.packet), reason=reason)
+        return False

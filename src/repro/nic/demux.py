@@ -218,7 +218,12 @@ class RssHasher:
     def __init__(self, seed: int = DEFAULT_RSS_SEED):
         self.seed = seed
         self.key = rss_key(seed)
-        self._table = [
+        # Built on the first hash: a one-queue NIC never hashes, and
+        # the table costs tens of milliseconds of host set-up time.
+        self._table = None
+
+    def _build_table(self) -> list:
+        return [
             [toeplitz_hash(self.key,
                            bytes(offset) + bytes([value])
                            + bytes(_TUPLE_LEN - offset - 1))
@@ -230,6 +235,8 @@ class RssHasher:
     def hash_tuple(self, src: int, dst: int, sport: int,
                    dport: int) -> int:
         table = self._table
+        if table is None:
+            table = self._table = self._build_table()
         return (table[0][(src >> 24) & 0xFF]
                 ^ table[1][(src >> 16) & 0xFF]
                 ^ table[2][(src >> 8) & 0xFF]

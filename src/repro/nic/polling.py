@@ -41,20 +41,9 @@ class PollingNic(BaseNic):
         self.empty_polls = 0    # poll_burst calls that found nothing
 
     def receive_frame(self, frame: Frame) -> None:
-        self.rx_frames += 1
+        if not self._rx_admit(frame, len(self._ring)):
+            return
         trace = self.sim.trace
-        if self.stalled:
-            self.rx_drops_stall += 1
-            if trace.enabled:
-                trace.pkt_drop("rx_ring", flow_of(frame.packet),
-                               reason="nic_stall")
-            return
-        if len(self._ring) >= self.rx_ring_size:
-            self.rx_drops_ring += 1
-            if trace.enabled:
-                trace.pkt_drop("rx_ring", flow_of(frame.packet),
-                               reason="ring_full")
-            return
         if trace.enabled:
             trace.pkt_enqueue("rx_ring", flow_of(frame.packet))
         self._ring.append(frame)

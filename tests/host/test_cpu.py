@@ -4,7 +4,7 @@ checkpointing, and time accounting."""
 import pytest
 
 from repro.engine import Compute, Simulator
-from repro.host import HARDWARE, Kernel, SOFTWARE, simple_task
+from repro.host import HARDWARE, Kernel, SOFTWARE, SimpleIntrTask
 from repro.host.interrupts import IntrTask, InterruptContextError
 
 
@@ -18,8 +18,10 @@ def make_kernel(**kwargs):
 def test_hardware_preempts_software():
     sim, k = make_kernel()
     order = []
-    sw = simple_task(100.0, SOFTWARE, "sw", action=lambda: order.append("sw"))
-    hw = simple_task(10.0, HARDWARE, "hw", action=lambda: order.append("hw"))
+    sw = SimpleIntrTask(100.0, SOFTWARE, "sw",
+                        action=lambda: order.append("sw"))
+    hw = SimpleIntrTask(10.0, HARDWARE, "hw",
+                        action=lambda: order.append("hw"))
     k.cpu.post(sw)
     sim.schedule(50.0, lambda: k.cpu.post(hw))
     sim.run_until(1000.0)
@@ -39,8 +41,8 @@ def test_software_interrupt_preempts_process():
         marks.append(("app", sim.now))
 
     k.spawn("app", app())
-    sw = simple_task(20.0, SOFTWARE, "sw",
-                     action=lambda: marks.append(("sw", sim.now)))
+    sw = SimpleIntrTask(20.0, SOFTWARE, "sw",
+                        action=lambda: marks.append(("sw", sim.now)))
     sim.schedule(10.0, lambda: k.cpu.post(sw))
     sim.run_until(1000.0)
     assert marks[0][0] == "sw"
@@ -62,7 +64,7 @@ def test_checkpoint_preserves_remaining_work():
     k.spawn("app", app())
     # Interrupt at t=500 for 100us: app should finish at its work time
     # plus exactly the interrupt time plus dispatch overheads.
-    hw = simple_task(100.0, HARDWARE, "hw")
+    hw = SimpleIntrTask(100.0, HARDWARE, "hw")
     sim.schedule(500.0, lambda: k.cpu.post(hw))
     sim.run_until(10_000.0)
     assert len(done_at) == 1
@@ -79,7 +81,7 @@ def test_interrupt_tasks_run_fifo_within_class():
     sim, k = make_kernel()
     order = []
     for name in ("a", "b", "c"):
-        k.cpu.post(simple_task(
+        k.cpu.post(SimpleIntrTask(
             10.0, SOFTWARE, name,
             action=lambda n=name: order.append(n)))
     sim.run_until(1000.0)
@@ -88,7 +90,7 @@ def test_interrupt_tasks_run_fifo_within_class():
 
 def test_idle_time_tracked():
     sim, k = make_kernel()
-    k.cpu.post(simple_task(100.0, HARDWARE, "hw"))
+    k.cpu.post(SimpleIntrTask(100.0, HARDWARE, "hw"))
     sim.run_until(1000.0)
     k.cpu.finalize_stats()
     assert k.cpu.idle_time == pytest.approx(900.0)
@@ -111,11 +113,12 @@ def test_interrupt_context_cannot_block():
 def test_nested_hw_over_sw_checkpoint_resumes_sw():
     sim, k = make_kernel()
     events = []
-    sw = simple_task(100.0, SOFTWARE, "sw",
-                     action=lambda: events.append(("sw-done", sim.now)))
+    sw = SimpleIntrTask(
+        100.0, SOFTWARE, "sw",
+        action=lambda: events.append(("sw-done", sim.now)))
     k.cpu.post(sw)
     for t in (10.0, 30.0, 50.0):
-        hw = simple_task(5.0, HARDWARE, f"hw{t}")
+        hw = SimpleIntrTask(5.0, HARDWARE, f"hw{t}")
         sim.schedule(t, lambda h=hw: k.cpu.post(h))
     sim.run_until(1000.0)
     # sw takes its 100us plus 3x5us of hw preemption.
@@ -139,7 +142,7 @@ def test_livelock_emerges_under_interrupt_storm():
     cost = 50.0  # > period: interrupts alone exceed CPU capacity
 
     def flood():
-        k.cpu.post(simple_task(cost, HARDWARE, "storm"))
+        k.cpu.post(SimpleIntrTask(cost, HARDWARE, "storm"))
         sim.schedule(period, flood)
 
     sim.schedule(200.0, flood)
@@ -152,7 +155,7 @@ def test_livelock_emerges_under_interrupt_storm():
 def test_charge_callback_receives_all_consumed_time():
     sim, k = make_kernel()
     charged = []
-    task = simple_task(50.0, HARDWARE, "hw", charge=charged.append)
+    task = SimpleIntrTask(50.0, HARDWARE, "hw", charge=charged.append)
     k.cpu.post(task)
     sim.run_until(100.0)
     assert sum(charged) == pytest.approx(50.0)

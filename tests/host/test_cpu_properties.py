@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Compute, Simulator
-from repro.host import HARDWARE, Kernel, SOFTWARE, simple_task
+from repro.host import HARDWARE, Kernel, SOFTWARE, SimpleIntrTask
 
 workload = st.lists(
     st.tuples(
@@ -39,7 +39,7 @@ def test_time_conservation(items):
         if kind == "proc":
             continue
         level = HARDWARE if kind == "hw" else SOFTWARE
-        task = simple_task(cost, level, kind)
+        task = SimpleIntrTask(cost, level, kind)
         sim.schedule(when, kernel.cpu.post, task)
 
     horizon = 100_000.0
@@ -76,7 +76,7 @@ def test_process_work_conserved(chunks, seed):
     # Random interrupt noise.
     rng_times = [sim.rng.uniform(0, 2_000) for _ in range(10)]
     for when in rng_times:
-        task = simple_task(sim.rng.uniform(1, 50), HARDWARE, "noise")
+        task = SimpleIntrTask(sim.rng.uniform(1, 50), HARDWARE, "noise")
         sim.schedule(when, kernel.cpu.post, task)
 
     sim.run_until(1_000_000.0)

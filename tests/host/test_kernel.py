@@ -213,7 +213,7 @@ def test_wakeup_preempts_lower_priority_running_process():
 
 
 def test_accounting_interrupted_policy_bills_running_process():
-    from repro.host import HARDWARE, simple_task
+    from repro.host import HARDWARE, SimpleIntrTask
 
     sim, k = make()
 
@@ -222,15 +222,15 @@ def test_accounting_interrupted_policy_bills_running_process():
             yield Compute(1_000.0)
 
     victim = k.spawn("victim", spinner())
-    task = simple_task(77.0, HARDWARE, "t",
-                       charge=k.accounting.interrupt_charger(k.cpu))
+    task = SimpleIntrTask(77.0, HARDWARE, "t",
+                          charge=k.accounting.interrupt_charger(k.cpu))
     sim.schedule(500.0, lambda: k.cpu.post(task))
     sim.run_until(5_000.0)
     assert victim.intr_time_charged == pytest.approx(77.0)
 
 
 def test_accounting_system_policy_bills_nobody():
-    from repro.host import HARDWARE, simple_task
+    from repro.host import HARDWARE, SimpleIntrTask
 
     sim = Simulator(seed=0)
     k = Kernel(sim, accounting_policy="system", enable_ticks=False)
@@ -240,8 +240,8 @@ def test_accounting_system_policy_bills_nobody():
             yield Compute(1_000.0)
 
     victim = k.spawn("victim", spinner())
-    task = simple_task(77.0, HARDWARE, "t",
-                       charge=k.accounting.interrupt_charger(k.cpu))
+    task = SimpleIntrTask(77.0, HARDWARE, "t",
+                          charge=k.accounting.interrupt_charger(k.cpu))
     sim.schedule(500.0, lambda: k.cpu.post(task))
     sim.run_until(5_000.0)
     assert victim.intr_time_charged == 0.0

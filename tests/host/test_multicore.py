@@ -166,3 +166,20 @@ def test_one_core_cpuset_matches_pre_multicore_goldens(key):
         f"1-core trace drift vs. pre-multicore golden for {key}: "
         f"expected {result['expected'].get('order_hash')}, got "
         f"{result['actual'].get('order_hash')}")
+
+
+@pytest.mark.parametrize("key", ("bsd", "bsd-faults"))
+def test_one_core_rss_matches_bsd_goldens(key, monkeypatch):
+    """RSS is 4.4BSD with one receive queue per core, so an RSS server
+    on one core must reproduce the committed BSD digests byte for
+    byte: the single-queue case of the shared eager path is the
+    paper's BSD."""
+    from repro.core import Architecture
+
+    monkeypatch.setattr(golden, "_arch_of", lambda _: Architecture.RSS)
+    monkeypatch.setattr(golden, "_server_kwargs", lambda _: {"cores": 1})
+    result = golden.check_golden(key, GOLDEN_DIR)
+    assert result["ok"], (
+        f"1-core RSS drifts from the {key} golden: expected "
+        f"{result['expected'].get('order_hash')}, got "
+        f"{result['actual'].get('order_hash')}")

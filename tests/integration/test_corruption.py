@@ -1,6 +1,7 @@
 """Injected bit corruption is caught by checksum verification in every
 architecture: corrupted packets increment ``drop_corrupt`` and never
-reach a socket buffer."""
+reach a socket buffer.  Every stack runs the one shared checksum and
+reassembly step of IP input, so each test covers all seven."""
 
 import pytest
 
@@ -15,8 +16,10 @@ from repro.experiments.common import (
 )
 from tests.helpers import udp_echo_server, udp_sender
 
-ARCHS = (Architecture.BSD, Architecture.EARLY_DEMUX,
-         Architecture.SOFT_LRP, Architecture.NI_LRP)
+ARCHS = tuple(Architecture)
+#: Server cores per architecture: RSS spreads its receive queues over
+#: two, and polling needs one core besides its busy-poll core.
+CORES = {Architecture.RSS: 2, Architecture.POLLING: 2}
 
 PORT = 9000
 
@@ -26,10 +29,14 @@ def _corrupt_all_plan(**filters):
         FaultRule("link", "corrupt", probability=1.0, **filters)])
 
 
+def _add_server(bed, arch):
+    return bed.add_host(SERVER_ADDR, arch, cores=CORES.get(arch, 1))
+
+
 @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.value)
 def test_corrupt_udp_dropped_before_socket(arch):
     bed = Testbed(seed=2, fault_plan=_corrupt_all_plan(dst_port=PORT))
-    server = bed.add_host(SERVER_ADDR, arch)
+    server = _add_server(bed, arch)
     client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
 
     log = []
@@ -55,7 +62,7 @@ def test_corrupt_tcp_dropped_then_recovered(arch):
         FaultRule("link", "corrupt", start_usec=12_000.0,
                   end_usec=120_000.0, probability=1.0)])
     bed = Testbed(seed=3, fault_plan=plan)
-    server = bed.add_host(SERVER_ADDR, arch)
+    server = _add_server(bed, arch)
     client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
 
     nbytes = 16_000
@@ -95,12 +102,13 @@ def test_corrupt_tcp_dropped_then_recovered(arch):
     assert bed.fault_plane.counters.get("link_corrupt") > 0
 
 
-def test_corrupt_fragment_spoils_whole_datagram():
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.value)
+def test_corrupt_fragment_spoils_whole_datagram(arch):
     """A corrupted fragment means the datagram is never delivered; the
     incomplete reassembly is expired and its mbufs returned."""
     bed = Testbed(seed=4,
                   fault_plan=_corrupt_all_plan(proto=IPPROTO_UDP))
-    server = bed.add_host(SERVER_ADDR, Architecture.BSD)
+    server = _add_server(bed, arch)
     client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
     server.stack.reassembler.ttl_usec = 100_000.0
 

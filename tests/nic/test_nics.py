@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Simulator
-from repro.host.interrupts import HARDWARE, simple_task
+from repro.host.interrupts import HARDWARE, SimpleIntrTask
 from repro.net.addr import IPAddr
 from repro.net.ip import IPPROTO_UDP, IpPacket
 from repro.net.link import Network
@@ -29,22 +29,16 @@ class FakeStack:
         self.kernel = kernel
         self.frames = []
 
-    def rx_interrupt(self, frame, ring_release):
+    def rx_interrupt(self, frame, ring_release, core):
         self.frames.append(frame)
-
-        def body():
-            ring_release()
-            return
-            yield  # pragma: no cover
-
-        return simple_task(5.0, HARDWARE, "rx", action=ring_release)
+        return SimpleIntrTask(5.0, HARDWARE, "rx", action=ring_release)
 
 
 class FakeKernel:
     def __init__(self, sim):
         self.sim = sim
         self.posted = []
-        self.cpu = self
+        self.cpus = [self]
 
     def post(self, task):
         self.posted.append(task)
