@@ -31,7 +31,9 @@ from repro.sockets.socket import Socket
 POLL_BURST = 32
 #: Compute charged per empty poll round: the busy-wait granularity.
 #: Small enough that post-burst latency is negligible at the paper's
-#: rates, large enough that an idle second is ~200k events, not 1M.
+#: rates.  An idle second is 200k poll rounds (slices), but the CPU
+#: runs ahead through them, so they cost engine events only where
+#: other events interleave.
 POLL_IDLE_USEC = 5.0
 #: The poll thread's pinned priority.  It never blocks, so on its
 #: dedicated core the value only has to beat the idle default.

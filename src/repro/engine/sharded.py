@@ -53,10 +53,12 @@ events run in.  Cross-shard arrivals are inserted sorted by
 heap order a pure function of the partition — not of round timing.
 The one residual freedom is the interleave of *same-timestamp* events
 on *different* shards, which has no global definition; parity across
-shard counts is therefore asserted on the timestamp-canonical digest
-(:func:`repro.trace.merge.parity_digest`) plus exact per-event-type
-counts.  At one shard there is no freedom at all: the engine builds
-the identical unsharded world and the raw order-sensitive digest is
+shard counts is therefore asserted on the timestamp-canonical
+behaviour digest (:func:`repro.trace.merge.parity_digest`) plus exact
+per-event-type counts.  Engine event counts are not compared: CPU
+run-ahead stops at every sync window.  At one shard there is no
+freedom at all: the engine builds the identical unsharded world and
+the order-sensitive digest, engine-event count included, is
 byte-identical to the golden traces.
 
 One driver steps every shard in this process.  Frames crossing the cut

@@ -7,7 +7,7 @@ paper reports per-packet costs (e.g. "hardware plus software interrupt,
 approximately 60 usecs").
 
 The run loop is the hottest code in the repository — every simulated
-packet costs tens of events.  One loop (``Simulator._drain``) serves
+packet costs several events.  One loop (``Simulator._drain``) serves
 :meth:`~Simulator.run_until`, :meth:`~Simulator.run_events_before` and
 :meth:`~Simulator.run`; it reads the event heap directly instead of
 going through ``EventQueue.peek_time`` / ``pop`` (one heap access per
@@ -16,16 +16,23 @@ into the queue's pool when the scheduler kept no reference to them.
 The observable semantics are identical to the straightforward peek/pop
 loop; the golden-trace suite pins this (same events, same times, same
 order).
+
+Components also avoid events nobody can observe.  :meth:`advance_to`
+lets the CPU end consecutive slices without a heap entry each, and
+:meth:`reserve` / :meth:`claim` let a transmit port skip its "wire
+free" event while its queue is empty.  Both leave the heap order
+exactly as one event per step would have it, so the golden behaviour
+digests do not move; only the fired-event count does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from heapq import heappop
+from heapq import heappop, heappush
 from math import inf, nextafter
 from sys import getrefcount
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.engine.event import _POOL_LIMIT, Event, EventQueue, _noop
 from repro.trace.tracer import (
@@ -68,6 +75,13 @@ class Simulator:
         self.rng = random.Random(seed)
         self._queue = EventQueue()
         self._running = False
+        #: Latest time :meth:`advance_to` may move the clock to: the
+        #: running drain's limit, ``-inf`` outside a drain.
+        self._limit = -inf
+        #: Heap sequence number of the event being fired (or of the
+        #: slice end :meth:`advance_to` stands in for); with ``now``
+        #: it is the key :meth:`claim` compares reserved keys with.
+        self._seq_now = -1
         self.events_processed = 0
         #: The simulated machines living in this world, by name.  The
         #: engine itself never reads this — it exists so host-plural
@@ -166,6 +180,72 @@ class Simulator:
                 f"cannot schedule at {time!r}, now is {self.now!r}")
         self._queue.push_detached(time, callback, args)
 
+    def reserve(self, time: float) -> Tuple[float, int]:
+        """Reserve the heap key of an event at *time* without
+        scheduling it.
+
+        For a component whose next event usually does nothing — a
+        transmit port's "wire free" event when its queue is empty.
+        The component keeps the key and, if it turns out to need the
+        event after all, schedules it with :meth:`claim`.  Reserving
+        takes a sequence number exactly when the eager schedule call
+        would have, so the claimed event sorts where the eager one
+        would have been.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot reserve {time!r}, now is {self.now!r}")
+        return (time, next(self._queue._seq))
+
+    def passed(self, key: Tuple[float, int]) -> bool:
+        """Whether an event under reserved *key* would already have
+        fired: its time is before now, or it is now and its sequence
+        number precedes the event being fired."""
+        time = key[0]
+        return time < self.now or (time == self.now
+                                   and key[1] < self._seq_now)
+
+    def claim(self, key: Tuple[float, int],
+              callback: Callable[..., Any], *args: Any) -> bool:
+        """Schedule *callback* under a key from :meth:`reserve`, unless
+        the key has :meth:`passed`; then schedule nothing and return
+        False, and the caller does inline what that event would have
+        done."""
+        if self.passed(key):
+            return False
+        # A detached entry, exactly as push_detached builds it.
+        heappush(self._queue._heap, (key[0], key[1], callback, args))
+        return True
+
+    def advance_to(self, time: float) -> bool:
+        """Move the clock to *time* in place of firing an event there.
+
+        The CPU's slice run-ahead: a caller that would schedule an
+        event at *time* only to continue its own work there calls this
+        first.  It succeeds — sets the clock, takes the sequence
+        number the event would have had, and returns True — only
+        while a drain is running, *time* is within the drain's limit,
+        and *time* is strictly earlier than every pending event, so
+        that the event would have been the very next one to fire.
+        Otherwise it returns False and the caller schedules the event.
+        A run-ahead is not a fired event and does not count in
+        :attr:`events_processed`.
+        """
+        if not self._running or time > self._limit:
+            return False
+        queue = self._queue
+        heap = queue._heap
+        if heap and heap[0][0] <= time:
+            # A cancelled head is no obstacle: the drain would skip it.
+            if len(heap[0]) == 4 or not heap[0][2].cancelled:
+                return False
+            queue._drop_cancelled()
+            if heap and heap[0][0] <= time:
+                return False
+        self.now = time
+        self._seq_now = next(queue._seq)
+        return True
+
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
@@ -180,6 +260,9 @@ class Simulator:
         trace = self.trace
         processed = self.events_processed
         stop_at = -1 if max_events < 0 else processed + max_events
+        # An event cap counts fired events, which a run-ahead does not
+        # spend, so a capped drain does not run ahead at all.
+        self._limit = limit if max_events < 0 else -inf
         self._running = True
         try:
             while self._running and heap and processed != stop_at:
@@ -191,6 +274,7 @@ class Simulator:
                 if len(entry) == 4:
                     # Detached entry: (time, seq, callback, args).
                     self.now = when
+                    self._seq_now = entry[1]
                     processed += 1
                     if trace.enabled:
                         trace.event_fired(callback_name(entry[2]))
@@ -206,6 +290,7 @@ class Simulator:
                         pool.append(event)
                     continue
                 self.now = when
+                self._seq_now = entry[1]
                 processed += 1
                 callback = event.callback
                 args = event.args
@@ -221,9 +306,15 @@ class Simulator:
                     event.args = ()
                     event.cancelled = True
                     pool.append(event)
+            if self._running and processed != stop_at \
+                    and self.now <= limit:
+                # Drained through the limit: every key up to and at
+                # the clock has fired.
+                self._seq_now = inf
         finally:
             self.events_processed = processed
             self._running = False
+            self._limit = -inf
 
     def run_until(self, time: float) -> None:
         """Process events until the clock reaches *time*.

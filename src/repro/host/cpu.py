@@ -65,6 +65,9 @@ class Cpu:
         self._slice_len = 0.0
         self._dispatching = False
         self._redispatch = False
+        #: True while _on_slice_end settles the next slice: the slice
+        #: started then is not scheduled by _start_slice.
+        self._ending = False
 
         #: Process context preempted by (or running under) interrupts;
         #: used by accounting policies that bill "the interrupted
@@ -127,33 +130,12 @@ class Cpu:
     # ------------------------------------------------------------------
     # Dispatch machinery
     # ------------------------------------------------------------------
-    def _best_pending_class(self) -> Optional[int]:
-        if self._hw:
-            return HARDWARE
-        if self._sw:
-            return SOFTWARE
-        source = self.process_source
-        if source is not None and source.has_runnable():
-            return PROCESS
-        return None
-
-    def _take_best(self):
-        if self._hw:
-            return self._hw.popleft()
-        if self._sw:
-            return self._sw.popleft()
-        return self.process_source.take_next()
-
     def _dispatch(self) -> None:
         if self._dispatching:
             self._redispatch = True
             return
         self._dispatching = True
         try:
-            # The class probe and take are inlined (cf.
-            # _best_pending_class/_take_best, kept for introspection):
-            # this loop runs once per slice transition and is the
-            # hottest code in the host layer.
             hw = self._hw
             sw = self._sw
             while True:
@@ -219,15 +201,14 @@ class Cpu:
                 ctx.stint = 0.0
             duration = min(duration, remaining_quantum)
         self._current = ctx
-        sim = self.sim
-        self._slice_start = sim.now
+        self._slice_start = self.sim.now
         self._slice_len = duration
-        # Direct queue push (sim.schedule minus the negative-delay
-        # guard): one slice end is scheduled per slice, making this
-        # the single hottest schedule call site in the simulator.
-        self._slice_event = sim._queue.push(sim.now + duration,
-                                            self._on_slice_end, ())
         self.slices += 1
+        # A slice started while _on_slice_end runs is scheduled (or
+        # run ahead to) by it, once it has settled which slice runs.
+        if not self._ending:
+            self._slice_event = self.sim.schedule(duration,
+                                                  self._on_slice_end)
 
     def _account_elapsed(self, elapsed: float) -> None:
         ctx = self._current
@@ -258,8 +239,37 @@ class Cpu:
             self.process_source.requeue_front(ctx)
 
     def _on_slice_end(self) -> None:
-        ctx = self._current
+        """The current slice's end event.
+
+        Slice ends run ahead: after settling which slice runs next,
+        the CPU asks the engine to advance the clock straight to that
+        slice's end (:meth:`Simulator.advance_to`), which succeeds
+        only when no other event is due first, and ends that slice
+        too.  Only the first slice end that something else could
+        interleave with is scheduled as an event.  Every slice,
+        ``consumed()`` call and timestamp is the one the
+        event-per-slice schedule produces.
+        """
+        sim = self.sim
         self._slice_event = None
+        self._ending = True
+        try:
+            while True:
+                self._end_slice()
+                if self._current is None:
+                    return
+                if not sim.advance_to(self._slice_start
+                                      + self._slice_len):
+                    break
+        finally:
+            self._ending = False
+        self._slice_event = sim.schedule(self._slice_len,
+                                         self._on_slice_end)
+
+    def _end_slice(self) -> None:
+        """Account the finished slice and start whatever runs next
+        (without scheduling its end; see :meth:`_on_slice_end`)."""
+        ctx = self._current
         self._account_elapsed(self._slice_len)
         self._current = None
         # Guard against reentrant dispatch while ctx.begin() runs
@@ -267,25 +277,27 @@ class Cpu:
         outer = self._dispatching
         self._dispatching = True
         try:
-            if ctx.work_class == PROCESS and ctx.stint >= self.quantum:
-                # Quantum expired: round-robin to the tail of the run
-                # queue if it still wants the CPU.
+            # Quantum expired: round-robin to the tail of the run
+            # queue if the process still wants the CPU.
+            expired = ctx.work_class == PROCESS \
+                and ctx.stint >= self.quantum
+            if expired:
                 ctx.stint = 0.0
-                duration = ctx.begin()
-                if duration is None:
-                    self._retire(ctx)
-                else:
-                    self.process_source.quantum_expired(ctx)
+            duration = ctx.begin()
+            if duration is None:
+                self._retire(ctx)
+            elif expired:
+                self.process_source.quantum_expired(ctx)
+            elif ctx.work_class == PROCESS:
+                self.process_source.requeue_front(ctx)
+            elif ctx.work_class == HARDWARE or not self._hw:
+                # The interrupt keeps the CPU: it heads its class
+                # queue and no higher class is pending, so dispatch
+                # would only pick it again.
+                self._start_slice(ctx, duration)
+                return
             else:
-                duration = ctx.begin()
-                if duration is None:
-                    self._retire(ctx)
-                elif ctx.work_class == HARDWARE:
-                    self._hw.appendleft(ctx)
-                elif ctx.work_class == SOFTWARE:
-                    self._sw.appendleft(ctx)
-                else:
-                    self.process_source.requeue_front(ctx)
+                self._sw.appendleft(ctx)
         finally:
             self._dispatching = outer
         self._dispatch()

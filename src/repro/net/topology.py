@@ -273,8 +273,8 @@ class OutPort:
 
     __slots__ = ("topology", "node", "link", "capacity", "policy",
                  "priority_ports", "red_start", "_rng", "queue",
-                 "busy", "enqueued", "serviced", "drops_overflow",
-                 "drops_red", "peak_depth", "name")
+                 "_busy", "_free", "enqueued", "serviced",
+                 "drops_overflow", "drops_red", "peak_depth", "name")
 
     def __init__(self, topology: "Topology", node: str, link: Link,
                  capacity: int, policy: str,
@@ -293,12 +293,24 @@ class OutPort:
         self._rng = (topology.sim.named_rng(f"topology.red.{self.name}")
                      if red_start is not None else None)
         self.queue: Deque[Tuple[Frame, int, int]] = deque()
-        self.busy = False
+        self._busy = False
+        #: Reserved key of the "wire free" event not scheduled because
+        #: the queue was empty (see _service), or None.
+        self._free = None
         self.enqueued = 0
         self.serviced = 0
         self.drops_overflow = 0
         self.drops_red = 0
         self.peak_depth = 0
+
+    @property
+    def busy(self) -> bool:
+        """Whether the port is serving: a frame is on the wire, or a
+        service event is scheduled."""
+        free = self._free
+        if free is None:
+            return self._busy
+        return not self.topology.sim.passed(free)
 
     # ------------------------------------------------------------------
     def classify(self, frame: Frame) -> int:
@@ -336,7 +348,14 @@ class OutPort:
         self.queue.append((frame, dst_key, prio))
         if len(self.queue) > self.peak_depth:
             self.peak_depth = len(self.queue)
-        if not self.busy:
+        free = self._free
+        if free is not None:
+            # Schedule the service at the reserved wire-free key if
+            # it is still ahead; otherwise the wire is free already.
+            self._free = None
+            if not topo.sim.claim(free, self._service):
+                self._busy = False
+        if not self._busy:
             self._service()
         return True
 
@@ -371,35 +390,43 @@ class OutPort:
         return entry
 
     def _service(self) -> None:
-        if not self.queue:
-            self.busy = False
-            return
-        self.busy = True
+        """Serve the next queued frame (the queue is non-empty).
+
+        As on a NIC (:meth:`~repro.nic.base.BaseNic._tx_next`), the
+        next service is scheduled only if a frame is waiting when the
+        wire frees; otherwise only its key is reserved and
+        :meth:`enqueue` schedules it if a frame arrives first.
+        """
+        self._busy = True
         frame, dst_key, _ = self._pick()
         self.serviced += 1
         link = self.link
         tx_time = frame.wire_len * 8.0 / link.bandwidth
         extra_delay = 0.0
+        dropped = False
         if link.fault_plane is not None:
-            drop, extra_delay, dup = \
+            dropped, extra_delay, dup = \
                 link.fault_plane.link_disposition(frame)
-            if drop:
+            if dropped:
                 link.drops_fault += 1
                 self.topology._count_drop("fault", frame)
-                self.topology.sim.schedule_detached(tx_time,
-                                                    self._service)
-                return
-            if dup is not None and len(self.queue) < self.capacity:
+            elif dup is not None and len(self.queue) < self.capacity:
                 self.topology.dup_frames += 1
                 self.queue.append((dup, dst_key, self.classify(dup)))
                 self.topology._in_flight += 1
-        link.frames += 1
-        # The topology decides whether the hop stays local or crosses
-        # a shard boundary; the call is synchronous so the owned-case
-        # schedule order is identical to scheduling _arrive inline.
-        self.topology._transmit(self, frame, dst_key, tx_time,
-                                extra_delay)
-        self.topology.sim.schedule_detached(tx_time, self._service)
+        if not dropped:
+            link.frames += 1
+            # The topology decides whether the hop stays local or
+            # crosses a shard boundary; the call is synchronous so the
+            # owned-case schedule order is identical to scheduling
+            # _arrive inline.
+            self.topology._transmit(self, frame, dst_key, tx_time,
+                                    extra_delay)
+        sim = self.topology.sim
+        if self.queue:
+            sim.schedule_detached(tx_time, self._service)
+        else:
+            self._free = sim.reserve(sim.now + tx_time)
 
 
 class Switch:

@@ -34,6 +34,9 @@ class BaseNic:
         self.ifq: Deque[Frame] = deque()
         self.ifq_maxlen = ifq_maxlen
         self._tx_busy = False
+        #: Reserved key of the "wire free" event not scheduled because
+        #: the ifq was empty (see _tx_next), or None.
+        self._tx_free = None
         network.attach(self, self.addr)
 
         self.tx_frames = 0
@@ -62,20 +65,35 @@ class BaseNic:
         if trace.enabled:
             trace.pkt_enqueue("ifq", flow_of(frame.packet))
         self.ifq.append(frame)
+        free = self._tx_free
+        if free is not None:
+            # Schedule the service at the reserved wire-free key if
+            # it is still ahead; otherwise the wire is free already.
+            self._tx_free = None
+            if not self.sim.claim(free, self._tx_next):
+                self._tx_busy = False
         if not self._tx_busy:
             self._tx_next()
         return True
 
     def _tx_next(self) -> None:
-        if not self.ifq:
-            self._tx_busy = False
-            return
+        """Put the head of the (non-empty) ifq on the wire.
+
+        The next service is scheduled when the wire frees only if a
+        frame is waiting.  Otherwise the wire-free event would just
+        mark the NIC idle, so only its key is reserved, and
+        :meth:`transmit` schedules it under that key if a frame comes
+        first — the eager schedule, without its idle events.
+        """
         self._tx_busy = True
         frame = self.ifq.popleft()
         self.tx_frames += 1
         self.network.send(frame, self.addr)
         tx_time = frame.wire_len * 8.0 / self.network.bandwidth
-        self.sim.schedule_detached(tx_time, self._tx_next)
+        if self.ifq:
+            self.sim.schedule_detached(tx_time, self._tx_next)
+        else:
+            self._tx_free = self.sim.reserve(self.sim.now + tx_time)
 
     # ------------------------------------------------------------------
     # Receive side (implemented by subclasses)

@@ -6,14 +6,19 @@ Commands
     Run an architecture's canonical golden workload with tracing
     enabled and write the full JSONL trace.
 ``digest``
-    Print the digest (counts + order hash) of a canonical run.
+    Print the digest of a canonical run: the behaviour digest (counts
+    + order hash over every non-engine record) and the engine-event
+    count.
 ``check``
     Re-run every golden workload and compare against the digests
-    checked into ``tests/golden/``; non-zero exit on drift.
+    checked into ``tests/golden/``; names whether the behaviour
+    digest or the ``engine_events`` count drifted, and exits non-zero
+    for either.
 ``regen``
     Regenerate the golden digest files (after an intentional change).
 ``diff``
-    Compare two JSONL traces and report the first diverging record.
+    Compare two JSONL traces: the first diverging behaviour record,
+    and each side's engine-event count.
 """
 
 from __future__ import annotations
@@ -51,29 +56,35 @@ def _cmd_check(args) -> int:
                   f"run `python -m repro.trace regen`")
             failed = True
             continue
+        exp, act = result["expected"], result["actual"]
         if result["ok"]:
-            print(f"{arch}: OK ({result['actual']['n']} records, "
-                  f"hash {result['actual']['order_hash'][:12]}...)")
-        else:
-            failed = True
-            exp, act = result["expected"], result["actual"]
-            print(f"{arch}: DIGEST DRIFT")
+            print(f"{arch}: OK ({act['n']} records, "
+                  f"hash {act['order_hash'][:12]}..., "
+                  f"{act['engine_events']} engine events)")
+            continue
+        failed = True
+        if not result["behaviour_ok"]:
+            print(f"{arch}: BEHAVIOUR DIGEST DRIFT")
             print(f"  expected: n={exp.get('n')} "
                   f"hash={exp.get('order_hash')}")
             print(f"  actual:   n={act.get('n')} "
                   f"hash={act.get('order_hash')}")
-            drift = {k: (exp.get("counts", {}).get(k, 0),
-                         act.get("counts", {}).get(k, 0))
-                     for k in sorted(set(exp.get("counts", {}))
-                                     | set(act.get("counts", {})))
-                     if exp.get("counts", {}).get(k, 0)
-                     != act.get("counts", {}).get(k, 0)}
-            for etype, (e, a) in drift.items():
-                print(f"  counts[{etype}]: expected {e}, actual {a}")
+            exp_counts = exp.get("counts", {})
+            act_counts = act.get("counts", {})
+            for etype in sorted(set(exp_counts) | set(act_counts)):
+                e, a = exp_counts.get(etype, 0), act_counts.get(etype, 0)
+                if e != a:
+                    print(f"  counts[{etype}]: expected {e}, actual {a}")
             print(f"  to localize: `python -m repro.trace record "
                   f"--arch {arch} -o new.jsonl` against a known-good "
                   f"trace, then `python -m repro.trace diff old.jsonl "
                   f"new.jsonl`")
+        if not result["engine_ok"]:
+            note = (" (behaviour unchanged)" if result["behaviour_ok"]
+                    else "")
+            print(f"{arch}: ENGINE EVENTS DRIFT: expected "
+                  f"{exp.get('engine_events')}, actual "
+                  f"{act['engine_events']}{note}")
     return 1 if failed else 0
 
 
@@ -81,7 +92,8 @@ def _cmd_regen(args) -> int:
     for arch in golden.GOLDEN_ARCHES:
         payload = golden.write_golden(arch, args.golden_dir)
         print(f"{arch}: n={payload['n']} "
-              f"hash={payload['order_hash'][:12]}... -> "
+              f"hash={payload['order_hash'][:12]}... "
+              f"engine_events={payload['engine_events']} -> "
               f"{golden.golden_path(arch, args.golden_dir)}")
     return 0
 

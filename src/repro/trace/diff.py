@@ -3,14 +3,18 @@
 Operates on JSONL trace files (one record per line, as written by
 ``Tracer.dump_jsonl`` / the streaming sink) or on already-loaded
 record dicts.  Used by ``python -m repro.trace diff`` to turn a broken
-golden digest into a pointed answer: *which* event diverged first, and
-what surrounded it.
+golden digest into a pointed answer: *which* behaviour record diverged
+first, and what surrounded it.  Like the golden digests, file diffs
+compare behaviour records only and report the ``engine`` records (one
+per fired heap entry) as a count per side.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.trace.tracer import CAT_ENGINE
 
 
 def load_jsonl(path: str) -> List[Dict[str, Any]]:
@@ -55,8 +59,9 @@ def _fmt(rec: Optional[Dict[str, Any]]) -> str:
         return "<end of trace>"
     args = rec.get("args") or {}
     rendered = " ".join(f"{k}={args[k]}" for k in sorted(args))
+    where = f" [seq {rec['seq']}]" if "seq" in rec else ""
     return (f"t={rec.get('t'):.3f} {rec.get('cat')}/{rec.get('type')} "
-            f"{rendered}")
+            f"{rendered}{where}")
 
 
 def render_divergence(a: List[Dict[str, Any]],
@@ -81,13 +86,30 @@ def render_divergence(a: List[Dict[str, Any]],
     return "\n".join(lines)
 
 
+def split_engine(records: List[Dict[str, Any]]) -> Tuple[
+        List[Dict[str, Any]], int]:
+    """Separate a trace into its behaviour records and the number of
+    ``engine`` records (one per fired heap entry), mirroring the split
+    of :meth:`~repro.trace.tracer.Tracer.digest`."""
+    behaviour = [rec for rec in records if rec.get("cat") != CAT_ENGINE]
+    return behaviour, len(records) - len(behaviour)
+
+
 def diff_files(path_a: str, path_b: str, context: int = 3) -> Tuple[
         Optional[int], str]:
-    """Compare two JSONL trace files; returns (divergence index or
-    None, rendered report)."""
-    a = load_jsonl(path_a)
-    b = load_jsonl(path_b)
+    """Compare two JSONL trace files on their behaviour records.
+
+    Returns (index of the first diverging behaviour record or None,
+    rendered report).  Engine records never count as a divergence —
+    two runs of one behaviour may fire different numbers of events —
+    but the report states each side's engine-event count.
+    """
+    a, engine_a = split_engine(load_jsonl(path_a))
+    b, engine_b = split_engine(load_jsonl(path_b))
     index = first_divergence(a, b)
     report = render_divergence(a, b, index, context=context,
                                name_a=path_a, name_b=path_b)
+    verdict = "same" if engine_a == engine_b else "differ"
+    report += (f"\nengine events ({verdict}): {path_a}: {engine_a}, "
+               f"{path_b}: {engine_b}")
     return index, report

@@ -19,9 +19,13 @@ pinning every record, every argument, and all cross-timestamp order.
 Multi-shard parity with the one-shard run is asserted on this digest
 (and on the per-event-type counts, which are order-free).
 
-Records leave each shard as plain ``(t, etype, canonical)`` tuples —
-``canonical`` is :meth:`TraceRecord.canonical`, the exact string the
-digests hash.
+Like :meth:`Tracer.digest`, the parity digest is a *behaviour*
+digest: ``engine`` records (one per fired heap entry) never leave a
+shard, because a shard stops any run-ahead at its sync window and so
+legitimately fires a shard-count-dependent number of events for the
+same behaviour.  Records leave each shard as plain
+``(t, etype, canonical)`` tuples — ``canonical`` is
+:meth:`TraceRecord.canonical`, the exact string the digests hash.
 """
 
 from __future__ import annotations
@@ -30,14 +34,17 @@ import hashlib
 from heapq import merge as _heap_merge
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.trace.tracer import CAT_ENGINE
+
 #: One shipped trace record: (timestamp, event type, canonical line).
 ShippedRecord = Tuple[float, str, str]
 
 
 def shipped_records(tracer) -> List[ShippedRecord]:
-    """Reduce a tracer's buffered records to shippable tuples."""
+    """Reduce a tracer's buffered behaviour records (everything but
+    the ``engine`` category) to shippable tuples."""
     return [(rec.t, rec.etype, rec.canonical())
-            for rec in tracer.records()]
+            for rec in tracer.records() if rec.cat != CAT_ENGINE]
 
 
 def merge_records(per_shard: Sequence[Sequence[ShippedRecord]]
@@ -58,8 +65,9 @@ def merge_records(per_shard: Sequence[Sequence[ShippedRecord]]
 
 
 def parity_digest(records: Sequence[ShippedRecord]) -> Dict[str, Any]:
-    """The timestamp-canonical digest: invariant to the interleave of
-    same-timestamp records, sensitive to everything else."""
+    """The timestamp-canonical behaviour digest of shipped records:
+    invariant to the interleave of same-timestamp records, sensitive
+    to everything else."""
     counts: Dict[str, int] = {}
     lines: List[str] = []
     group: List[str] = []

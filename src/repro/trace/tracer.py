@@ -256,20 +256,33 @@ class Tracer:
         return n
 
     def digest(self) -> Dict[str, Any]:
-        """Reduce the buffered trace to a stable digest: per-event-type
-        counts plus an order-sensitive SHA-256 over the canonical
-        rendering of every record."""
+        """Reduce the buffered trace to a stable digest.
+
+        The *behaviour* digest — ``n``, per-event-type ``counts`` and
+        an order-sensitive SHA-256 over the canonical rendering of
+        every record — covers all records except the ``engine``
+        category.  Those say only how many heap entries the simulator
+        fired to produce the behaviour; they are reported apart as
+        the exact cost counter ``engine_events``, so an engine change
+        that does the same work with fewer events leaves the
+        behaviour digest byte-identical.
+        """
         counts: Dict[str, int] = {}
         hasher = hashlib.sha256()
         n = 0
+        engine = 0
         for rec in self._buf:
+            if rec.cat == CAT_ENGINE:
+                engine += 1
+                continue
             counts[rec.etype] = counts.get(rec.etype, 0) + 1
             hasher.update(rec.canonical().encode("utf-8"))
             hasher.update(b"\n")
             n += 1
         return {"n": n,
                 "counts": dict(sorted(counts.items())),
-                "order_hash": hasher.hexdigest()}
+                "order_hash": hasher.hexdigest(),
+                "engine_events": engine}
 
 
 #: Shared disabled tracer: the default for every Simulator, so call

@@ -1,0 +1,320 @@
+"""The engine's event-elision primitives and the lazy transmit path.
+
+``Simulator.advance_to`` lets the CPU end consecutive slices without
+one heap entry each; ``reserve``/``claim``/``passed`` let a NIC or a
+switch port skip its "wire free" event when nothing is queued.  Both
+must leave the schedule exactly as the eager event-per-step engine
+had it, so the tests below pin the primitives' edges (drain limit,
+heap head, same-time ties) and compare the lazy transmit path with an
+eager reference frame by frame.
+"""
+
+import pytest
+
+from repro.engine.simulator import SimulationError, Simulator
+from repro.net.addr import IPAddr
+from repro.net.ip import IPPROTO_UDP, IpPacket
+from repro.net.link import Network
+from repro.net.packet import Frame
+from repro.net.topology import OutPort, passthrough_spec
+from repro.net.udp import UdpDatagram
+from repro.nic.base import BaseNic
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - minimal environments
+    HAVE_HYPOTHESIS = False
+
+needs_hypothesis = pytest.mark.skipif(
+    not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+
+
+# ----------------------------------------------------------------------
+# advance_to
+# ----------------------------------------------------------------------
+def test_advance_to_needs_a_running_drain():
+    sim = Simulator()
+    assert not sim.advance_to(5.0)
+    assert sim.now == 0.0
+
+
+def test_advance_to_stops_short_of_the_heap_head_and_the_limit():
+    sim = Simulator()
+    seen = []
+
+    def step():
+        seen.append((sim.advance_to(10.0), sim.now))
+        # An event is due at 20: running ahead onto it, or past it,
+        # would fire work out of order.
+        seen.append((sim.advance_to(20.0), sim.now))
+        seen.append((sim.advance_to(15.0), sim.now))
+
+    sim.schedule(1.0, step)
+    sim.schedule(20.0, lambda: seen.append(
+        (sim.advance_to(60.0), sim.now)))
+    sim.run_until(50.0)
+    assert seen == [(True, 10.0), (False, 10.0), (True, 15.0),
+                    (False, 20.0)]
+    # Run-aheads are not fired events.
+    assert sim.events_processed == 2
+    assert sim.now == 50.0
+
+
+def test_advance_to_respects_run_events_before_bound():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.extend(
+        [sim.advance_to(9.0), sim.advance_to(10.0)]))
+    sim.run_events_before(10.0)
+    assert seen == [True, False]
+    assert sim.now == 9.0
+
+
+def test_advance_to_skips_cancelled_heads():
+    sim = Simulator()
+    seen = []
+    doomed = sim.schedule(5.0, lambda: seen.append("doomed"))
+    sim.schedule(1.0, lambda: seen.append(sim.advance_to(8.0)))
+    doomed.cancel()
+    sim.run_until(10.0)
+    assert seen == [True]
+
+
+def test_capped_and_stopped_drains_do_not_run_ahead():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.advance_to(2.0)))
+    sim.run(max_events=1)
+
+    def stop_then_try():
+        sim.stop()
+        seen.append(sim.advance_to(4.0))
+
+    sim.schedule(1.0, stop_then_try)
+    sim.run()
+    assert seen == [False, False]
+
+
+# ----------------------------------------------------------------------
+# reserve / claim / passed
+# ----------------------------------------------------------------------
+def test_claimed_key_fires_where_the_eager_event_would():
+    sim = Simulator()
+    order = []
+    sim.schedule(10.0, order.append, "before")
+    key = sim.reserve(10.0)
+    sim.schedule(10.0, order.append, "after")
+    sim.schedule(2.0, lambda: order.append(
+        sim.claim(key, order.append, "claimed")))
+    sim.run_until(20.0)
+    assert order == [True, "before", "claimed", "after"]
+
+
+def test_passed_orders_same_time_keys_by_sequence():
+    sim = Simulator()
+    log = []
+    sim.schedule(10.0, lambda: log.append(("early", sim.passed(key))))
+    key = sim.reserve(10.0)
+    sim.schedule(10.0, lambda: log.append(("late", sim.passed(key))))
+    sim.schedule(5.0, lambda: log.append(("before", sim.passed(key))))
+    sim.run_until(10.0)
+    log.append(("drained", sim.passed(key)))
+    assert log == [("before", False), ("early", False), ("late", True),
+                   ("drained", True)]
+    assert not sim.claim(key, log.append, "never")
+    sim.run_until(30.0)
+    assert "never" not in log
+
+
+def test_run_ahead_takes_the_sequence_number_of_the_elided_event():
+    """A run-ahead stands in for an event scheduled when it is taken:
+    keys reserved before it have passed at its instant, keys reserved
+    after it have not."""
+    sim = Simulator()
+    log = []
+
+    def step():
+        early = sim.reserve(7.0)
+        assert sim.advance_to(7.0)
+        late = sim.reserve(7.0)
+        log.extend([sim.passed(early), sim.passed(late)])
+
+    sim.schedule(1.0, step)
+    sim.run_until(10.0)
+    assert log == [True, False]
+
+
+def test_reserve_rejects_the_past():
+    sim = Simulator()
+    sim.run_until(5.0)
+    with pytest.raises(SimulationError):
+        sim.reserve(4.0)
+
+
+# ----------------------------------------------------------------------
+# Lazy transmit versus the eager reference
+# ----------------------------------------------------------------------
+def make_frame(index, dst="10.0.0.1"):
+    dgram = UdpDatagram(20000, 9000, payload_len=14 + index % 3,
+                        checksum_enabled=False)
+    packet = IpPacket(IPAddr("10.0.0.2"), IPAddr(dst), IPPROTO_UDP,
+                      dgram, dgram.total_len)
+    packet.ident = index
+    return Frame(packet)
+
+
+class Sink:
+    def __init__(self, sim, log):
+        self.sim = sim
+        self.log = log
+
+    def receive_frame(self, frame):
+        self.log.append(("rx", self.sim.now, frame.packet.ident))
+
+
+class LazyNic(BaseNic):
+    """The NIC transmit path as shipped (BaseNic is abstract only on
+    the receive side)."""
+
+
+class EagerNic(BaseNic):
+    """The transmit path with one "wire free" event per frame."""
+
+    def _tx_next(self):
+        if not self.ifq:
+            self._tx_busy = False
+            return
+        self._tx_busy = True
+        frame = self.ifq.popleft()
+        self.tx_frames += 1
+        self.network.send(frame, self.addr)
+        tx_time = frame.wire_len * 8.0 / self.network.bandwidth
+        self.sim.schedule_detached(tx_time, self._tx_next)
+
+
+def eager_service(port):
+    """OutPort._service with one "wire free" event per frame (for a
+    link without a fault plane)."""
+    if not port.queue:
+        port._busy = False
+        return
+    port._busy = True
+    frame, dst_key, _ = port._pick()
+    port.serviced += 1
+    link = port.link
+    tx_time = frame.wire_len * 8.0 / link.bandwidth
+    link.frames += 1
+    port.topology._transmit(port, frame, dst_key, tx_time, 0.0)
+    port.topology.sim.schedule_detached(tx_time, port._service)
+
+
+def drive(send, sim, plan, log, bandwidth):
+    """Replay *plan*: each step sends a burst, and schedules the next
+    step a whole number of frame times later (plus *jitter*) — either
+    before or after sending, so same-time ties with the wire-free
+    instant fall on both sides of its reserved sequence number."""
+    tx = make_frame(0).wire_len * 8.0 / bandwidth
+    counter = iter(range(10_000))
+
+    def step(index):
+        if index >= len(plan):
+            return
+        burst, units, jitter, schedule_first = plan[index]
+
+        def chain():
+            sim.schedule(units * tx + jitter, step, index + 1)
+
+        if schedule_first:
+            chain()
+        for _ in range(burst):
+            frame_id = next(counter)
+            log.append(("tx", sim.now, frame_id,
+                        send(make_frame(frame_id))))
+        if not schedule_first:
+            chain()
+
+    sim.schedule(100.0, step, 0)
+
+
+def log_wire(net, method, sim, log):
+    """Log every frame put on a wire, in call order: a service run
+    inline instead of from its event (or the reverse) reorders these
+    entries against the sender's."""
+    inner = getattr(net, method)
+
+    def logged(*args):
+        frame = args[1] if method == "_transmit" else args[0]
+        log.append(("wire", sim.now, frame.packet.ident))
+        return inner(*args)
+    setattr(net, method, logged)
+
+
+def run_nic(nic_cls, plan):
+    """A NIC on the flat LAN sending to a sink."""
+    sim = Simulator(seed=1)
+    net = Network(sim)
+    log = []
+    net.attach(Sink(sim, log), "10.0.0.1")
+    nic = nic_cls(sim, net, "10.0.0.2")
+    log_wire(net, "send", sim, log)
+    drive(nic.transmit, sim, plan, log, net.bandwidth)
+    sim.run_until(1_000_000.0)
+    return log, sim.events_processed
+
+
+def run_port(plan):
+    """Frames through two switched output ports: the client's access
+    link, then the switch's port toward the server."""
+    sim = Simulator(seed=1)
+    topo = passthrough_spec().build(sim)
+    log = []
+    topo.attach(Sink(sim, log), "10.0.0.1")
+    log_wire(topo, "_transmit", sim, log)
+    drive(lambda frame: topo.send(frame, "10.0.0.2"), sim, plan, log,
+          topo.bandwidth)
+    sim.run_until(1_000_000.0)
+    assert not any(port.busy for port in topo._ports.values())
+    return log, sim.events_processed
+
+
+def assert_lazy_matches_eager(plan):
+    lazy, lazy_events = run_nic(LazyNic, plan)
+    eager, eager_events = run_nic(EagerNic, plan)
+    assert lazy == eager
+    assert lazy_events <= eager_events
+
+    lazy, lazy_events = run_port(plan)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OutPort, "_service", eager_service)
+        eager, eager_events = run_port(plan)
+    assert lazy == eager
+    assert lazy_events <= eager_events
+
+
+#: Steps exactly one frame time apart, scheduled on both sides of the
+#: wire-free reservation (a step scheduled after an idle wire's send
+#: reserves, or before a busy wire's), plus bursts that queue behind
+#: the wire.
+TIE_PLAN = [(1, 1, 0.0, True), (1, 1, 0.0, False), (2, 1, 0.0, True),
+            (1, 2, 0.0, False), (3, 0, 0.25, True), (1, 1, 0.0, False),
+            (1, 5, 0.0, True), (1, 1, 0.0, True), (1, 3, 0.0, True),
+            (1, 1, 0.0, False), (1, 1, 0.0, True)]
+
+
+def test_lazy_transmit_matches_eager_on_ties():
+    assert_lazy_matches_eager(TIE_PLAN)
+
+
+if HAVE_HYPOTHESIS:
+    steps = st.tuples(st.integers(0, 3),
+                      st.sampled_from([0, 1, 1, 1, 2, 3]),
+                      st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.75]),
+                      st.booleans())
+
+    @needs_hypothesis
+    @settings(max_examples=80, deadline=None)
+    @given(plan=st.lists(steps, min_size=1, max_size=25))
+    def test_lazy_transmit_matches_eager(plan):
+        assert_lazy_matches_eager(plan)

@@ -2,11 +2,12 @@
 
 Three claims from docs/PDES.md are pinned here:
 
-1. one shard is the *unsharded* engine — its raw trace digest is
-   byte-identical to the committed golden files;
+1. one shard is the *unsharded* engine — its behaviour digest is
+   byte-identical to the committed golden files, and it fires exactly
+   their ``engine_events``;
 2. multi-shard runs are trace-equivalent to one-shard runs (the
-   timestamp-canonical parity digest and the per-event-type counts
-   match exactly), for the plain, the gateway-cycle, and the
+   timestamp-canonical behaviour parity digest and the per-event-type
+   counts match exactly), for the plain, the gateway-cycle, and the
    fault-injected cluster workloads;
 3. experiment results built on the engine are shard-count invariant
    dict-for-dict, and a multi-shard point runs every shard in this
@@ -43,6 +44,8 @@ def test_one_shard_reproduces_committed_golden(key):
     assert run.trace_digest["order_hash"] == committed["order_hash"]
     assert run.trace_digest["n"] == committed["n"]
     assert run.trace_digest["counts"] == committed["counts"]
+    assert run.trace_digest["engine_events"] == committed["engine_events"]
+    assert run.events == committed["engine_events"]
 
 
 @pytest.mark.parametrize("key", golden.CLUSTER_KEYS)
@@ -51,8 +54,11 @@ def test_multi_shard_parity_with_one_shard(key, shards):
     one = run_sharded(key, shards=1, duration=SHORT_USEC)
     many = run_sharded(key, shards=shards, duration=SHORT_USEC)
     assert many.parity == one.parity
-    assert sum(many.per_shard_events) == one.events
-    many.total_conservation()  # raises if any ledger is unbalanced
+    # Engine events are not compared: CPU run-ahead stops at every
+    # sync window, so their number depends on the shard count.  The
+    # frames on the wire do not.
+    total = many.total_conservation()  # raises if a ledger is unbalanced
+    assert total["sent"] == one.total_conservation()["sent"]
 
 
 def test_cross_shard_ledger_balances():
@@ -65,18 +71,20 @@ def test_cross_shard_ledger_balances():
 class TestExperimentInvariance:
     """Experiment points report identical dicts at any shard count.
 
-    The ``sync`` entry (round/grant/channel counters) legitimately
-    depends on the shard count, so it is compared for presence and
-    then excluded from the equality check.
+    The ``sync`` entry (round/grant/channel counters) and the engine
+    ``events`` count (CPU run-ahead stops at every sync window)
+    legitimately depend on the shard count, so they are compared for
+    presence and then excluded from the equality check.
     """
 
     KW = dict(duration_usec=120_000.0, warmup_usec=30_000.0)
 
     @staticmethod
     def _strip_sync(point):
-        assert "sync" in point
+        assert "sync" in point and "events" in point
         point = dict(point)
         point.pop("sync")
+        point.pop("events")
         return point
 
     def test_incast_point(self):

@@ -1,0 +1,66 @@
+"""Exact cost counters of a short Figure-3 point, per architecture.
+
+Behaviour is pinned by the golden digests and the perfbench outputs;
+this gate pins what the behaviour costs the simulator.  For each of
+the seven receive architectures (Early-Demux included, which has no
+golden), one 80 ms Figure-3 point at 20k pkts/s and seed 1 must fire
+exactly ``events`` heap entries, run exactly ``slices`` CPU slices
+over all cores, and put exactly ``frames`` frames on the fabric.
+
+``slices`` and ``frames`` measure simulated work and must not move
+unless the model changes.  ``events`` is an engine cost: a change
+that removes events for the same behaviour lowers it here.
+"""
+
+import pytest
+
+from repro.core import Architecture
+from repro.engine import world as world_module
+from repro.experiments import figure3
+
+#: (architecture, server cores, flows): the perfbench udp_blast shapes.
+SHAPES = {
+    Architecture.BSD: (1, 1),
+    Architecture.NI_LRP: (1, 1),
+    Architecture.SOFT_LRP: (1, 1),
+    Architecture.EARLY_DEMUX: (1, 1),
+    Architecture.RSS: (4, 4),
+    Architecture.POLLING: (2, 2),
+    Architecture.NIC_OS: (4, 4),
+}
+
+#: Pinned at seed 1.  Events before CPU slice run-ahead and lazy
+#: transmit-done events, for reference: 5228, 5345, 4540, 4128, 7431,
+#: 17884, 5320.
+PINNED = {
+    Architecture.BSD: dict(events=3520, slices=2834, frames=600),
+    Architecture.NI_LRP: dict(events=4094, slices=1710, frames=600),
+    Architecture.SOFT_LRP: dict(events=2989, slices=2093, frames=600),
+    Architecture.EARLY_DEMUX: dict(events=2724, slices=1731, frames=600),
+    Architecture.RSS: dict(events=5944, slices=4750, frames=597),
+    Architecture.POLLING: dict(events=5965, slices=14905, frames=599),
+    Architecture.NIC_OS: dict(events=4071, slices=1699, frames=597),
+}
+
+
+@pytest.mark.parametrize("arch", list(SHAPES), ids=lambda a: a.value)
+def test_figure3_point_costs_are_pinned(arch, monkeypatch):
+    worlds = []
+    build = world_module.World.__init__
+
+    def capture(world, *args, **kwargs):
+        build(world, *args, **kwargs)
+        worlds.append(world)
+
+    monkeypatch.setattr(world_module.World, "__init__", capture)
+    cores, flows = SHAPES[arch]
+    point = figure3.run_point(arch, 20_000.0, warmup_usec=20_000.0,
+                              window_usec=60_000.0, seed=1,
+                              cores=cores, flows=flows)
+    [world] = worlds
+    costs = dict(
+        events=point["events"],
+        slices=sum(cpu.slices for host in world.hosts
+                   for cpu in host.kernel.cpus),
+        frames=world.network.conservation()["sent"])
+    assert costs == PINNED[arch]

@@ -81,19 +81,41 @@ def _write_jsonl(path, records):
 
 
 def test_diff_files_localizes_perturbation(tmp_path):
-    """Acceptance criterion: perturbing one record of a golden trace
-    and diffing reports exactly that record."""
+    """Acceptance criterion: perturbing one behaviour record of a
+    golden trace and diffing reports exactly that record."""
     tracer = golden.run_golden_workload("bsd")
     a_path = str(tmp_path / "a.jsonl")
     b_path = str(tmp_path / "b.jsonl")
     tracer.dump_jsonl(a_path)
     records = load_jsonl(a_path)
-    target = len(records) // 2
-    records[target]["args"]["perturbed"] = True
+    behaviour = [rec for rec in records if rec["cat"] != "engine"]
+    target = len(behaviour) // 2
+    behaviour[target]["args"]["perturbed"] = True
     _write_jsonl(b_path, records)
     index, report = diff_files(a_path, b_path)
     assert index == target
     assert f"first divergence at record #{target}" in report
+    assert f"[seq {behaviour[target]['seq']}]" in report
+
+
+def test_diff_files_ignores_engine_records_but_counts_them(tmp_path):
+    """Two traces of one behaviour that fired different numbers of
+    engine events are identical to ``diff``; the report gives each
+    side's engine-event count."""
+    tracer = golden.run_golden_workload("bsd")
+    a_path = str(tmp_path / "a.jsonl")
+    b_path = str(tmp_path / "b.jsonl")
+    tracer.dump_jsonl(a_path)
+    records = load_jsonl(a_path)
+    engine = [i for i, rec in enumerate(records) if rec["cat"] == "engine"]
+    assert engine
+    del records[engine[0]]
+    _write_jsonl(b_path, records)
+    index, report = diff_files(a_path, b_path)
+    assert index is None
+    assert "traces identical" in report
+    assert (f"engine events (differ): {a_path}: {len(engine)}, "
+            f"{b_path}: {len(engine) - 1}") in report
 
 
 def test_cli_diff_exit_codes(tmp_path, capsys):
@@ -132,8 +154,29 @@ def test_cli_check_fails_on_drift(tmp_path, capsys):
         json.dump(payload, f)
     assert trace_main(["check", "--golden-dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "bsd: DIGEST DRIFT" in out
+    assert "bsd: BEHAVIOUR DIGEST DRIFT" in out
     assert "counts[pkt_enqueue]" in out
+    assert "ENGINE EVENTS DRIFT" not in out
+
+
+def test_cli_check_fails_on_engine_event_drift(tmp_path, capsys):
+    """An engine-event count that moved with the behaviour unchanged
+    is still a failure, and the report says which half drifted."""
+    for arch in golden.GOLDEN_ARCHES:
+        golden.write_golden(arch, str(tmp_path))
+    path = golden.golden_path("polling", str(tmp_path))
+    with open(path) as f:
+        payload = json.load(f)
+    actual = payload["engine_events"]
+    payload["engine_events"] += 7
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    assert trace_main(["check", "--golden-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert (f"polling: ENGINE EVENTS DRIFT: expected {actual + 7}, "
+            f"actual {actual} (behaviour unchanged)") in out
+    assert "BEHAVIOUR DIGEST DRIFT" not in out
+    assert "bsd: OK" in out
 
 
 def test_cli_record_writes_jsonl(tmp_path, capsys):
@@ -148,4 +191,6 @@ def test_cli_digest_prints_json(capsys):
     assert trace_main(["digest", "--arch", "bsd"]) == 0
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["arch"] == "bsd"
-    assert set(payload) >= {"workload", "n", "counts", "order_hash"}
+    assert set(payload) >= {"workload", "n", "counts", "order_hash",
+                            "engine_events"}
+    assert "event_fired" not in payload["counts"]

@@ -136,6 +136,22 @@ def test_digest_is_stable_and_order_sensitive():
     assert d1["order_hash"] != d3["order_hash"]  # ...different order
 
 
+def test_digest_counts_engine_records_apart():
+    """Engine records stay out of the behaviour digest and are
+    counted as ``engine_events`` instead."""
+    plain = Tracer()
+    plain.pkt_enqueue("q", "f")
+    busy = Tracer()
+    busy.event_fired("a")
+    busy.pkt_enqueue("q", "f")
+    busy.event_fired("b")
+    d_plain, d_busy = plain.digest(), busy.digest()
+    assert d_plain["engine_events"] == 0
+    assert d_busy["engine_events"] == 2
+    d_busy["engine_events"] = 0
+    assert d_busy == d_plain
+
+
 def test_digest_ignores_seq_numbers():
     t1 = Tracer()
     t1.pkt_enqueue("q", "f")
