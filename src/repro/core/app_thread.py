@@ -37,46 +37,58 @@ from repro.engine.process import Block, Compute, WaitChannel
 from repro.host.scheduler import PUSER
 
 
-class AppProcessor:
-    """The dedicated TCP protocol-processing kernel process."""
+class _AppThread:
+    """One APP thread: a de-duplicated queue of ``(socket, kind)`` work
+    items, each run at the priority of the socket's owner and charged
+    to it.  A thread built for one *owner* serves only that
+    application; without one it serves every socket, mirroring each
+    item's owner in turn."""
 
-    def __init__(self, stack, name: str = "tcp-app"):
+    def __init__(self, stack, name: str, working_set_kb: float,
+                 parent, owner=None):
         self.stack = stack
+        #: Holds the ``segments_processed`` count (and, for per-owner
+        #: threads, the ``retire`` callback).
+        self.parent = parent
+        self.owner = owner
         self.wchan = WaitChannel(name)
-        self._pending: Deque[Tuple[object, str]] = deque()
-        self._queued: Set[Tuple[int, str]] = set()
-        self.segments_processed = 0
+        self.pending: Deque[Tuple[object, str]] = deque()
+        self.queued: Set[Tuple[int, str]] = set()
         self.proc = stack.kernel.spawn(name, self._main(),
-                                       working_set_kb=16.0)
+                                       working_set_kb=working_set_kb)
         #: Priority is mirrored from socket owners, never derived from
         #: the APP thread's own (redirected) usage.
         self.proc.fixed_priority = True
+        if owner is not None:
+            self.proc.charge_to = owner
+            self.proc.usrpri = owner.usrpri
 
-    # ------------------------------------------------------------------
     def notify(self, sock, kind: str = "input") -> None:
-        """Enqueue work for *sock*; wakes the APP process if idle.
-        Safe to call from interrupt context."""
+        """Enqueue work for *sock*; wakes the thread if idle.  Safe to
+        call from interrupt context."""
         key = (sock.id, kind)
-        if key not in self._queued:
-            self._queued.add(key)
-            self._pending.append((sock, kind))
+        if key not in self.queued:
+            self.queued.add(key)
+            self.pending.append((sock, kind))
         self.stack.kernel.wake_one(self.wchan)
 
-    @property
-    def backlog(self) -> int:
-        return len(self._pending)
-
-    # ------------------------------------------------------------------
     def _main(self):
         stack = self.stack
         proc = self.proc
+        pinned = self.owner
         while True:
-            if not self._pending:
+            if pinned is not None and not pinned.alive:
+                # The application exited; drain quietly and retire.
+                self.parent.retire(pinned)
+                return
+            if not self.pending:
+                if pinned is not None:
+                    proc.usrpri = pinned.usrpri  # stay at owner's priority
                 yield Block(self.wchan)
                 continue
-            sock, kind = self._pending.popleft()
-            self._queued.discard((sock.id, kind))
-            owner = sock.owner
+            sock, kind = self.pending.popleft()
+            self.queued.discard((sock.id, kind))
+            owner = pinned if pinned is not None else sock.owner
             mirror = owner is not None and owner.alive
             if mirror:
                 proc.charge_to = owner
@@ -86,7 +98,7 @@ class AppProcessor:
                     channel = sock.channel
                     while channel is not None and len(channel):
                         packet = channel.pop()
-                        self.segments_processed += 1
+                        self.parent.segments_processed += 1
                         yield Compute(stack.channel_pop_cost)
                         yield from stack.tcp_input_gen(sock, packet)
                         if mirror and owner.alive:
@@ -96,58 +108,21 @@ class AppProcessor:
                 else:
                     yield from stack.tcp_timer_gen(sock, kind)
             finally:
-                proc.charge_to = None
-                proc.usrpri = PUSER
+                if pinned is None:
+                    proc.charge_to = None
+                    proc.usrpri = PUSER
 
 
-class _PerOwnerThread:
-    """One application's APP thread (lazily created)."""
+class AppProcessor(_AppThread):
+    """The dedicated TCP protocol-processing kernel process."""
 
-    def __init__(self, parent: "PerProcessAppProcessor", owner):
-        self.parent = parent
-        self.owner = owner
-        self.wchan = WaitChannel(f"app-{owner.name}")
-        self.pending: Deque[Tuple[object, str]] = deque()
-        self.queued: Set[Tuple[int, str]] = set()
-        self.proc = parent.stack.kernel.spawn(
-            f"app-{owner.name}", self._main(), working_set_kb=4.0)
-        self.proc.fixed_priority = True
-        self.proc.charge_to = owner
-        self.proc.usrpri = owner.usrpri
+    def __init__(self, stack, name: str = "tcp-app"):
+        self.segments_processed = 0
+        super().__init__(stack, name, 16.0, parent=self)
 
-    def notify(self, sock, kind: str) -> None:
-        key = (sock.id, kind)
-        if key not in self.queued:
-            self.queued.add(key)
-            self.pending.append((sock, kind))
-        self.parent.stack.kernel.wake_one(self.wchan)
-
-    def _main(self):
-        stack = self.parent.stack
-        proc = self.proc
-        owner = self.owner
-        while True:
-            if not owner.alive:
-                # The application exited; drain quietly and retire.
-                self.parent.retire(owner)
-                return
-            if not self.pending:
-                proc.usrpri = owner.usrpri  # stay at owner's priority
-                yield Block(self.wchan)
-                continue
-            sock, kind = self.pending.popleft()
-            self.queued.discard((sock.id, kind))
-            proc.usrpri = owner.usrpri
-            if kind == "input":
-                channel = sock.channel
-                while channel is not None and len(channel):
-                    packet = channel.pop()
-                    self.parent.segments_processed += 1
-                    yield Compute(stack.channel_pop_cost)
-                    yield from stack.tcp_input_gen(sock, packet)
-                    proc.usrpri = owner.usrpri
-            else:
-                yield from stack.tcp_timer_gen(sock, kind)
+    @property
+    def backlog(self) -> int:
+        return len(self.pending)
 
 
 class PerProcessAppProcessor:
@@ -162,7 +137,7 @@ class PerProcessAppProcessor:
 
     def __init__(self, stack, name: str = "tcp-app"):
         self.stack = stack
-        self._threads: Dict[int, _PerOwnerThread] = {}
+        self._threads: Dict[int, _AppThread] = {}
         self.segments_processed = 0
         #: Kept for interface parity with AppProcessor (the prototype
         #: exposes its single kernel process).
@@ -182,7 +157,8 @@ class PerProcessAppProcessor:
             return
         thread = self._threads.get(owner.pid)
         if thread is None:
-            thread = _PerOwnerThread(self, owner)
+            thread = _AppThread(self.stack, f"app-{owner.name}", 4.0,
+                                parent=self, owner=owner)
             self._threads[owner.pid] = thread
         thread.notify(sock, kind)
 

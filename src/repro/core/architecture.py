@@ -14,7 +14,7 @@ from repro.engine.simulator import Simulator
 from repro.host.costs import DEFAULT_COSTS, CostModel
 from repro.host.kernel import Kernel
 from repro.net.link import Network
-from repro.nic.demux import DEFAULT_RSS_SEED, DemuxTable
+from repro.nic.demux import DemuxTable
 from repro.nic.polling import PollingNic
 from repro.nic.programmable import AgentNic, ProgrammableNic
 from repro.nic.simple import SimpleNic
@@ -123,15 +123,11 @@ def build_host(sim: Simulator, network: Network, addr,
         demux_table = DemuxTable()
         nic = AgentNic(sim, network, addr, demux_table,
                        demux_cost=costs.ni_demux,
-                       service_gap=costs.ni_service_gap,
-                       admit_rate_pps=stack_kwargs.pop(
-                           "nic_admit_rate_pps", None))
+                       service_gap=costs.ni_service_gap)
         stack = NicOsStack(kernel, nic, addr, demux_table=demux_table,
                            **stack_kwargs)
     elif arch == Architecture.RSS:
-        nic = SimpleNic(sim, network, addr, queues=cores,
-                        rss_seed=stack_kwargs.pop(
-                            "rss_seed", DEFAULT_RSS_SEED))
+        nic = SimpleNic(sim, network, addr, queues=cores)
         stack = RssStack(kernel, nic, addr, **stack_kwargs)
     elif arch == Architecture.POLLING:
         nic = PollingNic(sim, network, addr)

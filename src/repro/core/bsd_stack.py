@@ -50,13 +50,12 @@ class BsdStack(NetworkStack):
 
     arch_name = "4.4BSD"
 
-    def __init__(self, *args, ipq_maxlen: int = IPQ_MAXLEN, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         ncores = self.kernel.ncores
         #: Per-core IP queues and softnet-posted flags, indexed by the
         #: core the receive interrupt arrived on.
         self.ipqs = [deque() for _ in range(ncores)]
-        self.ipq_maxlen = ipq_maxlen
         self._softnet_posted = [False] * ncores
         #: Daemon-bound packets (ICMP etc.) processed in softint too.
         self.icmp_handler = None
@@ -82,7 +81,7 @@ class BsdStack(NetworkStack):
                     trace.pkt_drop("mbufs", flow_of(frame.packet),
                                    reason="pool_exhausted")
                 return
-            if len(ipq) >= self.ipq_maxlen:
+            if len(ipq) >= IPQ_MAXLEN:
                 # The shared-IP-queue drop: any flow can push out the
                 # packets of any other flow on the same core.
                 self.stats.incr("drop_ipq")

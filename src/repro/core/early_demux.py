@@ -45,12 +45,9 @@ class EarlyDemuxStack(LrpStackBase):
     recv_dgram_gen = NetworkStack.recv_dgram_gen
     post_tcp_work = NetworkStack.post_tcp_work
 
-    def __init__(self, *args, **kwargs):
-        # No idle thread, no APP process: processing is eager, never
-        # deferred, exactly as in BSD.
-        kwargs.setdefault("enable_idle_thread", False)
-        kwargs.setdefault("enable_app_thread", False)
-        super().__init__(*args, **kwargs)
+    #: No idle thread, no APP process: processing is eager, never
+    #: deferred, exactly as in BSD.
+    lazy = False
 
     def listener_backlog_changed(self, listener: Socket) -> None:
         """No LRP backlog feedback: SYNs for over-backlog listeners
@@ -65,26 +62,20 @@ class EarlyDemuxStack(LrpStackBase):
         def hw_action() -> None:
             ring_release()
             self.stats.incr("rx_packets")
-            trace = self.sim.trace
-            outcome, channel = self.demux_table.demux(frame.packet)
+            channel = self.soft_demux(frame.packet)
             if channel is None:
-                self.stats.incr("drop_demux_unmatched")
-                if trace.enabled:
-                    trace.pkt_drop("demux", flow_of(frame.packet),
-                                   reason="unmatched")
                 return
             sock = channel.owner_socket
             if (sock is not None and sock.stype == SockType.DGRAM
                     and sock.rcv_dgrams is not None
-                    and len(sock.rcv_dgrams._queue)
-                    >= sock.rcv_dgrams.depth):
+                    and sock.rcv_dgrams.full()):
                 # Early packet discard — but note: only works for
                 # packets that would have entered a data queue.
                 self.stats.incr("drop_early_sockq_full")
                 channel.discarded_full += 1
-                if trace.enabled:
-                    trace.pkt_drop("sockq", flow_of(frame.packet),
-                                   reason="early_sockq_full")
+                if self.sim.trace.enabled:
+                    self.sim.trace.pkt_drop("sockq", flow_of(frame.packet),
+                                            reason="early_sockq_full")
                 return
             cpu.post(IntrTask(self._eager_input(frame.packet), SOFTWARE,
                               "early-demux-input", charge))

@@ -25,51 +25,41 @@ stack; :func:`build_gateway` constructs a two-interface host.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
-from repro.engine.process import Block, Compute, WaitChannel
-from repro.net.addr import IPAddr
 from repro.net.ip import IpPacket
-from repro.net.packet import Frame
-from repro.nic.channels import NiChannel
 from repro.core.architecture import Architecture, Host, build_host
 from repro.core.bsd_stack import BsdStack
 from repro.core.ni_lrp import NiLrpStack
+from repro.core.proxy import ProtocolDaemon
 from repro.core.soft_lrp import SoftLrpStack
 
 
-class ForwardingDaemon:
+class ForwardingDaemon(ProtocolDaemon):
     """The LRP IP-forwarding proxy process (Section 3.5)."""
 
-    def __init__(self, stack, nice: int = 0, channel_depth: int = 50):
-        self.stack = stack
-        self.channel = NiChannel("daemon-ipfwd", depth=channel_depth,
-                                 kind="daemon")
-        self.channel.wait_channel = WaitChannel("daemon-ipfwd")
-        stack.demux_table.forward_channel = self.channel
+    step_costs = ("ip_input", "ip_output")
+
+    def __init__(self, stack, nice: int = 0):
         self.forwarded = 0
         self.dropped_ttl = 0
-        self.proc = stack.kernel.spawn("ipfwdd", self._main(),
-                                       nice=nice, working_set_kb=8.0)
+        super().__init__(stack, None, "ipfwd", nice=nice)
 
-    def _main(self) -> Generator:
+    def _register(self) -> None:
+        """Transit traffic, not one protocol, lands on this channel."""
+        self.stack.demux_table.forward_channel = self.channel
+
+    def _step(self, packet: IpPacket) -> None:
         stack = self.stack
-        costs = stack.costs
-        while True:
-            packet = self.channel.pop()
-            if packet is None:
-                self.channel.interrupts_requested = True
-                yield Block(self.channel.wait_channel)
-                continue
-            yield Compute(costs.ip_input + costs.ip_output)
-            if packet.ttl <= 1:
-                self.dropped_ttl += 1
-                stack.stats.incr("fwd_ttl_expired")
-                continue
-            packet.ttl -= 1
-            stack.forward_packet(packet)
-            self.forwarded += 1
-            stack.stats.incr("ip_forwarded")
+        if packet.ttl <= 1:
+            self.dropped_ttl += 1
+            stack.stats.incr("fwd_ttl_expired")
+            return None
+        packet.ttl -= 1
+        stack.forward_packet(packet)
+        self.forwarded += 1
+        stack.stats.incr("ip_forwarded")
+        return None
 
 
 def enable_forwarding(host: Host, nice: int = 0) -> \

@@ -16,22 +16,25 @@ firmware).  This base class implements:
   receiver's priority (Section 3.4);
 * listener-backlog feedback that disables channel processing so SYN
   floods are shed at the NI channel (Sections 3.4, 4.2);
-* channel notification routing (receiver wakeup with interrupt
-  suppression, APP notification, daemon wakeup).
+* the soft demux function (``soft_demux``, also Early-Demux's) and
+  channel notification routing (``wake_consumer``: receiver wakeup
+  with interrupt suppression, APP notification, daemon wakeup), which
+  NI-LRP's wakeup interrupt shares.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
 from repro.engine.process import Block, Compute, Sleep, SimProcess, WaitChannel
-from repro.net.addr import endpoint
+from repro.net.addr import Endpoint, endpoint
 from repro.net.ip import IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.nic.channels import NiChannel
 from repro.nic.demux import flow_key
 from repro.core.app_thread import AppProcessor, PerProcessAppProcessor
 from repro.core.stack_base import NetworkStack
 from repro.sockets.socket import Socket, SockType
+from repro.trace.tracer import flow_of
 
 #: Poll period of the idle-priority protocol thread, microseconds.
 IDLE_THREAD_POLL = 1_000.0
@@ -40,37 +43,48 @@ IDLE_THREAD_POLL = 1_000.0
 IDLE_THREAD_PRIORITY = 200.0
 
 
+def registration(sock: Socket) -> Tuple[int, Optional[Endpoint]]:
+    """How *sock* is registered for demux: ``(proto, peer)``.  A
+    connected TCP socket has an exact entry for its *peer*; every
+    other endpoint has a wildcard entry on its local port
+    (``peer`` is None)."""
+    if sock.stype == SockType.DGRAM:
+        return IPPROTO_UDP, None
+    return IPPROTO_TCP, sock.peer
+
+
 class LrpStackBase(NetworkStack):
     """Common behaviour of SOFT-LRP and NI-LRP."""
 
+    #: Whether protocol processing is deferred to the receiver: the
+    #: APP process and the idle thread exist only on lazy stacks.
+    lazy = True
+
     def __init__(self, *args, channel_depth: int = 50,
-                 enable_idle_thread: bool = True,
-                 enable_app_thread: bool = True,
                  app_mode: str = "kernel-process", **kwargs):
         super().__init__(*args, **kwargs)
         self.channel_depth = channel_depth
         self.udp_channels: List[NiChannel] = []
         self.demux_table.fragment_channel.kind = "frag"
+        self.app = None
+        self.idle_thread: Optional[SimProcess] = None
+        if not self.lazy:
+            return
         #: Section 3.4 offers two APP placements: the prototype's
         #: single dedicated kernel process, or one thread per
         #: application process (the paper's preferred design).
-        if not enable_app_thread:
-            self.app = None
-        elif app_mode == "kernel-process":
+        if app_mode == "kernel-process":
             self.app = AppProcessor(self)
         elif app_mode == "per-process":
             self.app = PerProcessAppProcessor(self)
         else:
             raise ValueError(f"unknown app_mode {app_mode!r}")
-        self.idle_thread: Optional[SimProcess] = None
-        if enable_idle_thread:
-            self.idle_thread = self.kernel.spawn(
-                "lrp-idle", self._idle_main(), nice=20,
-                working_set_kb=8.0)
-            # Truly minimal priority: below every application, even
-            # fully decayed nice +20 spinners.
-            self.idle_thread.fixed_priority = True
-            self.idle_thread.usrpri = IDLE_THREAD_PRIORITY
+        self.idle_thread = self.kernel.spawn(
+            "lrp-idle", self._idle_main(), nice=20, working_set_kb=8.0)
+        # Truly minimal priority: below every application, even fully
+        # decayed nice +20 spinners.
+        self.idle_thread.fixed_priority = True
+        self.idle_thread.usrpri = IDLE_THREAD_PRIORITY
 
     # ------------------------------------------------------------------
     # NI channel lifecycle (Section 3.1)
@@ -99,12 +113,11 @@ class LrpStackBase(NetworkStack):
             sock.channel = channel
             if kind == "udp":
                 self.udp_channels.append(channel)
-        proto = (IPPROTO_UDP if sock.stype == SockType.DGRAM
-                 else IPPROTO_TCP)
-        if sock.stype == SockType.STREAM and sock.peer is not None:
+        proto, peer = registration(sock)
+        if peer is not None:
             self.demux_table.register_exact(
                 flow_key(proto, sock.local.addr, sock.local.port,
-                         sock.peer.addr, sock.peer.port), sock.channel)
+                         peer.addr, peer.port), sock.channel)
         else:
             self.demux_table.register_wildcard(
                 proto, sock.local.port, sock.channel)
@@ -123,19 +136,16 @@ class LrpStackBase(NetworkStack):
                 channel.owner_socket = channel.members[0]
             sock.channel = None
             return
-        proto = (IPPROTO_UDP if sock.stype == SockType.DGRAM
-                 else IPPROTO_TCP)
-        if sock.stype == SockType.STREAM and sock.peer is not None \
-                and sock.local is not None:
-            self.demux_table.unregister_exact(
-                flow_key(proto, sock.local.addr, sock.local.port,
-                         sock.peer.addr, sock.peer.port))
         if sock.local is not None:
-            registered = self.demux_table._wildcard.get(
-                (proto, sock.local.port))
-            if registered is channel:
-                self.demux_table.unregister_wildcard(
-                    proto, sock.local.port)
+            proto, peer = registration(sock)
+            if peer is not None:
+                self.demux_table.unregister_exact(
+                    flow_key(proto, sock.local.addr, sock.local.port,
+                             peer.addr, peer.port))
+            # A connected socket may still own the wildcard entry it
+            # registered while bound or listening.
+            self.demux_table.release_wildcard(proto, sock.local.port,
+                                              channel)
         if channel in self.udp_channels:
             self.udp_channels.remove(channel)
         sock.channel = None
@@ -164,26 +174,44 @@ class LrpStackBase(NetworkStack):
         yield self.demux_table.fragment_channel
 
     # ------------------------------------------------------------------
-    # Channel notification routing
+    # Soft demux and channel notification routing
     # ------------------------------------------------------------------
+    def soft_demux(self, packet: IpPacket) -> Optional[NiChannel]:
+        """The demux function run in the host's interrupt handler:
+        *packet*'s NI channel, or None after counting and tracing the
+        drop of a packet no endpoint claims."""
+        channel = self.demux_table.demux(packet)[1]
+        if channel is None:
+            self.stats.incr("drop_demux_unmatched")
+            if self.sim.trace.enabled:
+                self.sim.trace.pkt_drop("demux", flow_of(packet),
+                                        reason="unmatched")
+        return channel
+
     def on_channel_filled(self, channel: NiChannel,
                           was_empty: bool) -> None:
-        """A packet was enqueued; wake whoever should process it.
-        Called from interrupt context (SOFT-LRP) or the NI wakeup
-        interrupt (NI-LRP)."""
+        """The soft demux enqueued a packet; wake the consumer if it
+        is owed a wakeup: the APP process on every TCP segment, a
+        waiting receiver on the empty->non-empty transition, a
+        waiting daemon on any arrival."""
+        if channel.kind == "tcp" or (
+                channel.interrupts_requested
+                and (was_empty or channel.kind == "daemon")):
+            self.wake_consumer(channel)
+
+    def wake_consumer(self, channel: NiChannel) -> None:
+        """Hand *channel*'s new packets to whoever processes them: TCP
+        segments to the APP process, datagrams and daemon packets to
+        the process blocked on the channel (interrupts off again until
+        it next finds the channel empty).  Fragment channels are
+        polled by reassembly; no wakeup."""
         if channel.kind == "tcp":
             sock = channel.owner_socket
-            if sock is not None and self.app is not None:
+            if sock is not None:
                 self.app.notify(sock, "input")
-        elif channel.kind == "udp":
-            if was_empty and channel.interrupts_requested:
-                channel.interrupts_requested = False
-                self.kernel.wake_one(channel.wait_channel)
-        elif channel.kind == "daemon":
-            if channel.interrupts_requested:
-                channel.interrupts_requested = False
-                self.kernel.wake_one(channel.wait_channel)
-        # "frag" channels are polled by reassembly; no wakeup.
+        elif channel.kind in ("udp", "daemon"):
+            channel.interrupts_requested = False
+            self.kernel.wake_one(channel.wait_channel)
 
     # ------------------------------------------------------------------
     # Lazy UDP receive (Section 3.3)
@@ -306,7 +334,7 @@ class LrpStackBase(NetworkStack):
                 sock = channel.owner_socket
                 if sock is None or len(channel) == 0:
                     continue
-                if len(sock.rcv_dgrams._queue) >= sock.rcv_dgrams.depth:
+                if sock.rcv_dgrams.full():
                     continue  # no room; leave packets on the channel
                 packet = channel.pop()
                 owner = sock.owner

@@ -14,9 +14,8 @@ from __future__ import annotations
 from repro.host.interrupts import HARDWARE, SimpleIntrTask
 from repro.nic.channels import NiChannel
 from repro.nic.programmable import ProgrammableNic
-from repro.core.lrp_base import LrpStackBase
-from repro.net.ip import IPPROTO_TCP, IPPROTO_UDP
-from repro.sockets.socket import Socket, SockType
+from repro.core.lrp_base import LrpStackBase, registration
+from repro.sockets.socket import Socket
 
 
 class NiLrpStack(LrpStackBase):
@@ -45,18 +44,8 @@ class NiLrpStack(LrpStackBase):
 
         def action() -> None:
             self.stats.incr("ni_wakeup_interrupts")
-            # Route exactly as the soft variant does post-demux, but
-            # the enqueue already happened on the NIC.
-            if channel.kind == "udp":
-                channel.interrupts_requested = False
-                self.kernel.wake_one(channel.wait_channel)
-            elif channel.kind == "tcp":
-                sock = channel.owner_socket
-                if sock is not None:
-                    self.app.notify(sock, "input")
-            elif channel.kind == "daemon":
-                channel.interrupts_requested = False
-                self.kernel.wake_one(channel.wait_channel)
+            # The enqueue already happened on the NIC.
+            self.wake_consumer(channel)
 
         self.kernel.cpu.post(SimpleIntrTask(self.costs.hw_intr,
                                             HARDWARE, "ni-wakeup",
@@ -72,12 +61,11 @@ class NiLrpStack(LrpStackBase):
     def endpoint_attached(self, sock: Socket) -> None:
         super().endpoint_attached(sock)
         signalling = self.nic.network.signalling
-        proto = (IPPROTO_UDP if sock.stype == SockType.DGRAM
-                 else IPPROTO_TCP)
-        if sock.stype == SockType.STREAM and sock.peer is not None:
+        proto, peer = registration(sock)
+        if peer is not None:
             vci = signalling.assign_flow(
                 sock.local.addr, proto, sock.local.port,
-                sock.peer.addr, sock.peer.port)
+                peer.addr, peer.port)
         else:
             vci = signalling.assign(sock.local.addr, proto,
                                     sock.local.port)
@@ -88,12 +76,11 @@ class NiLrpStack(LrpStackBase):
         vci = getattr(sock, "_vci", None)
         if vci is not None and sock.local is not None:
             signalling = self.nic.network.signalling
-            proto = (IPPROTO_UDP if sock.stype == SockType.DGRAM
-                     else IPPROTO_TCP)
-            if sock.stype == SockType.STREAM and sock.peer is not None:
+            proto, peer = registration(sock)
+            if peer is not None:
                 signalling.withdraw_flow(
                     sock.local.addr, proto, sock.local.port,
-                    sock.peer.addr, sock.peer.port)
+                    peer.addr, peer.port)
             else:
                 signalling.withdraw(sock.local.addr, proto,
                                     sock.local.port)

@@ -1,23 +1,22 @@
-"""NIC-OS: LRP with the NIC acting as an OS resource-policy agent.
+"""NIC-OS: LRP with the NIC deciding when the host runs.
 
 NI-LRP already moved *demultiplexing* onto the adaptor; this stack
-moves *policy* there too, following the "NIC should be part of the OS"
-position: the :class:`~repro.nic.programmable.AgentNic` firmware runs
-per-channel token-bucket admission (shedding over-rate flows before
-any host state is touched) and wakeup scheduling (coalescing host
-interrupts until a channel holds a batch or a latency bound expires).
+moves wakeup *policy* there too, following the "NIC should be part of
+the OS" position: the :class:`~repro.nic.programmable.AgentNic`
+firmware coalesces host interrupts until a channel holds a batch or a
+latency bound expires.  NIC-OS is NI-LRP plus wakeup coalescing: its
+drops under overload are the same NI-channel overflow discards.
 
 The host-side stack is NI-LRP unchanged — lazy protocol processing in
 the receiver's context, receiver-centric accounting — which makes the
 comparison clean: any figure-3/degradation delta against NI-LRP is
-attributable to the NIC's policy role alone.
+attributable to the NIC's wakeup policy alone.
 """
 
 from __future__ import annotations
 
 from repro.nic.programmable import AgentNic
 from repro.core.ni_lrp import NiLrpStack
-from repro.sockets.socket import Socket
 
 
 class NicOsStack(NiLrpStack):
@@ -25,21 +24,7 @@ class NicOsStack(NiLrpStack):
 
     arch_name = "NIC-OS"
 
-    def __init__(self, *args, admit_rate_pps=None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if not isinstance(self.nic, AgentNic):
             raise TypeError("NIC-OS requires an AgentNic")
-        #: Rate provisioned for each attached endpoint's channel, pps;
-        #: ``None`` leaves admission to the NIC-wide default.
-        self.admit_rate_pps = admit_rate_pps
-
-    def endpoint_attached(self, sock: Socket) -> None:
-        super().endpoint_attached(sock)
-        if self.admit_rate_pps is not None:
-            self.nic.set_admission(sock.channel, self.admit_rate_pps)
-
-    def endpoint_detached(self, sock: Socket) -> None:
-        channel = getattr(sock, "channel", None)
-        if channel is not None:
-            self.nic.clear_admission(channel)
-        super().endpoint_detached(sock)

@@ -45,7 +45,7 @@ class PollingStack(BsdStack):
 
     arch_name = "Polling"
 
-    def __init__(self, *args, poll_core: int = None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if not isinstance(self.nic, PollingNic):
             raise TypeError("the polling stack requires a PollingNic")
@@ -54,10 +54,8 @@ class PollingStack(BsdStack):
             raise ValueError(
                 "the polling architecture dedicates one core to "
                 "busy-polling; build the host with cores >= 2")
-        self.poll_core = ncores - 1 if poll_core is None else poll_core
-        if not 0 < self.poll_core < ncores:
-            raise ValueError(f"poll core {self.poll_core} must be a "
-                             f"non-boot core of a {ncores}-core host")
+        #: The last core busy-polls; the others run applications.
+        self.poll_core = ncores - 1
         #: TCP work (timers, output) deferred to the poll loop; the
         #: kernel-bypass stack has no software interrupts to run it in.
         self._tcp_work: deque = deque()

@@ -25,21 +25,27 @@ from repro.proto.icmp import IcmpMessage, make_reply
 class ProtocolDaemon:
     """A proxy process owning one protocol's NI channel."""
 
-    def __init__(self, stack, ip_proto: int, name: str,
+    #: Cost-model fields charged per packet, before :meth:`_step`.
+    step_costs = ("ip_input", "udp_input")
+
+    def __init__(self, stack, ip_proto: Optional[int], name: str,
                  handler: Optional[Callable[[IpPacket],
                                             Optional[IcmpMessage]]] = None,
-                 nice: int = 0, channel_depth: int = 50):
+                 nice: int = 0):
         self.stack = stack
         self.ip_proto = ip_proto
         self.name = name
         self.handler = handler if handler is not None else self._default
-        self.channel = NiChannel(f"daemon-{name}", depth=channel_depth,
-                                 kind="daemon")
+        self.channel = NiChannel(f"daemon-{name}", kind="daemon")
         self.channel.wait_channel = WaitChannel(f"daemon-{name}")
-        stack.demux_table.register_daemon(ip_proto, self.channel)
+        self._register()
         self.processed = 0
         self.proc = stack.kernel.spawn(f"{name}d", self._main(),
                                        nice=nice, working_set_kb=8.0)
+
+    def _register(self) -> None:
+        """Route the protocol's packets onto the daemon's channel."""
+        self.stack.demux_table.register_daemon(self.ip_proto, self.channel)
 
     def _default(self, packet: IpPacket) -> Optional[IcmpMessage]:
         """Default behaviour: answer ICMP echo requests."""
@@ -50,21 +56,26 @@ class ProtocolDaemon:
 
     def _main(self) -> Generator:
         stack = self.stack
-        costs = stack.costs
+        channel = self.channel
+        cost = sum(getattr(stack.costs, field) for field in self.step_costs)
         while True:
-            packet = self.channel.pop()
+            packet = channel.pop()
             if packet is None:
-                self.channel.interrupts_requested = True
-                yield Block(self.channel.wait_channel)
+                channel.interrupts_requested = True
+                yield Block(channel.wait_channel)
                 continue
             # Protocol processing in daemon context: charged to the
             # daemon, scheduled at the daemon's priority.
-            yield Compute(costs.ip_input + costs.udp_input)
-            self.processed += 1
-            stack.stats.incr(f"daemon_{self.name}_in")
-            reply = self.handler(packet)
+            yield Compute(cost)
+            reply = self._step(packet)
             if reply is not None:
-                yield Compute(costs.ip_output)
+                yield Compute(stack.costs.ip_output)
                 stack.ip_output(reply, packet.src, self.ip_proto,
                                 reply.total_len)
                 stack.stats.incr(f"daemon_{self.name}_out")
+
+    def _step(self, packet: IpPacket) -> Optional[IcmpMessage]:
+        """Process one packet; returns a reply to send, or None."""
+        self.processed += 1
+        self.stack.stats.incr(f"daemon_{self.name}_in")
+        return self.handler(packet)

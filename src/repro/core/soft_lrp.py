@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from repro.host.interrupts import HARDWARE, IntrTask, SimpleIntrTask
 from repro.net.packet import Frame
+from repro.nic.channels import enqueue
 from repro.core.lrp_base import LrpStackBase
-from repro.trace.tracer import flow_of
 
 
 class SoftLrpStack(LrpStackBase):
@@ -32,13 +32,8 @@ class SoftLrpStack(LrpStackBase):
         def action() -> None:
             ring_release()
             self.stats.incr("rx_packets")
-            trace = self.sim.trace
-            outcome, channel = self.demux_table.demux(frame.packet)
+            channel = self.soft_demux(frame.packet)
             if channel is None:
-                self.stats.incr("drop_demux_unmatched")
-                if trace.enabled:
-                    trace.pkt_drop("demux", flow_of(frame.packet),
-                                   reason="unmatched")
                 return
             plane = self.fault_plane
             if plane is not None and plane.nic_misclassify(frame.packet):
@@ -48,22 +43,12 @@ class SoftLrpStack(LrpStackBase):
                 channel = self.demux_table.fragment_channel
                 self.stats.incr("demux_misclassified")
             was_empty = len(channel) == 0
-            if channel.offer(frame.packet):
-                if trace.enabled:
-                    trace.pkt_enqueue("ni_channel",
-                                      flow_of(frame.packet))
+            if enqueue(channel, frame.packet, self.sim.trace):
                 self.on_channel_filled(channel, was_empty)
             else:
                 # Early packet discard: no further host resources are
                 # spent (Section 3, technique 2).
                 self.stats.incr("drop_channel_early")
-                if trace.enabled:
-                    trace.pkt_drop(
-                        "ni_channel", flow_of(frame.packet),
-                        reason=("stalled" if channel.stalled
-                                else "disabled"
-                                if not channel.processing_enabled
-                                else "early_discard"))
 
         return SimpleIntrTask(self.costs.hw_intr + self.costs.soft_demux,
                               HARDWARE, "rx-demux", action=action,

@@ -72,7 +72,6 @@ class NetworkStack:
 
     def __init__(self, kernel: Kernel, nic, local_addr,
                  mtu: int = DEFAULT_MTU,
-                 mbuf_capacity: int = 4096,
                  checksum_enabled: bool = False,
                  time_wait_usec: float = TIME_WAIT_DEFAULT,
                  redundant_pcb_lookup: bool = False,
@@ -83,7 +82,7 @@ class NetworkStack:
         self.nic = nic
         self.addr = IPAddr(local_addr)
         self.mtu = mtu
-        self.mbufs = MbufPool(mbuf_capacity)
+        self.mbufs = MbufPool()
         self.checksum_enabled = checksum_enabled
         self.time_wait_usec = time_wait_usec
         #: Figure 5 control: LRP kernels optionally perform a redundant
@@ -786,8 +785,8 @@ class NetworkStack:
         expired = self.reassembler.expire(self.sim.now)
         if expired:
             self.stats.incr("frag_expired", len(expired))
-            for key in expired:
-                self.demux_table._frag_hints.pop(key, None)
+            for src, ident in expired:
+                self.demux_table.clear_fragment_hint(src, ident)
         if self.reassembler.pending:
             self._frag_expiry_armed = True
             self.sim.schedule_detached(self.reassembler.ttl_usec,

@@ -109,7 +109,6 @@ class Kernel:
                  costs: CostModel = DEFAULT_COSTS,
                  accounting_policy: str = "interrupted",
                  name: str = "host",
-                 cache_size_kb: float = 1024.0,
                  enable_ticks: bool = True,
                  ncores: int = 1):
         self.sim = sim
@@ -128,7 +127,7 @@ class Kernel:
             scheduler.trace = sim.trace
             cpu.process_source = scheduler
         self.accounting = Accounting(self.scheduler, accounting_policy)
-        self.cache = CacheModel(costs, cache_size_kb)
+        self.cache = CacheModel(costs)
         for cpu in self.cpus:
             cpu.pollution_hook = self.cache.on_interrupt_pollution
         self.syscalls: Dict[str, SyscallHandler] = {}

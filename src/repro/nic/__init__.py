@@ -15,7 +15,7 @@ from repro.nic.demux import (
     toeplitz_hash,
 )
 from repro.nic.polling import PollingNic
-from repro.nic.programmable import AgentNic, ProgrammableNic, TokenBucket
+from repro.nic.programmable import AgentNic, ProgrammableNic
 from repro.nic.simple import SimpleNic
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "ProgrammableNic",
     "RssHasher",
     "SimpleNic",
-    "TokenBucket",
     "UNMATCHED",
     "flow_key",
     "rss_key",

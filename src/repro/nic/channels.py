@@ -16,7 +16,9 @@ any host protocol processing is spent on them.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
+
+from repro.trace.tracer import flow_of
 
 #: Default per-channel receive queue limit, in packets.  Matches the
 #: BSD default socket-queue depth for datagram sockets.
@@ -111,3 +113,21 @@ class NiChannel:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<NiChannel {self.name} {len(self.queue)}/{self.depth} "
                 f"drops={self.total_discards()}>")
+
+
+def enqueue(channel: NiChannel, packet, trace) -> bool:
+    """The demux function's last step, wherever it runs (host
+    interrupt or NIC firmware): offer *packet* to *channel* and trace
+    the enqueue or the early discard with its cause.  Returns whether
+    the packet was queued."""
+    if channel.offer(packet):
+        if trace.enabled:
+            trace.pkt_enqueue("ni_channel", flow_of(packet))
+        return True
+    if trace.enabled:
+        trace.pkt_drop("ni_channel", flow_of(packet),
+                       reason=("stalled" if channel.stalled
+                               else "disabled"
+                               if not channel.processing_enabled
+                               else "early_discard"))
+    return False

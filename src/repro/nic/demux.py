@@ -88,6 +88,13 @@ class DemuxTable:
     def unregister_wildcard(self, proto: int, lport: int) -> None:
         self._wildcard.pop((proto, lport), None)
 
+    def release_wildcard(self, proto: int, lport: int,
+                         channel: NiChannel) -> None:
+        """Unregister the wildcard entry for *lport* if it still maps
+        to *channel* (another endpoint may have bound the port since)."""
+        if self._wildcard.get((proto, lport)) is channel:
+            self.unregister_wildcard(proto, lport)
+
     def unregister_vci(self, vci: int) -> None:
         self._vci.pop(vci, None)
 
@@ -146,7 +153,7 @@ class DemuxTable:
         return UNMATCHED, None
 
     def clear_fragment_hint(self, src: IPAddr, ident: int) -> None:
-        """Called by reassembly once a datagram completes."""
+        """Called by reassembly once a datagram completes or expires."""
         self._frag_hints.pop((IPAddr(src).value, ident), None)
 
 

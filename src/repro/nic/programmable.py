@@ -24,8 +24,8 @@ from repro.net.addr import IPAddr
 from repro.net.link import Network
 from repro.net.packet import Frame
 from repro.nic.base import BaseNic
-from repro.nic.channels import NiChannel
-from repro.nic.demux import DAEMON, FRAGMENT, MATCHED, DemuxTable
+from repro.nic.channels import NiChannel, enqueue
+from repro.nic.demux import DemuxTable
 from repro.trace.tracer import flow_of
 
 #: Frames the NIC processor's input FIFO holds.
@@ -91,53 +91,32 @@ class ProgrammableNic(BaseNic):
         self._classify(frame)
 
     def _classify(self, frame: Frame) -> None:
-        outcome, channel = (self.table.demux_by_vci(frame.vci)
-                            if self.use_vci and frame.vci is not None
-                            else (None, None))
+        channel = None
+        if self.use_vci and frame.vci is not None:
+            channel = self.table.demux_by_vci(frame.vci)[1]
         if channel is None:
-            outcome, channel = self.table.demux(frame.packet)
-        if self.fault_plane is not None and channel is not None \
+            channel = self.table.demux(frame.packet)[1]
+        if channel is None:
+            self.rx_unmatched += 1
+            if self.sim.trace.enabled:
+                self.sim.trace.pkt_drop("ni_demux", flow_of(frame.packet),
+                                        reason="unmatched")
+            return
+        if self.fault_plane is not None \
                 and self.fault_plane.nic_misclassify(frame.packet):
             # Fault injection: firmware classified into the wrong
             # bucket; the packet lands on the fragment channel.
-            outcome, channel = FRAGMENT, self.table.fragment_channel
+            channel = self.table.fragment_channel
             self.rx_misclassified += 1
-        trace = self.sim.trace
-        if outcome in (MATCHED, DAEMON, FRAGMENT) and channel is not None:
-            if not self._admit(channel, frame.packet):
-                # Firmware admission policy shed the packet before any
-                # host resource was touched (see AgentNic).
-                return
-            was_empty = len(channel) == 0
-            if channel.offer(frame.packet):
-                self.rx_demuxed += 1
-                if trace.enabled:
-                    trace.pkt_enqueue("ni_channel",
-                                      flow_of(frame.packet))
-                self._on_enqueued(channel, was_empty)
-            # else: early packet discard, zero host cost.
-            elif trace.enabled:
-                trace.pkt_drop(
-                    "ni_channel", flow_of(frame.packet),
-                    reason=("stalled" if channel.stalled
-                            else "disabled"
-                            if not channel.processing_enabled
-                            else "early_discard"))
-            return
-        self.rx_unmatched += 1
-        if trace.enabled:
-            trace.pkt_drop("ni_demux", flow_of(frame.packet),
-                           reason="unmatched")
+        was_empty = len(channel) == 0
+        # A refused packet is an early discard at zero host cost.
+        if enqueue(channel, frame.packet, self.sim.trace):
+            self.rx_demuxed += 1
+            self._on_enqueued(channel, was_empty)
 
     # ------------------------------------------------------------------
-    # Firmware policy hooks (overridden by AgentNic)
+    # Wakeup scheduling (overridden by AgentNic)
     # ------------------------------------------------------------------
-    def _admit(self, channel: NiChannel, packet) -> bool:
-        """Admission decision made by the firmware before enqueue;
-        the base NIC admits everything (channel overflow is the only
-        early discard)."""
-        return True
-
     def _on_enqueued(self, channel: NiChannel, was_empty: bool) -> None:
         """Wakeup-scheduling decision after a successful enqueue; the
         base NIC interrupts on every watched empty->non-empty
@@ -151,96 +130,37 @@ class ProgrammableNic(BaseNic):
             self.wakeup_handler(channel)
 
 
-class TokenBucket:
-    """Deterministic token bucket: *rate_pps* sustained, *burst* deep."""
-
-    __slots__ = ("rate_pps", "burst", "tokens", "last_usec")
-
-    def __init__(self, rate_pps: float, burst: float):
-        self.rate_pps = rate_pps
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self.last_usec = 0.0
-
-    def admit(self, now_usec: float) -> bool:
-        tokens = self.tokens + (now_usec - self.last_usec) \
-            * self.rate_pps / 1e6
-        if tokens > self.burst:
-            tokens = self.burst
-        self.last_usec = now_usec
-        if tokens >= 1.0:
-            self.tokens = tokens - 1.0
-            return True
-        self.tokens = tokens
-        return False
+#: AgentNic wakeup coalescing: interrupt once a channel holds this
+#: many packets ...
+WAKEUP_BATCH = 4
+#: ... or this long after the first pending one, microseconds.
+WAKEUP_DELAY_USEC = 40.0
 
 
 class AgentNic(ProgrammableNic):
-    """The NIC as an OS agent: firmware runs resource policy, not just
-    demux (the ETH Zurich position paper's direction).
+    """The NIC as an OS agent: firmware decides *when* the host runs,
+    not just where a packet goes (the ETH Zurich position paper's
+    direction).
 
-    Two policies beyond NI-LRP's classification:
-
-    * **Admission** — per-channel token buckets shed traffic that
-      exceeds a channel's provisioned rate *on the NIC*, before any
-      host state is touched.  Installed per channel via
-      :meth:`set_admission` (or for every channel via the
-      ``admit_rate_pps`` default).
-    * **Wakeup scheduling** — the NIC decides *when* the host runs:
-      instead of interrupting on every empty->non-empty transition,
-      wakeups are coalesced until a channel holds ``wakeup_batch``
-      packets or ``wakeup_delay_usec`` has passed since the first
-      pending one, trading bounded latency for fewer interrupts.
+    Instead of interrupting on every empty->non-empty transition, the
+    firmware coalesces wakeups until a channel holds
+    :data:`WAKEUP_BATCH` packets or :data:`WAKEUP_DELAY_USEC` has
+    passed since the first pending one, trading bounded latency for
+    fewer interrupts.
     """
 
-    def __init__(self, *args, admit_rate_pps=None,
-                 admit_burst: float = 32.0,
-                 wakeup_batch: int = 4,
-                 wakeup_delay_usec: float = 40.0, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.admit_rate_pps = admit_rate_pps
-        self.admit_burst = admit_burst
-        self.wakeup_batch = wakeup_batch
-        self.wakeup_delay_usec = wakeup_delay_usec
-        self._buckets: dict = {}
         self._wakeup_events: dict = {}
-        self.rx_policed = 0
         self.coalesced_wakeups = 0
 
-    # -- admission -----------------------------------------------------
-    def set_admission(self, channel: NiChannel, rate_pps: float,
-                      burst: float = None) -> None:
-        """Provision *channel* at *rate_pps* sustained."""
-        self._buckets[id(channel)] = TokenBucket(
-            rate_pps, self.admit_burst if burst is None else burst)
-
-    def clear_admission(self, channel: NiChannel) -> None:
-        self._buckets.pop(id(channel), None)
-
-    def _admit(self, channel: NiChannel, packet) -> bool:
-        bucket = self._buckets.get(id(channel))
-        if bucket is None:
-            if self.admit_rate_pps is None:
-                return True
-            bucket = TokenBucket(self.admit_rate_pps, self.admit_burst)
-            bucket.last_usec = self.sim.now
-            self._buckets[id(channel)] = bucket
-        if bucket.admit(self.sim.now):
-            return True
-        self.rx_policed += 1
-        if self.sim.trace.enabled:
-            self.sim.trace.pkt_drop("ni_admission", flow_of(packet),
-                                    reason="policed")
-        return False
-
-    # -- wakeup scheduling ---------------------------------------------
     def _on_enqueued(self, channel: NiChannel, was_empty: bool) -> None:
         if not channel.interrupts_requested:
             return
         key = id(channel)
         pending = self._wakeup_events.get(key)
         if pending is not None:
-            if len(channel) >= self.wakeup_batch:
+            if len(channel) >= WAKEUP_BATCH:
                 pending.cancel()
                 del self._wakeup_events[key]
                 self._raise_host_interrupt(channel)
@@ -249,12 +169,9 @@ class AgentNic(ProgrammableNic):
             # The host was already woken for this backlog and has not
             # drained it yet; no new wakeup is owed.
             return
-        if self.wakeup_batch <= 1 or self.wakeup_delay_usec <= 0:
-            self._raise_host_interrupt(channel)
-            return
         self.coalesced_wakeups += 1
         self._wakeup_events[key] = self.sim.schedule(
-            self.wakeup_delay_usec, self._deferred_wakeup, channel)
+            WAKEUP_DELAY_USEC, self._deferred_wakeup, channel)
 
     def _deferred_wakeup(self, channel: NiChannel) -> None:
         self._wakeup_events.pop(id(channel), None)

@@ -23,7 +23,7 @@ from repro.net.addr import IPAddr
 from repro.net.link import Network
 from repro.net.packet import Frame
 from repro.nic.base import BaseNic
-from repro.nic.demux import DEFAULT_RSS_SEED, RssHasher
+from repro.nic.demux import RssHasher
 from repro.trace.tracer import flow_of
 
 #: Receive DMA ring size per queue, frames.
@@ -43,13 +43,13 @@ class SimpleNic(BaseNic):
     """
 
     def __init__(self, sim: Simulator, network: Network, addr: IPAddr,
-                 queues: int = 1, rss_seed: int = DEFAULT_RSS_SEED,
+                 queues: int = 1,
                  rx_ring_size: int = DEFAULT_RX_RING, **base_kwargs):
         super().__init__(sim, network, addr, **base_kwargs)
         if queues < 1:
             raise ValueError(f"need at least one queue, got {queues}")
         self.queues = queues
-        self.hasher = RssHasher(rss_seed)
+        self.hasher = RssHasher()
         self.rx_ring_size = rx_ring_size
         self.rx_ring_used = [0] * queues
         self.stack = None  # installed by the scenario builder

@@ -28,8 +28,11 @@ class DatagramQueue:
         self.enqueued = 0
         self.dropped_full = 0
 
+    def full(self) -> bool:
+        return len(self._queue) >= self.depth
+
     def offer(self, message: Any, from_addr: Any) -> bool:
-        if len(self._queue) >= self.depth:
+        if self.full():
             self.dropped_full += 1
             return False
         self._queue.append((message, from_addr))

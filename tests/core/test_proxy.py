@@ -11,7 +11,16 @@ from repro.workloads import InjectorPort
 from tests.helpers import SERVER, Scenario
 
 
-def make_scenario(arch=Architecture.SOFT_LRP, nice=0):
+@pytest.fixture(params=[Architecture.SOFT_LRP, Architecture.NI_LRP],
+                ids=lambda arch: arch.value)
+def arch(request):
+    """Both demux placements: the daemon is woken by the soft demux's
+    channel routing on SOFT-LRP and by the NIC's wakeup interrupt on
+    NI-LRP."""
+    return request.param
+
+
+def make_scenario(arch, nice=0):
     sc = Scenario(arch)
     daemon = ProtocolDaemon(sc.server.stack, IPPROTO_ICMP, "icmp",
                             nice=nice)
@@ -26,8 +35,8 @@ def send_echo(sc, port, ident=1, seq=1):
     port.send_packet(packet)
 
 
-def test_daemon_answers_echo_requests():
-    sc, daemon, port = make_scenario()
+def test_daemon_answers_echo_requests(arch):
+    sc, daemon, port = make_scenario(arch)
     for i in range(5):
         sc.sim.schedule(10_000.0 + i * 1_000.0, send_echo, sc, port,
                         1, i)
@@ -37,16 +46,16 @@ def test_daemon_answers_echo_requests():
     assert port.frames_received == 5
 
 
-def test_daemon_charged_for_processing():
-    sc, daemon, port = make_scenario()
+def test_daemon_charged_for_processing(arch):
+    sc, daemon, port = make_scenario(arch)
     for i in range(20):
         sc.sim.schedule(10_000.0 + i * 500.0, send_echo, sc, port, 1, i)
     sc.run(300_000.0)
     assert daemon.proc.cpu_time > 20 * 20  # ip+udp input per packet
 
 
-def test_daemon_channel_overload_sheds_early():
-    sc, daemon, port = make_scenario()
+def test_daemon_channel_overload_sheds_early(arch):
+    sc, daemon, port = make_scenario(arch)
     # A competing process keeps the daemon from running.
     def hog():
         while True:
@@ -69,12 +78,12 @@ def test_bsd_has_no_daemon_channel_for_icmp():
     assert stack.icmp_handler is None
 
 
-def test_daemon_priority_controls_share():
+def test_daemon_priority_controls_share(arch):
     """The administrator's knob: a niced daemon processes fewer
     packets under CPU contention."""
     results = {}
     for nice in (0, 20):
-        sc, daemon, port = make_scenario(nice=nice)
+        sc, daemon, port = make_scenario(arch, nice=nice)
 
         def hog():
             while True:
