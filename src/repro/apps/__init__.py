@@ -8,7 +8,6 @@ from repro.apps.blast import (
 )
 from repro.apps.compute import (
     COMPUTE_CHUNK,
-    finite_compute,
     rpc_worker,
     spinner,
 )
@@ -20,23 +19,17 @@ from repro.apps.httpd import (
     httpd_master,
 )
 from repro.apps.pingpong import pingpong_client, pingpong_server
-from repro.apps.rpc import (
-    rpc_open_loop_client,
-    rpc_server,
-    rpc_single_call_client,
-)
+from repro.apps.rpc import rpc_server, rpc_single_call_client
 
 __all__ = [
     "COMPUTE_CHUNK",
     "DEFAULT_DOC_BYTES",
     "dummy_server",
-    "finite_compute",
     "http_client",
     "httpd_child",
     "httpd_master",
     "pingpong_client",
     "pingpong_server",
-    "rpc_open_loop_client",
     "rpc_server",
     "rpc_single_call_client",
     "rpc_worker",

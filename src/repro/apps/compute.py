@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.engine.process import Compute, Exit, Syscall
+from repro.engine.process import Compute, Syscall
 
 #: Chunk size for long computations: small enough that priority decay
 #: and preemption operate at realistic granularity.
@@ -20,20 +20,6 @@ def spinner() -> Generator:
     """
     while True:
         yield Compute(COMPUTE_CHUNK)
-
-
-def finite_compute(total_usec: float,
-                   done: Optional[list] = None,
-                   clock=None) -> Generator:
-    """Burn *total_usec* of CPU, then exit."""
-    remaining = total_usec
-    while remaining > 0:
-        chunk = min(COMPUTE_CHUNK, remaining)
-        yield Compute(chunk)
-        remaining -= chunk
-    if done is not None:
-        done.append(clock.now if clock is not None else True)
-    yield Exit(0)
 
 
 def rpc_worker(port: int, work_usec: float, clock,

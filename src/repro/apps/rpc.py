@@ -2,9 +2,9 @@
 
 A UDP-datagram RPC facility ("The RPC facility we used is based on UDP
 datagrams"): requests carry a per-request compute cost; the server
-performs the computation and replies.  The client keeps a fixed number
-of requests outstanding per server and spaces new requests uniformly
-in time, per the paper's conditions (1) and (2).
+performs the computation and replies.  Table 2's client
+(:func:`repro.experiments.table2.rpc_window_client`) keeps a fixed
+number of requests outstanding per server.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Generator, Optional
 
-from repro.engine.process import Compute, Sleep, Syscall
+from repro.engine.process import Compute, Syscall
 
 _req_ids = itertools.count(1)
 
@@ -32,22 +32,6 @@ def rpc_server(port: int, work_usec: float, clock,
                       payload={"reply_to": request.get("id")})
         if completed is not None:
             completed.append(clock.now)
-
-
-def rpc_open_loop_client(dst_addr, dst_port: int, rate_rps: float,
-                         request_bytes: int = 32) -> Generator:
-    """Issue requests at a uniform rate without waiting for replies
-    ("the requests are distributed near uniformly in time"), keeping
-    the server saturated ("each server has a number of outstanding
-    RPC requests at all times").  Replies queue on the client socket
-    and are irrelevant to the server-side measurement."""
-    sock = yield Syscall("socket", stype="udp")
-    gap = 1e6 / rate_rps
-    while True:
-        yield Syscall("sendto", sock=sock, nbytes=request_bytes,
-                      addr=dst_addr, port=dst_port,
-                      payload={"id": next(_req_ids)})
-        yield Sleep(gap)
 
 
 def rpc_single_call_client(dst_addr, dst_port: int, clock,

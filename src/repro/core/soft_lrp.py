@@ -35,13 +35,6 @@ class SoftLrpStack(LrpStackBase):
             channel = self.soft_demux(frame.packet)
             if channel is None:
                 return
-            plane = self.fault_plane
-            if plane is not None and plane.nic_misclassify(frame.packet):
-                # Fault injection: the demux function picked the wrong
-                # bucket; the packet lands on the fragment channel and
-                # must be rescued by the reassembly drain path.
-                channel = self.demux_table.fragment_channel
-                self.stats.incr("demux_misclassified")
             was_empty = len(channel) == 0
             if enqueue(channel, frame.packet, self.sim.trace):
                 self.on_channel_filled(channel, was_empty)

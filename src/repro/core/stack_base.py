@@ -113,8 +113,6 @@ class NetworkStack:
         self.stats = Counter()
         #: Latency bookkeeping hooks filled by experiments.
         self.sockets: List[Socket] = []
-        #: Attached :class:`~repro.faults.plane.FaultPlane`, if any.
-        self.fault_plane = None
         # One-shot reassembly-expiry timer state (armed lazily so hosts
         # that never see fragments schedule nothing — keeping golden
         # traces of fragment-free runs untouched).

@@ -573,8 +573,7 @@ class ShardedRun:
         for ledger in self.conservation:
             drops = sum(v for k, v in ledger.items()
                         if k.startswith("drops_"))
-            lhs = (ledger["sent"] + ledger["duplicated"]
-                   + ledger["imported"])
+            lhs = ledger["sent"] + ledger["imported"]
             rhs = (ledger["delivered"] + drops + ledger["in_flight"]
                    + ledger["exported"])
             if lhs != rhs:

@@ -210,8 +210,7 @@ def run_incast_point(arch: Architecture, fan_in: int,
                     for i in range(fan_in)),
         # The drop ledger, hop by hop (fabric counters fold across
         # shards; host counters come from the server's component).
-        "drop_switch": (ledger["drops_port_queue"]
-                        + ledger["drops_red"]),
+        "drop_switch": ledger["drops_port_queue"],
         "drop_nic_ring": server["drop_nic_ring"],
         "drop_ipq": server["drop_ipq"],
         "drop_channel": server["drop_channel"],
@@ -352,8 +351,7 @@ def run_chain_point(arch: Architecture, flood_pps: float,
         "app_interrupt_bill_ms": gateway["app_interrupt_bill_ms"],
         "daemon_cpu_ms": gateway["daemon_cpu_ms"],
         "fwd_channel_drops": gateway["fwd_channel_drops"],
-        "drop_switch": (ledger["drops_port_queue"]
-                        + ledger["drops_red"]),
+        "drop_switch": ledger["drops_port_queue"],
         "events": run.events,
         # Conservative-sync counters (rounds, grants, channel
         # frames); deterministic for a given (point, shard count).

@@ -10,17 +10,12 @@ Layers and kinds
 ----------------
 ``layer="link"`` — applied by :meth:`repro.net.link.Network.send`:
     ``drop``       lose the frame on the wire (probability per frame);
-    ``duplicate``  deliver a second copy of the frame;
-    ``delay``      add ``magnitude`` microseconds before the rx port;
-    ``jitter``     add uniform ``[0, magnitude)`` microseconds — enough
-                   to reorder back-to-back frames;
     ``corrupt``    flip one (seeded) bit so checksum verification fails.
 ``layer="nic"``:
-    ``stall``        window during which NI channels (LRP) or the whole
-                     adaptor (conventional NICs) stop accepting frames;
-    ``misclassify``  demux delivers the packet to the special fragment
-                     channel instead of its endpoint channel
-                     (probability per classified frame).
+    ``stall``      window during which matching NI channels (the LRP
+                   family, Early-Demux, NIC-OS) stop accepting frames;
+                   hosts without NI channels (4.4BSD, RSS, polling)
+                   are unaffected.
 ``layer="mbuf"``:
     ``exhaust``    window during which ``magnitude`` buffers of every
                    attached host's mbuf pool are held in reserve.
@@ -37,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-LINK_KINDS = ("drop", "duplicate", "delay", "jitter", "corrupt")
-NIC_KINDS = ("stall", "misclassify")
+LINK_KINDS = ("drop", "corrupt")
+NIC_KINDS = ("stall",)
 MBUF_KINDS = ("exhaust",)
 
 _VALID = {"link": LINK_KINDS, "nic": NIC_KINDS, "mbuf": MBUF_KINDS}
@@ -53,8 +48,7 @@ class FaultRule:
     start_usec: float = 0.0
     end_usec: Optional[float] = None
     probability: float = 1.0
-    #: Kind-specific scalar: delay/jitter microseconds, or buffers
-    #: reserved by an mbuf exhaustion window.
+    #: Buffers reserved by an mbuf exhaustion window.
     magnitude: float = 0.0
     #: Restrict to packets (or channels) with this destination port.
     dst_port: Optional[int] = None
@@ -93,8 +87,8 @@ class FaultPlan:
     """A seed plus an ordered schedule of fault rules.
 
     Rule order matters: per-packet link rules are consulted in plan
-    order, and a ``drop`` stops the walk (a dropped frame cannot also
-    be delayed or duplicated).
+    order, and a ``drop`` stops the walk: no later rule sees a dropped
+    frame.
     """
 
     seed: int = 0

@@ -5,10 +5,8 @@ a :class:`~repro.engine.simulator.Simulator` and exposes the per-layer
 hooks the subsystems consult:
 
 * :meth:`link_disposition` — called by ``Network.send`` for every frame;
-* :meth:`nic_misclassify` — called by the demux sites (SOFT-LRP's
-  interrupt handler, the programmable NIC's firmware);
-* scheduled window callbacks toggle NI-channel/adaptor stalls and
-  mbuf-pool reservations at rule boundaries.
+* scheduled window callbacks toggle NI-channel stalls and mbuf-pool
+  reservations at rule boundaries.
 
 Determinism: every probabilistic decision draws from a per-rule
 ``random.Random`` seeded by SHA-256 over ``(plan.seed, rule index,
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.net.ip import IpPacket
@@ -52,24 +50,6 @@ def _matches(rule: FaultRule, packet: IpPacket) -> bool:
     return True
 
 
-def clone_packet(packet: IpPacket) -> IpPacket:
-    """A wire-faithful copy for duplicate delivery.
-
-    The transport PDU is shared (it is read-only on the receive path,
-    and a real duplicated datagram carries identical bytes); IP-level
-    bookkeeping (mbuf chain, corruption mark) is per-copy.
-    """
-    copy = IpPacket(packet.src, packet.dst, packet.proto,
-                    packet.transport, packet.payload_len,
-                    ident=packet.ident,
-                    frag_offset=packet.frag_offset,
-                    more_frags=packet.more_frags, ttl=packet.ttl)
-    copy.stamp = packet.stamp
-    copy.corrupt = packet.corrupt
-    copy.corrupt_bit = packet.corrupt_bit
-    return copy
-
-
 class FaultPlane:
     """Executes one :class:`FaultPlan` inside one simulation."""
 
@@ -82,11 +62,7 @@ class FaultPlane:
         self._rngs = {i: random.Random(_rule_seed(plan.seed, i, r.label))
                       for i, r in enumerate(plan.rules)}
         self._link_rules = plan.layer_rules("link")
-        self._misclassify_rules = tuple(
-            (i, r) for i, r in plan.layer_rules("nic")
-            if r.kind == "misclassify")
         self._hosts: List = []
-        self._pools: List = []
         self._install_windows()
 
     # ------------------------------------------------------------------
@@ -96,13 +72,9 @@ class FaultPlane:
         network.fault_plane = self
 
     def attach_host(self, host) -> None:
-        """Register a simulated machine: its stack and NIC consult the
-        plane inline, its mbuf pool joins exhaustion windows, and its
-        channels join stall windows."""
+        """Register a simulated machine: its mbuf pool joins exhaustion
+        windows and its NI channels join stall windows."""
         self._hosts.append(host)
-        host.stack.fault_plane = self
-        host.nic.fault_plane = self
-        self._pools.append(host.stack.mbufs)
 
     def _install_windows(self) -> None:
         """Schedule the window-edge callbacks for stall/exhaust rules.
@@ -124,16 +96,12 @@ class FaultPlane:
     # ------------------------------------------------------------------
     # Link layer (consulted by Network.send)
     # ------------------------------------------------------------------
-    def link_disposition(
-            self, frame: Frame) -> Tuple[bool, float, Optional[Frame]]:
+    def link_disposition(self, frame: Frame) -> bool:
         """Apply every live link rule to *frame* in plan order.
 
-        Returns ``(drop, extra_delay_usec, duplicate_frame)``.  A drop
-        short-circuits; corruption mutates the packet in place.
+        Returns whether the frame is dropped.  A drop short-circuits;
+        corruption mutates the packet in place.
         """
-        drop = False
-        extra_delay = 0.0
-        duplicate: Optional[Frame] = None
         now = self.sim.now
         packet = frame.packet
         for index, rule in self._link_rules:
@@ -144,64 +112,34 @@ class FaultPlane:
                 continue
             self._note(rule, packet)
             if rule.kind == "drop":
-                drop = True
-                break
-            if rule.kind == "corrupt":
-                packet.corrupt = True
-                packet.corrupt_bit = rng.randrange(256)
-            elif rule.kind == "delay":
-                extra_delay += rule.magnitude
-            elif rule.kind == "jitter":
-                extra_delay += rng.random() * rule.magnitude
-            elif rule.kind == "duplicate":
-                duplicate = Frame(clone_packet(packet), vci=frame.vci,
-                                  link_dst=frame.link_dst)
-        return drop, extra_delay, duplicate
-
-    # ------------------------------------------------------------------
-    # NIC layer
-    # ------------------------------------------------------------------
-    def nic_misclassify(self, packet: IpPacket) -> bool:
-        """Whether demux should deliver *packet* to the wrong channel
-        (the special fragment channel) this time."""
-        now = self.sim.now
-        for index, rule in self._misclassify_rules:
-            if not rule.active(now) or not _matches(rule, packet):
-                continue
-            rng = self._rngs[index]
-            if rule.probability < 1.0 and rng.random() >= rule.probability:
-                continue
-            self._note(rule, packet)
-            return True
+                return True
+            packet.corrupt = True
+            packet.corrupt_bit = rng.randrange(256)
         return False
 
+    # ------------------------------------------------------------------
+    # Windows
+    # ------------------------------------------------------------------
     def _stall_edge(self, index: int, active: bool) -> None:
-        """A stall window opened or closed: toggle every matching
-        channel (LRP) or whole adaptor (conventional NIC)."""
+        """A stall window opened or closed: toggle every matching NI
+        channel.  A host without NI channels has nothing to stall."""
         rule = self.plan.rules[index]
         self.counters.incr(f"nic_stall_{'on' if active else 'off'}")
         for host in self._hosts:
-            stack = host.stack
-            channels = list(stack.iter_channels())
-            if channels:
-                for channel in channels:
-                    owner = channel.owner_socket
-                    if rule.dst_port is not None:
-                        if owner is None or owner.local is None or \
-                                owner.local.port != rule.dst_port:
-                            continue
-                    channel.stalled = active
-            elif rule.dst_port is None:
-                # No per-endpoint queues to stall (4.4BSD): the whole
-                # adaptor stops accepting, as a wedged DMA engine would.
-                host.nic.stalled = active
+            for channel in host.stack.iter_channels():
+                owner = channel.owner_socket
+                if rule.dst_port is not None:
+                    if owner is None or owner.local is None or \
+                            owner.local.port != rule.dst_port:
+                        continue
+                channel.stalled = active
 
     def _exhaust_edge(self, index: int, active: bool) -> None:
         rule = self.plan.rules[index]
         self.counters.incr(f"mbuf_exhaust_{'on' if active else 'off'}")
         reserve = int(rule.magnitude) if active else 0
-        for pool in self._pools:
-            pool.fault_reserved = reserve
+        for host in self._hosts:
+            host.stack.mbufs.fault_reserved = reserve
 
     # ------------------------------------------------------------------
     def _note(self, rule: FaultRule, packet: IpPacket) -> None:

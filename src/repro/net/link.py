@@ -101,7 +101,6 @@ class Network:
         self.drops_congestion = 0
         self.drops_no_route = 0
         self.drops_fault = 0
-        self.dup_frames = 0
 
     # ------------------------------------------------------------------
     def attach(self, nic, addr: IPAddr) -> None:
@@ -143,19 +142,15 @@ class Network:
             self.drops_congestion += 1
             return False
 
-        # Fault plane: the wire may lose, corrupt, delay or duplicate
-        # the frame after successful transmission.
-        extra_delay = 0.0
-        dup_frame = None
-        if self.fault_plane is not None:
-            drop, extra_delay, dup_frame = \
-                self.fault_plane.link_disposition(frame)
-            if drop:
-                self.drops_fault += 1
-                return False
+        # Fault plane: the wire may lose or corrupt the frame after
+        # successful transmission.
+        if self.fault_plane is not None and \
+                self.fault_plane.link_disposition(frame):
+            self.drops_fault += 1
+            return False
 
         # Receiving port: serialize again; bounded output queue.
-        rx_start = max(done_tx + self.propagation + extra_delay,
+        rx_start = max(done_tx + self.propagation,
                        self._rx_busy_until[dst_key])
         if self._rx_queued[dst_key] >= self.port_queue_frames:
             self.drops_port_queue += 1
@@ -165,15 +160,6 @@ class Network:
         self._rx_busy_until[dst_key] = rx_done
         self.sim.schedule_at_detached(rx_done, self._deliver, dst_key,
                                       dst_nic, frame)
-        if dup_frame is not None and \
-                self._rx_queued[dst_key] < self.port_queue_frames:
-            # The duplicate trails the original through the same port.
-            self._rx_queued[dst_key] += 1
-            dup_done = rx_done + tx_time
-            self._rx_busy_until[dst_key] = dup_done
-            self.dup_frames += 1
-            self.sim.schedule_at_detached(dup_done, self._deliver,
-                                          dst_key, dst_nic, dup_frame)
         return True
 
     def _deliver(self, dst_key: int, dst_nic, frame: Frame) -> None:

@@ -19,21 +19,10 @@ canonical graphs without touching runtime objects.
 
 Routing is static shortest-path: :meth:`Topology.build_routes` runs a
 deterministic BFS (hop count, ties broken by node name) and installs a
-next-hop forwarding table at every node.  Switch output ports drain at
-their link's bandwidth and apply one of two drop policies when the
-queue fills:
-
-* ``fifo`` — tail drop: the arriving frame is discarded;
-* ``priority`` — strict classes by UDP/TCP destination port: a frame
-  of a higher class displaces the most recently queued frame of the
-  lowest class, service always picks the highest class first, and
-  order *within* a class is never violated.
-
-An optional random-early-drop knee (``red_start``) sheds load
-probabilistically before the queue is full; its draws come from a
-:meth:`~repro.engine.simulator.Simulator.named_rng` stream per port,
-so drop decisions are a pure function of the simulation seed and the
-arrival sequence.
+next-hop forwarding table at every node.  Switch output ports are
+FIFO queues that drain at their link's bandwidth and tail-drop an
+arriving frame when full, like the FIFO ports of the paper's ATM
+switch.
 
 Fault injection composes at two grains: a plane attached to the whole
 topology (``FaultPlane.attach_network``) sees every frame once at its
@@ -52,8 +41,8 @@ inside* :meth:`OutPort._service`, so the owned-case schedule-call
 order — and therefore every golden trace of an unsharded run — is
 bit-identical to the pre-sharding code.  Conservation extends across
 the cut: per-shard ledgers gain ``exported``/``imported`` counts and
-the global invariant becomes ``sent + duplicated + imported ==
-delivered + drops + in_flight + exported`` summed over shards.
+the global invariant becomes ``sent + imported == delivered + drops +
+in_flight + exported`` summed over shards.
 """
 
 from __future__ import annotations
@@ -89,19 +78,11 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class SwitchSpec:
-    """A store-and-forward switch node.
-
-    ``policy`` is ``"fifo"`` (tail drop) or ``"priority"`` (strict
-    classes; ``priority_ports`` lists the transport destination ports
-    forming the high class).  ``red_start`` in (0, 1] enables random
-    early drop once occupancy crosses that fraction of ``queue_frames``.
-    """
+    """A store-and-forward switch node whose output ports each queue
+    up to ``queue_frames`` frames (tail drop)."""
 
     name: str
     queue_frames: int = DEFAULT_PORT_QUEUE
-    policy: str = "fifo"
-    priority_ports: Tuple[int, ...] = ()
-    red_start: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -207,9 +188,6 @@ def incast_spec(fan_in: int, server_addr: str = "10.0.0.1",
                 client_prefix: str = "10.0.0.",
                 client_base: int = 10,
                 queue_frames: int = DEFAULT_PORT_QUEUE,
-                policy: str = "fifo",
-                priority_ports: Tuple[int, ...] = (),
-                red_start: Optional[float] = None,
                 **link_kwargs) -> TopologySpec:
     """N→1 incast: *fan_in* clients through one switch into one server.
 
@@ -229,10 +207,7 @@ def incast_spec(fan_in: int, server_addr: str = "10.0.0.1",
             BindingSpec(f"{client_prefix}{client_base + i}", node))
     return TopologySpec(
         name=f"incast-{fan_in}to1",
-        switches=(SwitchSpec("sw0", queue_frames=queue_frames,
-                             policy=policy,
-                             priority_ports=tuple(priority_ports),
-                             red_start=red_start),),
+        switches=(SwitchSpec("sw0", queue_frames=queue_frames),),
         links=tuple(links),
         bindings=tuple(bindings))
 
@@ -265,34 +240,22 @@ class Link:
 
 
 class OutPort:
-    """A node's transmit port onto one link: finite queue + server.
+    """A node's transmit port onto one link: a FIFO queue of
+    ``(frame, dst_key)`` pairs, tail-dropping at *capacity*, served at
+    the link's bandwidth."""
 
-    The queue holds ``(frame, dst_key, priority)`` triples; service
-    order and overflow behaviour depend on the owning switch's policy.
-    """
-
-    __slots__ = ("topology", "node", "link", "capacity", "policy",
-                 "priority_ports", "red_start", "_rng", "queue",
+    __slots__ = ("topology", "node", "link", "capacity", "queue",
                  "_busy", "_free", "enqueued", "serviced",
-                 "drops_overflow", "drops_red", "peak_depth", "name")
+                 "drops_overflow", "peak_depth", "name")
 
     def __init__(self, topology: "Topology", node: str, link: Link,
-                 capacity: int, policy: str,
-                 priority_ports: Tuple[int, ...],
-                 red_start: Optional[float]):
+                 capacity: int):
         self.topology = topology
         self.node = node
         self.link = link
         self.capacity = capacity
-        self.policy = policy
-        self.priority_ports = frozenset(priority_ports)
-        self.red_start = red_start
         self.name = f"sw.{node}->{link.other(node)}"
-        # Early-drop draws come from a per-port named stream so they
-        # are reproducible and independent of all other randomness.
-        self._rng = (topology.sim.named_rng(f"topology.red.{self.name}")
-                     if red_start is not None else None)
-        self.queue: Deque[Tuple[Frame, int, int]] = deque()
+        self.queue: Deque[Tuple[Frame, int]] = deque()
         self._busy = False
         #: Reserved key of the "wire free" event not scheduled because
         #: the queue was empty (see _service), or None.
@@ -300,7 +263,6 @@ class OutPort:
         self.enqueued = 0
         self.serviced = 0
         self.drops_overflow = 0
-        self.drops_red = 0
         self.peak_depth = 0
 
     @property
@@ -313,39 +275,15 @@ class OutPort:
         return not self.topology.sim.passed(free)
 
     # ------------------------------------------------------------------
-    def classify(self, frame: Frame) -> int:
-        if not self.priority_ports:
-            return 0
-        transport = frame.packet.transport
-        port = getattr(transport, "dst_port", None)
-        return 1 if port in self.priority_ports else 0
-
     def enqueue(self, frame: Frame, dst_key: int) -> bool:
         """Queue *frame* for transmission; False if it was dropped."""
         topo = self.topology
-        prio = self.classify(frame)
-        if self._rng is not None and len(self.queue) >= \
-                self.red_start * self.capacity:
-            # Linear ramp from 0 at the knee to 1 at a full queue.
-            span = max(1.0, self.capacity * (1.0 - self.red_start))
-            p = (len(self.queue) - self.red_start * self.capacity
-                 + 1.0) / span
-            if self._rng.random() < p:
-                self.drops_red += 1
-                topo._count_drop("red", frame)
-                return False
         if len(self.queue) >= self.capacity:
-            victim = self._overflow_victim(prio)
-            if victim is None:
-                self.drops_overflow += 1
-                topo._count_drop("port_queue", frame)
-                return False
-            dropped, _, _ = self.queue[victim]
-            del self.queue[victim]
             self.drops_overflow += 1
-            topo._count_drop("port_queue", dropped)
+            topo._count_drop("port_queue", frame)
+            return False
         self.enqueued += 1
-        self.queue.append((frame, dst_key, prio))
+        self.queue.append((frame, dst_key))
         if len(self.queue) > self.peak_depth:
             self.peak_depth = len(self.queue)
         free = self._free
@@ -359,36 +297,6 @@ class OutPort:
             self._service()
         return True
 
-    def _overflow_victim(self, incoming_prio: int) -> Optional[int]:
-        """Index of the queued frame to displace, or None to drop the
-        arrival.  FIFO always drops the arrival; priority displaces
-        the most recently queued frame of the lowest class strictly
-        below the arrival's class (so within-class order is intact)."""
-        if self.policy != "priority" or incoming_prio == 0:
-            return None
-        lowest = min(entry[2] for entry in self.queue)
-        if lowest >= incoming_prio:
-            return None
-        for index in range(len(self.queue) - 1, -1, -1):
-            if self.queue[index][2] == lowest:
-                return index
-        return None  # pragma: no cover - lowest always present
-
-    def _pick(self) -> Tuple[Frame, int, int]:
-        """Next frame to serve: FIFO, or highest class first (FIFO
-        within the class)."""
-        if self.policy != "priority":
-            return self.queue.popleft()
-        best_index = 0
-        best_prio = self.queue[0][2]
-        for index in range(1, len(self.queue)):
-            prio = self.queue[index][2]
-            if prio > best_prio:
-                best_index, best_prio = index, prio
-        entry = self.queue[best_index]
-        del self.queue[best_index]
-        return entry
-
     def _service(self) -> None:
         """Serve the next queued frame (the queue is non-empty).
 
@@ -398,30 +306,21 @@ class OutPort:
         :meth:`enqueue` schedules it if a frame arrives first.
         """
         self._busy = True
-        frame, dst_key, _ = self._pick()
+        frame, dst_key = self.queue.popleft()
         self.serviced += 1
         link = self.link
         tx_time = frame.wire_len * 8.0 / link.bandwidth
-        extra_delay = 0.0
-        dropped = False
-        if link.fault_plane is not None:
-            dropped, extra_delay, dup = \
-                link.fault_plane.link_disposition(frame)
-            if dropped:
-                link.drops_fault += 1
-                self.topology._count_drop("fault", frame)
-            elif dup is not None and len(self.queue) < self.capacity:
-                self.topology.dup_frames += 1
-                self.queue.append((dup, dst_key, self.classify(dup)))
-                self.topology._in_flight += 1
-        if not dropped:
+        if link.fault_plane is not None and \
+                link.fault_plane.link_disposition(frame):
+            link.drops_fault += 1
+            self.topology._count_drop("fault", frame)
+        else:
             link.frames += 1
             # The topology decides whether the hop stays local or
             # crosses a shard boundary; the call is synchronous so the
             # owned-case schedule order is identical to scheduling
             # _arrive inline.
-            self.topology._transmit(self, frame, dst_key, tx_time,
-                                    extra_delay)
+            self.topology._transmit(self, frame, dst_key, tx_time)
         sim = self.topology.sim
         if self.queue:
             sim.schedule_detached(tx_time, self._service)
@@ -441,8 +340,7 @@ class Switch:
     def add_port(self, link: Link) -> OutPort:
         neighbour = link.other(self.name)
         port = OutPort(self.topology, self.name, link,
-                       self.spec.queue_frames, self.spec.policy,
-                       self.spec.priority_ports, self.spec.red_start)
+                       self.spec.queue_frames)
         self.ports[neighbour] = port
         return port
 
@@ -450,7 +348,6 @@ class Switch:
         return {port.name: {"enqueued": port.enqueued,
                             "serviced": port.serviced,
                             "drops_overflow": port.drops_overflow,
-                            "drops_red": port.drops_red,
                             "peak_depth": port.peak_depth}
                 for port in self.ports.values()}
 
@@ -524,8 +421,7 @@ class Topology:
                     # Host access port: generous FIFO queue; the NIC's
                     # own ifq is the intended choke point.
                     self._ports[(node, neighbour)] = OutPort(
-                        self, node, link, capacity=256, policy="fifo",
-                        priority_ports=(), red_start=None)
+                        self, node, link, capacity=256)
 
         #: addr value -> (nic, node name)
         self._nics: Dict[int, object] = {}
@@ -556,10 +452,8 @@ class Topology:
         self.frames_delivered = 0
         self.drops_no_route = 0
         self.drops_port_queue = 0
-        self.drops_red = 0
         self.drops_congestion = 0
         self.drops_fault = 0
-        self.dup_frames = 0
         self._in_flight = 0
         # Cross-shard ledger (always 0 in an unsharded world).
         self.frames_exported = 0
@@ -623,30 +517,10 @@ class Topology:
             self.drops_congestion += 1
             return False
 
-        if self.fault_plane is not None:
-            drop, extra_delay, dup_frame = \
-                self.fault_plane.link_disposition(frame)
-            if drop:
-                self.drops_fault += 1
-                return False
-            # The flat LAN applies wire delay/duplication at the one
-            # link it has; here both land on the source access hop.
-            if extra_delay > 0.0:
-                self._in_flight += 1
-                self.sim.schedule_detached(
-                    extra_delay, self._inject, src_node, frame,
-                    dst_key, dst_node)
-                if dup_frame is not None:
-                    self.dup_frames += 1
-                    self._in_flight += 1
-                    self.sim.schedule_detached(
-                        extra_delay, self._inject, src_node,
-                        dup_frame, dst_key, dst_node)
-                return True
-            if dup_frame is not None:
-                self.dup_frames += 1
-                self._in_flight += 1
-                self._inject(src_node, dup_frame, dst_key, dst_node)
+        if self.fault_plane is not None and \
+                self.fault_plane.link_disposition(frame):
+            self.drops_fault += 1
+            return False
 
         self._in_flight += 1
         return self._inject(src_node, frame, dst_key, dst_node)
@@ -669,19 +543,19 @@ class Topology:
         return self._ports[(node, next_hop)].enqueue(frame, dst_key)
 
     def _transmit(self, port: OutPort, frame: Frame, dst_key: int,
-                  tx_time: float, extra_delay: float) -> None:
+                  tx_time: float) -> None:
         """Complete one hop's transmission from *port*.
 
-        The arrival lands ``tx_time + propagation + extra_delay``
-        after now — scheduled locally when the receiving node is
-        owned, exported through the shard boundary otherwise.  The
+        The arrival lands ``tx_time + propagation`` after now —
+        scheduled locally when the receiving node is owned, exported
+        through the shard boundary otherwise.  The
         exported timestamp is the absolute arrival time; propagation
         delay is what makes it strictly ahead of the sender's clock
         (the conservative lookahead).
         """
         link = port.link
         target = link.other(port.node)
-        delay = tx_time + link.propagation + extra_delay
+        delay = tx_time + link.propagation
         if self._owned is None or target in self._owned:
             self.sim.schedule_detached(delay, self._arrive, target,
                                        frame, dst_key)
@@ -727,8 +601,6 @@ class Topology:
         self._in_flight -= 1
         if cause == "port_queue":
             self.drops_port_queue += 1
-        elif cause == "red":
-            self.drops_red += 1
         else:
             self.drops_fault += 1
         trace = self.sim.trace
@@ -782,26 +654,23 @@ class Topology:
         # Per-link ``drops_fault`` counters are a breakdown of the
         # topology-level ``drops_fault`` total, not an addition to it.
         return (self.drops_no_route + self.drops_port_queue
-                + self.drops_red + self.drops_congestion
-                + self.drops_fault)
+                + self.drops_congestion + self.drops_fault)
 
     def in_flight(self) -> int:
         """Frames injected but not yet delivered or dropped."""
         return self._in_flight
 
     def conservation(self) -> Dict[str, int]:
-        """Every injected frame accounted for: sent + duplicates +
-        imported == delivered + drops(by cause) + in flight +
-        exported.  The cross-shard terms are 0 in an unsharded world;
-        summed over all shards they cancel, restoring the global
-        invariant (asserted by the PDES parity tests)."""
+        """Every injected frame accounted for: sent + imported ==
+        delivered + drops(by cause) + in flight + exported.  The
+        cross-shard terms are 0 in an unsharded world; summed over all
+        shards they cancel, restoring the global invariant (asserted
+        by the PDES parity tests)."""
         return {
             "sent": self.frames_sent,
-            "duplicated": self.dup_frames,
             "delivered": self.frames_delivered,
             "drops_no_route": self.drops_no_route,
             "drops_port_queue": self.drops_port_queue,
-            "drops_red": self.drops_red,
             "drops_congestion": self.drops_congestion,
             "drops_fault": self.drops_fault,
             "in_flight": self._in_flight,

@@ -43,12 +43,6 @@ class BaseNic:
         self.tx_drops_ifq = 0
         self.rx_frames = 0
         self.rx_drops_ring = 0
-        #: Fault injection: attached plane and whole-adaptor stall
-        #: state (a wedged DMA engine; frames arriving meanwhile are
-        #: lost at the adaptor).
-        self.fault_plane = None
-        self.stalled = False
-        self.rx_drops_stall = 0
 
     # ------------------------------------------------------------------
     # Transmit side
@@ -104,18 +98,14 @@ class BaseNic:
     def _rx_admit(self, frame: Frame, ring_used: int) -> bool:
         """Count an arriving frame and admit it to a host DMA ring that
         holds *ring_used* of the subclass's ``rx_ring_size`` frames.
-        A stalled adaptor or a full ring drops it at the ``rx_ring``
-        stage before any host CPU is spent."""
+        A full ring drops it at the ``rx_ring`` stage before any host
+        CPU is spent."""
         self.rx_frames += 1
-        if self.stalled:
-            self.rx_drops_stall += 1
-            reason = "nic_stall"
-        elif ring_used >= self.rx_ring_size:
-            self.rx_drops_ring += 1
-            reason = "ring_full"
-        else:
+        if ring_used < self.rx_ring_size:
             return True
+        self.rx_drops_ring += 1
         trace = self.sim.trace
         if trace.enabled:
-            trace.pkt_drop("rx_ring", flow_of(frame.packet), reason=reason)
+            trace.pkt_drop("rx_ring", flow_of(frame.packet),
+                           reason="ring_full")
         return False

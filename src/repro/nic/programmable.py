@@ -62,7 +62,6 @@ class ProgrammableNic(BaseNic):
         self.rx_drops_fifo = 0
         self.rx_demuxed = 0
         self.rx_unmatched = 0
-        self.rx_misclassified = 0
         self.host_interrupts = 0
 
     # ------------------------------------------------------------------
@@ -102,12 +101,6 @@ class ProgrammableNic(BaseNic):
                 self.sim.trace.pkt_drop("ni_demux", flow_of(frame.packet),
                                         reason="unmatched")
             return
-        if self.fault_plane is not None \
-                and self.fault_plane.nic_misclassify(frame.packet):
-            # Fault injection: firmware classified into the wrong
-            # bucket; the packet lands on the fragment channel.
-            channel = self.table.fragment_channel
-            self.rx_misclassified += 1
         was_empty = len(channel) == 0
         # A refused packet is an early discard at zero host cost.
         if enqueue(channel, frame.packet, self.sim.trace):

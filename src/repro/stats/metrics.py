@@ -1,4 +1,4 @@
-"""Measurement utilities: counters, latency samples, rate meters."""
+"""Measurement utilities: counters and latency samples."""
 
 from __future__ import annotations
 
@@ -73,35 +73,3 @@ class LatencyRecorder:
     def median(self) -> float:
         return self.percentile(50.0)
 
-
-class IntervalRate:
-    """Counts events inside a measurement window for rate reporting."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._window_start: Optional[float] = None
-        self._window_end: Optional[float] = None
-
-    def open_window(self, now: float) -> None:
-        self.count = 0
-        self._window_start = now
-        self._window_end = None
-
-    def close_window(self, now: float) -> None:
-        self._window_end = now
-
-    def note(self, now: float) -> None:
-        if self._window_start is None:
-            return
-        if self._window_end is not None and now > self._window_end:
-            return
-        if now >= self._window_start:
-            self.count += 1
-
-    def rate_per_sec(self, now: Optional[float] = None) -> float:
-        if self._window_start is None:
-            return 0.0
-        end = self._window_end if self._window_end is not None else now
-        if end is None or end <= self._window_start:
-            return 0.0
-        return self.count * 1e6 / (end - self._window_start)

@@ -1,10 +1,6 @@
 """Workload generation: raw packet injectors and scenario helpers."""
 
-from repro.workloads.adversarial import (
-    BurstyUdpBlaster,
-    aborting_client,
-    slow_client,
-)
+from repro.workloads.adversarial import BurstyUdpBlaster
 from repro.workloads.sources import (
     InjectorPort,
     RawSynInjector,
@@ -12,4 +8,4 @@ from repro.workloads.sources import (
 )
 
 __all__ = ["InjectorPort", "RawSynInjector", "RawUdpInjector",
-           "BurstyUdpBlaster", "slow_client", "aborting_client"]
+           "BurstyUdpBlaster"]

@@ -1,20 +1,12 @@
-"""Adversarial workloads: misbehaving senders and clients.
+"""Adversarial workloads: misbehaving senders.
 
 The paper's Table 2 pits a well-behaved victim socket against traffic
-aimed at *another* socket on the same host; these generators make that
-scenario — and several nastier ones — reusable:
-
-* :class:`BurstyUdpBlaster` — an on/off UDP source that alternates
-  between silence and a line-rate burst aimed at one port, the
-  misbehaving flow whose damage to a victim socket the degradation
-  experiments measure;
-* :func:`slow_client` — a TCP sender that trickles tiny writes with
-  long think times, occupying server-side connection state for ages
-  (slowloris-shaped);
-* :func:`aborting_client` — connects, sends a little, then closes
-  mid-conversation, exercising teardown under load;
-* SYN floods are covered by the existing
-  :class:`~repro.workloads.sources.RawSynInjector`.
+aimed at *another* socket on the same host.
+:class:`BurstyUdpBlaster` makes that scenario reusable: an on/off UDP
+source that alternates between silence and a line-rate burst aimed at
+one port, the misbehaving flow whose damage to a victim socket the
+degradation experiments measure.  SYN floods are covered by
+:class:`~repro.workloads.sources.RawSynInjector`.
 
 Everything here is deterministic: schedules derive from the arguments
 only, never from RNG or wall-clock state.
@@ -24,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.process import Sleep, Syscall
 from repro.engine.simulator import Simulator
 from repro.net.addr import IPAddr
 from repro.net.ip import IPPROTO_UDP, IpPacket
@@ -99,39 +90,3 @@ class BurstyUdpBlaster:
         self.sent += 1
         self.sim.schedule_detached(self._gap, self._fire)
 
-
-def slow_client(server_addr, server_port: int,
-                total_bytes: int = 256, chunk_bytes: int = 16,
-                think_usec: float = 200_000.0):
-    """Process body for a slowloris-shaped TCP client: connect, then
-    dribble *chunk_bytes* every *think_usec*, holding the connection
-    (and the server's per-connection state) open the whole time."""
-    sock = yield Syscall("socket", stype="tcp")
-    rc = yield Syscall("connect", sock=sock, addr=server_addr,
-                       port=server_port)
-    if rc != 0:
-        return
-    sent = 0
-    while sent < total_bytes:
-        chunk = min(chunk_bytes, total_bytes - sent)
-        yield Syscall("send", sock=sock, nbytes=chunk)
-        sent += chunk
-        yield Sleep(think_usec)
-    yield Syscall("close", sock=sock)
-
-
-def aborting_client(server_addr, server_port: int,
-                    send_bytes: int = 512,
-                    abort_after_usec: float = 5_000.0):
-    """Process body for a client that connects, pushes a little data,
-    then closes mid-conversation — the server is left to discover the
-    abandonment and tear down state."""
-    sock = yield Syscall("socket", stype="tcp")
-    rc = yield Syscall("connect", sock=sock, addr=server_addr,
-                       port=server_port)
-    if rc != 0:
-        return
-    if send_bytes > 0:
-        yield Syscall("send", sock=sock, nbytes=send_bytes)
-    yield Sleep(abort_after_usec)
-    yield Syscall("close", sock=sock)

@@ -17,7 +17,7 @@ from repro.apps import (
     udp_sliding_window_sink,
     udp_sliding_window_source,
 )
-from repro.apps.compute import finite_compute, rpc_worker
+from repro.apps.compute import rpc_worker
 from repro.engine.process import Sleep
 from repro.stats.metrics import LatencyRecorder
 from tests.helpers import SERVER, Scenario
@@ -93,15 +93,6 @@ def test_rpc_worker_serves_long_call():
     assert result
     start, end = result[0]
     assert end - start >= 50_000.0
-
-
-def test_finite_compute_exits():
-    sc = Scenario(Architecture.BSD)
-    done = []
-    proc = sc.server.spawn("fc", finite_compute(10_000.0, done, sc.sim))
-    sc.run(100_000.0)
-    assert done
-    assert not proc.alive
 
 
 def test_spinner_never_blocks():

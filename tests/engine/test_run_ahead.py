@@ -201,12 +201,12 @@ def eager_service(port):
         port._busy = False
         return
     port._busy = True
-    frame, dst_key, _ = port._pick()
+    frame, dst_key = port.queue.popleft()
     port.serviced += 1
     link = port.link
     tx_time = frame.wire_len * 8.0 / link.bandwidth
     link.frames += 1
-    port.topology._transmit(port, frame, dst_key, tx_time, 0.0)
+    port.topology._transmit(port, frame, dst_key, tx_time)
     port.topology.sim.schedule_detached(tx_time, port._service)
 
 

@@ -10,9 +10,10 @@ from repro.net.link import Network
 from repro.net.topology import Topology, gateway_chain_spec, incast_spec
 
 
-def _nic_plan():
+def _squeeze_plan(start_usec, magnitude):
     return FaultPlan(seed=3, rules=(
-        FaultRule("nic", "misclassify", probability=0.5),))
+        FaultRule("mbuf", "exhaust", start_usec=start_usec,
+                  magnitude=magnitude),))
 
 
 def test_network_follows_the_topology_argument():
@@ -26,21 +27,21 @@ def test_network_follows_the_topology_argument():
 
 def test_fault_plane_reaches_added_and_adopted_hosts():
     world = World(seed=1, topology=gateway_chain_spec(),
-                  fault_plan=_nic_plan())
-    plane = world.fault_plane
+                  fault_plan=_squeeze_plan(500.0, 100))
     backend = world.add_host("10.0.1.1", Architecture.SOFT_LRP)
     gateway, _ = build_gateway(world.sim, world.network, "10.0.0.254",
                                "10.0.1.254", Architecture.SOFT_LRP)
     world.adopt(gateway)
-    assert world.network.fault_plane is plane
-    assert backend.nic.fault_plane is plane
-    assert gateway.nic.fault_plane is plane
-    # An explicit per-host plane wins over the world's.
-    own = FaultPlane(world.sim, _nic_plan())
+    # An explicit per-host plane wins over the world's: the world's
+    # later window never reaches the client.
+    own = FaultPlane(world.sim, _squeeze_plan(0.0, 7))
     client = world.add_host("10.0.0.2", Architecture.BSD,
                             fault_plane=own)
-    assert client.nic.fault_plane is own
     assert world.hosts == [backend, gateway, client]
+    world.run(1_000.0)
+    assert backend.stack.mbufs.fault_reserved == 100
+    assert gateway.stack.mbufs.fault_reserved == 100
+    assert client.stack.mbufs.fault_reserved == 7
 
 
 def test_empty_plan_builds_no_plane_and_unowned_world_owns_all():

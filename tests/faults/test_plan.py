@@ -32,6 +32,14 @@ def test_unknown_kind_rejected():
         FaultRule("link", "exhaust")
 
 
+@pytest.mark.parametrize("layer,kind", [
+    ("link", "duplicate"), ("link", "delay"), ("link", "jitter"),
+    ("nic", "misclassify")])
+def test_removed_kinds_rejected(layer, kind):
+    with pytest.raises(ValueError, match="fault kind"):
+        FaultRule(layer, kind)
+
+
 def test_probability_bounds_rejected():
     with pytest.raises(ValueError):
         FaultRule("link", "drop", probability=1.5)
@@ -67,13 +75,19 @@ def test_plan_layer_rules_keep_plan_order():
 # Plane determinism
 # ----------------------------------------------------------------------
 def _dispositions(seed, n=200):
+    """Per frame: dropped, corrupted, and the flipped bit."""
     sim = Simulator(seed=7)
     plan = FaultPlan(seed=seed, rules=[
         FaultRule("link", "drop", probability=0.3),
-        FaultRule("link", "jitter", probability=0.5, magnitude=40.0),
+        FaultRule("link", "corrupt", probability=0.5),
     ])
     plane = FaultPlane(sim, plan)
-    return [plane.link_disposition(_frame()) for _ in range(n)]
+    out = []
+    for _ in range(n):
+        frame = _frame()
+        drop = plane.link_disposition(frame)
+        out.append((drop, frame.packet.corrupt, frame.packet.corrupt_bit))
+    return out
 
 
 def test_same_plan_seed_same_decisions():
@@ -98,10 +112,8 @@ def test_rule_filters_gate_matching():
     sim = Simulator(seed=7)
     plane = FaultPlane(sim, FaultPlan(seed=1, rules=[
         FaultRule("link", "drop", dst_port=7100)]))
-    drop, _, _ = plane.link_disposition(_frame(dst_port=9000))
-    assert not drop
-    drop, _, _ = plane.link_disposition(_frame(dst_port=7100))
-    assert drop
+    assert not plane.link_disposition(_frame(dst_port=9000))
+    assert plane.link_disposition(_frame(dst_port=7100))
     assert plane.counters.get("link_drop") == 1
     assert plane.injected_total() == 1
 
@@ -111,21 +123,9 @@ def test_corrupt_marks_packet_and_counts():
     plane = FaultPlane(sim, FaultPlan(seed=1, rules=[
         FaultRule("link", "corrupt")]))
     frame = _frame()
-    drop, extra, dup = plane.link_disposition(frame)
-    assert not drop and dup is None
+    assert not plane.link_disposition(frame)
     assert frame.packet.corrupt
     assert plane.snapshot() == {"link_corrupt": 1}
-
-
-def test_duplicate_returns_independent_frame():
-    sim = Simulator(seed=7)
-    plane = FaultPlane(sim, FaultPlan(seed=1, rules=[
-        FaultRule("link", "duplicate")]))
-    frame = _frame()
-    _, _, dup = plane.link_disposition(frame)
-    assert dup is not None and dup is not frame
-    assert dup.packet is not frame.packet
-    assert dup.packet.transport is frame.packet.transport
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +177,39 @@ def test_nic_stall_window_toggles_channels(arch=Architecture.NI_LRP):
     assert owner is not None and owner.local.port == 9000
     bed.run(25_000.0)
     assert not stalled_channels()
+
+
+def test_port_stall_leaves_a_bsd_nic_admitting():
+    """A stall acts on NI channels only; 4.4BSD has none, so its NIC
+    keeps admitting frames for the stalled port."""
+    from repro.engine import Syscall
+    from repro.experiments.common import CLIENT_A_ADDR
+    from repro.workloads import RawUdpInjector
+
+    plan = FaultPlan(seed=1, rules=[
+        FaultRule("nic", "stall", start_usec=0.0, end_usec=50_000.0,
+                  dst_port=9000)])
+    bed = Testbed(seed=1, fault_plan=plan)
+    host = bed.add_host(SERVER_ADDR, Architecture.BSD)
+    received = []
+
+    def sink():
+        sock = yield Syscall("socket", stype="udp")
+        yield Syscall("bind", sock=sock, port=9000)
+        while True:
+            received.append((yield Syscall("recvfrom", sock=sock)))
+
+    host.spawn("sink", sink())
+    blaster = RawUdpInjector(bed.sim, bed.network, CLIENT_A_ADDR,
+                             SERVER_ADDR, 9000)
+    blaster.start(1_000.0)
+    bed.run(30_000.0)
+    blaster.stop()
+    bed.run(45_000.0)
+    assert bed.fault_plane.counters.get("nic_stall_on") == 1
+    assert blaster.sent > 0
+    assert host.nic.rx_frames == len(received) == blaster.sent
+    assert host.nic.rx_drops_ring == 0
 
 
 def test_stalled_channel_counts_discards_separately():

@@ -1,19 +1,13 @@
 """The topology test wall: switch invariants as properties.
 
 The switch is the new moving part of the multi-host world, so its
-contract is pinned four ways:
+contract is pinned two ways:
 
 * **work conservation** — an output port never idles while frames are
   queued, so a backlogged port drains at exactly the link rate;
 * **per-flow FIFO** — frames of one input flow are delivered in their
-  injection order, drops included (drops thin a flow, never reorder
-  it);
-* **deterministic drops** — RED early-drop decisions come from a
-  per-port seeded stream, so two runs of the same scenario make
-  byte-identical drop decisions;
-* **priority class order** — the priority policy prefers the high
-  class for service and displacement, but never reorders frames
-  *within* a class.
+  injection order, drops included (tail drops thin a flow, never
+  reorder it).
 
 Each property has a concrete regression case so the invariants stay
 covered on installs without hypothesis.
@@ -87,9 +81,9 @@ def build_incast(sim, fan_in, **spec_kwargs):
 
 def assert_conserved(topo):
     c = topo.conservation()
-    assert c["sent"] + c["duplicated"] == (
+    assert c["sent"] == (
         c["delivered"] + c["drops_no_route"] + c["drops_port_queue"]
-        + c["drops_red"] + c["drops_fault"] + c["in_flight"])
+        + c["drops_fault"] + c["in_flight"])
 
 
 # ---------------------------------------------------------------------------
@@ -264,127 +258,3 @@ if HAVE_HYPOTHESIS:
                            min_size=2, max_size=4))
     def test_fifo_per_flow(bursts):
         check_fifo_per_flow(bursts)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic RED drops
-# ---------------------------------------------------------------------------
-
-def red_run(seed, bursts):
-    sim = Simulator(seed=seed)
-    fan_in = len(bursts)
-    topo, server = build_incast(sim, fan_in, queue_frames=8,
-                                red_start=0.5)
-    tags = {}
-    for i, burst in enumerate(bursts):
-        for seq in range(burst):
-            frame = make_frame(client_addr(i), src_port=20000 + i)
-            tags[id(frame)] = (i, seq)
-            topo.send(frame, client_addr(i))
-    sim.run_until(10_000_000.0)
-    assert topo.in_flight() == 0
-    assert_conserved(topo)
-    return [tags[id(f)] for f in server.frames], topo.conservation()
-
-
-def check_red_deterministic(seed, bursts):
-    first = red_run(seed, bursts)
-    second = red_run(seed, bursts)
-    assert first == second
-
-
-def test_red_deterministic_concrete():
-    delivered, conservation = red_run(3, [16, 16, 16])
-    assert conservation["drops_red"] > 0  # the knee actually engaged
-    check_red_deterministic(3, [16, 16, 16])
-
-
-if HAVE_HYPOTHESIS:
-
-    @needs_hypothesis
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-           bursts=st.lists(st.integers(min_value=1, max_value=16),
-                           min_size=2, max_size=4))
-    def test_red_drops_deterministic(seed, bursts):
-        check_red_deterministic(seed, bursts)
-
-
-# ---------------------------------------------------------------------------
-# Priority policy: preference without intra-class reordering
-# ---------------------------------------------------------------------------
-
-HIGH_PORT, LOW_PORT = PORT, PORT + 1
-
-
-def priority_run(plan, queue_frames=4):
-    """Enqueue *plan* — a sequence of ``is_high`` flags — directly at
-    the switch's uplink port at t=0, so the queue genuinely contends
-    (the access links would otherwise pace arrivals below the service
-    rate).  Returns delivered tags in arrival order plus the topology.
-    """
-    sim = Simulator(seed=7)
-    topo, server = build_incast(sim, 2, queue_frames=queue_frames,
-                                policy="priority",
-                                priority_ports=(HIGH_PORT,))
-    port = topo.switches["sw0"].ports["server"]
-    dst_key = IPAddr(SERVER).value
-    tags = {}
-    counters = [0, 0]
-    for is_high in plan:
-        dst_port = HIGH_PORT if is_high else LOW_PORT
-        frame = make_frame(client_addr(0), dst_port=dst_port)
-        tags[id(frame)] = (is_high, counters[is_high])
-        counters[is_high] += 1
-        topo.frames_sent += 1
-        topo._in_flight += 1  # what _inject would have accounted
-        port.enqueue(frame, dst_key)
-    sim.run_until(10_000_000.0)
-    assert topo.in_flight() == 0
-    assert_conserved(topo)
-    return [tags[id(f)] for f in server.frames], topo
-
-
-def check_priority_class_order(plan):
-    delivered, topo = priority_run(plan)
-    for klass in (False, True):
-        seqs = [seq for is_high, seq in delivered if is_high == klass]
-        # Service preference and displacement thin a class but never
-        # reorder it.
-        assert seqs == sorted(seqs)
-        assert len(seqs) == len(set(seqs))
-    c = topo.conservation()
-    assert len(delivered) + c["drops_port_queue"] == len(plan)
-
-
-def test_priority_prefers_high_class_concrete():
-    # Saturate with low traffic, then inject high: each high frame
-    # displaces the most recently queued low frame and overtakes the
-    # remaining lows at service time, while each class stays
-    # internally FIFO.  Capacity 4, and the first low is already in
-    # service when the burst lands.
-    plan = [False] * 8 + [True] * 3
-    delivered, topo = priority_run(plan)
-    assert delivered == [(False, 0),           # head-of-line, in service
-                         (True, 0), (True, 1), (True, 2),
-                         (False, 1)]           # sole surviving queued low
-    # Three lows tail-dropped on a full queue, three displaced by highs.
-    assert topo.drops_port_queue == 6
-
-
-def test_priority_all_high_never_displaces_high():
-    plan = [True] * 10
-    delivered, topo = priority_run(plan, queue_frames=4)
-    # Arrival into a full all-high queue is tail-dropped, never a
-    # displacement of an earlier high frame.
-    assert delivered == [(True, seq) for seq in range(5)]
-    assert topo.drops_port_queue == 5
-
-
-if HAVE_HYPOTHESIS:
-
-    @needs_hypothesis
-    @settings(max_examples=25, deadline=None)
-    @given(plan=st.lists(st.booleans(), min_size=1, max_size=20))
-    def test_priority_never_reorders_within_class(plan):
-        check_priority_class_order(plan)

@@ -31,14 +31,13 @@ def test_digest_distinguishes_topologies():
 
 
 def test_digest_distinguishes_same_name_different_graph():
-    # Same topology *name*, different switch policy: the name alone
-    # must not be the key.
-    fifo = incast_spec(4, queue_frames=8)
-    prio = incast_spec(4, queue_frames=8, policy="priority",
-                       priority_ports=(9000,))
-    assert fifo.name == prio.name
-    assert point_digest(probe_point, {"x": 1, "topology": fifo}) != \
-        point_digest(probe_point, {"x": 1, "topology": prio})
+    # Same topology *name*, different switch queue depth: the name
+    # alone must not be the key.
+    shallow = incast_spec(4, queue_frames=8)
+    deep = incast_spec(4, queue_frames=16)
+    assert shallow.name == deep.name
+    assert point_digest(probe_point, {"x": 1, "topology": shallow}) != \
+        point_digest(probe_point, {"x": 1, "topology": deep})
 
 
 def test_digest_stable_across_spec_rebuilds():

@@ -2,9 +2,7 @@
 
 import math
 
-import pytest
-
-from repro.stats.metrics import Counter, IntervalRate, LatencyRecorder
+from repro.stats.metrics import Counter, LatencyRecorder
 from repro.stats.report import format_series, format_table
 
 
@@ -125,24 +123,6 @@ class TestLatencyRecorder:
         r.record(1.0, now=math.nan)
         assert r.samples_since(-math.inf) == []
         assert r.count == 1
-
-
-class TestIntervalRate:
-    def test_rate_in_window(self):
-        rate = IntervalRate()
-        rate.open_window(1_000_000.0)
-        for t in (1_100_000.0, 1_200_000.0, 1_300_000.0):
-            rate.note(t)
-        rate.close_window(2_000_000.0)
-        assert rate.rate_per_sec() == pytest.approx(3.0)
-
-    def test_events_outside_window_ignored(self):
-        rate = IntervalRate()
-        rate.open_window(1_000_000.0)
-        rate.note(500_000.0)       # before
-        rate.close_window(2_000_000.0)
-        rate.note(2_500_000.0)     # after
-        assert rate.count == 0
 
 
 class TestReport:
