@@ -22,7 +22,6 @@ SERVER_THINK_USEC = 200.0
 
 
 def httpd_master(kernel, port: int, backlog: int = 8,
-                 doc_bytes: int = DEFAULT_DOC_BYTES,
                  served: Optional[list] = None,
                  working_set_kb: float = 32.0) -> Generator:
     """Accept loop: forks one child process per connection."""
@@ -35,17 +34,16 @@ def httpd_master(kernel, port: int, backlog: int = 8,
         child_seq += 1
         # fork(): the child serves the connection and exits.
         kernel.spawn(f"httpd-{child_seq}",
-                     httpd_child(kernel, conn, doc_bytes, served),
+                     httpd_child(kernel, conn, served),
                      working_set_kb=working_set_kb)
 
 
-def httpd_child(kernel, conn, doc_bytes: int,
-                served: Optional[list]) -> Generator:
+def httpd_child(kernel, conn, served: Optional[list]) -> Generator:
     """Serve one connection: read request, compute, respond, close."""
     got = yield Syscall("recv", sock=conn, max_bytes=4096)
     if got > 0:
         yield Compute(SERVER_THINK_USEC)
-        yield Syscall("send", sock=conn, nbytes=doc_bytes)
+        yield Syscall("send", sock=conn, nbytes=DEFAULT_DOC_BYTES)
         if served is not None:
             served.append(kernel.sim.now)
     yield Syscall("close", sock=conn)
@@ -53,10 +51,8 @@ def httpd_child(kernel, conn, doc_bytes: int,
 
 
 def http_client(dst_addr, dst_port: int,
-                doc_bytes: int = DEFAULT_DOC_BYTES,
                 completions: Optional[list] = None,
-                clock=None,
-                think_usec: float = 0.0) -> Generator:
+                clock=None) -> Generator:
     """Closed-loop HTTP client: continually requests documents."""
     while True:
         sock = yield Syscall("socket", stype="tcp")
@@ -67,17 +63,14 @@ def http_client(dst_addr, dst_port: int,
             continue
         yield Syscall("send", sock=sock, nbytes=REQUEST_BYTES)
         received = 0
-        while received < doc_bytes:
+        while received < DEFAULT_DOC_BYTES:
             n = yield Syscall("recv", sock=sock, max_bytes=8192)
             if n == 0:
                 break
             received += n
         yield Syscall("close", sock=sock)
-        if received >= doc_bytes and completions is not None:
+        if received >= DEFAULT_DOC_BYTES and completions is not None:
             completions.append(clock.now if clock is not None else True)
-        if think_usec > 0:
-            from repro.engine.process import Sleep
-            yield Sleep(think_usec)
 
 
 def dummy_server(port: int, backlog: int = 5) -> Generator:

@@ -156,10 +156,7 @@ class BsdStack(NetworkStack):
         if sock is None:
             self.stats.incr("drop_pcb_miss")
             return
-        cost = self.costs.udp_input + self.costs.socket_enqueue
-        if self.checksum_enabled and dgram.checksum_enabled:
-            cost += self.costs.checksum_cost(dgram.payload_len)
-        yield Compute(cost)
+        yield Compute(self.costs.udp_input + self.costs.socket_enqueue)
         self.udp_deliver_to_socket(sock, packet)
 
     def _tcp_input_eager(self, packet: IpPacket) -> Generator:

@@ -278,10 +278,7 @@ class LrpStackBase(NetworkStack):
             self.udp_pcb.lookup(packet.dst, dgram.dst_port,
                                 packet.src, dgram.src_port)
         dgram = packet.transport
-        cost = self.costs.udp_input
-        if self.checksum_enabled and dgram.checksum_enabled:
-            cost += self.costs.checksum_cost(dgram.payload_len)
-        yield Compute(cost)
+        yield Compute(self.costs.udp_input)
         return (dgram, endpoint(packet.src, dgram.src_port),
                 packet.stamp)
 

@@ -36,7 +36,6 @@ from repro.host.interrupts import SOFTWARE, IntrTask
 from repro.host.kernel import Kernel
 from repro.mem.pool import MbufPool
 from repro.net.addr import IPAddr, endpoint
-from repro.net.checksum import stamp_packet, verify_packet
 from repro.net.ip import (
     IPPROTO_TCP,
     IPPROTO_UDP,
@@ -72,7 +71,6 @@ class NetworkStack:
 
     def __init__(self, kernel: Kernel, nic, local_addr,
                  mtu: int = DEFAULT_MTU,
-                 checksum_enabled: bool = False,
                  time_wait_usec: float = TIME_WAIT_DEFAULT,
                  redundant_pcb_lookup: bool = False,
                  demux_table: Optional[DemuxTable] = None):
@@ -83,7 +81,6 @@ class NetworkStack:
         self.addr = IPAddr(local_addr)
         self.mtu = mtu
         self.mbufs = MbufPool()
-        self.checksum_enabled = checksum_enabled
         self.time_wait_usec = time_wait_usec
         #: Figure 5 control: LRP kernels optionally perform a redundant
         #: PCB lookup so measured gains cannot be attributed to demux
@@ -309,12 +306,9 @@ class NetworkStack:
                 self.endpoint_attached(sock)
             cost = (self.costs.copy_cost(nbytes) + self.costs.mbuf_alloc
                     + self.costs.udp_output + self.costs.ip_output)
-            if self.checksum_enabled:
-                cost += self.costs.checksum_cost(nbytes)
             yield Compute(cost)
             dgram = UdpDatagram(sock.local.port, dst.port,
-                                payload=payload, payload_len=nbytes,
-                                checksum_enabled=self.checksum_enabled)
+                                payload=payload, payload_len=nbytes)
             self.ip_output(dgram, dst.addr, IPPROTO_UDP, dgram.total_len)
             sock.msgs_sent += 1
             sock.bytes_sent += nbytes
@@ -442,7 +436,6 @@ class NetworkStack:
         caller (it differs by context); this just moves the packet."""
         packet = IpPacket(self.addr, dst, proto, transport, payload_len)
         packet.stamp = self.sim.now
-        stamp_packet(packet)
         self.stats.incr("ip_out")
         link_dst = self.link_dst_for(dst)
         if vci is None:
@@ -490,8 +483,6 @@ class NetworkStack:
         total_cost = 0.0
         for seg in actions.outputs:
             total_cost += self.costs.tcp_output + self.costs.ip_output
-            if self.checksum_enabled:
-                total_cost += self.costs.checksum_cost(seg.payload_len)
             self.ip_output(seg, conn.peer.addr, IPPROTO_TCP,
                            seg.total_len)
             self.stats.incr("tcp_segs_out")
@@ -616,7 +607,7 @@ class NetworkStack:
     def tcp_input_gen(self, sock: Socket, packet: IpPacket) -> Generator:
         """Process one TCP segment for *sock* (any context)."""
         seg: TcpSegment = packet.transport
-        if packet.corrupt and not verify_packet(packet):
+        if packet.corrupt:
             # TCP always verifies (checksumming is mandatory); the cost
             # is charged only on the failing path so fault-free runs
             # keep their historical timing.
@@ -694,7 +685,7 @@ class NetworkStack:
         tried when reassembly comes up short (LRP drains its fragment
         channel).  Callers enter only for ``packet.corrupt or
         packet.is_fragment``, so clean packets pay no extra frame."""
-        if packet.corrupt and not verify_packet(packet):
+        if packet.corrupt:
             yield from self._checksum_drop(packet, packet.payload_len, "ip")
             return None
         if not packet.is_fragment:
@@ -705,7 +696,7 @@ class NetworkStack:
             whole = yield from incomplete()
         if whole is None:
             return None
-        if whole.corrupt and not verify_packet(whole):
+        if whole.corrupt:
             # A corrupted fragment poisons the whole datagram.
             yield from self._checksum_drop(whole, whole.payload_len, "ip")
             return None

@@ -56,9 +56,9 @@ class Simulator:
     Parameters
     ----------
     seed:
-        Seed for the simulator-owned :class:`random.Random`.  All
-        stochastic components draw from this generator so that entire
-        experiments are reproducible bit-for-bit.
+        Seed from which :meth:`named_rng` derives every random
+        stream, so that entire experiments are reproducible
+        bit-for-bit.
     tracer:
         Optional :class:`~repro.trace.tracer.Tracer` receiving every
         engine/host/stack trace record.  Defaults to the process-wide
@@ -72,7 +72,6 @@ class Simulator:
                  tracer: Optional[Tracer] = None) -> None:
         self.now: float = 0.0
         self.seed = seed
-        self.rng = random.Random(seed)
         self._queue = EventQueue()
         self._running = False
         #: Latest time :meth:`advance_to` may move the clock to: the
@@ -123,11 +122,10 @@ class Simulator:
     def named_rng(self, name: str) -> random.Random:
         """An independent RNG stream derived from the simulation seed.
 
-        Components that draw randomness out-of-band (congestion drops,
-        fault injection) use a named stream instead of :attr:`rng` so
-        their draws neither perturb nor depend on everyone else's —
-        the property that keeps serial, parallel, and warm-cache runs
-        byte-identical.
+        Each component that draws randomness (congestion drops, fault
+        injection) uses its own named stream, so its draws neither
+        perturb nor depend on anyone else's — the property that keeps
+        serial, parallel, and warm-cache runs byte-identical.
         """
         digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))

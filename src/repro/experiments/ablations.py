@@ -14,8 +14,8 @@ The paper argues (Section 3) that *both* key techniques are necessary:
 
 2. ``accounting`` ablation — how much of BSD's Figure 4 latency damage
    is due to *charging the wrong process*?  We re-run the ping-pong +
-   blast workload on BSD under three accounting policies (interrupted
-   / receiver / system) and compare round-trip times.
+   blast workload on BSD under two accounting policies (interrupted
+   / system) and compare round-trip times.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.process import Compute, Syscall
 from repro.core import Architecture
+from repro.faults import FaultPlan, FaultRule
 from repro.apps import pingpong_client, pingpong_server, spinner, \
     udp_blast_sink
 from repro.runner import SweepRunner
@@ -58,11 +59,12 @@ def run_corrupt_flood_point(arch: Architecture, rate_pps: float,
     the channel itself is the feedback queue, so the flood is shed as
     soon as the receiver falls behind.
     """
-    bed = Testbed(seed=seed)
+    plan = FaultPlan(seed=seed, rules=(
+        FaultRule("link", "corrupt", probability=1.0, dst_port=9000),))
+    bed = Testbed(seed=seed, fault_plan=plan)
     server = bed.add_host(SERVER_ADDR, arch)
     injector = RawUdpInjector(bed.sim, bed.network, CLIENT_C_ADDR,
                               SERVER_ADDR, 9000)
-    injector.corrupt_fraction = 1.0
 
     progress: List[float] = []
 
@@ -140,8 +142,7 @@ def run_accounting_point(policy: str, background_pps: float,
 
 
 def run_accounting(rates: Sequence[float] = (0, 2000, 4000, 6000),
-                   policies: Sequence[str] = ("interrupted", "receiver",
-                                              "system"),
+                   policies: Sequence[str] = ("interrupted", "system"),
                    runner: Optional[SweepRunner] = None,
                    **kwargs) -> Dict:
     runner = runner or SweepRunner()

@@ -43,6 +43,7 @@ from repro.engine.sharded import ShardedEngine
 from repro.net.topology import (
     TopologySpec,
     gateway_chain_spec,
+    incast_client_addr,
     incast_spec,
 )
 from repro.runner import SweepRunner
@@ -54,7 +55,6 @@ from repro.experiments.common import MAIN_SYSTEMS
 
 #: Canonical addresses of the incast rack.
 INCAST_SERVER_ADDR = "10.0.0.1"
-INCAST_CLIENT_BASE = 10
 INCAST_PORT = 9000
 
 #: Canonical addresses of the gateway chain (the spec's defaults).
@@ -143,7 +143,7 @@ def _incast_server_collect(world, state, duration_usec, warmup_usec,
 def _incast_client_build(world, index, rate_pps, **_):
     injector = RawUdpInjector(
         world.sim, world.network,
-        f"10.0.0.{INCAST_CLIENT_BASE + index}",
+        incast_client_addr(index),
         INCAST_SERVER_ADDR, INCAST_PORT, src_port=20000 + index)
     # Staggered starts de-phase the per-client packet trains, as
     # independent client machines would be.

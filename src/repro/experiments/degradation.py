@@ -6,17 +6,17 @@ traffic it will discard, while LRP sheds the same traffic before any
 protocol processing.  This experiment family stresses that claim with
 the deterministic fault plane (:mod:`repro.faults`): a well-behaved
 *victim* UDP flow shares a server with a bursty blaster while a
-seeded :class:`~repro.faults.plan.FaultPlan` injects link loss, bit
+seeded :class:`~repro.faults.plan.FaultPlan` injects link loss,
 corruption, NIC stalls and mbuf-pool exhaustion in a mid-run window.
 
 Swept over fault *intensity* in [0, 1] and architecture, each point
 reports the victim's goodput, its one-way latency tail, and how long
 after the fault window closes the victim returns to (90% of) its
-pre-window delivery rate.  A second sweep drives a checksummed TCP
-transfer through a lossy, corrupting window and verifies every
-architecture still delivers the complete byte stream — loss triggers
-retransmission/RTO backoff, corruption is caught by the Internet
-checksum and handled the same way.
+pre-window delivery rate.  A second sweep drives a TCP transfer
+through a lossy, corrupting window and verifies every architecture
+still delivers the complete byte stream — loss triggers
+retransmission/RTO backoff; corrupt segments are dropped at input as
+``drop_corrupt`` and recovered the same way.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def degradation_spec() -> TopologySpec:
 def edge_fault_plan(intensity: float, duration_usec: float,
                     seed: int) -> Optional[FaultPlan]:
     """The wire half of the canonical degradation plan: link loss and
-    bit corruption over the mid-run window [0.35, 0.55] of the
+    corruption over the mid-run window [0.35, 0.55] of the
     duration.  One instance attaches per sender access edge (with a
     per-edge seed), so each client's fault draws are a pure function
     of its own frame sequence — which is what keeps them invariant to
@@ -372,10 +372,10 @@ def _tcp_sender(dst_addr, port: int, nbytes: int, chunk: int,
 def run_tcp_point(arch: Architecture, intensity: float,
                   nbytes: int = 64_000, seed: int = 3,
                   cores: int = 1) -> Dict:
-    """A checksummed TCP transfer through a lossy, corrupting window.
+    """A TCP transfer through a lossy, corrupting window.
 
-    Loss forces retransmission and RTO backoff; corruption is caught
-    by checksum verification and recovers the same way.  The point of
+    Loss forces retransmission and RTO backoff; corrupt segments are
+    dropped at input as ``drop_corrupt`` and recover the same way.  The point of
     the point: *every* architecture delivers the full byte stream —
     including the modern stacks when run with *cores* >= 2.
     """

@@ -1,7 +1,7 @@
 """Deterministic, seed-driven fault injection.
 
 A :class:`FaultPlan` declares *what* goes wrong and *when* — link-level
-loss and bit corruption; NI-channel stalls; mbuf-pool exhaustion
+loss and corruption; NI-channel stalls; mbuf-pool exhaustion
 windows — as a schedule of :class:`FaultRule` entries.  A
 :class:`FaultPlane` executes one plan inside one simulation, drawing
 every stochastic decision from per-rule RNG streams derived from the

@@ -10,7 +10,8 @@ Layers and kinds
 ----------------
 ``layer="link"`` — applied by :meth:`repro.net.link.Network.send`:
     ``drop``       lose the frame on the wire (probability per frame);
-    ``corrupt``    flip one (seeded) bit so checksum verification fails.
+    ``corrupt``    mark the packet corrupt so the receiver's checksum
+                   step drops it.
 ``layer="nic"``:
     ``stall``      window during which matching NI channels (the LRP
                    family, Early-Demux, NIC-OS) stop accepting frames;

@@ -114,7 +114,9 @@ class FaultPlane:
             if rule.kind == "drop":
                 return True
             packet.corrupt = True
-            packet.corrupt_bit = rng.randrange(256)
+            # The drawn value is unused, but the draw stays: removing it
+            # would shift this rule's stream and every later decision.
+            rng.randrange(256)
         return False
 
     # ------------------------------------------------------------------

@@ -8,13 +8,14 @@ charged time feeds the decay-usage scheduler, mis-accounting distorts
 future scheduling decisions — the effect measured in Figure 4 and
 Table 2.
 
-Three policies are provided:
+Two policies are provided:
 
 * ``interrupted`` — BSD semantics: bill the preempted process.
-* ``receiver``   — bill the process that will receive the packet
-  (used by the accounting ablation; LRP achieves this effect
-  structurally by running protocol code in process context).
 * ``system``     — bill nobody (time vanishes into a system bucket).
+
+Billing the process that will receive the packet is what LRP
+achieves structurally, by running protocol code in process context;
+interrupt-time accounting has no policy for it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 from repro.engine.process import SimProcess
 from repro.host.scheduler import Scheduler
 
-POLICIES = ("interrupted", "receiver", "system")
+POLICIES = ("interrupted", "system")
 
 
 class Accounting:
@@ -38,9 +39,8 @@ class Accounting:
         # Resolved once: charge_interrupt runs per interrupt slice and
         # must not re-compare policy strings every time.
         self._bill_interrupted = policy == "interrupted"
-        self._bill_receiver = policy == "receiver"
-        # Receiver-less charger closures, one per CPU: rx interrupt
-        # paths request one per packet and they are all identical.
+        # Charger closures, one per CPU: rx interrupt paths request one
+        # per packet and they are all identical.
         self._charger_cache: dict = {}
         self.system_time = 0.0          # interrupt time billed to nobody
         self.total_interrupt_time = 0.0
@@ -62,44 +62,33 @@ class Accounting:
         self.scheduler.charge(target, usec)
 
     def charge_interrupt(self, usec: float,
-                         interrupted: Optional[SimProcess],
-                         receiver: Optional[SimProcess] = None) -> None:
+                         interrupted: Optional[SimProcess]) -> None:
         """Charge *usec* of interrupt-context CPU per the policy."""
         self.total_interrupt_time += usec
-        victim: Optional[SimProcess] = None
-        if self._bill_interrupted:
-            victim = interrupted
-        elif self._bill_receiver:
-            victim = receiver if receiver is not None else interrupted
+        victim = interrupted if self._bill_interrupted else None
         if victim is None or not victim.alive:
             self.system_time += usec
             return
         victim.intr_time_charged += usec
         self.scheduler.charge(victim, usec)
 
-    def interrupt_charger(
-            self, cpu,
-            receiver: Optional[SimProcess] = None,
-    ) -> Callable[[float], None]:
+    def interrupt_charger(self, cpu) -> Callable[[float], None]:
         """Build the ``charge(usec)`` callback for an interrupt task.
 
         The interrupted process is sampled at charge time from the CPU,
         which matches BSD: the bill lands on whoever held the CPU when
         the handler ran.
         """
-        if receiver is None:
-            cached = self._charger_cache.get(id(cpu))
-            if cached is not None:
-                return cached
+        cached = self._charger_cache.get(id(cpu))
+        if cached is not None:
+            return cached
         charge_interrupt = self.charge_interrupt
 
         def charge(usec: float) -> None:
             ctx = cpu.last_process_running
-            charge_interrupt(usec, ctx.proc if ctx is not None else None,
-                             receiver)
+            charge_interrupt(usec, ctx.proc if ctx is not None else None)
 
-        if receiver is None:
-            self._charger_cache[id(cpu)] = charge
+        self._charger_cache[id(cpu)] = charge
         return charge
 
 

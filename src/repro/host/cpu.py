@@ -49,12 +49,11 @@ class Cpu:
     and ``quantum_expired(ctx)``.
     """
 
-    def __init__(self, sim: Simulator, quantum: float = DEFAULT_QUANTUM):
+    def __init__(self, sim: Simulator):
         self.sim = sim
         # sim.trace is fixed for the simulator's lifetime; cache it so
         # the per-slice trace guards cost one attribute load, not two.
         self._trace = sim.trace
-        self.quantum = quantum
         self.process_source = None  # installed by the kernel
 
         self._hw: deque = deque()
@@ -195,9 +194,9 @@ class Cpu:
                     ctx.label, CLASS_NAMES[ctx.work_class])
         if ctx.work_class == PROCESS:
             self.last_process_running = ctx
-            remaining_quantum = self.quantum - ctx.stint
+            remaining_quantum = DEFAULT_QUANTUM - ctx.stint
             if remaining_quantum <= 0:
-                remaining_quantum = self.quantum
+                remaining_quantum = DEFAULT_QUANTUM
                 ctx.stint = 0.0
             duration = min(duration, remaining_quantum)
         self._current = ctx
@@ -280,7 +279,7 @@ class Cpu:
             # Quantum expired: round-robin to the tail of the run
             # queue if the process still wants the CPU.
             expired = ctx.work_class == PROCESS \
-                and ctx.stint >= self.quantum
+                and ctx.stint >= DEFAULT_QUANTUM
             if expired:
                 ctx.stint = 0.0
             duration = ctx.begin()
@@ -338,13 +337,12 @@ class CpuSet:
     :class:`Cpu`.
     """
 
-    def __init__(self, sim: Simulator, ncores: int = 1,
-                 quantum: float = DEFAULT_QUANTUM):
+    def __init__(self, sim: Simulator, ncores: int = 1):
         if ncores < 1:
             raise ValueError(f"a host needs at least one core, "
                              f"got {ncores}")
         self.sim = sim
-        self.cores = [Cpu(sim, quantum) for _ in range(ncores)]
+        self.cores = [Cpu(sim) for _ in range(ncores)]
 
     def __len__(self) -> int:
         return len(self.cores)

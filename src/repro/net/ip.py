@@ -33,7 +33,7 @@ class IpPacket:
 
     __slots__ = ("src", "dst", "proto", "transport", "ident",
                  "frag_offset", "more_frags", "ttl", "payload_len",
-                 "stamp", "corrupt", "corrupt_bit", "_mbuf_chain")
+                 "stamp", "corrupt", "_mbuf_chain")
 
     def __init__(self, src: IPAddr, dst: IPAddr, proto: int,
                  transport: Any, payload_len: int,
@@ -55,12 +55,11 @@ class IpPacket:
         self.ttl = ttl
         #: Send timestamp, filled by the sending stack for latency stats.
         self.stamp: Optional[float] = None
-        #: Marked true by fault-injection workloads (corrupted packets
-        #: still consume protocol processing; Section 3 discussion).
+        #: Set by the fault plane's link ``corrupt`` rule, the only
+        #: model of a damaged packet: receivers charge the checksum
+        #: cost and drop it (corrupted packets still consume protocol
+        #: processing; Section 3 discussion).
         self.corrupt = False
-        #: Which bit the fault flipped — feeds checksum verification so
-        #: a real RFC 1071 sum detects the corruption.
-        self.corrupt_bit = 0
         #: Mbuf chain backing this packet on the receiving host.
         self._mbuf_chain = None
 

@@ -36,9 +36,9 @@ class CongestionKnee:
     An EWMA (weight 0.05) over frame inter-arrival gaps estimates the
     offered rate; above *knee_pps* a frame drops with probability
     ``slope`` per excess pkt/sec, capped at 0.2.  Drops draw from the
-    ``"net.congestion"`` named stream (not ``sim.rng``) so enabling
-    the knee — or injecting faults — never perturbs anyone else's
-    randomness; see :meth:`Simulator.named_rng`.
+    ``"net.congestion"`` named stream so enabling the knee — or
+    injecting faults — never perturbs anyone else's randomness; see
+    :meth:`Simulator.named_rng`.
     """
 
     def __init__(self, sim: Simulator, knee_pps: float,

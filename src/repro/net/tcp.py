@@ -52,7 +52,7 @@ class TcpSegment:
     """One TCP segment."""
 
     __slots__ = ("src_port", "dst_port", "seq", "ack", "flags",
-                 "window", "payload_len", "payload", "checksum")
+                 "window", "payload_len", "payload")
 
     def __init__(self, src_port: int, dst_port: int, seq: int,
                  ack: int = 0, flags: int = 0, window: int = 32768,
@@ -65,8 +65,6 @@ class TcpSegment:
         self.window = window
         self.payload_len = payload_len
         self.payload = payload
-        #: RFC 1071 checksum stamped at ip_output (None = unstamped).
-        self.checksum: Optional[int] = None
 
     @property
     def total_len(self) -> int:

@@ -184,9 +184,12 @@ def gateway_chain_spec(client_addr: str = "10.0.0.2",
                   BindingSpec(backend_addr, "backend")))
 
 
+def incast_client_addr(i: int) -> str:
+    """The address of incast client *i* (``client{i}``)."""
+    return f"10.0.0.{10 + i}"
+
+
 def incast_spec(fan_in: int, server_addr: str = "10.0.0.1",
-                client_prefix: str = "10.0.0.",
-                client_base: int = 10,
                 queue_frames: int = DEFAULT_PORT_QUEUE,
                 **link_kwargs) -> TopologySpec:
     """N→1 incast: *fan_in* clients through one switch into one server.
@@ -203,8 +206,7 @@ def incast_spec(fan_in: int, server_addr: str = "10.0.0.1",
     for i in range(fan_in):
         node = f"client{i}"
         links.append(LinkSpec(node, "sw0", **link_kwargs))
-        bindings.append(
-            BindingSpec(f"{client_prefix}{client_base + i}", node))
+        bindings.append(BindingSpec(incast_client_addr(i), node))
     return TopologySpec(
         name=f"incast-{fan_in}to1",
         switches=(SwitchSpec("sw0", queue_frames=queue_frames),),

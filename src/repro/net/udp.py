@@ -16,22 +16,17 @@ class UdpDatagram:
     where content is irrelevant and would only slow the simulation).
     """
 
-    __slots__ = ("src_port", "dst_port", "payload", "payload_len",
-                 "checksum_enabled", "checksum")
+    __slots__ = ("src_port", "dst_port", "payload", "payload_len")
 
     def __init__(self, src_port: int, dst_port: int,
                  payload: Optional[bytes] = None,
-                 payload_len: Optional[int] = None,
-                 checksum_enabled: bool = True):
+                 payload_len: Optional[int] = None):
         self.src_port = src_port
         self.dst_port = dst_port
         self.payload = payload
         if payload_len is None:
             payload_len = len(payload) if payload is not None else 0
         self.payload_len = payload_len
-        self.checksum_enabled = checksum_enabled
-        #: RFC 1071 checksum stamped at ip_output (None = unstamped).
-        self.checksum: Optional[int] = None
 
     @property
     def total_len(self) -> int:

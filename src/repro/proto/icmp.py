@@ -20,8 +20,7 @@ PORT_UNREACHABLE_CODE = 3
 class IcmpMessage:
     """One ICMP message."""
 
-    __slots__ = ("mtype", "code", "ident", "seq", "payload_len",
-                 "checksum")
+    __slots__ = ("mtype", "code", "ident", "seq", "payload_len")
 
     def __init__(self, mtype: int, code: int = 0, ident: int = 0,
                  seq: int = 0, payload_len: int = 0):
@@ -30,8 +29,6 @@ class IcmpMessage:
         self.ident = ident
         self.seq = seq
         self.payload_len = payload_len
-        #: RFC 1071 checksum stamped at ip_output (None = unstamped).
-        self.checksum = None
 
     @property
     def total_len(self) -> int:

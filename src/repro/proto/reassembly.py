@@ -90,9 +90,7 @@ class Reassembler:
                          payload_len=entry.total_len,
                          ident=head.ident)
         whole.stamp = head.stamp
-        if entry.corrupt:
-            whole.corrupt = True
-            whole.corrupt_bit = head.corrupt_bit
+        whole.corrupt = entry.corrupt
         return whole
 
     @staticmethod

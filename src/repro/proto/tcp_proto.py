@@ -120,12 +120,11 @@ class TcpConnection:
             self.trace_hook(self, old, value)
 
     def __init__(self, sock, local: Endpoint, peer: Endpoint,
-                 mss: int = DEFAULT_MSS,
                  time_wait_usec: float = TIME_WAIT_DEFAULT):
         self.sock = sock
         self.local = local
         self.peer = peer
-        self.mss = mss
+        self.mss = DEFAULT_MSS
         self.time_wait_usec = time_wait_usec
         self.state = TcpState.CLOSED
 
@@ -152,7 +151,7 @@ class TcpConnection:
         self.fin_rcvd = False
 
         # Congestion control.
-        self.cwnd = mss
+        self.cwnd = DEFAULT_MSS
         self.ssthresh = 65535
         self.dupacks = 0
 

@@ -46,7 +46,7 @@ TCP_BYTES = 4096
 
 #: Golden architectures, keyed by the file-name slug.  The ``-faults``
 #: variants run the identical workload under a small seeded
-#: :class:`~repro.faults.plan.FaultPlan` (link loss + bit corruption),
+#: :class:`~repro.faults.plan.FaultPlan` (link loss + corruption),
 #: pinning the fault plane's event order — injection points, checksum
 #: drops, and TCP loss recovery — into the regression surface.
 #: Multi-host keys: canonical switched-topology workloads (an incast
@@ -122,10 +122,11 @@ def _build_incast_server(world):
 
 
 def _build_incast_client(world, index, rate_pps):
+    from repro.net.topology import incast_client_addr
     from repro.workloads import RawUdpInjector
 
     injector = RawUdpInjector(world.sim, world.network,
-                              f"10.0.0.{10 + index}", "10.0.0.1",
+                              incast_client_addr(index), "10.0.0.1",
                               9000, src_port=20000 + index)
     world.sim.schedule(5_000.0 + 137.0 * index, injector.start,
                        rate_pps)

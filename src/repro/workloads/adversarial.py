@@ -14,8 +14,6 @@ only, never from RNG or wall-clock state.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.engine.simulator import Simulator
 from repro.net.addr import IPAddr
 from repro.net.ip import IPPROTO_UDP, IpPacket
@@ -23,10 +21,15 @@ from repro.net.link import Network
 from repro.net.udp import UdpDatagram
 from repro.workloads.sources import InjectorPort
 
+#: Length of each line-rate burst, microseconds.
+BURST_USEC = 50_000.0
+#: Silence between bursts, microseconds.
+IDLE_USEC = 50_000.0
+
 
 class BurstyUdpBlaster:
-    """On/off UDP blaster: ``burst_usec`` at ``rate_pps``, then
-    ``idle_usec`` of silence, repeating.
+    """On/off UDP blaster: :data:`BURST_USEC` at ``rate_pps``, then
+    :data:`IDLE_USEC` of silence, repeating.
 
     The duty cycle makes it harsher than a constant-rate source of the
     same average: each burst arrives faster than the victim's server
@@ -36,34 +39,26 @@ class BurstyUdpBlaster:
 
     def __init__(self, sim: Simulator, network: Network, src_addr,
                  dst_addr, dst_port: int, payload_bytes: int = 14,
-                 src_port: int = 21000,
-                 burst_usec: float = 50_000.0,
-                 idle_usec: float = 50_000.0):
+                 src_port: int = 21000):
         self.sim = sim
         self.port = InjectorPort(sim, network, src_addr)
         self.dst_addr = IPAddr(dst_addr)
         self.dst_port = dst_port
         self.src_port = src_port
         self.payload_bytes = payload_bytes
-        self.burst_usec = burst_usec
-        self.idle_usec = idle_usec
         self.sent = 0
         self._running = False
         self._gap = 0.0
         self._burst_ends = 0.0
-        self._until: Optional[float] = None
 
-    def start(self, rate_pps: float,
-              until_usec: Optional[float] = None) -> None:
-        """Begin blasting at *rate_pps* within bursts; stops itself at
-        *until_usec* if given."""
+    def start(self, rate_pps: float) -> None:
+        """Begin blasting at *rate_pps* within bursts."""
         if rate_pps <= 0:
             return
         self._gap = 1e6 / rate_pps
-        self._until = until_usec
         if not self._running:
             self._running = True
-            self._burst_ends = self.sim.now + self.burst_usec
+            self._burst_ends = self.sim.now + BURST_USEC
             self.sim.schedule_detached(self._gap, self._fire)
 
     def stop(self) -> None:
@@ -73,17 +68,13 @@ class BurstyUdpBlaster:
         if not self._running:
             return
         now = self.sim.now
-        if self._until is not None and now >= self._until:
-            self._running = False
-            return
         if now >= self._burst_ends:
             # Burst over: go quiet, resume at the next burst boundary.
-            self._burst_ends = now + self.idle_usec + self.burst_usec
-            self.sim.schedule_detached(self.idle_usec + self._gap, self._fire)
+            self._burst_ends = now + IDLE_USEC + BURST_USEC
+            self.sim.schedule_detached(IDLE_USEC + self._gap, self._fire)
             return
         dgram = UdpDatagram(self.src_port, self.dst_port,
-                            payload_len=self.payload_bytes,
-                            checksum_enabled=False)
+                            payload_len=self.payload_bytes)
         packet = IpPacket(self.port.addr, self.dst_addr, IPPROTO_UDP,
                           dgram, dgram.total_len)
         self.port.send_packet(packet)

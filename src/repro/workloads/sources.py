@@ -78,7 +78,6 @@ class RawUdpInjector:
         self.sent = 0
         self._running = False
         self._gap = 0.0
-        self.corrupt_fraction = 0.0
 
     def start(self, rate_pps: float) -> None:
         if rate_pps <= 0:
@@ -95,13 +94,9 @@ class RawUdpInjector:
         if not self._running:
             return
         dgram = UdpDatagram(self.src_port, self.dst_port,
-                            payload_len=self.payload_bytes,
-                            checksum_enabled=False)
+                            payload_len=self.payload_bytes)
         packet = IpPacket(self.port.addr, self.dst_addr, IPPROTO_UDP,
                           dgram, dgram.total_len)
-        if self.corrupt_fraction > 0 and \
-                self.sim.rng.random() < self.corrupt_fraction:
-            packet.corrupt = True
         self.port.send_packet(packet, link_dst=self.next_hop)
         self.sent += 1
         self.sim.schedule_detached(self._gap, self._fire)

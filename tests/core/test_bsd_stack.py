@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Architecture
 from repro.engine import Compute, Syscall
+from repro.faults import FaultPlan, FaultRule
 from repro.workloads import RawUdpInjector
 from tests.helpers import CLIENT, SERVER, Scenario, udp_echo_server, \
     udp_sender
@@ -130,12 +131,13 @@ def test_fragmented_datagram_reassembled_in_softint():
 
 
 def test_corrupt_packets_cost_processing_then_drop():
-    sc = Scenario(Architecture.BSD)
+    plan = FaultPlan(seed=1, rules=(
+        FaultRule("link", "corrupt", dst_port=9000),))
+    sc = Scenario(Architecture.BSD, fault_plan=plan)
     log = []
     sc.server.spawn("echo", udp_echo_server(9000, log, sc.sim))
     injector = RawUdpInjector(sc.sim, sc.network, "10.0.0.9", SERVER,
                               9000)
-    injector.corrupt_fraction = 1.0
     sc.sim.schedule(20_000.0, injector.start, 1_000)
     sc.run(200_000.0)
     stats = sc.server.stack.stats

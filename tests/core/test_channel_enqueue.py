@@ -43,8 +43,7 @@ def test_each_channel_outcome_traced(arch):
 
     def send(state):
         arrange(bound[0].channel, state)
-        dgram = UdpDatagram(20000, PORT, payload_len=14,
-                            checksum_enabled=False)
+        dgram = UdpDatagram(20000, PORT, payload_len=14)
         injector.send_packet(IpPacket(injector.addr, IPAddr(SERVER),
                                       IPPROTO_UDP, dgram, dgram.total_len))
 

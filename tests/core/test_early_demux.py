@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Architecture
 from repro.engine import Compute, Syscall
+from repro.faults import FaultPlan, FaultRule
 from repro.workloads import RawUdpInjector
 from tests.helpers import SERVER, Scenario, udp_echo_server, udp_sender
 
@@ -62,12 +63,13 @@ def test_processing_is_still_eager():
 def test_corrupt_flood_defeats_early_discard():
     """Corrupt packets never enter the data queue, so the queue-full
     signal never engages and every packet is processed eagerly."""
-    sc = Scenario(Architecture.EARLY_DEMUX)
+    plan = FaultPlan(seed=1, rules=(
+        FaultRule("link", "corrupt", dst_port=9000),))
+    sc = Scenario(Architecture.EARLY_DEMUX, fault_plan=plan)
     log = []
     sc.server.spawn("echo", udp_echo_server(9000, log, sc.sim))
     injector = RawUdpInjector(sc.sim, sc.network, "10.0.0.9", SERVER,
                               9000)
-    injector.corrupt_fraction = 1.0
     sc.sim.schedule(20_000.0, injector.start, 2_000)
     sc.run(500_000.0)
     stats = sc.server.stack.stats

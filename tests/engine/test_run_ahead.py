@@ -157,8 +157,7 @@ def test_reserve_rejects_the_past():
 # Lazy transmit versus the eager reference
 # ----------------------------------------------------------------------
 def make_frame(index, dst="10.0.0.1"):
-    dgram = UdpDatagram(20000, 9000, payload_len=14 + index % 3,
-                        checksum_enabled=False)
+    dgram = UdpDatagram(20000, 9000, payload_len=14 + index % 3)
     packet = IpPacket(IPAddr("10.0.0.2"), IPAddr(dst), IPPROTO_UDP,
                       dgram, dgram.total_len)
     packet.ident = index

@@ -74,12 +74,6 @@ def test_events_cancelled_before_fire_do_not_run():
     assert fired == []
 
 
-def test_rng_is_seeded_deterministically():
-    a = Simulator(seed=42).rng.random()
-    b = Simulator(seed=42).rng.random()
-    assert a == b
-
-
 def test_run_processes_all_events():
     sim = Simulator()
     fired = []

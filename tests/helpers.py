@@ -14,8 +14,8 @@ class Scenario(World):
 
     def __init__(self, arch: Architecture, seed: int = 1,
                  client_arch: Architecture = Architecture.BSD,
-                 **server_kwargs):
-        super().__init__(seed)
+                 fault_plan=None, **server_kwargs):
+        super().__init__(seed, fault_plan=fault_plan)
         self.server = self.add_host(SERVER, arch, **server_kwargs)
         self.client = self.add_host(CLIENT, client_arch)
 

@@ -21,37 +21,18 @@ def make_accounting(policy):
 
 def test_interrupted_policy_bills_interrupted():
     sched, acct = make_accounting("interrupted")
-    victim, receiver = make_proc("victim"), make_proc("receiver")
-    sched.register(victim)
-    acct.charge_interrupt(100.0, interrupted=victim, receiver=receiver)
-    assert victim.intr_time_charged == 100.0
-    assert receiver.intr_time_charged == 0.0
-    assert victim.estcpu > 0
-
-
-def test_receiver_policy_bills_receiver():
-    sched, acct = make_accounting("receiver")
-    victim, receiver = make_proc("victim"), make_proc("receiver")
-    sched.register(receiver)
-    acct.charge_interrupt(100.0, interrupted=victim, receiver=receiver)
-    assert receiver.intr_time_charged == 100.0
-    assert victim.intr_time_charged == 0.0
-
-
-def test_receiver_policy_falls_back_to_interrupted():
-    sched, acct = make_accounting("receiver")
     victim = make_proc("victim")
     sched.register(victim)
-    acct.charge_interrupt(100.0, interrupted=victim, receiver=None)
+    acct.charge_interrupt(100.0, interrupted=victim)
     assert victim.intr_time_charged == 100.0
+    assert victim.estcpu > 0
 
 
 def test_system_policy_bills_nobody():
     sched, acct = make_accounting("system")
-    victim, receiver = make_proc("victim"), make_proc("receiver")
-    acct.charge_interrupt(100.0, interrupted=victim, receiver=receiver)
+    victim = make_proc("victim")
+    acct.charge_interrupt(100.0, interrupted=victim)
     assert victim.intr_time_charged == 0.0
-    assert receiver.intr_time_charged == 0.0
     assert acct.system_time == 100.0
 
 

@@ -1,6 +1,8 @@
 """Property-based tests on the CPU model: time conservation and
 priority-class dominance under randomized workloads."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -74,9 +76,10 @@ def test_process_work_conserved(chunks, seed):
     proc = kernel.spawn("app", app())
 
     # Random interrupt noise.
-    rng_times = [sim.rng.uniform(0, 2_000) for _ in range(10)]
+    rng = random.Random(seed)
+    rng_times = [rng.uniform(0, 2_000) for _ in range(10)]
     for when in rng_times:
-        task = SimpleIntrTask(sim.rng.uniform(1, 50), HARDWARE, "noise")
+        task = SimpleIntrTask(rng.uniform(1, 50), HARDWARE, "noise")
         sim.schedule(when, kernel.cpu.post, task)
 
     sim.run_until(1_000_000.0)

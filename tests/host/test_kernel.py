@@ -252,3 +252,12 @@ def test_bad_accounting_policy_rejected():
     sim = Simulator(seed=0)
     with pytest.raises(ValueError):
         Kernel(sim, accounting_policy="bogus")
+
+
+def test_receiver_accounting_policy_rejected():
+    # Interrupt time is billed to the interrupted process or to nobody;
+    # LRP bills the receiver by running its protocol work in process
+    # context, not through an accounting policy.
+    sim = Simulator(seed=0)
+    with pytest.raises(ValueError):
+        Kernel(sim, accounting_policy="receiver")

@@ -1,7 +1,7 @@
-"""Injected bit corruption is caught by checksum verification in every
-architecture: corrupted packets increment ``drop_corrupt`` and never
-reach a socket buffer.  Every stack runs the one shared checksum and
-reassembly step of IP input, so each test covers all seven."""
+"""Packets the fault plane marks corrupt fail the checksum step in every
+architecture: they increment ``drop_corrupt`` and never reach a socket
+buffer.  Every stack runs the one shared checksum and reassembly step
+of IP input, so each test covers all seven."""
 
 import pytest
 

@@ -22,6 +22,7 @@ from repro.core.forwarding import build_gateway
 from repro.faults import FaultPlan, FaultPlane, FaultRule
 from repro.net.topology import (
     gateway_chain_spec,
+    incast_client_addr,
     incast_spec,
     passthrough_spec,
 )
@@ -189,7 +190,7 @@ def test_incast_accounts_for_overload_drops(faulty):
                           name="server")
     received = sink_counter(bed, server)
     injectors = [
-        RawUdpInjector(bed.sim, bed.network, f"10.0.0.{10 + i}",
+        RawUdpInjector(bed.sim, bed.network, incast_client_addr(i),
                        "10.0.0.1", PORT, src_port=20000 + i)
         for i in range(fan_in)]
     # Far past both the switch uplink's and the server's capacity: the

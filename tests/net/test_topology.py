@@ -25,6 +25,7 @@ from repro.net.topology import (
     SwitchSpec,
     TopologySpec,
     gateway_chain_spec,
+    incast_client_addr,
     incast_spec,
     passthrough_spec,
 )
@@ -58,15 +59,10 @@ class SinkNic:
 
 
 def make_frame(src, dst=SERVER, src_port=20000, dst_port=PORT):
-    dgram = UdpDatagram(src_port, dst_port, payload_len=14,
-                        checksum_enabled=False)
+    dgram = UdpDatagram(src_port, dst_port, payload_len=14)
     packet = IpPacket(IPAddr(src), IPAddr(dst), IPPROTO_UDP, dgram,
                       dgram.total_len)
     return Frame(packet)
-
-
-def client_addr(i):
-    return f"10.0.0.{10 + i}"
 
 
 def build_incast(sim, fan_in, **spec_kwargs):
@@ -75,7 +71,7 @@ def build_incast(sim, fan_in, **spec_kwargs):
     server = SinkNic(sim)
     topo.attach(server, SERVER)
     for i in range(fan_in):
-        topo.attach(SinkNic(sim), client_addr(i))
+        topo.attach(SinkNic(sim), incast_client_addr(i))
     return topo, server
 
 
@@ -148,8 +144,8 @@ def test_attach_requires_binding_and_uniqueness():
 def test_send_to_unbound_destination_counts_no_route():
     sim = Simulator(seed=1)
     topo, _ = build_incast(sim, 1)
-    ok = topo.send(make_frame(client_addr(0), dst="10.9.9.9"),
-                   client_addr(0))
+    ok = topo.send(make_frame(incast_client_addr(0), dst="10.9.9.9"),
+                   incast_client_addr(0))
     assert not ok
     assert topo.drops_no_route == 1
     assert_conserved(topo)
@@ -166,9 +162,9 @@ def run_burst(fan_in, bursts, **spec_kwargs):
     topo, server = build_incast(sim, fan_in, **spec_kwargs)
     for i, burst in enumerate(bursts):
         for _ in range(burst):
-            assert topo.send(make_frame(client_addr(i),
+            assert topo.send(make_frame(incast_client_addr(i),
                                         src_port=20000 + i),
-                             client_addr(i))
+                             incast_client_addr(i))
     sim.run_until(10_000_000.0)
     return topo, server
 
@@ -218,9 +214,9 @@ def run_contended(bursts, **spec_kwargs):
     tags = {}
     for i, burst in enumerate(bursts):
         for seq in range(burst):
-            frame = make_frame(client_addr(i), src_port=20000 + i)
+            frame = make_frame(incast_client_addr(i), src_port=20000 + i)
             tags[id(frame)] = (i, seq)
-            assert topo.send(frame, client_addr(i))
+            assert topo.send(frame, incast_client_addr(i))
     sim.run_until(10_000_000.0)
     delivered = [tags[id(f)] for f in server.frames]
     per_flow = {i: [seq for flow, seq in delivered if flow == i]

@@ -29,8 +29,7 @@ def hasher_for(seed):
 
 
 def make_packet(src, dst, sport, dport, payload_bytes=14):
-    dgram = UdpDatagram(sport, dport, payload_len=payload_bytes,
-                        checksum_enabled=False)
+    dgram = UdpDatagram(sport, dport, payload_len=payload_bytes)
     return IpPacket(src, dst, IPPROTO_UDP, dgram, dgram.total_len)
 
 

@@ -1,16 +1,17 @@
-"""Fragmentation + RFC 1071 checksum fuzz round-trips.
+"""Fragmentation + corruption fuzz round-trips.
 
 The hot-path overhaul touched the mbuf pool (freelist reuse) and every
 schedule call site on the reassembly/expiry path, so this wall fuzzes
-the full cycle: stamp -> fragment -> (shuffle | duplicate | overlap |
-withhold) -> reassemble -> verify.  The checksum must survive every
-lossless permutation and a corrupt fragment must poison the datagram.
+the full cycle: fragment -> (shuffle | duplicate | overlap | withhold)
+-> reassemble.  A damaged packet is one whose ``corrupt`` flag the
+fault plane set: every lossless permutation must reassemble clean, and
+one corrupt fragment must poison the whole datagram, which IP input
+then drops as ``drop_corrupt``.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.net.addr import IPAddr
-from repro.net.checksum import stamp_packet, verify_packet
 from repro.net.ip import IPPROTO_UDP, IpPacket, fragment_packet
 from repro.net.udp import UdpDatagram
 from repro.proto.reassembly import IPFRAGTTL_USEC, Reassembler
@@ -18,10 +19,8 @@ from repro.proto.reassembly import IPFRAGTTL_USEC, Reassembler
 
 def make_packet(payload_len, ident=None):
     dgram = UdpDatagram(40000, 9000, payload_len=payload_len - 8)
-    packet = IpPacket(IPAddr("10.0.0.2"), IPAddr("10.0.0.1"),
-                      IPPROTO_UDP, dgram, payload_len, ident=ident)
-    stamp_packet(packet)
-    return packet
+    return IpPacket(IPAddr("10.0.0.2"), IPAddr("10.0.0.1"),
+                    IPPROTO_UDP, dgram, payload_len, ident=ident)
 
 
 def shuffled(items, seed):
@@ -39,8 +38,8 @@ def shuffled(items, seed):
        mtu=st.sampled_from([296, 576, 1006, 1500]),
        seed=st.integers(min_value=0, max_value=2**63))
 def test_fragment_reassemble_checksum_roundtrip(payload_len, mtu, seed):
-    """Any fragment arrival order reassembles to a packet whose
-    checksum still verifies and whose transport is the original."""
+    """Any fragment arrival order reassembles to a clean packet whose
+    transport is the original."""
     packet = make_packet(payload_len)
     frags = fragment_packet(packet, mtu)
     r = Reassembler()
@@ -53,7 +52,7 @@ def test_fragment_reassemble_checksum_roundtrip(payload_len, mtu, seed):
     assert whole.payload_len == packet.payload_len
     assert whole.transport is packet.transport
     assert not whole.is_fragment
-    assert verify_packet(whole)
+    assert not whole.corrupt
     assert r.pending == 0
     # Packets that fit the MTU pass through untouched; only real
     # fragment trains count as a completed reassembly.
@@ -89,7 +88,7 @@ def test_duplicate_and_overlapping_fragments_reassemble_once(
     assert len(completions) == 1
     whole = completions[0]
     assert whole.payload_len == packet.payload_len
-    assert verify_packet(whole)
+    assert not whole.corrupt
     assert r.completed == 1
     # The duplicate can cover the final hole one arrival early, in
     # which case the last original fragment opens a fresh (incomplete)
@@ -129,34 +128,35 @@ def test_withheld_fragment_expires_and_frees_state(
 @given(payload_len=st.integers(min_value=2000, max_value=9000),
        mtu=st.sampled_from([576, 1500]),
        victim=st.integers(min_value=0, max_value=100),
-       bit=st.integers(min_value=0, max_value=10_000),
        seed=st.integers(min_value=0, max_value=2**63))
 def test_corrupt_fragment_poisons_reassembled_checksum(
-        payload_len, mtu, victim, bit, seed):
-    """One corrupted fragment anywhere in the datagram must surface as
-    a checksum failure on the reassembled whole."""
+        payload_len, mtu, victim, seed):
+    """One corrupted fragment anywhere in the datagram must mark the
+    reassembled whole corrupt."""
     packet = make_packet(payload_len)
     frags = fragment_packet(packet, mtu)
-    corrupted = frags[victim % len(frags)]
-    corrupted.corrupt = True
-    corrupted.corrupt_bit = bit
+    frags[victim % len(frags)].corrupt = True
     r = Reassembler()
     whole = None
     for frag in shuffled(frags, seed):
         whole = whole or r.add(frag, now=0.0)
     assert whole is not None
     assert whole.corrupt
-    assert not verify_packet(whole)
 
 
 @settings(max_examples=100, deadline=None)
 @given(payload_len=st.integers(min_value=8, max_value=9000))
 def test_unfragmented_stamp_verify_roundtrip(payload_len):
-    packet = make_packet(payload_len)
-    assert verify_packet(packet)
-    packet.corrupt = True
-    packet.corrupt_bit = payload_len  # arbitrary but deterministic
-    assert not verify_packet(packet)
+    """A packet that fits the MTU passes reassembly as itself, with
+    its corrupt flag as the fault plane left it."""
+    r = Reassembler()
+    for corrupt in (False, True):
+        packet = make_packet(payload_len)
+        packet.corrupt = corrupt
+        assert fragment_packet(packet, 9180) == [packet]
+        assert r.add(packet, now=0.0) is packet
+        assert packet.corrupt is corrupt
+    assert r.pending == 0 and r.completed == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,7 +165,7 @@ def test_unfragmented_stamp_verify_roundtrip(payload_len):
        seed=st.integers(min_value=0, max_value=2**63))
 def test_interleaved_datagrams_fuzz(lens, seed):
     """Fragments of several datagrams interleaved arbitrarily all
-    complete, each exactly once, each with a valid checksum."""
+    complete, each exactly once, each clean."""
     packets = [make_packet(n, ident=5000 + i)
                for i, n in enumerate(lens)]
     arrivals = [frag for p in packets
@@ -176,5 +176,5 @@ def test_interleaved_datagrams_fuzz(lens, seed):
     assert len(wholes) == len(packets)
     assert {w.ident for w in wholes} == {p.ident for p in packets}
     for whole in wholes:
-        assert verify_packet(whole)
+        assert not whole.corrupt
     assert r.pending == 0 and r.completed == len(packets)

@@ -49,15 +49,6 @@ def test_udp_injector_stop():
     assert injector.sent == pytest.approx(500, abs=2)
 
 
-def test_udp_injector_corrupt_fraction():
-    sim, net, sink = build()
-    injector = RawUdpInjector(sim, net, "10.0.0.9", "10.0.0.1", 9000)
-    injector.corrupt_fraction = 1.0
-    injector.start(1_000)
-    sim.run_until(100_000.0)
-    assert all(f.packet.corrupt for f in sink.frames)
-
-
 def test_udp_injector_stamps_packets():
     sim, net, sink = build()
     injector = RawUdpInjector(sim, net, "10.0.0.9", "10.0.0.1", 9000)
