@@ -66,7 +66,6 @@ class BsdStack(NetworkStack):
     def rx_interrupt(self, frame: Frame, ring_release,
                      core: int) -> IntrTask:
         cpu = self.kernel.cpus[core]
-        charge = self.kernel.accounting.interrupt_charger(cpu)
         ipq = self.ipqs[core]
 
         def action() -> None:
@@ -97,11 +96,10 @@ class BsdStack(NetworkStack):
             if not self._softnet_posted[core]:
                 self._softnet_posted[core] = True
                 cpu.post(IntrTask(
-                    self._softnet(core), SOFTWARE, "softnet", charge))
+                    self._softnet(core), SOFTWARE, "softnet"))
 
         return SimpleIntrTask(self.costs.hw_intr + self.costs.mbuf_alloc,
-                              HARDWARE, "nic-rx", action=action,
-                              charge=charge)
+                              HARDWARE, "nic-rx", action=action)
 
     def _softnet(self, core: int) -> Generator:
         """The software-interrupt drain loop (ipintr) of one core."""

@@ -57,7 +57,6 @@ class EarlyDemuxStack(LrpStackBase):
     def rx_interrupt(self, frame: Frame, ring_release,
                      core: int) -> IntrTask:
         cpu = self.kernel.cpus[core]
-        charge = self.kernel.accounting.interrupt_charger(cpu)
 
         def hw_action() -> None:
             ring_release()
@@ -78,11 +77,10 @@ class EarlyDemuxStack(LrpStackBase):
                                             reason="early_sockq_full")
                 return
             cpu.post(IntrTask(self._eager_input(frame.packet), SOFTWARE,
-                              "early-demux-input", charge))
+                              "early-demux-input"))
 
         return SimpleIntrTask(self.costs.hw_intr + self.costs.soft_demux,
-                              HARDWARE, "rx-demux", action=hw_action,
-                              charge=charge)
+                              HARDWARE, "rx-demux", action=hw_action)
 
     def _eager_input(self, packet: IpPacket) -> Generator:
         """Per-packet software interrupt: BSD processing minus the PCB

@@ -40,7 +40,6 @@ class NiLrpStack(LrpStackBase):
         """Host interrupt raised by the NIC on a watched channel's
         empty->non-empty transition.  Minimal processing: acknowledge
         and wake the consumer."""
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
 
         def action() -> None:
             self.stats.incr("ni_wakeup_interrupts")
@@ -49,8 +48,7 @@ class NiLrpStack(LrpStackBase):
 
         self.kernel.cpu.post(SimpleIntrTask(self.costs.hw_intr,
                                             HARDWARE, "ni-wakeup",
-                                            action=action,
-                                            charge=charge))
+                                            action=action))
 
     # ------------------------------------------------------------------
     # VCI signalling (Section 4.1: the U-Net firmware "performs

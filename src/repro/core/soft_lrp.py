@@ -26,9 +26,6 @@ class SoftLrpStack(LrpStackBase):
 
     def rx_interrupt(self, frame: Frame, ring_release,
                      core: int) -> IntrTask:
-        charge = self.kernel.accounting.interrupt_charger(
-            self.kernel.cpus[core])
-
         def action() -> None:
             ring_release()
             self.stats.incr("rx_packets")
@@ -44,5 +41,4 @@ class SoftLrpStack(LrpStackBase):
                 self.stats.incr("drop_channel_early")
 
         return SimpleIntrTask(self.costs.hw_intr + self.costs.soft_demux,
-                              HARDWARE, "rx-demux", action=action,
-                              charge=charge)
+                              HARDWARE, "rx-demux", action=action)

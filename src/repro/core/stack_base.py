@@ -35,7 +35,7 @@ from repro.engine.process import Block, Compute, SimProcess
 from repro.host.interrupts import SOFTWARE, IntrTask
 from repro.host.kernel import Kernel
 from repro.mem.pool import MbufPool
-from repro.net.addr import IPAddr, endpoint
+from repro.net.addr import IPAddr, addr_value, endpoint
 from repro.net.ip import (
     IPPROTO_TCP,
     IPPROTO_UDP,
@@ -162,14 +162,13 @@ class NetworkStack:
         ``"rexmt"`` or ``"persist"``) to run in the architecture's
         chosen context: here a software interrupt on the boot core,
         billed to whatever it interrupts."""
-        charge = self.kernel.accounting.interrupt_charger(self.kernel.cpu)
 
         def body() -> Generator:
             yield Compute(self.costs.sw_intr_dispatch)
             yield from self.tcp_timer_gen(sock, kind)
 
         self.kernel.cpu.post(
-            IntrTask(body(), SOFTWARE, f"tcp-{kind}", charge))
+            IntrTask(body(), SOFTWARE, f"tcp-{kind}"))
 
     def endpoint_attached(self, sock: Socket) -> None:
         """Called when a socket gains a local/foreign binding; LRP
@@ -418,7 +417,7 @@ class NetworkStack:
         self.gateway = IPAddr(addr)
 
     def is_local_addr(self, addr) -> bool:
-        return IPAddr(addr).value in self.local_addrs
+        return addr_value(addr) in self.local_addrs
 
     def link_dst_for(self, dst) -> Optional[IPAddr]:
         """The link-layer next hop for *dst*, or None for direct

@@ -166,7 +166,10 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        self._queue.push_detached(self.now + delay, callback, args)
+        # A detached entry, exactly as push_detached builds it.
+        queue = self._queue
+        heappush(queue._heap,
+                 (self.now + delay, next(queue._seq), callback, args))
 
     def schedule_at_detached(self, time: float,
                              callback: Callable[..., Any],

@@ -20,7 +20,7 @@ interrupt-time accounting has no policy for it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.engine.process import SimProcess
 from repro.host.scheduler import Scheduler
@@ -39,9 +39,6 @@ class Accounting:
         # Resolved once: charge_interrupt runs per interrupt slice and
         # must not re-compare policy strings every time.
         self._bill_interrupted = policy == "interrupted"
-        # Charger closures, one per CPU: rx interrupt paths request one
-        # per packet and they are all identical.
-        self._charger_cache: dict = {}
         self.system_time = 0.0          # interrupt time billed to nobody
         self.total_interrupt_time = 0.0
         self.total_process_time = 0.0
@@ -54,8 +51,8 @@ class Accounting:
         processing thread redirects its usage to the application that
         owns the socket being serviced.
         """
-        target = proc.charge_to if proc.charge_to is not None else proc
-        if not target.alive:
+        target = proc.charge_to
+        if target is None or not target.alive:
             target = proc
         target.cpu_time += usec
         self.total_process_time += usec
@@ -63,7 +60,12 @@ class Accounting:
 
     def charge_interrupt(self, usec: float,
                          interrupted: Optional[SimProcess]) -> None:
-        """Charge *usec* of interrupt-context CPU per the policy."""
+        """Charge *usec* of interrupt-context CPU per the policy.
+
+        The CPU that ran the interrupt calls this for each slice it
+        ends, passing the process it was running when the interrupt
+        took it: the bill lands on whoever held that CPU, as in BSD.
+        """
         self.total_interrupt_time += usec
         victim = interrupted if self._bill_interrupted else None
         if victim is None or not victim.alive:
@@ -71,25 +73,6 @@ class Accounting:
             return
         victim.intr_time_charged += usec
         self.scheduler.charge(victim, usec)
-
-    def interrupt_charger(self, cpu) -> Callable[[float], None]:
-        """Build the ``charge(usec)`` callback for an interrupt task.
-
-        The interrupted process is sampled at charge time from the CPU,
-        which matches BSD: the bill lands on whoever held the CPU when
-        the handler ran.
-        """
-        cached = self._charger_cache.get(id(cpu))
-        if cached is not None:
-            return cached
-        charge_interrupt = self.charge_interrupt
-
-        def charge(usec: float) -> None:
-            ctx = cpu.last_process_running
-            charge_interrupt(usec, ctx.proc if ctx is not None else None)
-
-        self._charger_cache[id(cpu)] = charge
-        return charge
 
 
 def core_usage(cpus, elapsed_usec: float):

@@ -68,27 +68,11 @@ class CacheModel:
 
         Unlike capacity eviction this is *conflict* eviction: the
         handler's lines land on top of victim lines regardless of how
-        full the cache is, so the eviction is unconditional.
-        """
-        self._evict_direct(self.costs.intr_pollution_kb_per_usec
-                           * intr_usec)
+        full the cache is, so the eviction is unconditional, spread
+        over residents in proportion to what each holds.
 
-    def switch_penalty(self, proc: SimProcess) -> float:
-        """CPU microseconds needed to re-warm *proc*'s hot set."""
-        missing = proc.cache_hot_kb - proc.cache_resident_kb
-        if missing <= 0.0:
-            return 0.0
-        penalty = missing * self.costs.cache_refill_per_kb
-        self.total_refill_usec += penalty
-        return penalty
-
-    def _evict_direct(self, amount_kb: float) -> None:
-        """Evict *amount_kb* from residents proportionally,
-        unconditionally.
-
-        Runs once per interrupt activation; the resident scan and the
-        pool sum are fused into one pass (same accumulation order, so
-        bit-identical results).
+        Runs once per interrupt slice; the resident scan and the pool
+        sum are fused into one pass.
         """
         residents = []
         append = residents.append
@@ -100,10 +84,20 @@ class CacheModel:
                 pool += kb
         if not residents:
             return
-        evict = min(amount_kb, pool)
+        evict = min(self.costs.intr_pollution_kb_per_usec * intr_usec,
+                    pool)
         for p in residents:
             share = evict * (p.cache_resident_kb / pool)
             p.cache_resident_kb = max(0.0, p.cache_resident_kb - share)
+
+    def switch_penalty(self, proc: SimProcess) -> float:
+        """CPU microseconds needed to re-warm *proc*'s hot set."""
+        missing = proc.cache_hot_kb - proc.cache_resident_kb
+        if missing <= 0.0:
+            return 0.0
+        penalty = missing * self.costs.cache_refill_per_kb
+        self.total_refill_usec += penalty
+        return penalty
 
     # ------------------------------------------------------------------
     def _evict(self, amount_kb: float, exclude) -> None:

@@ -17,10 +17,13 @@ Contexts executed by the CPU follow a small duck-typed protocol:
 * ``begin() -> float | None`` — advance to the next compute request and
   return its remaining duration, or ``None`` if the context gave up the
   CPU (interrupt finished, process blocked or exited).
-* ``consumed(usec)`` — record progress and charge accounting.
 
 :class:`~repro.host.interrupts.IntrTask` implements this protocol for
 interrupts; the kernel's ``ProcContext`` implements it for processes.
+The CPU records each slice's progress itself: an interrupt's
+``pending`` time, a process's ``compute_remaining``, the bill under
+the kernel's :class:`~repro.host.accounting.Accounting` policy and
+the cache model's residency.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ class Cpu:
     """A single preemptive CPU.
 
     The kernel installs a ``process_source`` (the scheduler bridge)
-    exposing ``has_runnable()``, ``take_next()``, ``requeue_front(ctx)``
-    and ``quantum_expired(ctx)``.
+    exposing ``has_runnable()``, ``take_next()``, ``requeue_front(ctx)``,
+    ``quantum_expired(ctx)``, ``keeps_cpu(ctx)`` and
+    ``best_runnable_priority()``, plus the ``accounting`` and ``cache``
+    every slice is billed to.
     """
 
     def __init__(self, sim: Simulator):
@@ -55,6 +60,8 @@ class Cpu:
         # the per-slice trace guards cost one attribute load, not two.
         self._trace = sim.trace
         self.process_source = None  # installed by the kernel
+        self.accounting = None      # installed by the kernel
+        self.cache = None           # installed by the kernel
 
         self._hw: deque = deque()
         self._sw: deque = deque()
@@ -67,6 +74,8 @@ class Cpu:
         #: True while _on_slice_end settles the next slice: the slice
         #: started then is not scheduled by _start_slice.
         self._ending = False
+        # Bound once: every scheduled slice end passes this callback.
+        self._slice_end = self._on_slice_end
 
         #: Process context preempted by (or running under) interrupts;
         #: used by accounting policies that bill "the interrupted
@@ -75,9 +84,6 @@ class Cpu:
 
         # Statistics.
         self.time_by_class = {HARDWARE: 0.0, SOFTWARE: 0.0, PROCESS: 0.0}
-        #: Optional callback(activations) fired when an interrupt task
-        #: retires; the kernel wires it to the cache-pollution model.
-        self.pollution_hook = None
         self.idle_time = 0.0
         self._idle_since: Optional[float] = 0.0
         self.preemptions = 0
@@ -137,14 +143,14 @@ class Cpu:
         try:
             hw = self._hw
             sw = self._sw
+            source = self.process_source
             while True:
                 self._redispatch = False
-                source = self.process_source
                 if hw:
                     best = HARDWARE
                 elif sw:
                     best = SOFTWARE
-                elif source is not None and source.has_runnable():
+                elif source.has_runnable():
                     best = PROCESS
                 else:
                     best = None
@@ -173,9 +179,9 @@ class Cpu:
                 if ctx.work_class == PROCESS:
                     # begin() may have woken a better-priority process
                     # (e.g. a syscall handler's wakeup); honour it.
-                    best_pri = self.process_source.best_runnable_priority()
+                    best_pri = source.best_runnable_priority()
                     if best_pri is not None and best_pri < ctx.proc.usrpri:
-                        self.process_source.requeue_front(ctx)
+                        source.requeue_front(ctx)
                         continue
                 self._start_slice(ctx, duration)
                 if not self._redispatch:
@@ -207,18 +213,35 @@ class Cpu:
         # run ahead to) by it, once it has settled which slice runs.
         if not self._ending:
             self._slice_event = self.sim.schedule(duration,
-                                                  self._on_slice_end)
+                                                  self._slice_end)
 
     def _account_elapsed(self, elapsed: float) -> None:
+        """Record and bill *elapsed* microseconds of the current slice."""
         ctx = self._current
-        self.time_by_class[ctx.work_class] += elapsed
-        ctx.consumed(elapsed)
-        if ctx.work_class == PROCESS:
+        work_class = ctx.work_class
+        self.time_by_class[work_class] += elapsed
+        if work_class == PROCESS:
+            proc = ctx.proc
+            remaining = proc.compute_remaining - elapsed
+            proc.compute_remaining = remaining if remaining > 0.0 else 0.0
+            self.accounting.charge_process(proc, elapsed)
+            # Running warms the working set; a warm one has nothing
+            # left to load.
+            if proc.cache_resident_kb < proc.cache_hot_kb:
+                self.cache.on_run(proc, elapsed)
             ctx.stint += elapsed
-        elif self.pollution_hook is not None and elapsed > 0:
+            return
+        remaining = ctx.pending - elapsed
+        ctx.pending = remaining if remaining > 0.0 else 0.0
+        if elapsed > 0:
+            # The policy bills the process this CPU was running when
+            # the interrupt took it (BSD semantics).
+            running = self.last_process_running
+            self.accounting.charge_interrupt(
+                elapsed, running.proc if running is not None else None)
             # Interrupt execution displaces cache state in proportion
             # to the work done; resident processes repay it on resume.
-            self.pollution_hook(elapsed)
+            self.cache.on_interrupt_pollution(elapsed)
 
     def _checkpoint_current(self) -> None:
         """Suspend the current slice and requeue its context."""
@@ -238,68 +261,92 @@ class Cpu:
             self.process_source.requeue_front(ctx)
 
     def _on_slice_end(self) -> None:
-        """The current slice's end event.
+        """The current slice's end event: bill the slice and settle
+        what runs next.
+
+        The context that just ran keeps the CPU, with no dispatch,
+        whenever dispatch would only pick it again: an interrupt that
+        heads its class queue with no higher class pending, or a
+        process with no interrupt pending that its run queue would
+        hand straight back (``keeps_cpu``).  Anything else goes
+        through :meth:`_dispatch`.
 
         Slice ends run ahead: after settling which slice runs next,
         the CPU asks the engine to advance the clock straight to that
         slice's end (:meth:`Simulator.advance_to`), which succeeds
         only when no other event is due first, and ends that slice
         too.  Only the first slice end that something else could
-        interleave with is scheduled as an event.  Every slice,
-        ``consumed()`` call and timestamp is the one the
-        event-per-slice schedule produces.
+        interleave with is scheduled as an event.  Every slice, bill
+        and timestamp is the one the event-per-slice schedule
+        produces.
         """
         sim = self.sim
+        hw = self._hw
+        sw = self._sw
+        source = self.process_source
         self._slice_event = None
         self._ending = True
         try:
             while True:
-                self._end_slice()
-                if self._current is None:
-                    return
+                ctx = self._current
+                self._account_elapsed(self._slice_len)
+                self._current = None
+                work_class = ctx.work_class
+                keep = False
+                # Guard against reentrant dispatch while ctx.begin()
+                # runs instantaneous side effects (wakeups, interrupt
+                # posts, ...).
+                self._dispatching = True
+                try:
+                    # Quantum expired: round-robin to the tail of the
+                    # run queue if the process still wants the CPU.
+                    expired = work_class == PROCESS \
+                        and ctx.stint >= DEFAULT_QUANTUM
+                    if expired:
+                        ctx.stint = 0.0
+                    duration = ctx.begin()
+                    if duration is None:
+                        self._retire(ctx)
+                    elif work_class != PROCESS:
+                        # An interrupt heads its class queue, so it
+                        # keeps the CPU unless a higher class waits.
+                        keep = work_class == HARDWARE or not hw
+                        if not keep:
+                            sw.appendleft(ctx)
+                    elif expired:
+                        source.quantum_expired(ctx)
+                    elif hw or sw or not source.keeps_cpu(ctx):
+                        source.requeue_front(ctx)
+                    else:
+                        keep = True
+                        # Dispatch would begin() the process again,
+                        # which repays any hot-set lines still missing
+                        # and otherwise changes nothing; then clamp to
+                        # the quantum left, as _start_slice does.
+                        proc = ctx.proc
+                        if proc.cache_resident_kb < proc.cache_hot_kb:
+                            duration = ctx.begin()
+                        remaining_quantum = DEFAULT_QUANTUM - ctx.stint
+                        if duration > remaining_quantum:
+                            duration = remaining_quantum
+                finally:
+                    self._dispatching = False
+                if keep:
+                    self._current = ctx
+                    self._slice_start = sim.now
+                    self._slice_len = duration
+                    self.slices += 1
+                else:
+                    self._dispatch()
+                    if self._current is None:
+                        return
                 if not sim.advance_to(self._slice_start
                                       + self._slice_len):
                     break
         finally:
             self._ending = False
         self._slice_event = sim.schedule(self._slice_len,
-                                         self._on_slice_end)
-
-    def _end_slice(self) -> None:
-        """Account the finished slice and start whatever runs next
-        (without scheduling its end; see :meth:`_on_slice_end`)."""
-        ctx = self._current
-        self._account_elapsed(self._slice_len)
-        self._current = None
-        # Guard against reentrant dispatch while ctx.begin() runs
-        # instantaneous side effects (wakeups, interrupt posts, ...).
-        outer = self._dispatching
-        self._dispatching = True
-        try:
-            # Quantum expired: round-robin to the tail of the run
-            # queue if the process still wants the CPU.
-            expired = ctx.work_class == PROCESS \
-                and ctx.stint >= DEFAULT_QUANTUM
-            if expired:
-                ctx.stint = 0.0
-            duration = ctx.begin()
-            if duration is None:
-                self._retire(ctx)
-            elif expired:
-                self.process_source.quantum_expired(ctx)
-            elif ctx.work_class == PROCESS:
-                self.process_source.requeue_front(ctx)
-            elif ctx.work_class == HARDWARE or not self._hw:
-                # The interrupt keeps the CPU: it heads its class
-                # queue and no higher class is pending, so dispatch
-                # would only pick it again.
-                self._start_slice(ctx, duration)
-                return
-            else:
-                self._sw.appendleft(ctx)
-        finally:
-            self._dispatching = outer
-        self._dispatch()
+                                         self._slice_end)
 
     def _retire(self, ctx) -> None:
         if ctx is self.last_process_running:

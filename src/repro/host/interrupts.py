@@ -48,26 +48,24 @@ class IntrTask:
         ``HARDWARE`` or ``SOFTWARE``.
     label:
         Short name for statistics (e.g. ``"nic-rx"``, ``"softnet"``).
-    charge:
-        Callback ``charge(usec)`` invoked for every microsecond of CPU
-        the task consumes; the accounting policy decides which process
-        (if any) to bill.  May be ``None`` for unbilled work.
+
+    The CPU the task is posted to bills the time it runs under the
+    kernel's accounting policy.
     """
 
-    __slots__ = ("gen", "work_class", "label", "charge", "pending",
-                 "done", "total_consumed", "dispatched")
+    __slots__ = ("gen", "work_class", "label", "pending", "done",
+                 "dispatched")
 
-    def __init__(self, gen: Iterator, work_class: int, label: str,
-                 charge: Optional[Callable[[float], None]] = None):
+    def __init__(self, gen: Iterator, work_class: int, label: str):
         if work_class not in (HARDWARE, SOFTWARE):
             raise ValueError(f"bad interrupt class {work_class!r}")
         self.gen = gen
         self.work_class = work_class
         self.label = label
-        self.charge = charge
-        self.pending = 0.0      # microseconds left in the current Compute
+        #: Microseconds left in the current Compute; the CPU counts
+        #: them down as the task runs.
+        self.pending = 0.0
         self.done = False
-        self.total_consumed = 0.0   # lifetime CPU, for pollution scaling
         #: Set by the CPU the first time this task starts executing,
         #: so the tracer emits one ``interrupt_dispatched`` per task
         #: even across preemptions.
@@ -94,13 +92,6 @@ class IntrTask:
                 f"interrupt task {self.label!r} yielded "
                 f"{request!r}; interrupt context may only Compute")
 
-    def consumed(self, usec: float) -> None:
-        """Record *usec* of CPU progress (called by the CPU)."""
-        self.pending = max(0.0, self.pending - usec)
-        self.total_consumed += usec
-        if self.charge is not None and usec > 0:
-            self.charge(usec)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<IntrTask {self.label} {CLASS_NAMES[self.work_class]} "
                 f"pending={self.pending:.2f}>")
@@ -122,9 +113,8 @@ class SimpleIntrTask(IntrTask):
     __slots__ = ("cost", "action", "_started")
 
     def __init__(self, cost: float, work_class: int, label: str,
-                 action: Optional[Callable[[], None]] = None,
-                 charge: Optional[Callable[[float], None]] = None):
-        super().__init__(None, work_class, label, charge)
+                 action: Optional[Callable[[], None]] = None):
+        super().__init__(None, work_class, label)
         self.cost = cost
         self.action = action
         self._started = False

@@ -18,7 +18,8 @@ is built: under LRP, IP and UDP input run as generator frames inside
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional
+from types import GeneratorType
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 import inspect
 
@@ -75,9 +76,10 @@ class ProcContext:
         # Cache refill is repaid whenever the process resumes with part
         # of its hot set evicted — whether by a context switch or by
         # interrupt-handler pollution (the locality effect of Table 2).
-        refill = kernel.cache.switch_penalty(proc)
-        if refill > 0:
-            proc.compute_remaining += refill
+        if proc.cache_resident_kb < proc.cache_hot_kb:
+            refill = kernel.cache.switch_penalty(proc)
+            if refill > 0:
+                proc.compute_remaining += refill
         while True:
             if proc.compute_remaining > 1e-9:
                 proc.state = ProcState.RUNNING
@@ -88,12 +90,6 @@ class ProcContext:
                 return None
             if not kernel.handle_request(self, request):
                 return None  # blocked, sleeping, or exited
-
-    def consumed(self, usec: float) -> None:
-        proc = self.proc
-        proc.compute_remaining = max(0.0, proc.compute_remaining - usec)
-        self.kernel.accounting.charge_process(proc, usec)
-        self.kernel.cache.on_run(proc, usec)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ProcContext {self.proc.name}>"
@@ -129,8 +125,10 @@ class Kernel:
         self.accounting = Accounting(self.scheduler, accounting_policy)
         self.cache = CacheModel(costs)
         for cpu in self.cpus:
-            cpu.pollution_hook = self.cache.on_interrupt_pollution
-        self.syscalls: Dict[str, SyscallHandler] = {}
+            cpu.accounting = self.accounting
+            cpu.cache = self.cache
+        #: name -> (handler, whether it is a generator function).
+        self.syscalls: Dict[str, Tuple[SyscallHandler, bool]] = {}
         self.processes: Dict[int, SimProcess] = {}
         self._contexts: Dict[int, ProcContext] = {}
         self.ticks = 0
@@ -215,16 +213,17 @@ class Kernel:
         raise KernelPanic(f"{proc.name}: unhandled request {request!r}")
 
     def _dispatch_syscall(self, proc: SimProcess, call: Syscall) -> bool:
-        handler = self.syscalls.get(call.name)
-        if handler is None:
+        entry = self.syscalls.get(call.name)
+        if entry is None:
             proc.throw_on_resume(
                 KernelPanic(f"unknown syscall {call.name!r}"))
             return True
+        handler, is_generator_function = entry
         traced = self.sim.trace.enabled
         if traced:
             self.sim.trace.syscall_enter(proc.name, call.name)
         proc.compute_remaining += self.costs.syscall_overhead
-        if inspect.isgeneratorfunction(handler):
+        if is_generator_function:
             gen = handler(self, proc, **call.kwargs)
             proc.push_frame(self._traced_syscall(proc, call.name, gen)
                             if traced else gen)
@@ -236,7 +235,7 @@ class Kernel:
                 self.sim.trace.syscall_exit(proc.name, call.name)
             proc.throw_on_resume(exc)
             return True
-        if inspect.isgenerator(result):
+        if isinstance(result, GeneratorType):
             # Handlers may return a generator (common for bound
             # methods wrapping an inner generator); run it as a frame.
             proc.push_frame(self._traced_syscall(proc, call.name, result)
@@ -258,7 +257,10 @@ class Kernel:
         return result
 
     def register_syscall(self, name: str, handler: SyscallHandler) -> None:
-        self.syscalls[name] = handler
+        # Resolved once here, not per call: the handler's kind decides
+        # how every call to it runs.
+        self.syscalls[name] = (handler,
+                               inspect.isgeneratorfunction(handler))
 
     # ------------------------------------------------------------------
     # Blocking and wakeup
@@ -318,11 +320,8 @@ class Kernel:
     # ------------------------------------------------------------------
     def _hardclock(self) -> None:
         self.ticks += 1
-        task = SimpleIntrTask(
-            self.costs.hardclock, HARDWARE, "hardclock",
-            action=self._tick_body,
-            charge=self.accounting.interrupt_charger(self.cpu))
-        self.cpu.post(task)
+        self.cpu.post(SimpleIntrTask(self.costs.hardclock, HARDWARE,
+                                     "hardclock", action=self._tick_body))
         self.sim.schedule_detached(TICK_USEC, self._hardclock)
 
     def _tick_body(self) -> None:

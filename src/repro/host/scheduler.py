@@ -90,6 +90,21 @@ class Scheduler:
         self._last_proc = ctx.proc
         return ctx
 
+    def keeps_cpu(self, ctx) -> bool:
+        """Whether :meth:`requeue_front` of *ctx* followed by
+        :meth:`take_next` would return *ctx* without a context switch:
+        its process was the last one taken and no queued context has a
+        strictly better ``usrpri``.  The CPU then lets *ctx* run on
+        without the round trip."""
+        proc = ctx.proc
+        if proc is not self._last_proc:
+            return False
+        pri = proc.usrpri
+        for item in self._queue:
+            if item.proc.usrpri < pri:
+                return False
+        return True
+
     def requeue_front(self, ctx) -> None:
         """Return a preempted context; it competes again immediately."""
         self._queue.insert(0, ctx)

@@ -32,7 +32,9 @@ class IPAddr:
             raise TypeError(f"cannot make IPAddr from {value!r}")
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (IPAddr, int, str)):
+        if type(other) is IPAddr:
+            return self.value == other.value
+        if isinstance(other, (int, str)):
             return self.value == IPAddr(other).value
         return NotImplemented
 
@@ -48,6 +50,12 @@ class IPAddr:
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(4, "big")
+
+
+def addr_value(addr) -> int:
+    """The 32-bit value of *addr* (an :class:`IPAddr`, int or dotted
+    quad), without building an :class:`IPAddr` for one already made."""
+    return addr.value if type(addr) is IPAddr else IPAddr(addr).value
 
 
 #: The unspecified address (INADDR_ANY).
@@ -68,4 +76,4 @@ def endpoint(addr, port: int) -> Endpoint:
     """Convenience constructor with validation."""
     if not 0 <= port <= 65535:
         raise ValueError(f"bad port {port!r}")
-    return Endpoint(IPAddr(addr), port)
+    return Endpoint(addr if type(addr) is IPAddr else IPAddr(addr), port)

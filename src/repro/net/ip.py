@@ -42,8 +42,9 @@ class IpPacket:
                  ttl: int = DEFAULT_TTL):
         if frag_offset % 8:
             raise ValueError("fragment offsets must be 8-byte aligned")
-        self.src = IPAddr(src)
-        self.dst = IPAddr(dst)
+        # Addresses are immutable, so a given IPAddr is kept as is.
+        self.src = src if type(src) is IPAddr else IPAddr(src)
+        self.dst = dst if type(dst) is IPAddr else IPAddr(dst)
         self.proto = proto
         #: The transport PDU (UdpDatagram / TcpSegment / IcmpMessage),
         #: present only in unfragmented packets and first fragments.

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.engine.simulator import Simulator
-from repro.net.addr import IPAddr
+from repro.net.addr import IPAddr, addr_value
 from repro.net.packet import Frame
 from repro.net.signalling import SignallingDirectory
 
@@ -121,8 +121,8 @@ class Network:
         the receiving port.
         """
         self.frames_sent += 1
-        src_key = IPAddr(src_addr).value
-        dst_key = (IPAddr(frame.link_dst).value
+        src_key = addr_value(src_addr)
+        dst_key = (addr_value(frame.link_dst)
                    if frame.link_dst is not None
                    else frame.packet.dst.value)
         dst_nic = self._nics.get(dst_key)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.engine.simulator import Simulator
-from repro.net.addr import IPAddr
+from repro.net.addr import IPAddr, addr_value
 from repro.net.link import ATM_155_BITS_PER_USEC, CongestionKnee
 from repro.net.packet import Frame
 from repro.net.signalling import SignallingDirectory
@@ -505,8 +505,8 @@ class Topology:
         drop asynchronously into the topology counters.
         """
         self.frames_sent += 1
-        src_key = IPAddr(src_addr).value
-        dst_key = (IPAddr(frame.link_dst).value
+        src_key = addr_value(src_addr)
+        dst_key = (addr_value(frame.link_dst)
                    if frame.link_dst is not None
                    else frame.packet.dst.value)
         src_node = self._node_of.get(src_key)

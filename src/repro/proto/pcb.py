@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.net.addr import ANY_ADDR, IPAddr
+from repro.net.addr import ANY_ADDR, IPAddr, addr_value
 
 PcbKey = Tuple[int, int, int, int]  # laddr, lport, faddr, fport
 
@@ -60,7 +60,7 @@ class PcbTable:
 
     def connect(self, sock, laddr: IPAddr, lport: int,
                 faddr: IPAddr, fport: int) -> None:
-        key = (IPAddr(laddr).value, lport, IPAddr(faddr).value, fport)
+        key = (addr_value(laddr), lport, addr_value(faddr), fport)
         if key in self._exact:
             raise PortInUse(f"4-tuple {key} in use")
         self._exact[key] = sock
@@ -89,7 +89,7 @@ class PcbTable:
     def disconnect(self, laddr: IPAddr, lport: int,
                    faddr: IPAddr, fport: int) -> None:
         self._exact.pop(
-            (IPAddr(laddr).value, lport, IPAddr(faddr).value, fport), None)
+            (addr_value(laddr), lport, addr_value(faddr), fport), None)
 
     # ------------------------------------------------------------------
     def lookup(self, laddr: IPAddr, lport: int,
@@ -97,7 +97,7 @@ class PcbTable:
         """BSD in_pcblookup: exact match first, then wildcard."""
         self.lookups += 1
         sock = self._exact.get(
-            (IPAddr(laddr).value, lport, IPAddr(faddr).value, fport))
+            (addr_value(laddr), lport, addr_value(faddr), fport))
         if sock is not None:
             return sock
         return self._wildcard.get(lport)

@@ -3,8 +3,9 @@ checkpointing, and time accounting."""
 
 import pytest
 
-from repro.engine import Compute, Simulator
+from repro.engine import Block, Compute, Simulator, Syscall, WaitChannel
 from repro.host import HARDWARE, Kernel, SOFTWARE, SimpleIntrTask
+from repro.host.costs import CostModel
 from repro.host.interrupts import IntrTask, InterruptContextError
 
 
@@ -152,10 +153,67 @@ def test_livelock_emerges_under_interrupt_storm():
     assert all(t < 1000.0 for t in progress)
 
 
-def test_charge_callback_receives_all_consumed_time():
+def test_interrupt_time_billed_in_full():
+    # A software interrupt preempted by a hardware one: the CPU bills
+    # every slice of both, and with no process to bill, all of it
+    # lands in the system bucket.
     sim, k = make_kernel()
-    charged = []
-    task = SimpleIntrTask(50.0, HARDWARE, "hw", charge=charged.append)
-    k.cpu.post(task)
+    k.cpu.post(SimpleIntrTask(50.0, SOFTWARE, "sw"))
+    sim.schedule(20.0, lambda: k.cpu.post(
+        SimpleIntrTask(10.0, HARDWARE, "hw")))
     sim.run_until(100.0)
-    assert sum(charged) == pytest.approx(50.0)
+    assert k.cpu.slices == 3
+    assert k.accounting.total_interrupt_time == pytest.approx(60.0)
+    assert k.accounting.system_time == pytest.approx(60.0)
+
+
+def test_wakeup_during_begin_hands_cpu_to_better_process():
+    # A process's slice ends and begin() runs its next step, a syscall
+    # that wakes a better-priority process: that process takes the
+    # CPU before the waker's next slice.
+    sim, k = make_kernel()
+    chan = WaitChannel("w")
+    order = []
+    k.register_syscall("poke", lambda kernel, proc: kernel.wake_one(chan))
+
+    def sleeper():
+        yield Block(chan)
+        yield Compute(10.0)
+        order.append("sleeper")
+
+    def waker():
+        yield Compute(100.0)
+        yield Syscall("poke")
+        yield Compute(100.0)
+        order.append("waker")
+
+    k.spawn("sleeper", sleeper())
+    k.spawn("waker", waker(), nice=10)
+    sim.run_until(10_000.0)
+    assert order == ["sleeper", "waker"]
+    # sleeper, waker, sleeper again on the wakeup, waker to finish.
+    assert k.scheduler.context_switches == 4
+
+
+def test_kept_process_repays_missing_hot_set_as_dispatch_would():
+    # The process keeps the CPU while its hot set is still partly
+    # cold.  The run-queue round trip it skips called begin() twice,
+    # and each call repaid the missing lines; keeping the CPU must
+    # charge the same refill.
+    costs = CostModel(cache_touch_kb_per_usec=0.01)
+    sim = Simulator(seed=0)
+    k = Kernel(sim, costs=costs, enable_ticks=False)
+
+    def main():
+        yield Compute(10.0)
+        yield Compute(10.0)
+
+    k.spawn("p", main(), working_set_kb=512.0)
+    # The switch-in and cold refill run before the first Compute.
+    first_slice = costs.context_switch + 512.0 * costs.cache_refill_per_kb
+    sim.run_until(first_slice)
+    missing = 512.0 - first_slice * costs.cache_touch_kb_per_usec
+    assert k.cpu.slices == 2
+    assert k.scheduler.context_switches == 1
+    assert k.cache.total_refill_usec == pytest.approx(
+        (512.0 + 2 * missing) * costs.cache_refill_per_kb)

@@ -12,7 +12,7 @@ from repro.engine import (
     Syscall,
     WaitChannel,
 )
-from repro.host import Kernel, KernelPanic
+from repro.host import HARDWARE, Kernel, KernelPanic, SimpleIntrTask
 
 
 def make():
@@ -212,40 +212,50 @@ def test_wakeup_preempts_lower_priority_running_process():
     assert woken[0][1] < 320_000.0
 
 
+def spinner():
+    while True:
+        yield Compute(1_000.0)
+
+
+def post_interrupt(sim, cpu, at, cost):
+    sim.schedule(at, lambda: cpu.post(
+        SimpleIntrTask(cost, HARDWARE, "t")))
+
+
 def test_accounting_interrupted_policy_bills_running_process():
-    from repro.host import HARDWARE, SimpleIntrTask
-
     sim, k = make()
-
-    def spinner():
-        while True:
-            yield Compute(1_000.0)
-
     victim = k.spawn("victim", spinner())
-    task = SimpleIntrTask(77.0, HARDWARE, "t",
-                          charge=k.accounting.interrupt_charger(k.cpu))
-    sim.schedule(500.0, lambda: k.cpu.post(task))
+    post_interrupt(sim, k.cpu, 500.0, 77.0)
     sim.run_until(5_000.0)
+    assert k.accounting.total_interrupt_time == pytest.approx(77.0)
+    assert k.accounting.system_time == 0.0
     assert victim.intr_time_charged == pytest.approx(77.0)
 
 
 def test_accounting_system_policy_bills_nobody():
-    from repro.host import HARDWARE, SimpleIntrTask
-
     sim = Simulator(seed=0)
     k = Kernel(sim, accounting_policy="system", enable_ticks=False)
-
-    def spinner():
-        while True:
-            yield Compute(1_000.0)
-
     victim = k.spawn("victim", spinner())
-    task = SimpleIntrTask(77.0, HARDWARE, "t",
-                          charge=k.accounting.interrupt_charger(k.cpu))
-    sim.schedule(500.0, lambda: k.cpu.post(task))
+    post_interrupt(sim, k.cpu, 500.0, 77.0)
     sim.run_until(5_000.0)
-    assert victim.intr_time_charged == 0.0
+    assert k.accounting.total_interrupt_time == pytest.approx(77.0)
     assert k.accounting.system_time == pytest.approx(77.0)
+    assert victim.intr_time_charged == 0.0
+
+
+def test_interrupt_bills_the_process_of_its_own_core():
+    # Each core bills an interrupt to the process that core was
+    # running, never to another core's process.
+    sim = Simulator(seed=0)
+    k = Kernel(sim, enable_ticks=False, ncores=2)
+    on_core0 = k.spawn("core0", spinner(), core=0)
+    on_core1 = k.spawn("core1", spinner(), core=1)
+    post_interrupt(sim, k.cpus[1], 500.0, 77.0)
+    sim.run_until(5_000.0)
+    assert k.accounting.total_interrupt_time == pytest.approx(77.0)
+    assert k.accounting.system_time == 0.0
+    assert on_core1.intr_time_charged == pytest.approx(77.0)
+    assert on_core0.intr_time_charged == 0.0
 
 
 def test_bad_accounting_policy_rejected():

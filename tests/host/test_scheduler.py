@@ -1,6 +1,7 @@
 """Unit tests for the decay-usage scheduler and priority math."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import Compute, Simulator, Sleep
 from repro.host import Kernel
@@ -100,6 +101,29 @@ def test_context_switch_counted_only_on_real_switch():
     before = sched.context_switches
     sched.take_next()
     assert sched.context_switches == before  # same process again
+
+
+@settings(max_examples=300, deadline=None)
+@given(queued=st.lists(st.sampled_from([40.0, 50.0, 60.0]), max_size=6),
+       pri=st.sampled_from([40.0, 50.0, 60.0]),
+       last=st.sampled_from(["self", "other", "none"]))
+def test_keeps_cpu_iff_round_trip_returns_same_context(queued, pri, last):
+    """keeps_cpu(ctx) is True exactly when requeue_front(ctx) then
+    take_next() hands back ctx without counting a context switch."""
+    sched = Scheduler()
+    ctx = FakeCtx(FakeProc("running", pri))
+    if last != "none":
+        first = ctx if last == "self" else FakeCtx(FakeProc("other", pri))
+        sched.enqueue(first)
+        assert sched.take_next() is first
+    for index, queued_pri in enumerate(queued):
+        sched.enqueue(FakeCtx(FakeProc(f"q{index}", queued_pri)))
+    expected = sched.keeps_cpu(ctx)
+    switches = sched.context_switches
+    sched.requeue_front(ctx)
+    taken = sched.take_next()
+    assert expected == (taken is ctx
+                        and sched.context_switches == switches)
 
 
 def test_cpu_bound_process_sinks_below_blocking_process():
