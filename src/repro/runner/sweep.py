@@ -20,7 +20,8 @@ deterministic simulation.  :class:`SweepRunner` executes such grids
 Each point runs once.  A point is a pure, seeded simulation, so a
 second attempt could only raise the same exception again; a point that
 raises or exceeds its timeout is recorded as failed (result ``None``)
-and the sweep continues.
+and the sweep continues.  A single point run through
+:meth:`SweepRunner.call` raises instead.
 
 Results are returned in *submission order* regardless of completion
 order, and a sweep executed with 0, 1 or N workers — cold or warm
@@ -41,7 +42,6 @@ Two interplays are handled conservatively:
 from __future__ import annotations
 
 import importlib
-import os
 import signal
 import threading
 import time
@@ -195,32 +195,22 @@ class SweepRunner:
         #: ``{label, fn, params, error}``.
         self.failed: List[Dict[str, Any]] = []
 
-    @property
-    def failed_points(self) -> int:
-        """Count of failed points (see :attr:`failed` for the
-        descriptors)."""
-        return len(self.failed)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_env(cls, **overrides: Any) -> "SweepRunner":
-        """Build a runner from the ``REPRO_BENCH_WORKERS`` /
-        ``REPRO_BENCH_CACHE`` / ``REPRO_BENCH_PROGRESS`` environment
-        variables (used by the benchmark suite so ``pytest
-        benchmarks/`` can be accelerated without touching the
-        benchmarks)."""
-        workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0") or "0")
-        cache_dir = os.environ.get("REPRO_BENCH_CACHE", "")
-        cache = ResultCache(cache_dir) if cache_dir else None
-        progress = os.environ.get("REPRO_BENCH_PROGRESS", "") == "1"
-        options = dict(workers=workers, cache=cache, progress=progress)
-        options.update(overrides)
-        return cls(**options)
-
     # ------------------------------------------------------------------
     def call(self, fn: Callable, **kwargs: Any) -> Any:
-        """Execute a single point (cached, in-process)."""
-        return self.map_points([(fn, kwargs)], progress=False)[0]
+        """Execute a single point (cached, in-process).
+
+        A failed point is still logged in :attr:`failed` and
+        :attr:`points_log`, then raised as a :class:`RuntimeError`
+        carrying its recorded error, so a caller never reads ``None``
+        as a result.
+        """
+        failed_before = len(self.failed)
+        result = self.map_points([(fn, kwargs)], progress=False)[0]
+        if len(self.failed) > failed_before:
+            failure = self.failed[-1]
+            raise RuntimeError(
+                f"point {failure['label']} failed: {failure['error']}")
+        return result
 
     def map(self, fn: Callable, kwargs_list: Sequence[Dict[str, Any]],
             label: Optional[str] = None) -> List[Any]:

@@ -72,4 +72,4 @@ def test_run_experiment_shapes_and_report():
     text = degradation.report(result)
     assert "victim goodput" in text
     assert "TCP delivery" in text
-    assert runner.failed_points == 0
+    assert len(runner.failed) == 0

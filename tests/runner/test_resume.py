@@ -45,7 +45,7 @@ class TestSweepResume:
         finally:
             EXPLODING.clear()
         assert results == [{"x": 1, "y": 3}, None, {"x": 3, "y": 9}]
-        assert first.failed_points == 1
+        assert len(first.failed) == 1
         assert CALLS["n"] == 3
 
         second = SweepRunner(cache=ResultCache(tmp_path))
@@ -55,7 +55,7 @@ class TestSweepResume:
                            {"x": 3, "y": 9}]
         assert [p["cached"] for p in second.points_log] \
             == [True, False, True]
-        assert second.failed_points == 0
+        assert len(second.failed) == 0
 
     def test_parameter_change_invalidates_entries(self, tmp_path):
         CALLS["n"] = 0

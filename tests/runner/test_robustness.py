@@ -48,7 +48,7 @@ def test_serial_timeout_fails_point_not_sweep():
         (ok_point, {"x": 3}),
     ])
     assert results == [2, None, 6]
-    assert runner.failed_points == 1
+    assert len(runner.failed) == 1
     failed = [p for p in runner.points_log if p.get("error")]
     assert len(failed) == 1
     assert "PointTimeout" in failed[0]["error"]
@@ -70,9 +70,22 @@ def test_serial_failing_point_runs_once(tmp_path):
         (ok_point, {"x": 5}),
     ])
     assert results == [None, 10]
-    assert runner.failed_points == 1
+    assert len(runner.failed) == 1
     assert "transient failure" in runner.failed[0]["error"]
     assert runner.notes == []
+
+
+def test_call_raises_the_failed_points_error():
+    """A single point that fails raises its own recorded error rather
+    than returning ``None``, and is still logged as failed."""
+    runner = SweepRunner()
+    assert runner.call(ok_point, x=4) == 8
+    with pytest.raises(RuntimeError, match="boom at point"):
+        runner.call(failing_point, message="boom at point")
+    assert len(runner.failed) == 1
+    assert "boom at point" in runner.failed[0]["error"]
+    assert runner.points_log[-1]["error"] == runner.failed[0]["error"]
+    assert runner.points_log[-1]["result"] is None
 
 
 def test_timeout_disabled_by_default():
@@ -92,7 +105,7 @@ def test_parallel_timeout_fails_point_not_sweep():
         (ok_point, {"x": 3}),
     ])
     assert results == [2, None, 6]
-    assert runner.failed_points == 1
+    assert len(runner.failed) == 1
 
 
 def test_parallel_worker_crash_is_isolated():
@@ -103,7 +116,7 @@ def test_parallel_worker_crash_is_isolated():
     specs.insert(2, (crashing_point, {"code": 3}))
     results = runner.map_points(specs)
     assert results == [0, 2, None, 4, 6]
-    assert runner.failed_points == 1
+    assert len(runner.failed) == 1
     assert any("isolation" in note for note in runner.notes)
 
 
@@ -114,7 +127,7 @@ def test_parallel_failing_point_runs_once(tmp_path):
         (ok_point, {"x": 2}),
     ])
     assert results == [None, 4]
-    assert runner.failed_points == 1
+    assert len(runner.failed) == 1
     assert runner.notes == []
 
 
