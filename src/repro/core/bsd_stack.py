@@ -59,6 +59,13 @@ class BsdStack(NetworkStack):
         self._softnet_posted = [False] * ncores
         #: Daemon-bound packets (ICMP etc.) processed in softint too.
         self.icmp_handler = None
+        # The softnet path's fixed steps, allocated once: a Compute is
+        # read, never changed, by the task that runs it.
+        costs = self.costs
+        self._sw_dispatch = Compute(costs.sw_intr_dispatch)
+        self._ip_in = Compute(costs.ip_input)
+        self._pcb_lookup = Compute(costs.pcb_lookup)
+        self._udp_in = Compute(costs.udp_input + costs.socket_enqueue)
 
     # ------------------------------------------------------------------
     # Receive path
@@ -106,7 +113,7 @@ class BsdStack(NetworkStack):
         ipq = self.ipqs[core]
         while ipq:
             packet = ipq.popleft()
-            yield Compute(self.costs.sw_intr_dispatch)
+            yield self._sw_dispatch
             yield from self._ip_input_eager(packet)
             chain = getattr(packet, "_mbuf_chain", None)
             if chain is not None:
@@ -115,7 +122,7 @@ class BsdStack(NetworkStack):
 
     def _ip_input_eager(self, packet: IpPacket) -> Generator:
         """IP + transport input, in software-interrupt context."""
-        yield Compute(self.costs.ip_input)
+        yield self._ip_in
         self.stats.incr("ip_in")
         if not self.is_local_addr(packet.dst):
             # Transit packet: BSD forwards *in the software interrupt*,
@@ -147,18 +154,18 @@ class BsdStack(NetworkStack):
             self.stats.incr("drop_unknown_proto")
 
     def _udp_input_eager(self, packet: IpPacket) -> Generator:
-        yield Compute(self.costs.pcb_lookup)
+        yield self._pcb_lookup
         dgram = packet.transport
         sock: Optional[Socket] = self.udp_pcb.lookup(
             packet.dst, dgram.dst_port, packet.src, dgram.src_port)
         if sock is None:
             self.stats.incr("drop_pcb_miss")
             return
-        yield Compute(self.costs.udp_input + self.costs.socket_enqueue)
+        yield self._udp_in
         self.udp_deliver_to_socket(sock, packet)
 
     def _tcp_input_eager(self, packet: IpPacket) -> Generator:
-        yield Compute(self.costs.pcb_lookup)
+        yield self._pcb_lookup
         seg = packet.transport
         sock: Optional[Socket] = self.tcp_pcb.lookup(
             packet.dst, seg.dst_port, packet.src, seg.src_port)

@@ -533,7 +533,7 @@ class NetworkStack:
         # LRP deallocates the NI channel as soon as the connection
         # enters TIME_WAIT (Section 4.2 discussion on scaling).
         self.endpoint_detached(sock)
-        self.sim.schedule_detached(hold, self._time_wait_expired, sock)
+        self.sim.schedule(hold, self._time_wait_expired, sock)
 
     def _time_wait_expired(self, sock: Socket) -> None:
         conn: TcpConnection = sock.pcb
@@ -579,7 +579,7 @@ class NetworkStack:
     def _cancel_timer(self, sock: Socket, kind: str) -> None:
         event = getattr(sock, f"_{kind}_event", None)
         if event is not None:
-            event.cancel()
+            self.sim.cancel(event)
             setattr(sock, f"_{kind}_event", None)
 
     def _timer_fired(self, sock: Socket, kind: str) -> None:
@@ -655,9 +655,8 @@ class NetworkStack:
         listener.incomplete += 1
         self.endpoint_attached(child)
         self.listener_backlog_changed(listener)
-        self.sim.schedule_detached(HANDSHAKE_TIMEOUT,
-                                   self._handshake_expired,
-                                   listener, child)
+        self.sim.schedule(HANDSHAKE_TIMEOUT, self._handshake_expired,
+                          listener, child)
         actions = conn.passive_syn(seg, self.sim.now)
         yield from self.apply_tcp_actions(child, actions)
 
@@ -762,8 +761,8 @@ class NetworkStack:
             self.demux_table.clear_fragment_hint(whole.src, whole.ident)
         if self.reassembler.pending and not self._frag_expiry_armed:
             self._frag_expiry_armed = True
-            self.sim.schedule_detached(self.reassembler.ttl_usec,
-                                       self._frag_expire)
+            self.sim.schedule(self.reassembler.ttl_usec,
+                              self._frag_expire)
         return whole
 
     def _frag_expire(self) -> None:
@@ -777,8 +776,8 @@ class NetworkStack:
                 self.demux_table.clear_fragment_hint(src, ident)
         if self.reassembler.pending:
             self._frag_expiry_armed = True
-            self.sim.schedule_detached(self.reassembler.ttl_usec,
-                                       self._frag_expire)
+            self.sim.schedule(self.reassembler.ttl_usec,
+                              self._frag_expire)
 
     # ------------------------------------------------------------------
     # Introspection used by fault injection and stats reports

@@ -2,8 +2,8 @@
 
 Four layers, bottom up:
 
-* **Clock and events** — :class:`Simulator`, :class:`EventQueue`,
-  :class:`Event`: a sequential microsecond-resolution event loop.
+* **Clock and events** — :class:`Simulator` and its
+  :class:`EventQueue`: a sequential microsecond-resolution event loop.
   Every simulated artifact (CPU, NIC, link, timer) schedules through
   one simulator, and everything stochastic draws from its seeded RNG
   streams, so a run is a pure function of its seed.
@@ -35,7 +35,7 @@ from repro.engine.component import (
     cover_switches,
     make_partition,
 )
-from repro.engine.event import Event, EventQueue
+from repro.engine.event import EventQueue
 from repro.engine.process import (
     Block,
     Compute,
@@ -60,7 +60,6 @@ __all__ = [
     "ChannelLink",
     "Component",
     "Compute",
-    "Event",
     "EventQueue",
     "Exit",
     "HostComponent",

@@ -109,6 +109,11 @@ class ProcState(enum.Enum):
     ZOMBIE = "zombie"        # exited
 
 
+#: Read by :attr:`SimProcess.alive` (an enum member lookup costs a
+#: metaclass attribute access).
+_ZOMBIE = ProcState.ZOMBIE
+
+
 class WaitChannel:
     """A queue of processes blocked on some condition.
 
@@ -203,7 +208,7 @@ class SimProcess:
 
         # Wait state.
         self.wait_channel: Optional[WaitChannel] = None
-        self.sleep_event = None  # engine Event for Sleep timeouts
+        self.sleep_event = None  # heap entry of a Sleep timeout
 
         # Compute-in-progress bookkeeping (owned by the CPU model).
         self.compute_remaining: float = 0.0
@@ -254,7 +259,7 @@ class SimProcess:
 
     @property
     def alive(self) -> bool:
-        return self.state != ProcState.ZOMBIE
+        return self.state is not _ZOMBIE
 
     def __repr__(self) -> str:
         return (f"<SimProcess pid={self.pid} {self.name!r} "

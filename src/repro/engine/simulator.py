@@ -9,13 +9,11 @@ approximately 60 usecs").
 The run loop is the hottest code in the repository — every simulated
 packet costs several events.  One loop (``Simulator._drain``) serves
 :meth:`~Simulator.run_until`, :meth:`~Simulator.run_events_before` and
-:meth:`~Simulator.run`; it reads the event heap directly instead of
-going through ``EventQueue.peek_time`` / ``pop`` (one heap access per
-event instead of three) and recycles fired :class:`Event` handles back
-into the queue's pool when the scheduler kept no reference to them.
-The observable semantics are identical to the straightforward peek/pop
-loop; the golden-trace suite pins this (same events, same times, same
-order).
+:meth:`~Simulator.run`; it pops the event heap directly.  Every entry is one
+``[time, seq, callback, args]`` list (see :mod:`repro.engine.event`),
+so the loop has one branch, skipping an entry whose callback a cancel
+cleared.  The golden-trace suite pins the order (same events, same
+times, same order).
 
 Components also avoid events nobody can observe.  :meth:`advance_to`
 lets the CPU end consecutive slices without a heap entry each, and
@@ -31,10 +29,9 @@ import hashlib
 import random
 from heapq import heappop, heappush
 from math import inf, nextafter
-from sys import getrefcount
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.engine.event import _POOL_LIMIT, Event, EventQueue, _noop
+from repro.engine.event import EventQueue
 from repro.trace.tracer import (
     NULL_TRACER,
     Tracer,
@@ -73,6 +70,10 @@ class Simulator:
         self.now: float = 0.0
         self.seed = seed
         self._queue = EventQueue()
+        # Direct aliases of the queue's heap and sequence counter: the
+        # scheduling calls and the run loop touch them per event.
+        self._heap = self._queue._heap
+        self._seq = self._queue._seq
         self._running = False
         #: Latest time :meth:`advance_to` may move the clock to: the
         #: running drain's limit, ``-inf`` outside a drain.
@@ -134,52 +135,33 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> Event:
-        """Schedule *callback* to run *delay* microseconds from now."""
+                 *args: Any) -> List:
+        """Schedule *callback* to run *delay* microseconds from now.
+
+        Returns the heap entry, which is the handle :meth:`cancel`
+        takes; callers that never cancel simply drop it.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push(self.now + delay, callback, args)
+        entry = [self.now + delay, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return entry
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> Event:
+                    *args: Any) -> List:
         """Schedule *callback* at an absolute simulated time."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, now is {self.now!r}")
-        return self._queue.push(time, callback, args)
+        entry = [time, next(self._seq), callback, args]
+        heappush(self._heap, entry)
+        return entry
 
-    def call_soon(self, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule *callback* at the current time (after pending events
-        already scheduled for this instant)."""
-        return self._queue.push(self.now, callback, args)
-
-    def schedule_detached(self, delay: float,
-                          callback: Callable[..., Any],
-                          *args: Any) -> None:
-        """Schedule with no cancellation handle (and no Event object).
-
-        The fast path for fire-and-forget call sites — wire delivery,
-        NIC service completions, periodic ticks — which schedule one
-        event per packet and never cancel it.  Fires at exactly the
-        same time, in exactly the same order, as :meth:`schedule`
-        would.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        # A detached entry, exactly as push_detached builds it.
-        queue = self._queue
-        heappush(queue._heap,
-                 (self.now + delay, next(queue._seq), callback, args))
-
-    def schedule_at_detached(self, time: float,
-                             callback: Callable[..., Any],
-                             *args: Any) -> None:
-        """:meth:`schedule_at` without a handle; see
-        :meth:`schedule_detached`."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}, now is {self.now!r}")
-        self._queue.push_detached(time, callback, args)
+    def cancel(self, handle: List) -> None:
+        """Prevent a scheduled event from firing.  Idempotent, and a
+        no-op once the event has fired (see
+        :meth:`EventQueue.cancel`)."""
+        self._queue.cancel(handle)
 
     def reserve(self, time: float) -> Tuple[float, int]:
         """Reserve the heap key of an event at *time* without
@@ -196,7 +178,7 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot reserve {time!r}, now is {self.now!r}")
-        return (time, next(self._queue._seq))
+        return (time, next(self._seq))
 
     def passed(self, key: Tuple[float, int]) -> bool:
         """Whether an event under reserved *key* would already have
@@ -212,10 +194,11 @@ class Simulator:
         the key has :meth:`passed`; then schedule nothing and return
         False, and the caller does inline what that event would have
         done."""
-        if self.passed(key):
+        # The passed() test, inlined: a port claims once per frame.
+        time, seq = key
+        if time < self.now or (time == self.now and seq < self._seq_now):
             return False
-        # A detached entry, exactly as push_detached builds it.
-        heappush(self._queue._heap, (key[0], key[1], callback, args))
+        heappush(self._heap, [time, seq, callback, args])
         return True
 
     def advance_to(self, time: float) -> bool:
@@ -234,17 +217,16 @@ class Simulator:
         """
         if not self._running or time > self._limit:
             return False
-        queue = self._queue
-        heap = queue._heap
+        heap = self._heap
         if heap and heap[0][0] <= time:
             # A cancelled head is no obstacle: the drain would skip it.
-            if len(heap[0]) == 4 or not heap[0][2].cancelled:
+            if heap[0][2] is not None:
                 return False
-            queue._drop_cancelled()
+            self._queue._drop_cancelled()
             if heap and heap[0][0] <= time:
                 return False
         self.now = time
-        self._seq_now = next(queue._seq)
+        self._seq_now = next(self._seq)
         return True
 
     # ------------------------------------------------------------------
@@ -256,8 +238,7 @@ class Simulator:
         events (``-1``: no cap) or on :meth:`stop`.  The clock is left
         at the last fired event."""
         queue = self._queue
-        heap = queue._heap
-        pool = queue._pool
+        heap = self._heap
         trace = self.trace
         processed = self.events_processed
         stop_at = -1 if max_events < 0 else processed + max_events
@@ -272,41 +253,22 @@ class Simulator:
                 if when > limit:
                     break
                 heappop(heap)
-                if len(entry) == 4:
-                    # Detached entry: (time, seq, callback, args).
-                    self.now = when
-                    self._seq_now = entry[1]
-                    processed += 1
-                    if trace.enabled:
-                        trace.event_fired(callback_name(entry[2]))
-                    entry[2](*entry[3])
-                    continue
-                event = entry[2]
-                event._pending = False
-                if event.cancelled:
+                callback = entry[2]
+                if callback is None:
+                    # Cancelled: skipped, not counted.
                     queue._dead -= 1
-                    entry = None
-                    if (getrefcount(event) == 2
-                            and len(pool) < _POOL_LIMIT):
-                        pool.append(event)
                     continue
                 self.now = when
                 self._seq_now = entry[1]
                 processed += 1
-                callback = event.callback
-                args = event.args
+                args = entry[3]
+                # Mark it fired before the callback runs, so a cancel
+                # from the callback itself (or any later one) is a
+                # no-op.
+                entry[3] = None
                 if trace.enabled:
                     trace.event_fired(callback_name(callback))
                 callback(*args)
-                # Recycle the handle if the scheduler kept no
-                # reference to it (refcount probe: `event` local plus
-                # the getrefcount argument itself).
-                entry = None
-                if getrefcount(event) == 2 and len(pool) < _POOL_LIMIT:
-                    event.callback = _noop
-                    event.args = ()
-                    event.cancelled = True
-                    pool.append(event)
             if self._running and processed != stop_at \
                     and self.now <= limit:
                 # Drained through the limit: every key up to and at

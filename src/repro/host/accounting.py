@@ -22,19 +22,34 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.process import SimProcess
-from repro.host.scheduler import Scheduler
+from repro.engine.process import ProcState, SimProcess
+from repro.host.scheduler import (
+    ESTCPU_MAX,
+    PRI_MAX,
+    PRI_MIN,
+    PUSER,
+    TICK_USEC,
+)
 
 POLICIES = ("interrupted", "system")
 
+_ZOMBIE = ProcState.ZOMBIE
+
 
 class Accounting:
-    """Tracks charged CPU time and applies the interrupt policy."""
+    """Tracks charged CPU time and applies the interrupt policy.
 
-    def __init__(self, scheduler: Scheduler, policy: str = "interrupted"):
+    Every bill also ages the billed process's scheduling history: its
+    ``estcpu`` rises by the ticks charged and its ``usrpri`` follows
+    (:func:`~repro.host.scheduler.priority_for`, inlined — each CPU
+    slice ends in exactly one of the two charge calls).  This is the
+    single point through which both legitimate process time and, under
+    BSD accounting, interrupt time influence future scheduling.
+    """
+
+    def __init__(self, policy: str = "interrupted"):
         if policy not in POLICIES:
             raise ValueError(f"unknown accounting policy {policy!r}")
-        self.scheduler = scheduler
         self.policy = policy
         # Resolved once: charge_interrupt runs per interrupt slice and
         # must not re-compare policy strings every time.
@@ -52,11 +67,21 @@ class Accounting:
         owns the socket being serviced.
         """
         target = proc.charge_to
-        if target is None or not target.alive:
+        if target is None or target.state is _ZOMBIE:
             target = proc
         target.cpu_time += usec
         self.total_process_time += usec
-        self.scheduler.charge(target, usec)
+        estcpu = target.estcpu + usec / TICK_USEC
+        if estcpu > ESTCPU_MAX:
+            estcpu = ESTCPU_MAX
+        target.estcpu = estcpu
+        if not target.fixed_priority:
+            pri = PUSER + estcpu / 4.0 + 2.0 * target.nice
+            if pri > PRI_MAX:
+                pri = PRI_MAX
+            elif pri < PRI_MIN:
+                pri = PRI_MIN
+            target.usrpri = pri
 
     def charge_interrupt(self, usec: float,
                          interrupted: Optional[SimProcess]) -> None:
@@ -68,11 +93,21 @@ class Accounting:
         """
         self.total_interrupt_time += usec
         victim = interrupted if self._bill_interrupted else None
-        if victim is None or not victim.alive:
+        if victim is None or victim.state is _ZOMBIE:
             self.system_time += usec
             return
         victim.intr_time_charged += usec
-        self.scheduler.charge(victim, usec)
+        estcpu = victim.estcpu + usec / TICK_USEC
+        if estcpu > ESTCPU_MAX:
+            estcpu = ESTCPU_MAX
+        victim.estcpu = estcpu
+        if not victim.fixed_priority:
+            pri = PUSER + estcpu / 4.0 + 2.0 * victim.nice
+            if pri > PRI_MAX:
+                pri = PRI_MAX
+            elif pri < PRI_MIN:
+                pri = PRI_MIN
+            victim.usrpri = pri
 
 
 def core_usage(cpus, elapsed_usec: float):

@@ -33,6 +33,8 @@ class CacheModel:
         self.costs = costs
         self.size_kb = size_kb
         self._procs: List[SimProcess] = []
+        #: The registered process when there is exactly one, else None.
+        self._lone = None
         self.total_refill_usec = 0.0
 
     def register(self, proc: SimProcess) -> None:
@@ -41,10 +43,16 @@ class CacheModel:
         # is computed once here instead of per on_run/switch_penalty.
         proc.cache_hot_kb = min(proc.working_set_kb, self.size_kb)
         self._procs.append(proc)
+        self._note_lone()
 
     def unregister(self, proc: SimProcess) -> None:
         if proc in self._procs:
             self._procs.remove(proc)
+            self._note_lone()
+
+    def _note_lone(self) -> None:
+        procs = self._procs
+        self._lone = procs[0] if len(procs) == 1 else None
 
     # ------------------------------------------------------------------
     def on_run(self, proc: SimProcess, usec: float) -> None:
@@ -53,8 +61,13 @@ class CacheModel:
         resident = proc.cache_resident_kb
         if resident >= hot:
             return  # fully warm: grow would equal resident, delta 0
-        touched = min(hot, usec * self.costs.cache_touch_kb_per_usec)
-        grow = min(hot, resident + touched)
+        # min(hot, ...) twice, spelled out (this runs per slice).
+        touched = usec * self.costs.cache_touch_kb_per_usec
+        if hot < touched:
+            touched = hot
+        grow = resident + touched
+        if hot < grow:
+            grow = hot
         delta = grow - resident
         if delta > 0:
             proc.cache_resident_kb = grow
@@ -72,8 +85,20 @@ class CacheModel:
         over residents in proportion to what each holds.
 
         Runs once per interrupt slice; the resident scan and the pool
-        sum are fused into one pass.
+        sum are fused into one pass.  A lone registered process takes
+        the whole eviction: its share ``kb / pool`` is exactly 1.0, so
+        skipping the scan changes no bit.
         """
+        lone = self._lone
+        if lone is not None:
+            kb = lone.cache_resident_kb
+            if kb > 0.0:
+                evict = self.costs.intr_pollution_kb_per_usec * intr_usec
+                if kb < evict:
+                    evict = kb
+                kb -= evict
+                lone.cache_resident_kb = kb if kb > 0.0 else 0.0
+            return
         residents = []
         append = residents.append
         pool = 0.0
@@ -84,11 +109,12 @@ class CacheModel:
                 pool += kb
         if not residents:
             return
-        evict = min(self.costs.intr_pollution_kb_per_usec * intr_usec,
-                    pool)
+        evict = self.costs.intr_pollution_kb_per_usec * intr_usec
+        if pool < evict:
+            evict = pool
         for p in residents:
-            share = evict * (p.cache_resident_kb / pool)
-            p.cache_resident_kb = max(0.0, p.cache_resident_kb - share)
+            kb = p.cache_resident_kb - evict * (p.cache_resident_kb / pool)
+            p.cache_resident_kb = kb if kb > 0.0 else 0.0
 
     def switch_penalty(self, proc: SimProcess) -> float:
         """CPU microseconds needed to re-warm *proc*'s hot set."""
@@ -118,9 +144,10 @@ class CacheModel:
         if exclude is not None:
             total += exclude.cache_resident_kb
         overflow = total + amount_kb - self.size_kb
-        evict = min(amount_kb, max(0.0, overflow))
-        if evict <= 0:
+        # min(amount_kb, max(0.0, overflow)), spelled out.
+        evict = overflow if overflow < amount_kb else amount_kb
+        if evict <= 0.0:
             return
         for p in residents:
-            share = evict * (p.cache_resident_kb / pool)
-            p.cache_resident_kb = max(0.0, p.cache_resident_kb - share)
+            kb = p.cache_resident_kb - evict * (p.cache_resident_kb / pool)
+            p.cache_resident_kb = kb if kb > 0.0 else 0.0

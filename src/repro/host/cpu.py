@@ -29,6 +29,7 @@ the cache model's residency.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Optional
 
 from repro.engine.simulator import Simulator
@@ -74,8 +75,13 @@ class Cpu:
         #: True while _on_slice_end settles the next slice: the slice
         #: started then is not scheduled by _start_slice.
         self._ending = False
-        # Bound once: every scheduled slice end passes this callback.
+        # Bound once: every slice end pushes this callback straight
+        # onto the simulator's event heap, as a handle-shaped entry
+        # (see repro.engine.event) — no schedule() call, no delay
+        # check, no argument packing.
         self._slice_end = self._on_slice_end
+        self._heap = sim._heap
+        self._seq = sim._seq
 
         #: Process context preempted by (or running under) interrupts;
         #: used by accounting policies that bill "the interrupted
@@ -204,7 +210,8 @@ class Cpu:
             if remaining_quantum <= 0:
                 remaining_quantum = DEFAULT_QUANTUM
                 ctx.stint = 0.0
-            duration = min(duration, remaining_quantum)
+            if remaining_quantum < duration:
+                duration = remaining_quantum
         self._current = ctx
         self._slice_start = self.sim.now
         self._slice_len = duration
@@ -212,8 +219,10 @@ class Cpu:
         # A slice started while _on_slice_end runs is scheduled (or
         # run ahead to) by it, once it has settled which slice runs.
         if not self._ending:
-            self._slice_event = self.sim.schedule(duration,
-                                                  self._slice_end)
+            entry = [self.sim.now + duration, next(self._seq),
+                     self._slice_end, ()]
+            heappush(self._heap, entry)
+            self._slice_event = entry
 
     def _account_elapsed(self, elapsed: float) -> None:
         """Record and bill *elapsed* microseconds of the current slice."""
@@ -248,7 +257,7 @@ class Cpu:
         ctx = self._current
         elapsed = self.sim.now - self._slice_start
         if self._slice_event is not None:
-            self._slice_event.cancel()
+            self.sim.cancel(self._slice_event)
             self._slice_event = None
         self._account_elapsed(elapsed)
         self._current = None
@@ -345,8 +354,10 @@ class Cpu:
                     break
         finally:
             self._ending = False
-        self._slice_event = sim.schedule(self._slice_len,
-                                         self._slice_end)
+        entry = [sim.now + self._slice_len, next(self._seq),
+                 self._slice_end, ()]
+        heappush(self._heap, entry)
+        self._slice_event = entry
 
     def _retire(self, ctx) -> None:
         if ctx is self.last_process_running:

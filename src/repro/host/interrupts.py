@@ -85,7 +85,7 @@ class IntrTask:
             except StopIteration:
                 self.done = True
                 return None
-            if isinstance(request, Compute):
+            if type(request) is Compute or isinstance(request, Compute):
                 self.pending = request.usec
                 continue
             raise InterruptContextError(

@@ -45,6 +45,13 @@ from repro.host.scheduler import TICK_USEC, Scheduler
 #: schedcpu (estcpu decay) period, in ticks: once per second at HZ=100.
 DECAY_TICKS = 100
 
+# Process states as module constants: an enum member lookup costs a
+# metaclass attribute access, and these are read on every slice.
+_RUNNABLE = ProcState.RUNNABLE
+_RUNNING = ProcState.RUNNING
+_SLEEPING = ProcState.SLEEPING
+_ZOMBIE = ProcState.ZOMBIE
+
 
 class KernelPanic(RuntimeError):
     """Unrecoverable simulated-kernel error."""
@@ -82,7 +89,7 @@ class ProcContext:
                 proc.compute_remaining += refill
         while True:
             if proc.compute_remaining > 1e-9:
-                proc.state = ProcState.RUNNING
+                proc.state = _RUNNING
                 return proc.compute_remaining
             request = proc.step()
             if request is None:
@@ -122,7 +129,7 @@ class Kernel:
         for cpu, scheduler in zip(self.cpus, self.schedulers):
             scheduler.trace = sim.trace
             cpu.process_source = scheduler
-        self.accounting = Accounting(self.scheduler, accounting_policy)
+        self.accounting = Accounting(accounting_policy)
         self.cache = CacheModel(costs)
         for cpu in self.cpus:
             cpu.accounting = self.accounting
@@ -141,7 +148,7 @@ class Kernel:
         self.stack = None
         self.nic = None
         if enable_ticks:
-            self.sim.schedule_detached(TICK_USEC, self._hardclock)
+            self.sim.schedule(TICK_USEC, self._hardclock)
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -159,7 +166,7 @@ class Kernel:
                              f"{len(self.cpus)}-core host")
         proc = SimProcess(name, main, nice=nice)
         proc.working_set_kb = working_set_kb
-        proc.state = ProcState.RUNNABLE
+        proc.state = _RUNNABLE
         self.processes[proc.pid] = proc
         ctx = ProcContext(self, proc, core=core)
         self._contexts[proc.pid] = ctx
@@ -171,7 +178,7 @@ class Kernel:
         return proc
 
     def reap(self, proc: SimProcess, status: int = 0) -> None:
-        proc.state = ProcState.ZOMBIE
+        proc.state = _ZOMBIE
         proc.exit_status = status
         ctx = self._contexts.pop(proc.pid, None)
         scheduler = (self.schedulers[ctx.core] if ctx is not None
@@ -192,18 +199,22 @@ class Kernel:
         """Process one yielded request.  Returns ``True`` if the process
         can keep running, ``False`` if it gave up the CPU."""
         proc = ctx.proc
-        if isinstance(request, Compute):
+        # Exact-type checks first: nearly every request is a plain
+        # Compute or Syscall.
+        kind = type(request)
+        if kind is Compute or (kind is not Syscall
+                               and isinstance(request, Compute)):
             proc.compute_remaining += request.usec
             return True
-        if isinstance(request, Syscall):
+        if kind is Syscall or isinstance(request, Syscall):
             return self._dispatch_syscall(proc, request)
         if isinstance(request, Block):
             request.channel.add(proc)
             proc.wait_channel = request.channel
-            proc.state = ProcState.SLEEPING
+            proc.state = _SLEEPING
             return False
         if isinstance(request, Sleep):
-            proc.state = ProcState.SLEEPING
+            proc.state = _SLEEPING
             proc.sleep_event = self.sim.schedule(
                 request.usec, self._sleep_expired, proc)
             return False
@@ -269,16 +280,16 @@ class Kernel:
         """Make a sleeping process runnable, delivering *value* as the
         result of its blocking yield.  Preempts a lower-priority
         running process, as BSD does on wakeup."""
-        if proc.state != ProcState.SLEEPING:
+        if proc.state is not _SLEEPING:
             return
         if proc.wait_channel is not None:
             proc.wait_channel.remove(proc)
             proc.wait_channel = None
         if proc.sleep_event is not None:
-            proc.sleep_event.cancel()
+            self.sim.cancel(proc.sleep_event)
             proc.sleep_event = None
         proc.set_result(value)
-        proc.state = ProcState.RUNNABLE
+        proc.state = _RUNNABLE
         proc.compute_remaining += self.costs.wakeup
         ctx = self._contexts[proc.pid]
         self.schedulers[ctx.core].enqueue(ctx)
@@ -293,8 +304,11 @@ class Kernel:
         waiters = channel.waiters()
         if not waiters:
             return False
-        best = min(waiters, key=lambda p: p.usrpri)
-        self.wake_process(best, value)
+        if len(waiters) == 1:
+            self.wake_process(waiters[0], value)
+        else:
+            self.wake_process(min(waiters, key=lambda p: p.usrpri),
+                              value)
         return True
 
     def wake_all(self, channel: WaitChannel, value: Any = None) -> int:
@@ -306,9 +320,9 @@ class Kernel:
 
     def _sleep_expired(self, proc: SimProcess) -> None:
         proc.sleep_event = None
-        if proc.state == ProcState.SLEEPING:
+        if proc.state is _SLEEPING:
             proc.set_result(None)
-            proc.state = ProcState.RUNNABLE
+            proc.state = _RUNNABLE
             ctx = self._contexts[proc.pid]
             self.schedulers[ctx.core].enqueue(ctx)
             cpu = self.cpus[ctx.core]
@@ -322,7 +336,7 @@ class Kernel:
         self.ticks += 1
         self.cpu.post(SimpleIntrTask(self.costs.hardclock, HARDWARE,
                                      "hardclock", action=self._tick_body))
-        self.sim.schedule_detached(TICK_USEC, self._hardclock)
+        self.sim.schedule(TICK_USEC, self._hardclock)
 
     def _tick_body(self) -> None:
         if self.ticks % DECAY_TICKS == 0:

@@ -6,8 +6,9 @@ Priorities are recomputed from recent CPU usage (``estcpu``) and
     usrpri = PUSER + estcpu / 4 + 2 * nice        (clamped to [0, 127])
 
 lower values run first.  ``estcpu`` rises while a process is charged
-CPU time and decays geometrically once per second, so processes that
-block often (I/O-bound, or a server waiting for packets) float to high
+CPU time (:class:`~repro.host.accounting.Accounting` does the billing)
+and decays geometrically once per second, so processes that block
+often (I/O-bound, or a server waiting for packets) float to high
 priority while compute-bound processes sink.  The paper's fairness
 results hinge on *what gets charged*: under BSD accounting, interrupt
 time inflates the ``estcpu`` of whichever process happened to be
@@ -122,9 +123,12 @@ class Scheduler:
             self._queue.remove(ctx)
 
     def best_runnable_priority(self) -> Optional[float]:
-        if not self._queue:
-            return None
-        return min(item.proc.usrpri for item in self._queue)
+        best = None
+        for item in self._queue:
+            pri = item.proc.usrpri
+            if best is None or pri < best:
+                best = pri
+        return best
 
     # ------------------------------------------------------------------
     # Priority bookkeeping
@@ -137,27 +141,6 @@ class Scheduler:
     def unregister(self, proc) -> None:
         if proc in self.all_processes:
             self.all_processes.remove(proc)
-
-    def charge(self, proc, usec: float) -> None:
-        """Add *usec* of CPU usage to *proc*'s scheduling history.
-
-        This is the single point through which both legitimate process
-        time and (under BSD accounting) interrupt time influence future
-        scheduling decisions.  Called at least once per CPU slice, so
-        the priority formula is inlined (same arithmetic as
-        :func:`priority_for`).
-        """
-        estcpu = proc.estcpu + usec / TICK_USEC
-        if estcpu > ESTCPU_MAX:
-            estcpu = ESTCPU_MAX
-        proc.estcpu = estcpu
-        if not proc.fixed_priority:
-            pri = PUSER + estcpu / 4.0 + 2.0 * proc.nice
-            if pri > PRI_MAX:
-                pri = PRI_MAX
-            elif pri < PRI_MIN:
-                pri = PRI_MIN
-            proc.usrpri = pri
 
     def decay_all(self) -> None:
         """Once-per-second ``schedcpu``: decay usage, refresh priority."""

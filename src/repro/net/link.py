@@ -59,12 +59,16 @@ class CongestionKnee:
             self._ewma_interarrival = gap if gap > 0 else 1.0
             return False
         alpha = 0.05
+        if gap < 1e-6:
+            gap = 1e-6
         self._ewma_interarrival = ((1 - alpha) * self._ewma_interarrival
-                                   + alpha * max(gap, 1e-6))
+                                   + alpha * gap)
         rate_pps = 1e6 / self._ewma_interarrival
         if rate_pps <= self.knee_pps:
             return False
-        p_drop = min(0.2, self.slope * (rate_pps - self.knee_pps))
+        p_drop = self.slope * (rate_pps - self.knee_pps)
+        if p_drop > 0.2:
+            p_drop = 0.2
         return self._rng.random() < p_drop
 
 
@@ -158,8 +162,8 @@ class Network:
         self._rx_queued[dst_key] += 1
         rx_done = rx_start + tx_time
         self._rx_busy_until[dst_key] = rx_done
-        self.sim.schedule_at_detached(rx_done, self._deliver, dst_key,
-                                      dst_nic, frame)
+        self.sim.schedule_at(rx_done, self._deliver, dst_key, dst_nic,
+                             frame)
         return True
 
     def _deliver(self, dst_key: int, dst_nic, frame: Frame) -> None:

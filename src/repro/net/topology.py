@@ -37,7 +37,7 @@ hop crosses the ownership boundary is handed to the ``boundary``
 callback (timestamped with its would-be arrival time) instead of being
 scheduled locally, and :meth:`Topology.import_frame` re-injects frames
 arriving from other shards.  The hand-off happens *synchronously
-inside* :meth:`OutPort._service`, so the owned-case schedule-call
+inside* :meth:`OutPort._send`, so the owned-case schedule-call
 order — and therefore every golden trace of an unsharded run — is
 bit-identical to the pre-sharding code.  Conservation extends across
 the cut: per-shard ledgers gain ``exported``/``imported`` counts and
@@ -244,23 +244,35 @@ class Link:
 class OutPort:
     """A node's transmit port onto one link: a FIFO queue of
     ``(frame, dst_key)`` pairs, tail-dropping at *capacity*, served at
-    the link's bandwidth."""
+    the link's bandwidth.
 
-    __slots__ = ("topology", "node", "link", "capacity", "queue",
-                 "_busy", "_free", "enqueued", "serviced",
-                 "drops_overflow", "peak_depth", "name")
+    One pass per hop: a frame that finds the wire free and the queue
+    empty goes onto the wire inside :meth:`enqueue`, without passing
+    through the queue or :meth:`_service`.  Both paths put a frame on
+    the wire with :meth:`_send`, so they make the same ``schedule`` and
+    ``reserve`` calls in the same order.
+    """
+
+    __slots__ = ("topology", "node", "link", "neighbour", "local",
+                 "capacity", "queue", "_busy", "_free", "enqueued",
+                 "serviced", "drops_overflow", "peak_depth", "name")
 
     def __init__(self, topology: "Topology", node: str, link: Link,
                  capacity: int):
         self.topology = topology
         self.node = node
         self.link = link
+        #: The node at the other end of the link, and whether it is
+        #: owned (arrivals there are scheduled locally, not exported).
+        self.neighbour = link.other(node)
+        self.local = (topology._owned is None
+                      or self.neighbour in topology._owned)
         self.capacity = capacity
-        self.name = f"sw.{node}->{link.other(node)}"
+        self.name = f"sw.{node}->{self.neighbour}"
         self.queue: Deque[Tuple[Frame, int]] = deque()
         self._busy = False
         #: Reserved key of the "wire free" event not scheduled because
-        #: the queue was empty (see _service), or None.
+        #: the queue was empty (see _send), or None.
         self._free = None
         self.enqueued = 0
         self.serviced = 0
@@ -279,53 +291,74 @@ class OutPort:
     # ------------------------------------------------------------------
     def enqueue(self, frame: Frame, dst_key: int) -> bool:
         """Queue *frame* for transmission; False if it was dropped."""
-        topo = self.topology
-        if len(self.queue) >= self.capacity:
+        queue = self.queue
+        if len(queue) >= self.capacity:
             self.drops_overflow += 1
-            topo._count_drop("port_queue", frame)
+            self.topology._count_drop("port_queue", frame)
             return False
         self.enqueued += 1
-        self.queue.append((frame, dst_key))
-        if len(self.queue) > self.peak_depth:
-            self.peak_depth = len(self.queue)
         free = self._free
         if free is not None:
             # Schedule the service at the reserved wire-free key if
             # it is still ahead; otherwise the wire is free already.
             self._free = None
-            if not topo.sim.claim(free, self._service):
+            if not self.topology.sim.claim(free, self._service):
                 self._busy = False
-        if not self._busy:
-            self._service()
+        if self._busy:
+            queue.append((frame, dst_key))
+            if len(queue) > self.peak_depth:
+                self.peak_depth = len(queue)
+            return True
+        # The wire is free, so the queue is empty: the frame would be
+        # queued and served at once.
+        if not self.peak_depth:
+            self.peak_depth = 1
+        self.serviced += 1
+        self._busy = True
+        self._send(frame, dst_key)
         return True
 
     def _service(self) -> None:
-        """Serve the next queued frame (the queue is non-empty).
-
-        As on a NIC (:meth:`~repro.nic.base.BaseNic._tx_next`), the
-        next service is scheduled only if a frame is waiting when the
-        wire frees; otherwise only its key is reserved and
-        :meth:`enqueue` schedules it if a frame arrives first.
-        """
-        self._busy = True
+        """Serve the next queued frame (the queue is non-empty)."""
         frame, dst_key = self.queue.popleft()
         self.serviced += 1
+        self._send(frame, dst_key)
+
+    def _send(self, frame: Frame, dst_key: int) -> None:
+        """Put *frame* on the wire and settle the wire-free instant.
+
+        The arrival lands ``tx_time + propagation`` after now —
+        scheduled locally when the neighbour is owned, exported
+        through the shard boundary otherwise (the exported timestamp
+        is the absolute arrival time; propagation delay is what makes
+        it strictly ahead of the sender's clock, the conservative
+        lookahead).  As on a NIC
+        (:meth:`~repro.nic.base.BaseNic._tx_next`), the next service
+        is scheduled only if a frame is waiting; otherwise only its
+        key is reserved and :meth:`enqueue` schedules it if a frame
+        arrives before the wire frees.
+        """
         link = self.link
+        topo = self.topology
+        sim = topo.sim
         tx_time = frame.wire_len * 8.0 / link.bandwidth
         if link.fault_plane is not None and \
                 link.fault_plane.link_disposition(frame):
             link.drops_fault += 1
-            self.topology._count_drop("fault", frame)
+            topo._count_drop("fault", frame)
         else:
             link.frames += 1
-            # The topology decides whether the hop stays local or
-            # crosses a shard boundary; the call is synchronous so the
-            # owned-case schedule order is identical to scheduling
-            # _arrive inline.
-            self.topology._transmit(self, frame, dst_key, tx_time)
-        sim = self.topology.sim
+            if self.local:
+                sim.schedule(tx_time + link.propagation, topo._arrive,
+                             self.neighbour, frame, dst_key)
+            else:
+                topo._in_flight -= 1
+                topo.frames_exported += 1
+                topo._boundary(self.node, self.neighbour,
+                               sim.now + (tx_time + link.propagation),
+                               frame, dst_key)
         if self.queue:
-            sim.schedule_detached(tx_time, self._service)
+            sim.schedule(tx_time, self._service)
         else:
             self._free = sim.reserve(sim.now + tx_time)
 
@@ -501,8 +534,9 @@ class Topology:
         """Inject *frame* at its source host's access link.
 
         Returns False only for drops decided at injection time (no
-        route, source-side fault, full access queue); downstream hops
-        drop asynchronously into the topology counters.
+        route, congestion-knee drop, source-side fault, full access
+        queue); downstream hops drop asynchronously into the topology
+        counters.
         """
         self.frames_sent += 1
         src_key = addr_value(src_addr)
@@ -525,48 +559,21 @@ class Topology:
             return False
 
         self._in_flight += 1
-        return self._inject(src_node, frame, dst_key, dst_node)
-
-    # ------------------------------------------------------------------
-    # Hop-by-hop machinery
-    # ------------------------------------------------------------------
-    def _inject(self, node: str, frame: Frame, dst_key: int,
-                dst_node: str) -> bool:
-        if node == dst_node:
+        if src_node == dst_node:
             # Same-node delivery (two addresses of one multi-homed
             # host): no wire to cross.
             self._deliver(frame, dst_key)
             return True
-        next_hop = self.routes[node].get(dst_node)
+        next_hop = self.routes[src_node].get(dst_node)
         if next_hop is None:
             self._in_flight -= 1
             self.drops_no_route += 1
             return False
-        return self._ports[(node, next_hop)].enqueue(frame, dst_key)
+        return self._ports[(src_node, next_hop)].enqueue(frame, dst_key)
 
-    def _transmit(self, port: OutPort, frame: Frame, dst_key: int,
-                  tx_time: float) -> None:
-        """Complete one hop's transmission from *port*.
-
-        The arrival lands ``tx_time + propagation`` after now —
-        scheduled locally when the receiving node is owned, exported
-        through the shard boundary otherwise.  The
-        exported timestamp is the absolute arrival time; propagation
-        delay is what makes it strictly ahead of the sender's clock
-        (the conservative lookahead).
-        """
-        link = port.link
-        target = link.other(port.node)
-        delay = tx_time + link.propagation
-        if self._owned is None or target in self._owned:
-            self.sim.schedule_detached(delay, self._arrive, target,
-                                       frame, dst_key)
-            return
-        self._in_flight -= 1
-        self.frames_exported += 1
-        self._boundary(port.node, target, self.sim.now + delay,
-                       frame, dst_key)
-
+    # ------------------------------------------------------------------
+    # Hop-by-hop machinery
+    # ------------------------------------------------------------------
     def import_frame(self, time: float, node: str, frame: Frame,
                      dst_key: int) -> None:
         """Accept a frame exported by another shard: it arrives at
@@ -574,13 +581,14 @@ class Topology:
         current clock — conservative sync guarantees it)."""
         self._in_flight += 1
         self.frames_imported += 1
-        self.sim.schedule_at_detached(time, self._arrive, node, frame,
-                                      dst_key)
+        self.sim.schedule_at(time, self._arrive, node, frame, dst_key)
 
     def _arrive(self, node: str, frame: Frame, dst_key: int) -> None:
         dst_node = self._bindings.get(dst_key)
         if node == dst_node:
-            self._deliver(frame, dst_key)
+            self._in_flight -= 1
+            self.frames_delivered += 1
+            self._nics[dst_key].receive_frame(frame)
             return
         next_hop = self.routes[node].get(dst_node) \
             if dst_node is not None else None

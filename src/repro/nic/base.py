@@ -85,7 +85,7 @@ class BaseNic:
         self.network.send(frame, self.addr)
         tx_time = frame.wire_len * 8.0 / self.network.bandwidth
         if self.ifq:
-            self.sim.schedule_detached(tx_time, self._tx_next)
+            self.sim.schedule(tx_time, self._tx_next)
         else:
             self._tx_free = self.sim.reserve(self.sim.now + tx_time)
 

@@ -79,8 +79,7 @@ class ProgrammableNic(BaseNic):
         self._fifo.append(frame)
         start = max(self.sim.now, self._next_service)
         self._next_service = start + self.service_gap
-        self.sim.schedule_at_detached(start + self.demux_cost,
-                                      self._demux_one)
+        self.sim.schedule_at(start + self.demux_cost, self._demux_one)
 
     def _demux_one(self) -> None:
         """Firmware pipeline stage completion: classify one frame."""
@@ -154,7 +153,7 @@ class AgentNic(ProgrammableNic):
         pending = self._wakeup_events.get(key)
         if pending is not None:
             if len(channel) >= WAKEUP_BATCH:
-                pending.cancel()
+                self.sim.cancel(pending)
                 del self._wakeup_events[key]
                 self._raise_host_interrupt(channel)
             return

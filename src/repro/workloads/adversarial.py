@@ -59,7 +59,7 @@ class BurstyUdpBlaster:
         if not self._running:
             self._running = True
             self._burst_ends = self.sim.now + BURST_USEC
-            self.sim.schedule_detached(self._gap, self._fire)
+            self.sim.schedule(self._gap, self._fire)
 
     def stop(self) -> None:
         self._running = False
@@ -71,7 +71,7 @@ class BurstyUdpBlaster:
         if now >= self._burst_ends:
             # Burst over: go quiet, resume at the next burst boundary.
             self._burst_ends = now + IDLE_USEC + BURST_USEC
-            self.sim.schedule_detached(IDLE_USEC + self._gap, self._fire)
+            self.sim.schedule(IDLE_USEC + self._gap, self._fire)
             return
         dgram = UdpDatagram(self.src_port, self.dst_port,
                             payload_len=self.payload_bytes)
@@ -79,5 +79,5 @@ class BurstyUdpBlaster:
                           dgram, dgram.total_len)
         self.port.send_packet(packet)
         self.sent += 1
-        self.sim.schedule_detached(self._gap, self._fire)
+        self.sim.schedule(self._gap, self._fire)
 

@@ -18,11 +18,11 @@ from typing import Optional
 
 from repro.engine.simulator import Simulator
 from repro.net.addr import IPAddr
-from repro.net.ip import IPPROTO_TCP, IPPROTO_UDP, IpPacket
+from repro.net.ip import IP_HEADER_LEN, IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.net.link import Network
-from repro.net.packet import Frame
+from repro.net.packet import Frame, aal5_wire_bytes
 from repro.net.tcp import SYN, TcpSegment
-from repro.net.udp import UdpDatagram
+from repro.net.udp import UDP_HEADER_LEN, UdpDatagram
 
 
 class InjectorPort:
@@ -75,6 +75,10 @@ class RawUdpInjector:
             else None
         self.src_port = src_port
         self.payload_bytes = payload_bytes
+        #: Every datagram has the same size, so its frame's wire length
+        #: is worked out once.
+        self._wire_len = aal5_wire_bytes(IP_HEADER_LEN + UDP_HEADER_LEN
+                                         + payload_bytes)
         self.sent = 0
         self._running = False
         self._gap = 0.0
@@ -85,7 +89,7 @@ class RawUdpInjector:
         self._gap = 1e6 / rate_pps
         if not self._running:
             self._running = True
-            self.sim.schedule_detached(self._gap, self._fire)
+            self.sim.schedule(self._gap, self._fire)
 
     def stop(self) -> None:
         self._running = False
@@ -95,11 +99,15 @@ class RawUdpInjector:
             return
         dgram = UdpDatagram(self.src_port, self.dst_port,
                             payload_len=self.payload_bytes)
-        packet = IpPacket(self.port.addr, self.dst_addr, IPPROTO_UDP,
+        port = self.port
+        packet = IpPacket(port.addr, self.dst_addr, IPPROTO_UDP,
                           dgram, dgram.total_len)
-        self.port.send_packet(packet, link_dst=self.next_hop)
+        # InjectorPort.send_packet, inlined: one call less per frame.
+        packet.stamp = self.sim.now
+        port.network.send(Frame(packet, wire_len=self._wire_len,
+                                link_dst=self.next_hop), port.addr)
         self.sent += 1
-        self.sim.schedule_detached(self._gap, self._fire)
+        self.sim.schedule(self._gap, self._fire)
 
 
 class RawSynInjector:
@@ -124,7 +132,7 @@ class RawSynInjector:
         self._gap = 1e6 / rate_pps
         if not self._running:
             self._running = True
-            self.sim.schedule_detached(self._gap, self._fire)
+            self.sim.schedule(self._gap, self._fire)
 
     def stop(self) -> None:
         self._running = False
@@ -138,4 +146,4 @@ class RawSynInjector:
                           seg, seg.total_len)
         self.port.send_packet(packet)
         self.sent += 1
-        self.sim.schedule_detached(self._gap, self._fire)
+        self.sim.schedule(self._gap, self._fire)

@@ -6,7 +6,6 @@ regression case so the invariants stay covered on minimal installs.
 
 import pytest
 
-from repro.engine.event import EventQueue
 from repro.engine.simulator import SimulationError, Simulator
 
 try:
@@ -20,13 +19,16 @@ needs_hypothesis = pytest.mark.skipif(
     not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 
 
-def drain(queue):
+def drain(sim):
+    """Run *sim* dry; returns the ``(time, seq)`` key of every fired
+    event, in firing order."""
     out = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            return out
-        out.append(event)
+    for entry in list(sim._heap):
+        callback, args = entry[2], entry[3]
+        entry[2] = lambda cb=callback, a=args: (
+            out.append((sim.now, sim._seq_now)), cb(*a))
+    sim.run()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -34,9 +36,9 @@ def drain(queue):
 # ---------------------------------------------------------------------------
 
 def test_same_time_fifo_concrete():
-    queue = EventQueue()
-    events = [queue.push(5.0, lambda: None) for _ in range(10)]
-    assert [e.seq for e in drain(queue)] == [e.seq for e in events]
+    sim = Simulator()
+    events = [sim.schedule_at(5.0, lambda: None) for _ in range(10)]
+    assert [seq for _, seq in drain(sim)] == [e[1] for e in events]
 
 
 if HAVE_HYPOTHESIS:
@@ -49,15 +51,14 @@ if HAVE_HYPOTHESIS:
         min_size=1, max_size=50))
     def test_pop_order_is_time_then_fifo(times):
         """Events come out sorted by time; ties break by push order."""
-        queue = EventQueue()
-        events = [queue.push(t, lambda: None) for t in times]
-        popped = drain(queue)
-        assert len(popped) == len(events)
-        keys = [(e.time, e.seq) for e in popped]
+        sim = Simulator()
+        events = [sim.schedule_at(t, lambda: None) for t in times]
+        keys = drain(sim)
+        assert len(keys) == len(events)
         assert keys == sorted(keys)
         # every pushed event came back exactly once
-        assert sorted(e.seq for e in popped) == \
-            sorted(e.seq for e in events)
+        assert sorted(seq for _, seq in keys) == \
+            sorted(e[1] for e in events)
 
     @needs_hypothesis
     @settings(max_examples=100, deadline=None)
@@ -65,10 +66,9 @@ if HAVE_HYPOTHESIS:
            t=st.floats(min_value=0.0, max_value=1e9,
                        allow_nan=False, allow_infinity=False))
     def test_equal_timestamps_preserve_push_order(n, t):
-        queue = EventQueue()
-        events = [queue.push(t, lambda: None) for _ in range(n)]
-        assert [e.seq for e in drain(queue)] == \
-            [e.seq for e in events]
+        sim = Simulator()
+        events = [sim.schedule_at(t, lambda: None) for _ in range(n)]
+        assert [seq for _, seq in drain(sim)] == [e[1] for e in events]
 
     # -----------------------------------------------------------------
     # Cancellation
@@ -91,7 +91,7 @@ if HAVE_HYPOTHESIS:
         cancelled = set()
         for i, (event, cancel) in enumerate(zip(events, cancel_mask)):
             if cancel:
-                event.cancel()
+                sim.cancel(event)
                 cancelled.add(i)
         sim.run()
         assert set(fired).isdisjoint(cancelled)
@@ -122,25 +122,25 @@ def test_cancelled_event_concrete():
     fired = []
     keep = sim.schedule(5.0, lambda: fired.append("keep"))
     drop = sim.schedule(5.0, lambda: fired.append("drop"))
-    drop.cancel()
-    drop.cancel()  # idempotent
+    sim.cancel(drop)
+    sim.cancel(drop)  # idempotent
     sim.run()
     assert fired == ["keep"]
-    assert keep.time == 5.0
+    assert keep[0] == 5.0
 
 
 def test_cancel_releases_callback_reference():
-    queue = EventQueue()
+    sim = Simulator()
 
     class Big:
         def __call__(self):
             pass
 
     big = Big()
-    event = queue.push(1.0, big)
-    event.cancel()
-    assert event.callback is not big
-    assert event.args == ()
+    event = sim.schedule(1.0, big, big)
+    sim.cancel(event)
+    assert event[2] is None
+    assert event[3] == ()
 
 
 def test_schedule_at_past_concrete():

@@ -77,7 +77,7 @@ def test_advance_to_skips_cancelled_heads():
     seen = []
     doomed = sim.schedule(5.0, lambda: seen.append("doomed"))
     sim.schedule(1.0, lambda: seen.append(sim.advance_to(8.0)))
-    doomed.cancel()
+    sim.cancel(doomed)
     sim.run_until(10.0)
     assert seen == [True]
 
@@ -190,23 +190,53 @@ class EagerNic(BaseNic):
         self.tx_frames += 1
         self.network.send(frame, self.addr)
         tx_time = frame.wire_len * 8.0 / self.network.bandwidth
-        self.sim.schedule_detached(tx_time, self._tx_next)
+        self.sim.schedule(tx_time, self._tx_next)
 
 
-def eager_service(port):
-    """OutPort._service with one "wire free" event per frame (for a
-    link without a fault plane)."""
-    if not port.queue:
-        port._busy = False
-        return
-    port._busy = True
-    frame, dst_key = port.queue.popleft()
-    port.serviced += 1
-    link = port.link
-    tx_time = frame.wire_len * 8.0 / link.bandwidth
-    link.frames += 1
-    port.topology._transmit(port, frame, dst_key, tx_time)
-    port.topology.sim.schedule_detached(tx_time, port._service)
+def eager_port(wire):
+    """OutPort's ``enqueue`` and ``_service`` with every frame passing
+    through the queue and one "wire free" event per frame (for a link
+    without a fault plane); *wire* logs each frame put on the wire."""
+    def enqueue(port, frame, dst_key):
+        if len(port.queue) >= port.capacity:
+            port.drops_overflow += 1
+            port.topology._count_drop("port_queue", frame)
+            return False
+        port.enqueued += 1
+        port.queue.append((frame, dst_key))
+        port.peak_depth = max(port.peak_depth, len(port.queue))
+        if not port._busy:
+            port._service()
+        return True
+
+    def service(port):
+        if not port.queue:
+            port._busy = False
+            return
+        port._busy = True
+        frame, dst_key = port.queue.popleft()
+        port.serviced += 1
+        link = port.link
+        tx_time = frame.wire_len * 8.0 / link.bandwidth
+        link.frames += 1
+        wire(frame)
+        sim = port.topology.sim
+        sim.schedule(tx_time + link.propagation, port.topology._arrive,
+                     port.neighbour, frame, dst_key)
+        sim.schedule(tx_time, port._service)
+
+    return enqueue, service
+
+
+def lazy_port(wire):
+    """OutPort's shipped ``_send``, logging each frame to *wire*."""
+    send = OutPort._send
+
+    def logged(port, frame, dst_key):
+        wire(frame)
+        send(port, frame, dst_key)
+
+    return logged
 
 
 def drive(send, sim, plan, log, bandwidth):
@@ -237,17 +267,22 @@ def drive(send, sim, plan, log, bandwidth):
     sim.schedule(100.0, step, 0)
 
 
-def log_wire(net, method, sim, log):
+def wire_logger(sim, log):
     """Log every frame put on a wire, in call order: a service run
     inline instead of from its event (or the reverse) reorders these
     entries against the sender's."""
-    inner = getattr(net, method)
+    return lambda frame: log.append(("wire", sim.now, frame.packet.ident))
 
-    def logged(*args):
-        frame = args[1] if method == "_transmit" else args[0]
-        log.append(("wire", sim.now, frame.packet.ident))
-        return inner(*args)
-    setattr(net, method, logged)
+
+def log_wire(net, sim, log):
+    """Log every frame the flat LAN's ``send`` puts on a wire."""
+    inner = net.send
+    wire = wire_logger(sim, log)
+
+    def logged(frame, src):
+        wire(frame)
+        return inner(frame, src)
+    net.send = logged
 
 
 def run_nic(nic_cls, plan):
@@ -257,24 +292,36 @@ def run_nic(nic_cls, plan):
     log = []
     net.attach(Sink(sim, log), "10.0.0.1")
     nic = nic_cls(sim, net, "10.0.0.2")
-    log_wire(net, "send", sim, log)
+    log_wire(net, sim, log)
     drive(nic.transmit, sim, plan, log, net.bandwidth)
     sim.run_until(1_000_000.0)
     return log, sim.events_processed
 
 
-def run_port(plan):
+def run_port(plan, eager=False, propagation=10.0):
     """Frames through two switched output ports: the client's access
-    link, then the switch's port toward the server."""
+    link, then the switch's port toward the server.  With zero
+    *propagation* a frame reaches the switch the instant its wire
+    frees, so the order of the two events pins the order of
+    ``_send``'s schedule and reserve calls."""
     sim = Simulator(seed=1)
-    topo = passthrough_spec().build(sim)
+    topo = passthrough_spec(propagation_usec=propagation).build(sim)
     log = []
     topo.attach(Sink(sim, log), "10.0.0.1")
-    log_wire(topo, "_transmit", sim, log)
-    drive(lambda frame: topo.send(frame, "10.0.0.2"), sim, plan, log,
-          topo.bandwidth)
-    sim.run_until(1_000_000.0)
+    topo.attach(Sink(sim, []), "10.0.0.2")
+    wire = wire_logger(sim, log)
+    with pytest.MonkeyPatch.context() as patch:
+        if eager:
+            enqueue, service = eager_port(wire)
+            patch.setattr(OutPort, "enqueue", enqueue)
+            patch.setattr(OutPort, "_service", service)
+        else:
+            patch.setattr(OutPort, "_send", lazy_port(wire))
+        drive(lambda frame: topo.send(frame, "10.0.0.2"), sim, plan,
+              log, topo.bandwidth)
+        sim.run_until(1_000_000.0)
     assert not any(port.busy for port in topo._ports.values())
+    assert topo.frames_delivered == topo.frames_sent
     return log, sim.events_processed
 
 
@@ -284,12 +331,12 @@ def assert_lazy_matches_eager(plan):
     assert lazy == eager
     assert lazy_events <= eager_events
 
-    lazy, lazy_events = run_port(plan)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(OutPort, "_service", eager_service)
-        eager, eager_events = run_port(plan)
-    assert lazy == eager
-    assert lazy_events <= eager_events
+    for propagation in (10.0, 0.0):
+        lazy, lazy_events = run_port(plan, propagation=propagation)
+        eager, eager_events = run_port(plan, eager=True,
+                                       propagation=propagation)
+        assert lazy == eager
+        assert lazy_events <= eager_events
 
 
 #: Steps exactly one frame time apart, scheduled on both sides of the

@@ -46,11 +46,12 @@ def test_run_until_past_rejected():
         sim.run_until(10.0)
 
 
-def test_call_soon_runs_this_instant():
+def test_zero_delay_runs_this_instant():
     sim = Simulator()
     order = []
     sim.schedule(5.0, lambda: (order.append("outer"),
-                               sim.call_soon(lambda: order.append("soon"))))
+                               sim.schedule(0.0,
+                                            lambda: order.append("soon"))))
     sim.schedule(5.0, lambda: order.append("later-same-time"))
     sim.run_until(5.0)
     assert order == ["outer", "later-same-time", "soon"]
@@ -69,7 +70,7 @@ def test_events_cancelled_before_fire_do_not_run():
     sim = Simulator()
     fired = []
     ev = sim.schedule(5.0, fired.append, "no")
-    sim.schedule(1.0, ev.cancel)
+    sim.schedule(1.0, sim.cancel, ev)
     sim.run_until(10.0)
     assert fired == []
 
@@ -100,7 +101,7 @@ def test_run_leaves_clock_at_last_event_and_honours_max_events():
     sim = Simulator()
     fired = []
     for t in (1.0, 2.0, 3.0):
-        sim.schedule_detached(t, fired.append, t)
+        sim.schedule(t, fired.append, t)
     sim.run(max_events=0)
     assert fired == [] and sim.now == 0.0
     sim.run(max_events=2)
@@ -131,7 +132,7 @@ def test_windowed_run_matches_one_run_until(bounds):
         sim.schedule(0.0, tick, "a", 1.0, 9)
         sim.schedule(0.5, tick, "b", 1.5, 6)
         victim = sim.schedule(4.0, tick, "cancelled", 1.0, 0)
-        sim.schedule(3.0, victim.cancel)
+        sim.schedule(3.0, sim.cancel, victim)
         return sim, log
 
     one, expected = build()

@@ -14,9 +14,7 @@ def make_proc(name):
 
 
 def make_accounting(policy):
-    sched = Scheduler()
-    acct = Accounting(sched, policy)
-    return sched, acct
+    return Scheduler(), Accounting(policy)
 
 
 def test_interrupted_policy_bills_interrupted():

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import Compute, Simulator, Sleep
+from repro.engine import Compute, SimProcess, Simulator, Sleep
 from repro.host import Kernel
+from repro.host.accounting import Accounting
 from repro.host.scheduler import (
     DECAY,
     ESTCPU_MAX,
@@ -37,20 +38,23 @@ def test_priority_formula_matches_43bsd():
     assert priority_for(1e9, 0) == PRI_MAX
 
 
+def billed(usec):
+    """A registered process after one bill of *usec* of its own CPU
+    (the accounting policy ages its scheduling history)."""
+    proc = SimProcess("p", iter(()))
+    Scheduler().register(proc)
+    Accounting().charge_process(proc, usec)
+    return proc
+
+
 def test_charge_raises_priority_number():
-    sched = Scheduler()
-    proc = FakeProc("p")
-    sched.register(proc)
-    sched.charge(proc, 40_000.0)  # 4 ticks
+    proc = billed(40_000.0)  # 4 ticks
     assert proc.estcpu == pytest.approx(4.0)
     assert proc.usrpri == pytest.approx(PUSER + 1.0)
 
 
 def test_estcpu_clamped():
-    sched = Scheduler()
-    proc = FakeProc("p")
-    sched.register(proc)
-    sched.charge(proc, 1e12)
+    proc = billed(1e12)
     assert proc.estcpu == ESTCPU_MAX
 
 

@@ -16,12 +16,15 @@ covered on installs without hypothesis.
 import pytest
 
 from repro.engine.simulator import Simulator
+from repro.faults import FaultPlan, FaultRule
+from repro.faults.plane import FaultPlane
 from repro.net.addr import IPAddr
 from repro.net.ip import IPPROTO_UDP, IpPacket
 from repro.net.packet import Frame
 from repro.net.topology import (
     BindingSpec,
     LinkSpec,
+    OutPort,
     SwitchSpec,
     TopologySpec,
     gateway_chain_spec,
@@ -254,3 +257,131 @@ if HAVE_HYPOTHESIS:
                            min_size=2, max_size=4))
     def test_fifo_per_flow(bursts):
         check_fifo_per_flow(bursts)
+
+
+# ---------------------------------------------------------------------------
+# One pass per hop: the inline path against the queue-always reference
+# ---------------------------------------------------------------------------
+
+CLIENT = "10.0.0.2"
+
+
+def queue_always_enqueue(port, frame, dst_key):
+    """OutPort.enqueue with no inline path: every frame is appended to
+    the queue and an idle port serves it at once through _service."""
+    if len(port.queue) >= port.capacity:
+        port.drops_overflow += 1
+        port.topology._count_drop("port_queue", frame)
+        return False
+    port.enqueued += 1
+    port.queue.append((frame, dst_key))
+    port.peak_depth = max(port.peak_depth, len(port.queue))
+    free = port._free
+    if free is not None:
+        port._free = None
+        if not port.topology.sim.claim(free, port._service):
+            port._busy = False
+    if not port._busy:
+        port._busy = True
+        port._service()
+    return True
+
+
+def run_hops(times, burst, loss=0.0):
+    """Send *burst* frames client → sw0 → server at each of *times*;
+    with *loss*, the client's link drops that share of its frames.
+    Returns arrivals, per-port counters and ``busy`` probes taken
+    half a frame time into each send, at the instant the wire frees
+    and half a frame time later."""
+    sim = Simulator(seed=1)
+    topo = passthrough_spec().build(sim)
+    server = SinkNic(sim)
+    topo.attach(server, SERVER)
+    topo.attach(SinkNic(sim), CLIENT)
+    if loss:
+        plan = FaultPlan(seed=3, rules=(FaultRule(
+            "link", "drop", probability=loss, name="hop-loss"),))
+        topo.attach_link_fault_plane("client", "sw0",
+                                     FaultPlane(sim, plan))
+    ports = [topo._ports[("client", "sw0")], topo._ports[("sw0", "server")]]
+    tx = make_frame(CLIENT).wire_len * 8.0 / topo.bandwidth
+    probes = []
+    sent = iter(range(10_000))
+
+    def send():
+        for _ in range(burst):
+            frame = make_frame(CLIENT)
+            frame.packet.ident = next(sent)
+            topo.send(frame, CLIENT)
+
+    def probe():
+        probes.append((sim.now, [port.busy for port in ports]))
+
+    for t in times:
+        sim.schedule_at(t, send)
+        for offset in (0.5, burst, burst + 0.5):
+            sim.schedule_at(t + offset * tx, probe)
+    sim.run_until(max(times) + 100 * tx + 1_000.0)
+    assert_conserved(topo)
+    return {
+        "arrivals": [(t, f.packet.ident)
+                     for t, f in zip(server.times, server.frames)],
+        "ports": [(p.enqueued, p.serviced, p.peak_depth, p.link.frames,
+                   p.link.drops_fault, p.busy) for p in ports],
+        "probes": probes,
+        "events": sim.events_processed,
+    }
+
+
+def assert_inline_matches_queue_always(times, burst, loss=0.0):
+    inline = run_hops(times, burst, loss)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OutPort, "enqueue", queue_always_enqueue)
+        reference = run_hops(times, burst, loss)
+    assert inline == reference
+    return inline
+
+
+def frame_time():
+    return make_frame(CLIENT).wire_len * 8.0 / passthrough_spec().build(
+        Simulator()).bandwidth
+
+
+def test_spaced_frames_take_the_inline_path_unchanged():
+    """Frames spaced wider than the transmit time find every port idle
+    and empty, so each hop is one pass through enqueue."""
+    tx = frame_time()
+    got = assert_inline_matches_queue_always(
+        [100.0 + 3 * tx * i for i in range(8)], burst=1)
+    assert len(got["arrivals"]) == 8
+    assert [p[:4] for p in got["ports"]] == [(8, 8, 1, 8)] * 2
+    # The access port is busy half a frame into each send and at the
+    # instant its wire frees (the probe was scheduled first), and free
+    # half a frame later.
+    client = [busy[0] for _, busy in got["probes"]]
+    assert client == [True, True, False] * 8
+
+
+def test_back_to_back_frames_queue_unchanged():
+    """A burst queues behind the access wire and reaches the switch
+    port exactly as its wire frees: the reserved-key ties."""
+    tx = frame_time()
+    got = assert_inline_matches_queue_always([100.0, 100.0 + 20 * tx],
+                                             burst=5)
+    assert [t for t, _ in got["arrivals"]] == sorted(
+        t for t, _ in got["arrivals"])
+    assert [i for _, i in got["arrivals"]] == list(range(10))
+    # The first frame of each burst goes straight onto the wire.
+    assert got["ports"][0][:4] == (10, 10, 4, 10)
+
+
+def test_link_fault_drop_on_the_inline_path():
+    """A frame the link drops still holds the wire for its transmit
+    time, inline or not."""
+    tx = frame_time()
+    got = assert_inline_matches_queue_always(
+        [100.0 + 3 * tx * i for i in range(16)], burst=1, loss=0.5)
+    dropped = got["ports"][0][4]
+    assert 0 < dropped < 16
+    assert len(got["arrivals"]) == 16 - dropped
+    assert all(busy[0] for _, busy in got["probes"][0::3])

@@ -248,14 +248,13 @@ def test_every_armed_timer_cancelled_or_fired_exactly_once(arch_key):
     sim.run_until(400_000.0)
 
     assert armed, "scenario armed no TCP timers"
-    fired_events = [e for e in armed
-                    if not e.cancelled and not e._pending]
+    # A handle ([time, seq, callback, args]) is cancelled when its
+    # callback is cleared, fired when its args are, pending otherwise.
+    fired_events = [e for e in armed if e[3] is None]
     for event in armed:
-        # Cancelled-or-fired-or-still-pending; cancelled events must
-        # not also have fired (the stack clears its handle on fire, so
-        # a fired event is never cancelled afterwards).
-        assert event.cancelled or event._pending \
-            or event in fired_events
+        # Never both cancelled and fired (the stack clears its handle
+        # on fire, and a cancel after firing is a no-op anyway).
+        assert event[2] is not None or event[3] is not None
     assert len(fires) == len(fired_events), \
         (f"{len(fires)} timer fires for {len(fired_events)} fired "
          f"events")
