@@ -25,7 +25,6 @@ from repro.core.lrp_base import LrpStackBase
 from repro.core.ni_lrp import NiLrpStack
 from repro.core.nic_os import NicOsStack
 from repro.core.polling_stack import PollingStack
-from repro.core.proxy import ProtocolDaemon
 from repro.core.soft_lrp import SoftLrpStack
 from repro.core.stack_base import NetworkStack
 from repro.host.costs import DEFAULT_COSTS, CostModel
@@ -45,7 +44,6 @@ __all__ = [
     "NiLrpStack",
     "NicOsStack",
     "PollingStack",
-    "ProtocolDaemon",
     "RssStack",
     "STACK_CLASSES",
     "SoftLrpStack",

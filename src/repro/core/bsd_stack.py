@@ -2,8 +2,8 @@
 
 Receive path: the device interrupt captures the packet into an mbuf,
 queues it on the *shared* IP queue and posts a software interrupt.  The
-software interrupt — which outranks every process — performs IP input
-(including reassembly), the PCB lookup, UDP/TCP input, and finally
+software interrupt — which outranks every process — performs IP input,
+the PCB lookup, UDP/TCP input, and finally
 queues the data on the destination socket, dropping it there if the
 socket queue is full.  All of this is *eager*: it happens at packet
 arrival time regardless of the receiver's state or priority, and its
@@ -35,7 +35,7 @@ from repro.host.interrupts import (
     IntrTask,
     SimpleIntrTask,
 )
-from repro.net.ip import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, IpPacket
+from repro.net.ip import IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.net.packet import Frame
 from repro.core.stack_base import NetworkStack
 from repro.sockets.socket import Socket
@@ -57,8 +57,6 @@ class BsdStack(NetworkStack):
         #: core the receive interrupt arrived on.
         self.ipqs = [deque() for _ in range(ncores)]
         self._softnet_posted = [False] * ncores
-        #: Daemon-bound packets (ICMP etc.) processed in softint too.
-        self.icmp_handler = None
         # The softnet path's fixed steps, allocated once: a Compute is
         # read, never changed, by the task that runs it.
         costs = self.costs
@@ -140,16 +138,13 @@ class BsdStack(NetworkStack):
             self.forward_packet(packet)
             self.stats.incr("ip_forwarded")
             return
-        if packet.corrupt or packet.is_fragment:
-            packet = yield from self.ip_input_checks(packet)
-            if packet is None:
-                return
+        if packet.corrupt:
+            yield from self.ip_input_checks(packet)
+            return
         if packet.proto == IPPROTO_UDP:
             yield from self._udp_input_eager(packet)
         elif packet.proto == IPPROTO_TCP:
             yield from self._tcp_input_eager(packet)
-        elif packet.proto == IPPROTO_ICMP:
-            yield from self._icmp_input(packet)
         else:
             self.stats.incr("drop_unknown_proto")
 
@@ -173,18 +168,6 @@ class BsdStack(NetworkStack):
             self.stats.incr("drop_tcp_pcb_miss")
             return
         yield from self.tcp_input_gen(sock, packet)
-
-    def _icmp_input(self, packet: IpPacket) -> Generator:
-        """ICMP handled inline in the software interrupt (BSD has no
-        daemon proxy; compare core.proxy for the LRP treatment)."""
-        yield Compute(self.costs.udp_input)
-        self.stats.incr("icmp_in")
-        if self.icmp_handler is not None:
-            reply = self.icmp_handler(packet)
-            if reply is not None:
-                yield Compute(self.costs.ip_output)
-                self.ip_output(reply, packet.src, IPPROTO_ICMP,
-                               reply.total_len)
 
 
 class RssStack(BsdStack):

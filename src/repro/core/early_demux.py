@@ -49,6 +49,15 @@ class EarlyDemuxStack(LrpStackBase):
     #: deferred, exactly as in BSD.
     lazy = False
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # The eager input's fixed steps, allocated once.
+        costs = self.costs
+        self._dispatch_ip_in = Compute(costs.sw_intr_dispatch
+                                       + costs.ip_input)
+        self._udp_in_enqueue = Compute(costs.udp_input
+                                       + costs.socket_enqueue)
+
     def listener_backlog_changed(self, listener: Socket) -> None:
         """No LRP backlog feedback: SYNs for over-backlog listeners
         are still processed eagerly and dropped late, as in BSD."""
@@ -85,19 +94,19 @@ class EarlyDemuxStack(LrpStackBase):
     def _eager_input(self, packet: IpPacket) -> Generator:
         """Per-packet software interrupt: BSD processing minus the PCB
         lookup (the demux already identified the endpoint)."""
-        yield Compute(self.costs.sw_intr_dispatch + self.costs.ip_input)
+        yield self._dispatch_ip_in
         self.stats.incr("ip_in")
-        if packet.corrupt or packet.is_fragment:
-            packet = yield from self.ip_input_checks(packet)
-            if packet is None:
-                return
+        if packet.corrupt:
+            yield from self.ip_input_checks(packet)
+            return
         if packet.proto == IPPROTO_UDP:
-            sock = self._socket_for(packet)
+            dgram = packet.transport
+            sock = self.udp_pcb.lookup(packet.dst, dgram.dst_port,
+                                       packet.src, dgram.src_port)
             if sock is None:
                 self.stats.incr("drop_pcb_miss")
                 return
-            yield Compute(self.costs.udp_input
-                          + self.costs.socket_enqueue)
+            yield self._udp_in_enqueue
             self.udp_deliver_to_socket(sock, packet)
         elif packet.proto == IPPROTO_TCP:
             seg = packet.transport

@@ -25,41 +25,64 @@ stack; :func:`build_gateway` constructs a two-interface host.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Generator, Optional
 
-from repro.net.ip import IpPacket
+from repro.engine.process import Block, Compute, WaitChannel
 from repro.core.architecture import Architecture, Host, build_host
 from repro.core.bsd_stack import BsdStack
 from repro.core.ni_lrp import NiLrpStack
-from repro.core.proxy import ProtocolDaemon
 from repro.core.soft_lrp import SoftLrpStack
+from repro.nic.channels import NiChannel
 
 
-class ForwardingDaemon(ProtocolDaemon):
-    """The LRP IP-forwarding proxy process (Section 3.5)."""
+class ForwardingDaemon:
+    """The LRP IP-forwarding proxy process (Section 3.5).
 
-    step_costs = ("ip_input", "ip_output")
+    "Processing for certain network packets cannot be directly
+    attributed to any application process ... In LRP, this processing
+    is charged to daemon processes that act as proxies for a
+    particular protocol.  These daemons have an associated NI channel,
+    and packets for such protocols are demultiplexed directly onto the
+    corresponding channel."  Transit traffic is the one such class any
+    reproduced experiment sends.
+
+    The daemon competes for CPU like any process: its nice value is
+    the administrator's knob for how much of the machine IP forwarding
+    may consume.  Under overload its channel fills and the NI discards
+    — the same early-discard feedback as data sockets.
+    """
 
     def __init__(self, stack, nice: int = 0):
+        self.stack = stack
         self.forwarded = 0
         self.dropped_ttl = 0
-        super().__init__(stack, None, "ipfwd", nice=nice)
+        self.channel = NiChannel("daemon-ipfwd", kind="daemon")
+        self.channel.wait_channel = WaitChannel("daemon-ipfwd")
+        stack.demux_table.forward_channel = self.channel
+        self.proc = stack.kernel.spawn("ipfwdd", self._main(),
+                                       nice=nice, working_set_kb=8.0)
 
-    def _register(self) -> None:
-        """Transit traffic, not one protocol, lands on this channel."""
-        self.stack.demux_table.forward_channel = self.channel
-
-    def _step(self, packet: IpPacket) -> None:
+    def _main(self) -> Generator:
         stack = self.stack
-        if packet.ttl <= 1:
-            self.dropped_ttl += 1
-            stack.stats.incr("fwd_ttl_expired")
-            return None
-        packet.ttl -= 1
-        stack.forward_packet(packet)
-        self.forwarded += 1
-        stack.stats.incr("ip_forwarded")
-        return None
+        channel = self.channel
+        # IP input plus IP output per packet, in daemon context:
+        # charged to the daemon, scheduled at the daemon's priority.
+        step = Compute(stack.costs.ip_input + stack.costs.ip_output)
+        while True:
+            packet = channel.pop()
+            if packet is None:
+                channel.interrupts_requested = True
+                yield Block(channel.wait_channel)
+                continue
+            yield step
+            if packet.ttl <= 1:
+                self.dropped_ttl += 1
+                stack.stats.incr("fwd_ttl_expired")
+                continue
+            packet.ttl -= 1
+            stack.forward_packet(packet)
+            self.forwarded += 1
+            stack.stats.incr("ip_forwarded")
 
 
 def enable_forwarding(host: Host, nice: int = 0) -> \

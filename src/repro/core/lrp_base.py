@@ -65,7 +65,10 @@ class LrpStackBase(NetworkStack):
         super().__init__(*args, **kwargs)
         self.channel_depth = channel_depth
         self.udp_channels: List[NiChannel] = []
-        self.demux_table.fragment_channel.kind = "frag"
+        # The lazy UDP input's fixed steps, allocated once: a Compute
+        # is read, never changed, by the context that runs it.
+        self._ip_in = Compute(self.costs.ip_input)
+        self._udp_in = Compute(self.costs.udp_input)
         self.app = None
         self.idle_thread: Optional[SimProcess] = None
         if not self.lazy:
@@ -90,21 +93,11 @@ class LrpStackBase(NetworkStack):
     # NI channel lifecycle (Section 3.1)
     # ------------------------------------------------------------------
     def endpoint_attached(self, sock: Socket) -> None:
-        if sock.channel is None and getattr(sock, "shared_bind", False):
-            # Multicast-style group: all members share the first
-            # member's NI channel (Section 3.1).
-            for member in self.udp_pcb.members(sock.local.port):
-                if member is not sock and member.channel is not None:
-                    sock.channel = member.channel
-                    member.channel.members.append(sock)
-                    self.stats.incr("channels_shared")
-                    return
         if sock.channel is None:
             kind = "udp" if sock.stype == SockType.DGRAM else "tcp"
             channel = NiChannel(f"ch-{sock.id}", depth=self.channel_depth,
                                 kind=kind)
             channel.owner_socket = sock
-            channel.members.append(sock)
             channel.wait_channel = WaitChannel(f"nichan-{sock.id}")
             if kind == "tcp":
                 # TCP channels always interrupt on empty->non-empty:
@@ -126,15 +119,6 @@ class LrpStackBase(NetworkStack):
     def endpoint_detached(self, sock: Socket) -> None:
         channel = sock.channel
         if channel is None:
-            return
-        if sock in channel.members:
-            channel.members.remove(sock)
-        if channel.members:
-            # Other group members still use the channel; just drop our
-            # reference (the wildcard registration stays with them).
-            if channel.owner_socket is sock:
-                channel.owner_socket = channel.members[0]
-            sock.channel = None
             return
         if sock.local is not None:
             proto, peer = registration(sock)
@@ -163,15 +147,9 @@ class LrpStackBase(NetworkStack):
             self.stats.incr("backlog_feedback_flips")
 
     def iter_channels(self):
-        """Every live NI channel: per-socket channels (deduplicated —
-        shared binds alias one channel) plus the fragment channel."""
-        seen = set()
-        for sock in self.sockets:
-            channel = sock.channel
-            if channel is not None and id(channel) not in seen:
-                seen.add(id(channel))
-                yield channel
-        yield self.demux_table.fragment_channel
+        """Every live per-socket NI channel."""
+        return (sock.channel for sock in self.sockets
+                if sock.channel is not None)
 
     # ------------------------------------------------------------------
     # Soft demux and channel notification routing
@@ -203,8 +181,7 @@ class LrpStackBase(NetworkStack):
         """Hand *channel*'s new packets to whoever processes them: TCP
         segments to the APP process, datagrams and daemon packets to
         the process blocked on the channel (interrupts off again until
-        it next finds the channel empty).  Fragment channels are
-        polled by reassembly; no wakeup."""
+        it next finds the channel empty)."""
         if channel.kind == "tcp":
             sock = channel.owner_socket
             if sock is not None:
@@ -230,21 +207,8 @@ class LrpStackBase(NetworkStack):
                 yield Compute(self.channel_pop_cost)
                 result = yield from self.lazy_udp_input(sock, packet)
                 if result is None:
-                    continue  # incomplete fragment / corrupt packet
+                    continue  # corrupt packet
                 dgram, src, stamp = result
-                if len(channel.members) > 1:
-                    # Multicast fan-out: the lazy processor delivers a
-                    # copy to every other group member's socket queue.
-                    for member in channel.members:
-                        if member is sock:
-                            continue
-                        yield Compute(self.costs.socket_enqueue)
-                        member.rcv_dgrams.offer((dgram, stamp), src)
-                        self.kernel.wake_one(member.rcv_wait)
-                    # Members may be parked on the shared channel's
-                    # wait queue rather than their socket's; rouse
-                    # them all — each re-checks its own queue.
-                    self.kernel.wake_all(channel.wait_channel)
                 # The channel pop above already paid for the dequeue.
                 return (yield from self.deliver_to_app(
                     sock, dgram, src, stamp, 0.0))
@@ -261,15 +225,11 @@ class LrpStackBase(NetworkStack):
                        packet: IpPacket) -> Generator:
         """IP + UDP input for one packet, in the caller's context.
         Returns ``(dgram, source, stamp)`` or ``None``."""
-        yield Compute(self.costs.ip_input)
+        yield self._ip_in
         self.stats.incr("ip_in")
-        if packet.corrupt or packet.is_fragment:
-            # Missing pieces may sit on the special NI channel
-            # (fragments that arrived before their head fragment).
-            packet = yield from self.ip_input_checks(
-                packet, lambda: self._drain_fragment_channel(sock))
-            if packet is None:
-                return None
+        if packet.corrupt:
+            yield from self.ip_input_checks(packet)
+            return None
         if self.redundant_pcb_lookup:
             # Figure 5 fairness control: pay the BSD lookup cost even
             # though demux already identified the socket.
@@ -278,42 +238,9 @@ class LrpStackBase(NetworkStack):
             self.udp_pcb.lookup(packet.dst, dgram.dst_port,
                                 packet.src, dgram.src_port)
         dgram = packet.transport
-        yield Compute(self.costs.udp_input)
+        yield self._udp_in
         return (dgram, endpoint(packet.src, dgram.src_port),
                 packet.stamp)
-
-    def _drain_fragment_channel(self, sock: Socket) -> Generator:
-        """Feed parked fragments into reassembly; returns a datagram
-        completed *for this socket* if one appears."""
-        ours = None
-        while True:
-            fragment = self.demux_table.fragment_channel.pop()
-            if fragment is None:
-                break
-            yield Compute(self.costs.ip_reassembly_per_frag)
-            whole = self.reassemble(fragment)
-            if whole is None:
-                continue
-            if self._owns(sock, whole):
-                ours = whole
-            else:
-                # Another socket's datagram completed: deliver eagerly.
-                other = self._socket_for(whole)
-                if other is not None:
-                    yield Compute(self.costs.udp_input)
-                    self.udp_deliver_to_socket(other, whole)
-        return ours
-
-    def _owns(self, sock: Socket, packet: IpPacket) -> bool:
-        return (sock.local is not None and packet.transport is not None
-                and packet.transport.dst_port == sock.local.port)
-
-    def _socket_for(self, packet: IpPacket) -> Optional[Socket]:
-        transport = packet.transport
-        if transport is None:
-            return None
-        return self.udp_pcb.lookup(packet.dst, transport.dst_port,
-                                   packet.src, transport.src_port)
 
     def post_tcp_work(self, sock: Socket, kind: str) -> None:
         """TCP timers run in the APP process, at the receiver's

@@ -74,12 +74,15 @@ class PollingStack(BsdStack):
     # ------------------------------------------------------------------
     def _poll_main(self) -> Generator:
         nic = self.nic
-        costs = self.costs
         tcp_work = self._tcp_work
+        # Fixed steps, allocated once: a Compute is read, never
+        # changed, by the process that runs it.
+        dequeue = Compute(self.costs.dequeue)
+        idle_poll = Compute(POLL_IDLE_USEC)
         while True:
             burst = nic.poll_burst(POLL_BURST)
             for frame in burst:
-                yield Compute(costs.dequeue)
+                yield dequeue
                 self.stats.incr("rx_packets")
                 # Protocol input runs inline in the poll thread's
                 # process context — preemptible in principle, but
@@ -87,9 +90,9 @@ class PollingStack(BsdStack):
                 yield from self._ip_input_eager(frame.packet)
             while tcp_work:
                 sock, kind = tcp_work.popleft()
-                yield Compute(costs.dequeue)
+                yield dequeue
                 yield from self.tcp_timer_gen(sock, kind)
             if not burst:
                 # Busy-wait: the whole point.  The core shows 100%
                 # utilization whether or not traffic arrives.
-                yield Compute(POLL_IDLE_USEC)
+                yield idle_poll

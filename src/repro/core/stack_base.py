@@ -13,8 +13,8 @@ Every kernel variant (4.4BSD, Early-Demux, SOFT-LRP, NI-LRP) shares:
   timers, waking waiters, completing handshakes, TIME_WAIT cleanup).
 
 * the receive steps every eager or lazy path runs somewhere: the
-  checksum and reassembly step of IP input, the final socket-queue
-  enqueue, and the copy-out to the application.
+  checksum drop of a corrupt packet, the final socket-queue enqueue,
+  and the copy-out to the application.
 
 Subclasses decide *where receive processing happens and who pays for
 it* — the whole subject of the paper:
@@ -36,19 +36,13 @@ from repro.host.interrupts import SOFTWARE, IntrTask
 from repro.host.kernel import Kernel
 from repro.mem.pool import MbufPool
 from repro.net.addr import IPAddr, addr_value, endpoint
-from repro.net.ip import (
-    IPPROTO_TCP,
-    IPPROTO_UDP,
-    IpPacket,
-    fragment_packet,
-)
+from repro.net.ip import IP_HEADER_LEN, IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.net.packet import Frame
 from repro.net.tcp import SYN, TcpSegment
-from repro.net.udp import UdpDatagram
+from repro.net.udp import UDP_HEADER_LEN, UdpDatagram
 from repro.nic.channels import NiChannel
 from repro.nic.demux import DemuxTable
 from repro.proto.pcb import PcbTable, PortInUse
-from repro.proto.reassembly import Reassembler
 from repro.proto.tcp_proto import (
     HANDSHAKE_TIMEOUT,
     TIME_WAIT_DEFAULT,
@@ -60,7 +54,8 @@ from repro.sockets.socket import Socket, SockType, SocketError
 from repro.stats.metrics import Counter
 from repro.trace.tracer import flow_of
 
-#: Classical-IP-over-ATM MTU, as on the paper's testbed.
+#: Classical-IP-over-ATM MTU, as on the paper's testbed; ``sendto``
+#: refuses a UDP datagram that does not fit in it.
 DEFAULT_MTU = 9180
 
 
@@ -70,7 +65,6 @@ class NetworkStack:
     arch_name = "base"
 
     def __init__(self, kernel: Kernel, nic, local_addr,
-                 mtu: int = DEFAULT_MTU,
                  time_wait_usec: float = TIME_WAIT_DEFAULT,
                  redundant_pcb_lookup: bool = False,
                  demux_table: Optional[DemuxTable] = None):
@@ -79,7 +73,6 @@ class NetworkStack:
         self.costs = kernel.costs
         self.nic = nic
         self.addr = IPAddr(local_addr)
-        self.mtu = mtu
         self.mbufs = MbufPool()
         self.time_wait_usec = time_wait_usec
         #: Figure 5 control: LRP kernels optionally perform a redundant
@@ -99,7 +92,6 @@ class NetworkStack:
         self.forwarding_enabled = False
         self.udp_pcb = PcbTable()
         self.tcp_pcb = PcbTable()
-        self.reassembler = Reassembler()
         #: Endpoint table for early demux (LRP family); NI-LRP shares
         #: this object with the programmable NIC's firmware.
         self.demux_table = (demux_table if demux_table is not None
@@ -110,10 +102,6 @@ class NetworkStack:
         self.stats = Counter()
         #: Latency bookkeeping hooks filled by experiments.
         self.sockets: List[Socket] = []
-        # One-shot reassembly-expiry timer state (armed lazily so hosts
-        # that never see fragments schedule nothing — keeping golden
-        # traces of fragment-free runs untouched).
-        self._frag_expiry_armed = False
 
         kernel.stack = self
         if nic is not None:
@@ -205,20 +193,13 @@ class NetworkStack:
         self.sockets.append(sock)
         return sock
 
-    def _sys_bind(self, kernel, proc, sock: Socket, port: int,
-                  shared: bool = False):
-        """Bind; ``shared=True`` joins a multicast-style group where
-        several sockets share the port (and, under LRP, one NI
-        channel — Section 3.1)."""
-        if shared and sock.stype != SockType.DGRAM:
-            raise SocketError("shared binding is datagram-only")
+    def _sys_bind(self, kernel, proc, sock: Socket, port: int):
         if sock.stype == SockType.DGRAM:
-            self.udp_pcb.bind(sock, self.addr, port, shared=shared)
+            self.udp_pcb.bind(sock, self.addr, port)
         else:
             self.tcp_pcb.bind(sock, self.addr, port)
         sock.local = endpoint(self.addr, port)
         sock.owner = proc
-        sock.shared_bind = shared
         self.endpoint_attached(sock)
         return 0
 
@@ -290,13 +271,20 @@ class NetworkStack:
     # -- UDP ------------------------------------------------------------
     def _sys_sendto(self, kernel, proc, sock: Socket, nbytes: int,
                     addr=None, port: int = 0, payload=None):
+        # Bad arguments raise here, before the send costs anything, so
+        # the kernel delivers the error to the caller.
+        if nbytes + UDP_HEADER_LEN + IP_HEADER_LEN > DEFAULT_MTU:
+            raise SocketError(
+                f"{nbytes}-byte datagram exceeds the {DEFAULT_MTU}-byte"
+                " MTU (IP fragmentation is not modelled)")
+        if addr is None:
+            if not sock.connected:
+                raise SocketError("sendto without destination")
+            dst = sock.peer
+        else:
+            dst = endpoint(addr, port)
+
         def body():
-            if addr is None:
-                if not sock.connected:
-                    raise SocketError("sendto without destination")
-                dst = sock.peer
-            else:
-                dst = endpoint(addr, port)
             if not sock.bound:
                 lport = self.udp_pcb.alloc_port()
                 self.udp_pcb.bind(sock, self.addr, lport)
@@ -392,7 +380,7 @@ class NetworkStack:
 
     def _teardown_dgram(self, sock: Socket) -> None:
         if sock.local is not None:
-            self.udp_pcb.unbind(sock.local.port, sock=sock)
+            self.udp_pcb.unbind(sock.local.port)
         self.endpoint_detached(sock)
 
     def _teardown_stream(self, sock: Socket) -> None:
@@ -436,14 +424,11 @@ class NetworkStack:
         packet = IpPacket(self.addr, dst, proto, transport, payload_len)
         packet.stamp = self.sim.now
         self.stats.incr("ip_out")
-        link_dst = self.link_dst_for(dst)
         if vci is None:
             vci = self._signalled_vci(dst, proto, transport)
-        for frag in fragment_packet(packet, self.mtu):
-            frag.stamp = packet.stamp
-            frame = Frame(frag, vci=vci, link_dst=link_dst)
-            if not self.nic.transmit(frame):
-                self.stats.incr("drop_ifq")
+        frame = Frame(packet, vci=vci, link_dst=self.link_dst_for(dst))
+        if not self.nic.transmit(frame):
+            self.stats.incr("drop_ifq")
 
     def _signalled_vci(self, dst, proto: int,
                        transport) -> Optional[int]:
@@ -674,31 +659,12 @@ class NetworkStack:
     # ------------------------------------------------------------------
     # Shared receive steps
     # ------------------------------------------------------------------
-    def ip_input_checks(self, packet: IpPacket,
-                        incomplete=None) -> Generator:
-        """The checksum and reassembly step of IP input, in the
-        caller's context.  Returns the verified whole datagram, or
-        ``None`` if *packet* was dropped or its datagram is still
-        incomplete.  *incomplete*, if given, is a generator function
-        tried when reassembly comes up short (LRP drains its fragment
-        channel).  Callers enter only for ``packet.corrupt or
-        packet.is_fragment``, so clean packets pay no extra frame."""
-        if packet.corrupt:
-            yield from self._checksum_drop(packet, packet.payload_len, "ip")
-            return None
-        if not packet.is_fragment:
-            return packet
-        yield Compute(self.costs.ip_reassembly_per_frag)
-        whole = self.reassemble(packet)
-        if whole is None and incomplete is not None:
-            whole = yield from incomplete()
-        if whole is None:
-            return None
-        if whole.corrupt:
-            # A corrupted fragment poisons the whole datagram.
-            yield from self._checksum_drop(whole, whole.payload_len, "ip")
-            return None
-        return whole
+    def ip_input_checks(self, packet: IpPacket) -> Generator:
+        """The checksum step of IP input for a corrupt *packet*, in the
+        caller's context: charge the failed verification and drop it.
+        Callers enter only for ``packet.corrupt``, so clean packets pay
+        no extra frame."""
+        return self._checksum_drop(packet, packet.payload_len, "ip")
 
     def _checksum_drop(self, packet: IpPacket, nbytes: int,
                        stage: str) -> Generator:
@@ -726,58 +692,21 @@ class NetworkStack:
 
     def udp_deliver_to_socket(self, sock: Socket,
                               packet: IpPacket) -> bool:
-        """Final UDP step: queue the datagram on the socket (and on
-        every other member of a shared/multicast group).  Returns
-        False when the primary socket's queue was full (the BSD late
-        drop)."""
+        """Final UDP step: queue the datagram on the socket.  Returns
+        False when its queue was full (the BSD late drop)."""
         dgram: UdpDatagram = packet.transport
-        src = endpoint(packet.src, dgram.src_port)
-        targets = (self.udp_pcb.members(sock.local.port)
-                   if getattr(sock, "shared_bind", False) else (sock,))
         trace = self.sim.trace
-        delivered = False
-        for member in targets:
-            if member.rcv_dgrams.offer((dgram, packet.stamp), src):
-                self.stats.incr("udp_queued")
-                if trace.enabled:
-                    trace.pkt_deliver("sockq", flow_of(packet))
-                self.kernel.wake_one(member.rcv_wait)
-                delivered = True
-            else:
-                self.stats.incr("drop_sockq")
-                if trace.enabled:
-                    trace.pkt_drop("sockq", flow_of(packet),
-                                   reason="sockq_full")
-        return delivered
-
-    # ------------------------------------------------------------------
-    # Reassembly helper (charged by caller)
-    # ------------------------------------------------------------------
-    def reassemble(self, packet: IpPacket) -> Optional[IpPacket]:
-        if not packet.is_fragment:
-            return packet
-        whole = self.reassembler.add(packet, self.sim.now)
-        if whole is not None:
-            self.demux_table.clear_fragment_hint(whole.src, whole.ident)
-        if self.reassembler.pending and not self._frag_expiry_armed:
-            self._frag_expiry_armed = True
-            self.sim.schedule(self.reassembler.ttl_usec,
-                              self._frag_expire)
-        return whole
-
-    def _frag_expire(self) -> None:
-        """One-shot sweep reclaiming reassemblies past the TTL (and
-        their parked mbufs); re-arms while any remain pending."""
-        self._frag_expiry_armed = False
-        expired = self.reassembler.expire(self.sim.now)
-        if expired:
-            self.stats.incr("frag_expired", len(expired))
-            for src, ident in expired:
-                self.demux_table.clear_fragment_hint(src, ident)
-        if self.reassembler.pending:
-            self._frag_expiry_armed = True
-            self.sim.schedule(self.reassembler.ttl_usec,
-                              self._frag_expire)
+        if sock.rcv_dgrams.offer((dgram, packet.stamp),
+                                 endpoint(packet.src, dgram.src_port)):
+            self.stats.incr("udp_queued")
+            if trace.enabled:
+                trace.pkt_deliver("sockq", flow_of(packet))
+            self.kernel.wake_one(sock.rcv_wait)
+            return True
+        self.stats.incr("drop_sockq")
+        if trace.enabled:
+            trace.pkt_drop("sockq", flow_of(packet), reason="sockq_full")
+        return False
 
     # ------------------------------------------------------------------
     # Introspection used by fault injection and stats reports

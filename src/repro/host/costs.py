@@ -57,7 +57,6 @@ class CostModel:
     # --- protocol processing -----------------------------------------
     ip_input: float = 14.0
     ip_output: float = 12.0
-    ip_reassembly_per_frag: float = 10.0
     udp_input: float = 14.0
     udp_output: float = 12.0
     tcp_input: float = 30.0

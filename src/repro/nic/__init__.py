@@ -5,7 +5,6 @@ from repro.nic.channels import DEFAULT_CHANNEL_DEPTH, NiChannel
 from repro.nic.demux import (
     DAEMON,
     DEFAULT_RSS_SEED,
-    FRAGMENT,
     MATCHED,
     UNMATCHED,
     DemuxTable,
@@ -25,7 +24,6 @@ __all__ = [
     "DEFAULT_CHANNEL_DEPTH",
     "DEFAULT_RSS_SEED",
     "DemuxTable",
-    "FRAGMENT",
     "IFQ_MAXLEN",
     "MATCHED",
     "NiChannel",

@@ -5,8 +5,8 @@ between the network interface and the OS kernel.  It contains a
 receiver queue, a free buffer queue, and associated state variables."
 
 One channel exists per bound socket endpoint (UDP port, TCP listener,
-or connected TCP flow), plus special channels for IP fragments that
-cannot be demultiplexed and for protocol daemons (ARP/ICMP/forwarding).
+or connected TCP flow), plus one for the IP-forwarding daemon on a
+gateway.
 The receive queue doubles as the early-discard feedback mechanism: when
 the application stops consuming, the queue fills, and the NI (or soft
 demux handler) silently drops further packets for this endpoint before
@@ -32,18 +32,18 @@ class NiChannel:
                  "interrupts_requested", "processing_enabled",
                  "enqueued", "discarded_full", "discarded_disabled",
                  "discarded_stalled", "stalled",
-                 "wait_channel", "kind", "members")
+                 "wait_channel", "kind")
 
     def __init__(self, name: str, depth: int = DEFAULT_CHANNEL_DEPTH,
                  kind: str = "udp"):
         self.name = name
         self.depth = depth
-        #: Routing class: "udp", "tcp", "daemon" or "frag"; decides who
-        #: is notified when the channel becomes non-empty.
+        #: Routing class: "udp", "tcp" or "daemon"; decides who is
+        #: notified when the channel becomes non-empty.
         self.kind = kind
         self.queue: Deque = deque()
-        #: Back-reference to the owning socket (None for daemon and
-        #: special channels).
+        #: Back-reference to the owning socket (None for the daemon
+        #: channel).
         self.owner_socket = None
         #: Set when a process is blocked waiting on this channel; the
         #: NI raises a host interrupt only on the empty->non-empty
@@ -64,10 +64,6 @@ class NiChannel:
         self.stalled = False
         #: Kernel wait channel for blocking receivers.
         self.wait_channel = None
-        #: Sockets sharing this channel (multicast groups / shared
-        #: ports: "Multiple sockets bound to the same UDP multicast
-        #: group share a single NI channel", Section 3.1).
-        self.members = []
 
     # ------------------------------------------------------------------
     def offer(self, item) -> bool:

@@ -2,9 +2,9 @@
 
 "Our demultiplexing function is self-contained, and has minimal
 requirements on its execution environment (non-blocking, no dynamic
-memory allocation, no timers). ... The function can efficiently
-demultiplex all packets in the TCP/IP protocol family, including IP
-fragments."
+memory allocation, no timers)."  This one classifies the traffic
+the reproduced experiments send: whole UDP and TCP packets and
+transit packets (see DESIGN.md).
 
 The same function body runs in two places:
 
@@ -13,10 +13,9 @@ The same function body runs in two places:
 * in the host's device-driver interrupt handler (*soft demux*), where
   its cost is host CPU charged per the accounting policy.
 
-Fragments whose transport header has not been seen yet go to a special
-channel that the IP reassembly code polls (``FRAGMENT_CHANNEL``);
-packets matching no endpoint are reported unmatched so callers can
-drop them or hand them to a protocol daemon.
+Transit packets go to the IP-forwarding daemon's channel when the
+host forwards; packets matching no endpoint are reported unmatched so
+callers can drop them.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.net.addr import ANY_ADDR, IPAddr
-from repro.net.ip import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, IpPacket
+from repro.net.ip import IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.nic.channels import NiChannel
 
 #: Demux outcomes.
 MATCHED = "matched"
-FRAGMENT = "fragment"
 DAEMON = "daemon"
 UNMATCHED = "unmatched"
 
@@ -54,18 +52,11 @@ class DemuxTable:
         self._exact: Dict[FlowKey, NiChannel] = {}
         self._wildcard: Dict[Tuple[int, int], NiChannel] = {}
         self._vci: Dict[int, NiChannel] = {}
-        self._daemon: Dict[int, NiChannel] = {}    # IP proto -> channel
-        #: Channel for unclassifiable IP fragments.
-        self.fragment_channel = NiChannel("frag", depth=32)
         #: Local addresses of the host (shared with the stack); packets
         #: for other destinations go to ``forward_channel`` if set.
         self.local_addrs = None
         #: The IP-forwarding daemon's channel (Section 3.5), or None.
         self.forward_channel: Optional[NiChannel] = None
-        #: Demuxed-flow hints: (src, ident) -> channel, installed when
-        #: a first fragment is classified so later fragments of the
-        #: same datagram can follow it.
-        self._frag_hints: Dict[Tuple[int, int], NiChannel] = {}
         self.lookups = 0
 
     # -- registration --------------------------------------------------
@@ -78,9 +69,6 @@ class DemuxTable:
 
     def register_vci(self, vci: int, channel: NiChannel) -> None:
         self._vci[vci] = channel
-
-    def register_daemon(self, ip_proto: int, channel: NiChannel) -> None:
-        self._daemon[ip_proto] = channel
 
     def unregister_exact(self, key: FlowKey) -> None:
         self._exact.pop(key, None)
@@ -124,16 +112,8 @@ class DemuxTable:
             # Transit traffic: demultiplex onto the forwarding
             # daemon's channel (charged to the daemon, Section 3.5).
             return DAEMON, self.forward_channel
-        if packet.is_fragment and packet.transport is None:
-            # Continuation fragment: follow the hint if the head
-            # fragment was seen, else park on the special channel.
-            hint = self._frag_hints.get((packet.src.value, packet.ident))
-            if hint is not None:
-                return MATCHED, hint
-            return FRAGMENT, self.fragment_channel
-
         transport = packet.transport
-        if packet.proto in (IPPROTO_UDP, IPPROTO_TCP) and transport is not None:
+        if packet.proto in (IPPROTO_UDP, IPPROTO_TCP):
             key = (packet.proto, packet.dst.value, transport.dst_port,
                    packet.src.value, transport.src_port)
             channel = self._exact.get(key)
@@ -141,20 +121,8 @@ class DemuxTable:
                 channel = self._wildcard.get(
                     (packet.proto, transport.dst_port))
             if channel is not None:
-                if packet.is_first_fragment:
-                    self._frag_hints[(packet.src.value, packet.ident)] = \
-                        channel
                 return MATCHED, channel
-            return UNMATCHED, None
-
-        daemon = self._daemon.get(packet.proto)
-        if daemon is not None:
-            return DAEMON, daemon
         return UNMATCHED, None
-
-    def clear_fragment_hint(self, src: IPAddr, ident: int) -> None:
-        """Called by reassembly once a datagram completes or expires."""
-        self._frag_hints.pop((IPAddr(src).value, ident), None)
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +184,9 @@ class RssHasher:
     """Seeded Toeplitz hasher over the flow 4-tuple.
 
     Hash contributions are precomputed per (byte offset, byte value),
-    so hashing a packet is 12 table lookups and XORs.  Fragments (head
-    or continuation) fall back to the 2-tuple (addresses only), as
-    real RSS NICs do, so every fragment of a datagram lands on the
-    same queue even when later fragments carry no transport header.
+    so hashing a packet is 12 table lookups and XORs.  Packets of
+    other protocols fall back to the 2-tuple (addresses only), as
+    real RSS NICs do.
     """
 
     def __init__(self, seed: int = DEFAULT_RSS_SEED):
@@ -259,8 +226,7 @@ class RssHasher:
 
     def hash_packet(self, packet: IpPacket) -> int:
         transport = packet.transport
-        if (transport is None or packet.is_fragment
-                or packet.proto not in (IPPROTO_UDP, IPPROTO_TCP)):
+        if packet.proto not in (IPPROTO_UDP, IPPROTO_TCP):
             return self.hash_tuple(packet.src.value, packet.dst.value,
                                    0, 0)
         return self.hash_tuple(packet.src.value, packet.dst.value,

@@ -38,8 +38,7 @@ class ProgrammableNic(BaseNic):
     def __init__(self, sim: Simulator, network: Network, addr: IPAddr,
                  demux_table: DemuxTable, demux_cost: float = 15.0,
                  service_gap: float = 88.0,
-                 fifo_size: int = DEFAULT_NIC_FIFO,
-                 use_vci: bool = True):
+                 fifo_size: int = DEFAULT_NIC_FIFO):
         super().__init__(sim, network, addr)
         self.table = demux_table
         #: Classification latency added to each frame.
@@ -49,7 +48,6 @@ class ProgrammableNic(BaseNic):
         #: bound; overlapped with DMA, hence decoupled from latency).
         self.service_gap = service_gap
         self.fifo_size = fifo_size
-        self.use_vci = use_vci
 
         self._fifo: Deque[Frame] = deque()
         self._next_service = 0.0
@@ -90,7 +88,7 @@ class ProgrammableNic(BaseNic):
 
     def _classify(self, frame: Frame) -> None:
         channel = None
-        if self.use_vci and frame.vci is not None:
+        if frame.vci is not None:
             channel = self.table.demux_by_vci(frame.vci)[1]
         if channel is None:
             channel = self.table.demux(frame.packet)[1]

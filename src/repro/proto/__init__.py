@@ -1,16 +1,6 @@
-"""Protocol machinery: PCBs, reassembly, TCP, ICMP."""
+"""Protocol machinery: PCBs and TCP."""
 
-from repro.proto.icmp import (
-    DEST_UNREACHABLE,
-    ECHO_REPLY,
-    ECHO_REQUEST,
-    IcmpMessage,
-    echo_request,
-    make_reply,
-    port_unreachable,
-)
 from repro.proto.pcb import PcbTable, PortInUse
-from repro.proto.reassembly import IPFRAGTTL_USEC, Reassembler
 from repro.proto.tcp_proto import (
     DEFAULT_MSS,
     HANDSHAKE_TIMEOUT,
@@ -25,24 +15,15 @@ from repro.proto.tcp_states import SYNCHRONIZED, TcpState
 
 __all__ = [
     "DEFAULT_MSS",
-    "DEST_UNREACHABLE",
-    "ECHO_REPLY",
-    "ECHO_REQUEST",
     "HANDSHAKE_TIMEOUT",
-    "IPFRAGTTL_USEC",
-    "IcmpMessage",
     "PcbTable",
     "PortInUse",
     "RTO_INIT",
     "RTO_MIN",
-    "Reassembler",
     "SYNCHRONIZED",
     "TIME_WAIT_DEFAULT",
     "TcpActions",
     "TcpConnection",
     "TcpState",
-    "echo_request",
-    "make_reply",
     "next_iss",
-    "port_unreachable",
 ]

@@ -32,31 +32,14 @@ class PcbTable:
     def __init__(self) -> None:
         self._exact: Dict[PcbKey, object] = {}
         self._wildcard: Dict[int, object] = {}   # lport -> socket
-        self._shared: Dict[int, list] = {}       # lport -> [sockets]
         self._next_ephemeral = EPHEMERAL_BASE
         self.lookups = 0
 
     # ------------------------------------------------------------------
-    def bind(self, sock, laddr: IPAddr, lport: int,
-             shared: bool = False) -> None:
-        if shared:
-            if lport in self._wildcard and lport not in self._shared:
-                raise PortInUse(f"port {lport} bound exclusively")
-            self._shared.setdefault(lport, []).append(sock)
-            self._wildcard[lport] = self._shared[lport][0]
-            return
+    def bind(self, sock, laddr: IPAddr, lport: int) -> None:
         if lport in self._wildcard:
             raise PortInUse(f"port {lport} in use")
         self._wildcard[lport] = sock
-
-    def members(self, lport: int):
-        """All sockets sharing *lport* (multicast groups), or the
-        single bound socket."""
-        group = self._shared.get(lport)
-        if group:
-            return tuple(group)
-        sock = self._wildcard.get(lport)
-        return (sock,) if sock is not None else ()
 
     def connect(self, sock, laddr: IPAddr, lport: int,
                 faddr: IPAddr, fport: int) -> None:
@@ -75,15 +58,7 @@ class PcbTable:
                 return port
         raise PortInUse("ephemeral ports exhausted")
 
-    def unbind(self, lport: int, sock=None) -> None:
-        group = self._shared.get(lport)
-        if group is not None and sock is not None:
-            if sock in group:
-                group.remove(sock)
-            if group:
-                self._wildcard[lport] = group[0]
-                return
-            del self._shared[lport]
+    def unbind(self, lport: int) -> None:
         self._wildcard.pop(lport, None)
 
     def disconnect(self, laddr: IPAddr, lport: int,

@@ -22,7 +22,7 @@ the paper), and RST generation/processing.
 Simplification (documented in DESIGN.md): the simulated LAN preserves
 per-flow ordering, so out-of-order arrivals occur only via loss; we
 drop above-sequence segments and rely on duplicate-ACK-triggered or
-timeout retransmission rather than keeping a reassembly queue.
+timeout retransmission rather than keeping an out-of-order queue.
 """
 
 from __future__ import annotations

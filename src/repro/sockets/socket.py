@@ -50,8 +50,6 @@ class Socket:
         self.local: Optional[Endpoint] = None
         self.peer: Optional[Endpoint] = None
         self.closed = False
-        #: True for multicast-style shared-port binds (Section 3.1).
-        self.shared_bind = False
 
         # Receive side.
         if stype == SockType.DGRAM:

@@ -51,7 +51,7 @@ def channel_discard_summary(channels) -> dict:
 
     *channels* is any iterable of
     :class:`~repro.nic.channels.NiChannel`; the result maps each
-    routing class (``udp``/``tcp``/``daemon``/``frag``) to its summed
+    routing class (``udp``/``tcp``/``daemon``) to its summed
     :meth:`~repro.nic.channels.NiChannel.discards_by_cause` — letting
     reports tell capacity/early-discard drops from feedback disables
     and fault-injected stalls at a glance.

@@ -2,7 +2,7 @@
 
 Each shard of a sharded run (:mod:`repro.engine.sharded`) traces its
 own events into its own :class:`~repro.trace.tracer.Tracer`.  This
-module reassembles those streams into one global trace and reduces it
+module merges those streams into one global trace and reduces it
 to a digest comparable across shard counts.
 
 Sharding preserves *causal* order but not *tie* order, so the

@@ -90,9 +90,9 @@ class TraceRecord:
 def flow_of(packet) -> str:
     """A stable flow label for an IP packet: ``src:sport>dst:dport/P``.
 
-    Missing transport ports render as ``-`` (fragments, ICMP).  The
-    label intentionally contains only wire-visible values, never
-    process-global identifiers.
+    Missing transport ports render as ``-``.  The label intentionally
+    contains only wire-visible values, never process-global
+    identifiers.
     """
     transport = getattr(packet, "transport", None)
     sport = getattr(transport, "src_port", None)

@@ -117,19 +117,6 @@ def test_mbuf_pool_exhaustion_counted():
     assert sc.server.stack.stats.get("drop_mbufs") > 0
 
 
-def test_fragmented_datagram_reassembled_in_softint():
-    sc = Scenario(Architecture.BSD)
-    log = []
-    sc.server.spawn("echo", udp_echo_server(9000, log, sc.sim))
-    # 20 KB datagram over a 9180 MTU -> 3 fragments.
-    sc.client.spawn("send", udp_sender(SERVER, 9000, count=1,
-                                       nbytes=20_000))
-    sc.run(200_000.0)
-    assert len(log) == 1
-    assert log[0][1] == 20_000  # reassembled UDP payload
-    assert sc.server.stack.reassembler.completed == 1
-
-
 def test_corrupt_packets_cost_processing_then_drop():
     plan = FaultPlan(seed=1, rules=(
         FaultRule("link", "corrupt", dst_port=9000),))

@@ -6,8 +6,10 @@ import pytest
 from repro.core import Architecture, build_host
 from repro.core.forwarding import build_gateway, enable_forwarding
 from repro.engine import Compute, Simulator, Sleep, Syscall
+from repro.net.ip import IPPROTO_UDP, IpPacket
 from repro.net.link import Network
-from repro.workloads import RawUdpInjector
+from repro.net.udp import UdpDatagram
+from repro.workloads import InjectorPort, RawUdpInjector
 
 GW_A = "10.0.0.254"      # gateway's address on subnet 10.0.0/24
 GW_B = "10.0.1.254"      # gateway's address on subnet 10.0.1/24
@@ -168,10 +170,7 @@ def test_lrp_forwarding_overload_sheds_at_channel():
 def test_ttl_expiry_drops_transit_packets():
     sim, net, gateway, daemon, left, right = build_world(
         Architecture.SOFT_LRP)
-    from repro.net.ip import IPPROTO_UDP, IpPacket
     from repro.net.packet import Frame
-    from repro.net.udp import UdpDatagram
-    from repro.workloads import InjectorPort
 
     port = InjectorPort(sim, net, "10.0.0.99")
     dgram = UdpDatagram(1, 9000, payload_len=14)
@@ -190,3 +189,79 @@ def test_forwarding_unsupported_for_early_demux():
     host = build_host(sim, net, GW_A, Architecture.EARLY_DEMUX)
     with pytest.raises(NotImplementedError):
         enable_forwarding(host)
+
+
+# -- The daemon on both demux placements --------------------------------
+# The forwarding daemon is woken by the soft demux's channel routing on
+# SOFT-LRP and by the NIC's wakeup interrupt on NI-LRP.
+
+LRP_ARCHS = (Architecture.SOFT_LRP, Architecture.NI_LRP)
+
+
+def transit_world(gw_arch, nice=0):
+    """A gateway between two bare injector ports: a sender on the left
+    subnet and a sink on the right one."""
+    sim = Simulator(seed=1)
+    net = Network(sim)
+    gateway, daemon = build_gateway(sim, net, GW_A, GW_B, gw_arch,
+                                    nice=nice)
+    return (sim, gateway, daemon, InjectorPort(sim, net, "10.0.0.9"),
+            InjectorPort(sim, net, "10.0.1.9"))
+
+
+def send_transit(sender, sink):
+    dgram = UdpDatagram(20000, 9000, payload_len=14)
+    sender.send_packet(IpPacket(sender.addr, sink.addr, IPPROTO_UDP,
+                                dgram, dgram.total_len), link_dst=GW_A)
+
+
+def hog():
+    while True:
+        yield Compute(1_000.0)
+
+
+@pytest.mark.parametrize("arch", LRP_ARCHS, ids=lambda a: a.value)
+def test_daemon_forwards_each_transit_packet(arch):
+    sim, gateway, daemon, sender, sink = transit_world(arch)
+    for i in range(5):
+        sim.schedule(10_000.0 + i * 1_000.0, send_transit, sender, sink)
+    sim.run_until(200_000.0)
+    assert daemon.forwarded == 5
+    assert sink.frames_received == 5
+
+
+@pytest.mark.parametrize("arch", LRP_ARCHS, ids=lambda a: a.value)
+def test_daemon_charged_for_processing(arch):
+    sim, gateway, daemon, sender, sink = transit_world(arch)
+    for i in range(20):
+        sim.schedule(10_000.0 + i * 500.0, send_transit, sender, sink)
+    sim.run_until(300_000.0)
+    costs = gateway.stack.costs
+    assert daemon.forwarded == 20
+    assert daemon.proc.cpu_time >= 20 * (costs.ip_input + costs.ip_output)
+
+
+@pytest.mark.parametrize("arch", LRP_ARCHS, ids=lambda a: a.value)
+def test_daemon_channel_overload_sheds_early(arch):
+    sim, gateway, daemon, sender, sink = transit_world(arch, nice=20)
+    gateway.spawn("hog", hog())
+    for i in range(500):
+        sim.schedule(10_000.0 + i * 50.0, send_transit, sender, sink)
+    sim.run_until(100_000.0)
+    assert daemon.channel.total_discards() > 0
+
+
+@pytest.mark.parametrize("arch", LRP_ARCHS, ids=lambda a: a.value)
+def test_daemon_priority_controls_share(arch):
+    """The administrator's knob: a niced daemon forwards fewer packets
+    under CPU contention."""
+    forwarded = {}
+    for nice in (0, 20):
+        sim, gateway, daemon, sender, sink = transit_world(arch, nice)
+        gateway.spawn("hog", hog())
+        for i in range(2000):
+            sim.schedule(10_000.0 + i * 100.0, send_transit, sender,
+                         sink)
+        sim.run_until(300_000.0)
+        forwarded[nice] = daemon.forwarded
+    assert forwarded[0] > forwarded[20]

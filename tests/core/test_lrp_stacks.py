@@ -193,18 +193,6 @@ def test_idle_thread_processes_while_app_computes(arch):
     assert held[0].rcv_dgrams.enqueued > 0
 
 
-@pytest.mark.parametrize("arch", LRP_ARCHS, ids=lambda a: a.value)
-def test_fragmented_datagram_lazy_reassembly(arch):
-    sc = Scenario(arch)
-    log = []
-    sc.server.spawn("echo", udp_echo_server(9000, log, sc.sim))
-    sc.client.spawn("send", udp_sender(SERVER, 9000, count=1,
-                                       nbytes=20_000))
-    sc.run(300_000.0)
-    assert len(log) == 1
-    assert log[0][1] == 20_000
-
-
 def test_channel_removed_on_close():
     sc = Scenario(Architecture.SOFT_LRP)
     done = []

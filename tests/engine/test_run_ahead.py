@@ -157,11 +157,15 @@ def test_reserve_rejects_the_past():
 # Lazy transmit versus the eager reference
 # ----------------------------------------------------------------------
 def make_frame(index, dst="10.0.0.1"):
-    dgram = UdpDatagram(20000, 9000, payload_len=14 + index % 3)
+    """Frame *index*, labelled by its source port."""
+    dgram = UdpDatagram(20000 + index, 9000, payload_len=14 + index % 3)
     packet = IpPacket(IPAddr("10.0.0.2"), IPAddr(dst), IPPROTO_UDP,
                       dgram, dgram.total_len)
-    packet.ident = index
     return Frame(packet)
+
+
+def label(frame):
+    return frame.packet.transport.src_port - 20000
 
 
 class Sink:
@@ -170,7 +174,7 @@ class Sink:
         self.log = log
 
     def receive_frame(self, frame):
-        self.log.append(("rx", self.sim.now, frame.packet.ident))
+        self.log.append(("rx", self.sim.now, label(frame)))
 
 
 class LazyNic(BaseNic):
@@ -271,7 +275,7 @@ def wire_logger(sim, log):
     """Log every frame put on a wire, in call order: a service run
     inline instead of from its event (or the reverse) reorders these
     entries against the sender's."""
-    return lambda frame: log.append(("wire", sim.now, frame.packet.ident))
+    return lambda frame: log.append(("wire", sim.now, label(frame)))
 
 
 def log_wire(net, sim, log):

@@ -1,14 +1,13 @@
 """Packets the fault plane marks corrupt fail the checksum step in every
 architecture: they increment ``drop_corrupt`` and never reach a socket
-buffer.  Every stack runs the one shared checksum and reassembly step
-of IP input, so each test covers all seven."""
+buffer.  Every stack runs the one shared checksum step of IP input,
+so each test covers all seven."""
 
 import pytest
 
 from repro.core import Architecture
 from repro.engine import Sleep, Syscall
 from repro.faults import FaultPlan, FaultRule
-from repro.net.ip import IPPROTO_UDP
 from repro.experiments.common import (
     CLIENT_A_ADDR,
     SERVER_ADDR,
@@ -100,30 +99,3 @@ def test_corrupt_tcp_dropped_then_recovered(arch):
              + client.stack.stats.get("drop_corrupt"))
     assert drops > 0
     assert bed.fault_plane.counters.get("link_corrupt") > 0
-
-
-@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.value)
-def test_corrupt_fragment_spoils_whole_datagram(arch):
-    """A corrupted fragment means the datagram is never delivered; the
-    incomplete reassembly is expired and its mbufs returned."""
-    bed = Testbed(seed=4,
-                  fault_plan=_corrupt_all_plan(proto=IPPROTO_UDP))
-    server = _add_server(bed, arch)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
-    server.stack.reassembler.ttl_usec = 100_000.0
-
-    log = []
-    server.spawn("sink", udp_echo_server(PORT, log, bed.sim))
-    # One datagram bigger than the 9180-byte ATM MTU: fragments.
-    client.spawn("tx", udp_sender(SERVER_ADDR, PORT, count=1,
-                                  nbytes=20_000))
-    baseline = server.stack.mbufs.in_use
-    bed.run(50_000.0)
-
-    assert log == []
-    assert server.stack.stats.get("drop_corrupt") > 0
-    # Past the (shortened) reassembly TTL every parked fragment chain
-    # is freed again.
-    bed.run(300_000.0)
-    assert not server.stack.reassembler.pending
-    assert server.stack.mbufs.in_use == baseline

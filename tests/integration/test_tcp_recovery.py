@@ -1,6 +1,5 @@
 """TCP loss recovery under seeded fault plans: retransmission, RTO
-backoff, and full byte-stream delivery — plus reassembly-timeout
-cleanup when fragments are lost."""
+backoff, and full byte-stream delivery."""
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.experiments.common import (
     SERVER_ADDR,
     Testbed,
 )
-from tests.helpers import udp_echo_server, udp_sender
 
 ARCHS = (Architecture.BSD, Architecture.SOFT_LRP, Architecture.NI_LRP)
 
@@ -89,33 +87,3 @@ def test_probabilistic_loss_still_delivers(arch):
 
     assert received == [NBYTES]
     assert bed.fault_plane.counters.get("link_drop") > 0
-
-
-def test_fragment_loss_expires_reassembly_and_frees_mbufs():
-    """Losing the first fragment strands the rest in the reassembler;
-    the expiry sweep reclaims their mbufs."""
-    # dst_port filtering only matches the transport-carrying first
-    # fragment, so exactly that one is dropped.
-    plan = FaultPlan(seed=8, rules=[
-        FaultRule("link", "drop", probability=1.0, dst_port=9000)])
-    bed = Testbed(seed=4, fault_plan=plan)
-    server = bed.add_host(SERVER_ADDR, Architecture.BSD)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD)
-    server.stack.reassembler.ttl_usec = 100_000.0
-
-    log = []
-    server.spawn("sink", udp_echo_server(9000, log, bed.sim))
-    client.spawn("tx", udp_sender(SERVER_ADDR, 9000, count=1,
-                                  nbytes=20_000))
-    baseline = server.stack.mbufs.in_use
-    bed.run(50_000.0)
-
-    assert log == []
-    assert bed.fault_plane.counters.get("link_drop") == 1
-    assert server.stack.reassembler.pending  # stranded fragments
-    assert server.stack.mbufs.in_use > baseline
-
-    bed.run(300_000.0)
-    assert not server.stack.reassembler.pending
-    assert server.stack.stats.get("frag_expired") >= 1
-    assert server.stack.mbufs.in_use == baseline

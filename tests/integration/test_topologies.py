@@ -3,7 +3,7 @@
 Every injected frame must be accounted for at every hop: what the
 clients send either reaches an application, sits in an explicit queue,
 or died at a *named* drop point (switch output queue, fault plane,
-NIC ring, IP reassembly queue, NI channel, socket queue).  The
+NIC ring, IP input queue, NI channel, socket queue).  The
 tests run each canonical graph — single-host passthrough, the gateway
 chain, and 4→1 incast — clean and under a seeded fault plan, stop the
 sources early, let the world drain, and then demand exact ledgers:

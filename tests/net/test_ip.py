@@ -1,89 +1,16 @@
-"""Unit tests for IP packets and fragmentation."""
-
-import pytest
-from hypothesis import given, strategies as st
+"""Unit tests for IP packets."""
 
 from repro.net.addr import IPAddr
-from repro.net.ip import (
-    IP_HEADER_LEN,
-    IPPROTO_UDP,
-    IpPacket,
-    fragment_packet,
-)
+from repro.net.ip import IP_HEADER_LEN, IPPROTO_UDP, IpPacket
 from repro.net.udp import UdpDatagram
 
 
-def make_packet(payload_len, ident=None):
+def make_packet(payload_len):
     dgram = UdpDatagram(1000, 2000, payload_len=payload_len - 8)
     return IpPacket(IPAddr("10.0.0.1"), IPAddr("10.0.0.2"),
-                    IPPROTO_UDP, dgram, payload_len, ident=ident)
-
-
-def test_small_packet_not_fragmented():
-    packet = make_packet(100)
-    frags = fragment_packet(packet, mtu=1500)
-    assert frags == [packet]
-    assert not packet.is_fragment
-
-
-def test_fragmentation_boundaries():
-    packet = make_packet(4000)
-    frags = fragment_packet(packet, mtu=1500)
-    assert len(frags) == 3
-    # Offsets 8-byte aligned and contiguous.
-    offset = 0
-    for frag in frags:
-        assert frag.frag_offset == offset
-        assert frag.frag_offset % 8 == 0
-        offset += frag.payload_len
-    assert offset == 4000
-    assert frags[-1].more_frags is False
-    assert all(f.more_frags for f in frags[:-1])
-
-
-def test_only_first_fragment_carries_transport():
-    packet = make_packet(4000)
-    frags = fragment_packet(packet, mtu=1500)
-    assert frags[0].transport is packet.transport
-    assert all(f.transport is None for f in frags[1:])
-    assert frags[0].is_first_fragment
-
-
-def test_fragments_share_ident():
-    packet = make_packet(4000)
-    frags = fragment_packet(packet, mtu=1500)
-    assert len({f.ident for f in frags}) == 1
-    assert frags[0].ident == packet.ident
-
-
-def test_idents_unique_between_packets():
-    assert make_packet(10).ident != make_packet(10).ident
-
-
-def test_mtu_too_small_rejected():
-    packet = make_packet(4000)
-    with pytest.raises(ValueError):
-        fragment_packet(packet, mtu=IP_HEADER_LEN + 4)
-
-
-def test_unaligned_offset_rejected():
-    with pytest.raises(ValueError):
-        IpPacket(IPAddr(1), IPAddr(2), IPPROTO_UDP, None, 100,
-                 frag_offset=5)
+                    IPPROTO_UDP, dgram, payload_len)
 
 
 def test_total_len_includes_header():
     packet = make_packet(100)
     assert packet.total_len == 100 + IP_HEADER_LEN
-
-
-@given(st.integers(min_value=1, max_value=20000),
-       st.integers(min_value=100, max_value=9180))
-def test_fragmentation_preserves_total_payload(payload_len, mtu):
-    packet = make_packet(max(payload_len, 9))
-    frags = fragment_packet(packet, mtu=max(mtu, IP_HEADER_LEN + 8))
-    assert sum(f.payload_len for f in frags) == packet.payload_len
-    # Exactly one final fragment.
-    assert sum(1 for f in frags if not f.more_frags) == 1
-    # Offsets aligned.
-    assert all(f.frag_offset % 8 == 0 for f in frags)

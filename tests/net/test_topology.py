@@ -310,9 +310,8 @@ def run_hops(times, burst, loss=0.0):
 
     def send():
         for _ in range(burst):
-            frame = make_frame(CLIENT)
-            frame.packet.ident = next(sent)
-            topo.send(frame, CLIENT)
+            # Each frame is labelled by its source port.
+            topo.send(make_frame(CLIENT, src_port=next(sent)), CLIENT)
 
     def probe():
         probes.append((sim.now, [port.busy for port in ports]))
@@ -324,7 +323,7 @@ def run_hops(times, burst, loss=0.0):
     sim.run_until(max(times) + 100 * tx + 1_000.0)
     assert_conserved(topo)
     return {
-        "arrivals": [(t, f.packet.ident)
+        "arrivals": [(t, f.packet.transport.src_port)
                      for t, f in zip(server.times, server.frames)],
         "ports": [(p.enqueued, p.serviced, p.peak_depth, p.link.frames,
                    p.link.drops_fault, p.busy) for p in ports],

@@ -1,14 +1,11 @@
 """Unit tests for the LRP demultiplexing function."""
 
 from repro.net.addr import IPAddr
-from repro.net.ip import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, IpPacket
-from repro.net.ip import fragment_packet
+from repro.net.ip import IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.net.tcp import SYN, TcpSegment
 from repro.net.udp import UdpDatagram
 from repro.nic.channels import NiChannel
 from repro.nic.demux import (
-    DAEMON,
-    FRAGMENT,
     MATCHED,
     UNMATCHED,
     DemuxTable,
@@ -62,41 +59,6 @@ def test_protocol_disambiguates_ports():
     table.register_wildcard(IPPROTO_TCP, 80, tcp_chan)
     assert table.demux(udp_packet(dst_port=80))[1] is udp_chan
     assert table.demux(tcp_packet(dst_port=80))[1] is tcp_chan
-
-
-def test_daemon_channel_for_icmp():
-    table = DemuxTable()
-    daemon = NiChannel("icmpd", kind="daemon")
-    table.register_daemon(IPPROTO_ICMP, daemon)
-    packet = IpPacket(SRC, DST, IPPROTO_ICMP, None, 8)
-    outcome, got = table.demux(packet)
-    assert outcome == DAEMON and got is daemon
-
-
-def test_headless_fragment_goes_to_special_channel():
-    table = DemuxTable()
-    chan = NiChannel("udp-9000")
-    table.register_wildcard(IPPROTO_UDP, 9000, chan)
-    frags = fragment_packet(udp_packet(payload_len=4000), mtu=1500)
-    # Continuation fragment arrives before the head fragment.
-    outcome, got = table.demux(frags[1])
-    assert outcome == FRAGMENT
-    assert got is table.fragment_channel
-
-
-def test_first_fragment_installs_hint_for_rest():
-    table = DemuxTable()
-    chan = NiChannel("udp-9000")
-    table.register_wildcard(IPPROTO_UDP, 9000, chan)
-    frags = fragment_packet(udp_packet(payload_len=4000), mtu=1500)
-    outcome, got = table.demux(frags[0])
-    assert got is chan
-    # Later fragments of the same datagram now follow the hint.
-    outcome, got = table.demux(frags[1])
-    assert outcome == MATCHED and got is chan
-    table.clear_fragment_hint(frags[0].src, frags[0].ident)
-    outcome, got = table.demux(frags[2])
-    assert outcome == FRAGMENT
 
 
 def test_vci_fast_path():

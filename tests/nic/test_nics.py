@@ -104,7 +104,7 @@ class TestProgrammableNic:
         table = DemuxTable()
         nic = ProgrammableNic(sim, net, IPAddr("10.0.0.1"), table,
                               demux_cost=10.0, service_gap=service_gap,
-                              fifo_size=fifo_size, use_vci=False)
+                              fifo_size=fifo_size)
         chan = NiChannel("c", depth=3)
         chan.interrupts_requested = True
         table.register_wildcard(IPPROTO_UDP, 9000, chan)

@@ -6,7 +6,7 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.ip import IPPROTO_UDP, IpPacket, fragment_packet
+from repro.net.ip import IPPROTO_UDP, IpPacket
 from repro.net.udp import UdpDatagram
 from repro.nic.demux import (
     RSS_KEY_LEN,
@@ -110,16 +110,3 @@ def test_reseeding_redistributes_without_losing_packets(flows, s1, s2):
         # 32+ flows over 4 queues: identical maps under distinct keys
         # would mean the key doesn't matter.
         assert before != after
-
-
-@given(tuples)
-def test_fragments_of_a_datagram_share_a_queue(four_tuple):
-    """Continuation fragments carry no transport header; the 2-tuple
-    fallback must keep them on the head fragment's queue so reassembly
-    sees in-order arrival."""
-    hasher = hasher_for(42)
-    packet = make_packet(*four_tuple, payload_bytes=4000)
-    frags = fragment_packet(packet, mtu=1500)
-    assert len(frags) > 1
-    queues = {hasher.queue_for(frag, 4) for frag in frags}
-    assert len(queues) == 1
