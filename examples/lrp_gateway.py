@@ -35,8 +35,7 @@ def run(arch: Architecture, flood_pps: float, daemon_nice: int = 0):
     world = World(seed=13, topology=gateway_chain_spec(
         client_addr=CLIENT, gw_addr_a=GW_A, gw_addr_b=GW_B,
         backend_addr=RIGHT))
-    sim, net = world.sim, world.network
-    gateway, daemon = build_gateway(sim, net, GW_A, GW_B, arch,
+    gateway, daemon = build_gateway(world, GW_A, GW_B, arch,
                                     nice=daemon_nice)
     right = world.add_host(RIGHT, Architecture.BSD)
     right.stack.set_gateway(GW_B)
@@ -57,10 +56,10 @@ def run(arch: Architecture, flood_pps: float, daemon_nice: int = 0):
     right.spawn("sink", sink())
     app = gateway.spawn("local-app", local_app())
 
-    injector = RawUdpInjector(sim, net, CLIENT, RIGHT, 9000,
-                              next_hop=GW_A)
-    sim.schedule(20_000.0, injector.start, flood_pps)
-    sim.run_until(1_000_000.0)
+    injector = RawUdpInjector(world.sim, world.network, CLIENT, RIGHT,
+                              9000, next_hop=GW_A)
+    world.sim.schedule(20_000.0, injector.start, flood_pps)
+    world.run(1_000_000.0)
 
     forwarded = gateway.stack.stats.get("ip_forwarded")
     return {

@@ -65,8 +65,6 @@ class Host:
         self.nic = nic
         self.stack = stack
         self.addr = addr
-        #: Registry name; filled by :func:`build_host` when the host
-        #: joins its simulator's ``hosts`` world.
         self.name = kernel.name
 
     @property
@@ -138,7 +136,6 @@ def build_host(sim: Simulator, network: Network, addr,
         stack = stack_cls(kernel, nic, addr, **stack_kwargs)
     kernel.nic = nic
     host = Host(kernel, nic, stack, addr)
-    host.name = sim.register_host(kernel.name, host)
     if fault_plane is not None:
         fault_plane.attach_host(host)
     return host

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.engine.process import Block, Compute, WaitChannel
-from repro.core.architecture import Architecture, Host, build_host
+from repro.core.architecture import Architecture, Host
 from repro.core.bsd_stack import BsdStack
 from repro.core.ni_lrp import NiLrpStack
 from repro.core.soft_lrp import SoftLrpStack
@@ -106,10 +106,11 @@ def enable_forwarding(host: Host, nice: int = 0) -> \
         f"forwarding is not modelled for {stack.arch_name}")
 
 
-def build_gateway(sim, network, addr_a, addr_b,
+def build_gateway(world, addr_a, addr_b,
                   arch: Architecture = Architecture.BSD,
                   nice: int = 0, **host_kwargs):
-    """A host with two attachments that forwards between them.
+    """A host of *world* with two attachments that forwards between
+    them (built by ``world.add_host``, which *host_kwargs* go to).
 
     Both attachment points live on the same switched LAN model; the
     gateway semantics come from *routing*: end hosts use the gateway
@@ -117,7 +118,7 @@ def build_gateway(sim, network, addr_a, addr_b,
     and the gateway re-emits those packets toward their true
     destination.
     """
-    host = build_host(sim, network, addr_a, arch, **host_kwargs)
+    host = world.add_host(addr_a, arch, **host_kwargs)
     host.stack.add_interface_address(addr_b)
     daemon = enable_forwarding(host, nice=nice)
     return host, daemon

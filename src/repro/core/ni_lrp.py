@@ -14,8 +14,7 @@ from __future__ import annotations
 from repro.host.interrupts import HARDWARE, SimpleIntrTask
 from repro.nic.channels import NiChannel
 from repro.nic.programmable import ProgrammableNic
-from repro.core.lrp_base import LrpStackBase, registration
-from repro.sockets.socket import Socket
+from repro.core.lrp_base import LrpStackBase
 
 
 class NiLrpStack(LrpStackBase):
@@ -49,39 +48,3 @@ class NiLrpStack(LrpStackBase):
         self.kernel.cpu.post(SimpleIntrTask(self.costs.hw_intr,
                                             HARDWARE, "ni-wakeup",
                                             action=action))
-
-    # ------------------------------------------------------------------
-    # VCI signalling (Section 4.1: the U-Net firmware "performs
-    # demultiplexing based on the ATM virtual circuit identifier" with
-    # "a separate ATM VCI ... for traffic terminating or originating
-    # at each socket").
-    # ------------------------------------------------------------------
-    def endpoint_attached(self, sock: Socket) -> None:
-        super().endpoint_attached(sock)
-        signalling = self.nic.network.signalling
-        proto, peer = registration(sock)
-        if peer is not None:
-            vci = signalling.assign_flow(
-                sock.local.addr, proto, sock.local.port,
-                peer.addr, peer.port)
-        else:
-            vci = signalling.assign(sock.local.addr, proto,
-                                    sock.local.port)
-        sock._vci = vci
-        self.demux_table.register_vci(vci, sock.channel)
-
-    def endpoint_detached(self, sock: Socket) -> None:
-        vci = getattr(sock, "_vci", None)
-        if vci is not None and sock.local is not None:
-            signalling = self.nic.network.signalling
-            proto, peer = registration(sock)
-            if peer is not None:
-                signalling.withdraw_flow(
-                    sock.local.addr, proto, sock.local.port,
-                    peer.addr, peer.port)
-            else:
-                signalling.withdraw(sock.local.addr, proto,
-                                    sock.local.port)
-            self.demux_table.unregister_vci(vci)
-            sock._vci = None
-        super().endpoint_detached(sock)

@@ -297,8 +297,6 @@ class NetworkStack:
             dgram = UdpDatagram(sock.local.port, dst.port,
                                 payload=payload, payload_len=nbytes)
             self.ip_output(dgram, dst.addr, IPPROTO_UDP, dgram.total_len)
-            sock.msgs_sent += 1
-            sock.bytes_sent += nbytes
             self.stats.incr("udp_out")
             return nbytes
         return body()
@@ -328,7 +326,6 @@ class NetworkStack:
                 remaining -= chunk
                 actions = conn.app_send(self.sim.now)
                 yield from self.apply_tcp_actions(sock, actions)
-            sock.bytes_sent += nbytes
             return nbytes
         return body()
 
@@ -344,7 +341,6 @@ class NetworkStack:
                     n = sock.rcv_stream.take(min(max_bytes, available))
                     yield Compute(self.costs.copy_cost(n)
                                   + self.costs.mbuf_free)
-                    sock.bytes_received += n
                     actions = conn.app_recv_window_update()
                     yield from self.apply_tcp_actions(sock, actions)
                     return n
@@ -418,29 +414,15 @@ class NetworkStack:
         return self.gateway
 
     def ip_output(self, transport, dst: IPAddr, proto: int,
-                  payload_len: int, vci: Optional[int] = None) -> None:
+                  payload_len: int) -> None:
         """Encapsulate and hand to the NIC.  CPU cost is charged by the
         caller (it differs by context); this just moves the packet."""
         packet = IpPacket(self.addr, dst, proto, transport, payload_len)
         packet.stamp = self.sim.now
         self.stats.incr("ip_out")
-        if vci is None:
-            vci = self._signalled_vci(dst, proto, transport)
-        frame = Frame(packet, vci=vci, link_dst=self.link_dst_for(dst))
+        frame = Frame(packet, link_dst=self.link_dst_for(dst))
         if not self.nic.transmit(frame):
             self.stats.incr("drop_ifq")
-
-    def _signalled_vci(self, dst, proto: int,
-                       transport) -> Optional[int]:
-        """The receiving endpoint's VCI, if the destination published
-        one through the LAN's signalling directory (NI-LRP hosts do;
-        everyone else relies on header demux)."""
-        if transport is None or not hasattr(transport, "dst_port"):
-            return None
-        src_port = getattr(transport, "src_port", None)
-        return self.nic.network.signalling.lookup(
-            dst, proto, transport.dst_port,
-            src_addr=self.addr, src_port=src_port)
 
     def forward_packet(self, packet: IpPacket) -> None:
         """Re-emit a transit packet toward its destination (the
@@ -683,8 +665,6 @@ class NetworkStack:
         result ``(dgram, src, stamp)``."""
         yield Compute(cost + self.costs.copy_cost(dgram.payload_len)
                       + self.costs.mbuf_free)
-        sock.msgs_received += 1
-        sock.bytes_received += dgram.payload_len
         self.stats.incr("udp_delivered")
         if self.sim.trace.enabled:
             self.sim.trace.pkt_deliver("app", sock.trace_flow(src))

@@ -29,7 +29,7 @@ import hashlib
 import random
 from heapq import heappop, heappush
 from math import inf, nextafter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.engine.event import EventQueue
 from repro.trace.tracer import (
@@ -83,39 +83,12 @@ class Simulator:
         #: it is the key :meth:`claim` compares reserved keys with.
         self._seq_now = -1
         self.events_processed = 0
-        #: The simulated machines living in this world, by name.  The
-        #: engine itself never reads this — it exists so host-plural
-        #: scenarios (multi-host topologies, gateway chains, incast
-        #: racks) have one authoritative registry, and so tools can
-        #: enumerate a simulation's machines without threading every
-        #: host handle through every call site.
-        self.hosts: Dict[str, Any] = {}
         if tracer is None:
             tracer = get_default_tracer()
         if tracer is None:
             tracer = NULL_TRACER
         self.trace = tracer
         tracer.attach(self)
-
-    # ------------------------------------------------------------------
-    # Hosts
-    # ------------------------------------------------------------------
-    def register_host(self, name: str, host: Any) -> str:
-        """Register a simulated machine under *name*.
-
-        Returns the name actually used: collisions get a ``#n``
-        suffix so two worlds (or two NICs of one multi-homed box)
-        never silently shadow each other.  Registration is pure
-        bookkeeping — it schedules nothing and draws no randomness,
-        so it cannot perturb event order or golden traces.
-        """
-        unique = name
-        n = 2
-        while unique in self.hosts:
-            unique = f"{name}#{n}"
-            n += 1
-        self.hosts[unique] = host
-        return unique
 
     # ------------------------------------------------------------------
     # Randomness

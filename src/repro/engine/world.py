@@ -15,7 +15,7 @@ A world owns:
 * an optional :class:`~repro.faults.plane.FaultPlane`, whose link
   rules act on the whole network and whose NIC/mbuf rules act on
   every host added to the world;
-* the hosts added or adopted, whose CPU accounting :meth:`finalize`
+* the hosts added, whose CPU accounting :meth:`finalize`
   freezes at the end of a run.
 
 Component hooks (:mod:`repro.engine.component`) receive the world as
@@ -99,15 +99,6 @@ class World:
         host = build_host(self.sim, self.network, addr, arch,
                           costs=self.costs, name=name, **kwargs)
         self.hosts.append(host)
-        return host
-
-    def adopt(self, host):
-        """Register a host built by other means (e.g.
-        :func:`repro.core.forwarding.build_gateway`) for stat
-        finalization and the world's fault plane."""
-        self.hosts.append(host)
-        if self.fault_plane is not None:
-            self.fault_plane.attach_host(host)
         return host
 
     def run(self, until_usec: float) -> None:

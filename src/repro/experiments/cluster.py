@@ -234,9 +234,8 @@ def run_incast_point(arch: Architecture, fan_in: int,
 # ----------------------------------------------------------------------
 def _chain_gateway_build(world, arch, daemon_nice, **_):
     gateway, daemon = build_gateway(
-        world.sim, world.network, CHAIN_GW_A, CHAIN_GW_B,
-        Architecture(arch), nice=daemon_nice, costs=world.costs)
-    world.adopt(gateway)
+        world, CHAIN_GW_A, CHAIN_GW_B, Architecture(arch),
+        nice=daemon_nice)
     return {"gateway": gateway, "daemon": daemon}
 
 

@@ -92,7 +92,6 @@ class Cpu:
         self.time_by_class = {HARDWARE: 0.0, SOFTWARE: 0.0, PROCESS: 0.0}
         self.idle_time = 0.0
         self._idle_since: Optional[float] = 0.0
-        self.preemptions = 0
         self.slices = 0
 
     # ------------------------------------------------------------------
@@ -261,7 +260,6 @@ class Cpu:
             self._slice_event = None
         self._account_elapsed(elapsed)
         self._current = None
-        self.preemptions += 1
         if ctx.work_class == HARDWARE:
             self._hw.appendleft(ctx)
         elif ctx.work_class == SOFTWARE:

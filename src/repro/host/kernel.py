@@ -78,7 +78,6 @@ class ProcContext:
         proc = self.proc
         if self.switched_in:
             self.switched_in = False
-            kernel.cache_switch_ins += 1
             proc.compute_remaining += kernel.costs.context_switch
         # Cache refill is repaid whenever the process resumes with part
         # of its hot set evicted — whether by a context switch or by
@@ -139,7 +138,6 @@ class Kernel:
         self.processes: Dict[int, SimProcess] = {}
         self._contexts: Dict[int, ProcContext] = {}
         self.ticks = 0
-        self.cache_switch_ins = 0
         self.reaped: list = []
         #: Callbacks invoked with each reaped process (used by the
         #: per-process APP machinery to retire orphaned threads).

@@ -31,7 +31,6 @@ class MbufPool:
         self.capacity = capacity
         self.in_use = 0
         self.peak_in_use = 0
-        self.allocations = 0
         self.exhaustions = 0
         #: Buffers held back by a fault-injection exhaustion window
         #: (see repro.faults): they count against availability without
@@ -57,7 +56,6 @@ class MbufPool:
         self.in_use = in_use
         if in_use > self.peak_in_use:
             self.peak_in_use = in_use
-        self.allocations += 1
         heads = self._free_heads
         if heads:
             head = heads.pop()

@@ -23,7 +23,6 @@ from typing import Dict, Optional
 from repro.engine.simulator import Simulator
 from repro.net.addr import IPAddr, addr_value
 from repro.net.packet import Frame
-from repro.net.signalling import SignallingDirectory
 
 #: 155 Mbit/s expressed in bits per microsecond.
 ATM_155_BITS_PER_USEC = 155.0
@@ -92,8 +91,6 @@ class Network:
         #: Attached :class:`~repro.faults.plane.FaultPlane`, if any.
         self.fault_plane = None
 
-        #: ATM-style VCI assignments for NI-demultiplexed endpoints.
-        self.signalling = SignallingDirectory()
         self._nics: Dict[int, object] = {}       # addr value -> NIC
         self._tx_busy_until: Dict[int, float] = {}
         self._rx_busy_until: Dict[int, float] = {}

@@ -1,11 +1,7 @@
 """Link-level frames.
 
 A :class:`Frame` is what travels on the wire: an IP packet plus
-link-layer bookkeeping.  The ``vci`` field models the ATM virtual
-circuit identifier the paper's NI-LRP prototype demultiplexes on
-("this firmware performs demultiplexing based on the ATM virtual
-circuit identifier"); it is filled in by the sending stack when the
-connection signalling has assigned one.
+link-layer bookkeeping.
 """
 
 from __future__ import annotations
@@ -35,17 +31,15 @@ class Frame:
     gateway.  ``None`` means direct delivery.
     """
 
-    __slots__ = ("packet", "vci", "wire_len", "link_dst")
+    __slots__ = ("packet", "wire_len", "link_dst")
 
-    def __init__(self, packet: IpPacket, vci: Optional[int] = None,
-                 wire_len: Optional[int] = None, link_dst=None):
+    def __init__(self, packet: IpPacket, wire_len: Optional[int] = None,
+                 link_dst=None):
         self.packet = packet
-        self.vci = vci
         if wire_len is None:
             wire_len = aal5_wire_bytes(packet.total_len)
         self.wire_len = wire_len
         self.link_dst = link_dst
 
     def __repr__(self) -> str:  # pragma: no cover
-        vci = f" vci={self.vci}" if self.vci is not None else ""
-        return f"<Frame{vci} wire={self.wire_len}B {self.packet!r}>"
+        return f"<Frame wire={self.wire_len}B {self.packet!r}>"

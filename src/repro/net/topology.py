@@ -5,7 +5,7 @@ one LAN, every NIC one hop from every other.  This module generalizes
 it to a *graph*: hosts and switches are nodes, :class:`Link` edges
 carry per-edge bandwidth and propagation delay, and switches store and
 forward frames through finite output queues.  The NIC-facing surface
-(``attach``, ``send``, ``bandwidth``, ``signalling``) is identical to
+(``attach``, ``send``, ``bandwidth``) is identical to
 ``Network``, so every existing NIC, stack, and injector runs unchanged
 on top of a topology — only the world between the NICs grows.
 
@@ -55,7 +55,6 @@ from repro.engine.simulator import Simulator
 from repro.net.addr import IPAddr, addr_value
 from repro.net.link import ATM_155_BITS_PER_USEC, CongestionKnee
 from repro.net.packet import Frame
-from repro.net.signalling import SignallingDirectory
 from repro.trace.tracer import flow_of
 
 #: Default switch output-queue capacity, frames (matches the flat
@@ -391,7 +390,7 @@ class Topology:
     """A runtime graph of hosts, switches and links.
 
     Presents the :class:`~repro.net.link.Network` surface to NICs
-    (``attach`` / ``send`` / ``bandwidth`` / ``signalling`` plus the
+    (``attach`` / ``send`` / ``bandwidth`` plus the
     drop counters), while frames travel hop-by-hop through output
     queues and per-edge delays.
 
@@ -412,7 +411,6 @@ class Topology:
         self.sim = sim
         self.spec = spec
         self.name = spec.name
-        self.signalling = SignallingDirectory()
         #: Whole-topology fault plane (``FaultPlane.attach_network``);
         #: consulted once per frame at the source access link.
         self.fault_plane = None

@@ -51,7 +51,6 @@ class DemuxTable:
     def __init__(self) -> None:
         self._exact: Dict[FlowKey, NiChannel] = {}
         self._wildcard: Dict[Tuple[int, int], NiChannel] = {}
-        self._vci: Dict[int, NiChannel] = {}
         #: Local addresses of the host (shared with the stack); packets
         #: for other destinations go to ``forward_channel`` if set.
         self.local_addrs = None
@@ -67,9 +66,6 @@ class DemuxTable:
                           channel: NiChannel) -> None:
         self._wildcard[(proto, lport)] = channel
 
-    def register_vci(self, vci: int, channel: NiChannel) -> None:
-        self._vci[vci] = channel
-
     def unregister_exact(self, key: FlowKey) -> None:
         self._exact.pop(key, None)
 
@@ -83,23 +79,11 @@ class DemuxTable:
         if self._wildcard.get((proto, lport)) is channel:
             self.unregister_wildcard(proto, lport)
 
-    def unregister_vci(self, vci: int) -> None:
-        self._vci.pop(vci, None)
-
     @property
     def channel_count(self) -> int:
-        return len(self._exact) + len(self._wildcard) + len(self._vci)
+        return len(self._exact) + len(self._wildcard)
 
     # -- the demux function ---------------------------------------------
-    def demux_by_vci(self, vci: Optional[int]):
-        """NI-demux fast path: classify by ATM virtual circuit id."""
-        self.lookups += 1
-        if vci is not None:
-            channel = self._vci.get(vci)
-            if channel is not None:
-                return MATCHED, channel
-        return UNMATCHED, None
-
     def demux(self, packet: IpPacket):
         """Classify *packet*; returns ``(outcome, channel_or_None)``.
 

@@ -36,9 +36,6 @@ class PollingNic(BaseNic):
         self.rx_ring_size = rx_ring_size
         self._ring: Deque[Frame] = deque()
         self.stack = None  # installed by the scenario builder
-        self.rx_polled = 0      # frames handed to the poll loop
-        self.poll_rounds = 0    # poll_burst calls
-        self.empty_polls = 0    # poll_burst calls that found nothing
 
     def receive_frame(self, frame: Frame) -> None:
         if not self._rx_admit(frame, len(self._ring)):
@@ -51,13 +48,10 @@ class PollingNic(BaseNic):
     def poll_burst(self, max_frames: int) -> Sequence[Frame]:
         """Dequeue up to *max_frames* frames; never blocks, never
         interrupts.  Called from the busy-poll process."""
-        self.poll_rounds += 1
         ring = self._ring
         if not ring:
-            self.empty_polls += 1
             return ()
         burst = []
         while ring and len(burst) < max_frames:
             burst.append(ring.popleft())
-        self.rx_polled += len(burst)
         return burst

@@ -2,7 +2,8 @@
 
 Models the FORE SBA-200's i960 running a demultiplexing firmware (the
 paper used Cornell's U-Net firmware): incoming frames are classified
-*on the NIC* and appended directly to per-socket NI channel queues.
+*on the NIC* by their headers and appended directly to per-socket NI
+channel queues.
 Packets for full or disabled channels are silently discarded by the
 NIC — no host resources are ever spent on them.  A host interrupt is
 raised only on a channel's empty->non-empty transition while a
@@ -87,11 +88,7 @@ class ProgrammableNic(BaseNic):
         self._classify(frame)
 
     def _classify(self, frame: Frame) -> None:
-        channel = None
-        if frame.vci is not None:
-            channel = self.table.demux_by_vci(frame.vci)[1]
-        if channel is None:
-            channel = self.table.demux(frame.packet)[1]
+        channel = self.table.demux(frame.packet)[1]
         if channel is None:
             self.rx_unmatched += 1
             if self.sim.trace.enabled:
@@ -142,7 +139,6 @@ class AgentNic(ProgrammableNic):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._wakeup_events: dict = {}
-        self.coalesced_wakeups = 0
 
     def _on_enqueued(self, channel: NiChannel, was_empty: bool) -> None:
         if not channel.interrupts_requested:
@@ -159,7 +155,6 @@ class AgentNic(ProgrammableNic):
             # The host was already woken for this backlog and has not
             # drained it yet; no new wakeup is owed.
             return
-        self.coalesced_wakeups += 1
         self._wakeup_events[key] = self.sim.schedule(
             WAKEUP_DELAY_USEC, self._deferred_wakeup, channel)
 

@@ -169,8 +169,6 @@ class TcpConnection:
         #: Listener that spawned us (for backlog accounting).
         self.listener = None
 
-        self.segs_in = 0
-        self.segs_out = 0
         self.retransmits = 0
         self.fast_retransmits = 0
 
@@ -212,7 +210,6 @@ class TcpConnection:
             seq=self.snd_nxt if seq is None else seq,
             ack=self.rcv_nxt, flags=flags,
             window=self._recv_window(), payload_len=payload_len)
-        self.segs_out += 1
         return seg
 
     def _ack_now(self, actions: TcpActions) -> None:
@@ -383,7 +380,6 @@ class TcpConnection:
     # Segment arrival — the input function
     # ------------------------------------------------------------------
     def segment_arrives(self, seg: TcpSegment, now: float) -> TcpActions:
-        self.segs_in += 1
         actions = TcpActions()
         state = self.state
 

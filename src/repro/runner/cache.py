@@ -6,17 +6,17 @@ simulation seed fully determine the result (see DESIGN.md §4,
 "Determinism").  That purity makes results *content-addressable*: the
 cache key is a SHA-256 digest over
 
-* the point function's dotted name **and the source text of its
-  defining module** (so editing an experiment invalidates its points);
+* the point function's dotted name and one digest of the source
+  text of every module in the :mod:`repro` package (so editing any
+  code a point may run, not only its own module, invalidates it);
 * the effective :class:`~repro.host.costs.CostModel` (a recalibration
   invalidates everything that depends on it);
 * the full parameter binding, with signature defaults applied (so
   ``run_point(arch, 4000)`` and ``run_point(arch, 4000, seed=1)`` hit
-  the same entry when 1 is the default seed);
-* the bound topology spec, explicitly (multi-host points that differ
-  only in their graph — links, switch policies, queue depths,
-  bindings — can never collide, even when the topology arrives via a
-  signature default);
+  the same entry when 1 is the default seed) — a bound topology spec
+  is canonicalized here in full, so points that differ only in their
+  graph (links, switch policies, queue depths, bindings) never
+  collide;
 * the package version (:data:`repro.__version__`).
 
 Entries are JSON files under ``<root>/<key[:2]>/<key>.json`` — one
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import inspect
 import json
 import os
-import sys
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -51,8 +51,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Default cache root when neither the env var nor an explicit path
 #: is given.
 DEFAULT_CACHE_DIR = "~/.cache/repro-lrp"
-
-_module_source_digests: Dict[str, str] = {}
 
 
 def default_cache_dir() -> Path:
@@ -85,18 +83,18 @@ def canonicalize(obj: Any) -> Any:
                     f"for cache keying: {obj!r}")
 
 
-def _module_source_digest(module_name: str) -> str:
-    """Digest of a module's source text (memoized per process)."""
-    cached = _module_source_digests.get(module_name)
-    if cached is not None:
-        return cached
-    try:
-        source = inspect.getsource(sys.modules[module_name])
-    except (KeyError, OSError, TypeError):
-        source = ""
-    digest = hashlib.sha256(source.encode()).hexdigest()
-    _module_source_digests[module_name] = digest
-    return digest
+@functools.lru_cache(maxsize=None)
+def package_source_digest() -> str:
+    """Digest of every ``*.py`` under the :mod:`repro` package, path
+    and text (computed once per process)."""
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def bind_full_kwargs(fn: Callable, kwargs: Dict[str, Any]) -> Dict[str, Any]:
@@ -162,16 +160,10 @@ def point_digest(fn: Callable, kwargs: Dict[str, Any],
             costs = DEFAULT_COSTS
     payload = {
         "fn": f"{fn.__module__}.{fn.__qualname__}",
-        "fn_source": _module_source_digest(fn.__module__),
+        "source": package_source_digest(),
         "version": repro.__version__,
         "costs": canonicalize(costs),
         "params": canonicalize(full),
-        # Topology identity, explicit: the *full* spec after defaults,
-        # so two points differing only in their graph (links, queue
-        # depths, drop policy, bindings) can never collide, and a
-        # point function whose default topology changes shape is
-        # invalidated even though the caller's kwargs look identical.
-        "topology": canonicalize(full.get("topology")),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()

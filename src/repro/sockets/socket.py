@@ -72,17 +72,11 @@ class Socket:
         self.accept_queue: Deque["Socket"] = deque()
         #: Half-open (SYN_RCVD) connections counted against backlog.
         self.incomplete = 0
-        self.listen_overflows = 0
 
         #: Protocol control block (TcpConnection for streams).
         self.pcb: Any = None
         #: NI channel assigned under LRP architectures.
         self.channel: Any = None
-        #: Per-socket stats.
-        self.bytes_received = 0
-        self.bytes_sent = 0
-        self.msgs_received = 0
-        self.msgs_sent = 0
 
     # ------------------------------------------------------------------
     def trace_flow(self, src: Optional[Endpoint] = None) -> str:

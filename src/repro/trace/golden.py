@@ -137,10 +137,9 @@ def _build_chain_gateway(world):
     from repro.core import Architecture
     from repro.core.forwarding import build_gateway
 
-    gateway, _daemon = build_gateway(world.sim, world.network,
-                                     "10.0.0.254", "10.0.1.254",
+    gateway, _daemon = build_gateway(world, "10.0.0.254", "10.0.1.254",
                                      Architecture.SOFT_LRP)
-    return world.adopt(gateway)
+    return gateway
 
 
 def _start_chain_gateway(world, gateway):

@@ -42,12 +42,10 @@ class InjectorPort:
     def receive_frame(self, frame: Frame) -> None:
         self.frames_received += 1
 
-    def send_packet(self, packet: IpPacket,
-                    vci: Optional[int] = None,
-                    link_dst=None) -> bool:
+    def send_packet(self, packet: IpPacket, link_dst=None) -> bool:
         packet.stamp = self.sim.now
-        return self.network.send(
-            Frame(packet, vci=vci, link_dst=link_dst), self.addr)
+        return self.network.send(Frame(packet, link_dst=link_dst),
+                                 self.addr)
 
 
 class RawUdpInjector:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Architecture, build_host
 from repro.core.forwarding import build_gateway, enable_forwarding
-from repro.engine import Compute, Simulator, Sleep, Syscall
+from repro.engine import Compute, Simulator, Sleep, Syscall, World
 from repro.net.ip import IPPROTO_UDP, IpPacket
 from repro.net.link import Network
 from repro.net.udp import UdpDatagram
@@ -18,11 +18,11 @@ RIGHT = "10.0.1.2"       # host on the right subnet
 
 
 def build_world(gw_arch, seed=1):
-    sim = Simulator(seed=seed)
-    net = Network(sim)
-    gateway, daemon = build_gateway(sim, net, GW_A, GW_B, gw_arch)
-    left = build_host(sim, net, LEFT, Architecture.BSD)
-    right = build_host(sim, net, RIGHT, Architecture.BSD)
+    world = World(seed=seed)
+    sim, net = world.sim, world.network
+    gateway, daemon = build_gateway(world, GW_A, GW_B, gw_arch)
+    left = world.add_host(LEFT, Architecture.BSD)
+    right = world.add_host(RIGHT, Architecture.BSD)
     left.stack.set_gateway(GW_A)
     right.stack.set_gateway(GW_B)
     return sim, net, gateway, daemon, left, right
@@ -127,13 +127,13 @@ def test_lrp_daemon_priority_caps_forwarding_share():
     forwarding.'  A niced daemon forwards less under contention."""
     rates = {}
     for nice in (0, 20):
-        sim = Simulator(seed=2)
-        net = Network(sim)
-        gateway, daemon = build_gateway(sim, net, GW_A, GW_B,
+        world = World(seed=2)
+        sim, net = world.sim, world.network
+        gateway, daemon = build_gateway(world, GW_A, GW_B,
                                         Architecture.SOFT_LRP,
                                         nice=nice)
-        left = build_host(sim, net, LEFT, Architecture.BSD)
-        right = build_host(sim, net, RIGHT, Architecture.BSD)
+        left = world.add_host(LEFT, Architecture.BSD)
+        right = world.add_host(RIGHT, Architecture.BSD)
         left.stack.set_gateway(GW_A)
         right.stack.set_gateway(GW_B)
 
@@ -201,9 +201,9 @@ LRP_ARCHS = (Architecture.SOFT_LRP, Architecture.NI_LRP)
 def transit_world(gw_arch, nice=0):
     """A gateway between two bare injector ports: a sender on the left
     subnet and a sink on the right one."""
-    sim = Simulator(seed=1)
-    net = Network(sim)
-    gateway, daemon = build_gateway(sim, net, GW_A, GW_B, gw_arch,
+    world = World(seed=1)
+    sim, net = world.sim, world.network
+    gateway, daemon = build_gateway(world, GW_A, GW_B, gw_arch,
                                     nice=nice)
     return (sim, gateway, daemon, InjectorPort(sim, net, "10.0.0.9"),
             InjectorPort(sim, net, "10.0.1.9"))

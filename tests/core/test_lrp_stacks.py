@@ -4,7 +4,9 @@ accounting, traffic separation, interrupt suppression."""
 import pytest
 
 from repro.core import Architecture
-from repro.engine import Compute, Syscall
+from repro.engine import Compute, Sleep, Syscall
+from repro.net.ip import IPPROTO_TCP, IpPacket
+from repro.net.tcp import ACK, TcpSegment
 from repro.workloads import RawUdpInjector
 from tests.helpers import CLIENT, SERVER, Scenario, udp_echo_server, \
     udp_sender
@@ -20,6 +22,55 @@ def test_udp_end_to_end_delivery(arch):
     sc.client.spawn("send", udp_sender(SERVER, 9000, count=20))
     sc.run(100_000.0)
     assert len(log) == 20
+
+
+def test_ni_lrp_adaptor_classifies_every_datagram():
+    sc = Scenario(Architecture.NI_LRP)
+    log = []
+    sc.server.spawn("echo", udp_echo_server(9000, log, sc.sim))
+    sc.client.spawn("send", udp_sender(SERVER, 9000, count=20))
+    sc.run(200_000.0)
+    assert len(log) == 20
+    # Every data packet was demultiplexed on the adaptor.
+    assert sc.server.nic.rx_demuxed == 20
+
+
+@pytest.mark.parametrize("arch", LRP_ARCHS, ids=lambda a: a.value)
+def test_accepted_tcp_child_gets_its_own_channel(arch):
+    """An accepted connection is registered exactly: the client's data
+    lands on the child's NI channel, not on the listener's."""
+    sc = Scenario(arch)
+    seen = {}
+
+    def srv():
+        sock = yield Syscall("socket", stype="tcp")
+        yield Syscall("bind", sock=sock, port=80)
+        yield Syscall("listen", sock=sock, backlog=4)
+        conn = yield Syscall("accept", sock=sock)
+        on_listener = sock.channel.enqueued
+        yield Syscall("recv", sock=conn)
+        segment = TcpSegment(conn.peer.port, 80, seq=1, flags=ACK)
+        seen.update(
+            listener=sock.channel, child=conn.channel,
+            listener_after_accept=sock.channel.enqueued - on_listener,
+            demuxed=sc.server.stack.demux_table.demux(IpPacket(
+                conn.peer.addr, conn.local.addr, IPPROTO_TCP,
+                segment, segment.total_len))[1])
+
+    def cli():
+        yield Sleep(10_000.0)
+        sock = yield Syscall("socket", stype="tcp")
+        yield Syscall("connect", sock=sock, addr=SERVER, port=80)
+        yield Syscall("send", sock=sock, nbytes=10)
+
+    sc.server.spawn("srv", srv())
+    sc.client.spawn("cli", cli())
+    sc.run(200_000.0)
+    child = seen["child"]
+    assert child is not None and child is not seen["listener"]
+    assert seen["demuxed"] is child
+    assert child.enqueued >= 1
+    assert seen["listener_after_accept"] == 0
 
 
 @pytest.mark.parametrize("arch", LRP_ARCHS, ids=lambda a: a.value)

@@ -25,13 +25,12 @@ def test_network_follows_the_topology_argument():
               congestion_knee_pps=19_000.0)
 
 
-def test_fault_plane_reaches_added_and_adopted_hosts():
+def test_fault_plane_reaches_added_hosts_and_gateways():
     world = World(seed=1, topology=gateway_chain_spec(),
                   fault_plan=_squeeze_plan(500.0, 100))
     backend = world.add_host("10.0.1.1", Architecture.SOFT_LRP)
-    gateway, _ = build_gateway(world.sim, world.network, "10.0.0.254",
-                               "10.0.1.254", Architecture.SOFT_LRP)
-    world.adopt(gateway)
+    gateway, _ = build_gateway(world, "10.0.0.254", "10.0.1.254",
+                               Architecture.SOFT_LRP)
     # An explicit per-host plane wins over the world's: the world's
     # later window never reaches the client.
     own = FaultPlane(world.sim, _squeeze_plan(0.0, 7))

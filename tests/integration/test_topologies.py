@@ -139,10 +139,8 @@ def test_passthrough_conserves_every_frame(faulty):
 def test_gateway_chain_conserves_across_both_subnets(faulty):
     bed = Testbed(seed=9, topology=gateway_chain_spec(),
                   fault_plan=fault_plan() if faulty else None)
-    gateway, daemon = build_gateway(
-        bed.sim, bed.network, "10.0.0.254", "10.0.1.254",
-        Architecture.SOFT_LRP, costs=bed.costs)
-    bed.adopt(gateway)
+    gateway, daemon = build_gateway(bed, "10.0.0.254", "10.0.1.254",
+                                    Architecture.SOFT_LRP)
     backend = bed.add_host("10.0.1.1", Architecture.SOFT_LRP,
                            name="backend")
     received = sink_counter(bed, backend)

@@ -61,29 +61,15 @@ def test_protocol_disambiguates_ports():
     assert table.demux(tcp_packet(dst_port=80))[1] is tcp_chan
 
 
-def test_vci_fast_path():
-    table = DemuxTable()
-    chan = NiChannel("vci-42")
-    table.register_vci(42, chan)
-    outcome, got = table.demux_by_vci(42)
-    assert outcome == MATCHED and got is chan
-    outcome, got = table.demux_by_vci(99)
-    assert outcome == UNMATCHED and got is None
-    outcome, got = table.demux_by_vci(None)
-    assert got is None
-
-
 def test_unregister_paths():
     table = DemuxTable()
     chan = NiChannel("c")
     key = flow_key(IPPROTO_TCP, DST, 80, SRC, 5555)
     table.register_exact(key, chan)
     table.register_wildcard(IPPROTO_UDP, 9000, chan)
-    table.register_vci(7, chan)
-    assert table.channel_count == 3
+    assert table.channel_count == 2
     table.unregister_exact(key)
     table.unregister_wildcard(IPPROTO_UDP, 9000)
-    table.unregister_vci(7)
     assert table.channel_count == 0
     assert table.demux(tcp_packet())[0] == UNMATCHED
 
@@ -91,5 +77,5 @@ def test_unregister_paths():
 def test_lookup_counter():
     table = DemuxTable()
     table.demux(udp_packet())
-    table.demux_by_vci(1)
+    table.demux(tcp_packet())
     assert table.lookups == 2

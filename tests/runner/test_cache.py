@@ -2,11 +2,16 @@
 
 The guarantees under test are the ones docs/RUNNING.md promises users:
 identical inputs hit, any change to the cost model / parameters /
-package version / point-function source misses, and a corrupt entry
-degrades to a miss rather than an error.
+package version / source of any module in the package misses, and a
+corrupt entry degrades to a miss rather than an error.
 """
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +77,31 @@ class TestPointDigest:
         b = point_digest(point_fn,
                          dict(arch=Architecture.BSD, rate_pps=100))
         assert a != b
+
+    def test_edit_to_another_module_changes_digest(self, tmp_path):
+        # The key covers the whole package, not only the point
+        # function's own module: a figure-3 point must miss after an
+        # edit to the BSD stack.  The package digest is computed once
+        # per process, so each revision is keyed in a fresh process.
+        shutil.copytree(Path(repro.__file__).parent, tmp_path / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        probe = ("from repro.core import Architecture\n"
+                 "from repro.experiments.figure3 import run_point\n"
+                 "from repro.runner.cache import point_digest\n"
+                 "print(point_digest(run_point, dict(\n"
+                 "    arch=Architecture.BSD, rate_pps=8000)))\n")
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+
+        def digest():
+            return subprocess.run(
+                [sys.executable, "-c", probe], env=env, check=True,
+                capture_output=True, text=True).stdout.strip()
+
+        before = digest()
+        assert digest() == before
+        stack = tmp_path / "repro" / "core" / "bsd_stack.py"
+        stack.write_text(stack.read_text() + "\n# edited\n")
+        assert digest() != before
 
     def test_digest_is_hex_sha256(self):
         key = point_digest(point_fn,
