@@ -1,14 +1,5 @@
-"""Experiment harnesses reproducing every table and figure."""
+"""Experiment harnesses reproducing every table and figure.
 
-from repro.experiments import (  # noqa: F401
-    ablations,
-    figure3,
-    figure4,
-    figure5,
-    sensitivity,
-    table1,
-    table2,
-)
-
-__all__ = ["ablations", "figure3", "figure4", "figure5",
-           "sensitivity", "table1", "table2"]
+Each module declares its sweep (``sections``) and its ``report``;
+:mod:`repro.experiments.cli` runs them.
+"""

@@ -20,22 +20,23 @@ The paper argues (Section 3) that *both* key techniques are necessary:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from repro.engine.process import Compute, Syscall
 from repro.core import Architecture
 from repro.faults import FaultPlan, FaultRule
 from repro.apps import pingpong_client, pingpong_server, spinner, \
     udp_blast_sink
-from repro.runner import SweepRunner
 from repro.stats.metrics import LatencyRecorder
-from repro.stats.report import format_series, format_table
+from repro.stats.report import format_series
 from repro.workloads import RawUdpInjector
 from repro.experiments.common import (
     CLIENT_A_ADDR,
     CLIENT_C_ADDR,
     SERVER_ADDR,
+    Section,
     Testbed,
+    by_arch,
     delayed,
 )
 
@@ -90,26 +91,6 @@ def run_corrupt_flood_point(arch: Architecture, rate_pps: float,
             "victim_cpu_share": victim_cpu_share}
 
 
-def run_corrupt_flood(rates: Sequence[float] = (0, 4000, 8000, 12000,
-                                                16000, 20000),
-                      systems: Sequence[Architecture] = ALL_SYSTEMS,
-                      runner: Optional[SweepRunner] = None,
-                      **kwargs) -> Dict:
-    runner = runner or SweepRunner()
-    points = runner.map(
-        run_corrupt_flood_point,
-        [dict(arch=arch, rate_pps=rate, **kwargs)
-         for arch in systems for rate in rates],
-        label="ablations/demux")
-    series = {}
-    for i, arch in enumerate(systems):
-        pts = points[i * len(rates):(i + 1) * len(rates)]
-        series[arch.value] = [(p["rate_pps"],
-                               round(p["victim_cpu_share"], 3))
-                              for p in pts]
-    return {"series": series}
-
-
 # ----------------------------------------------------------------------
 # Ablation 2: accounting policy (who gets billed matters)
 # ----------------------------------------------------------------------
@@ -141,52 +122,35 @@ def run_accounting_point(policy: str, background_pps: float,
     return (sum(samples) / len(samples)) if samples else float("nan")
 
 
-def run_accounting(rates: Sequence[float] = (0, 2000, 4000, 6000),
-                   policies: Sequence[str] = ("interrupted", "system"),
-                   runner: Optional[SweepRunner] = None,
-                   **kwargs) -> Dict:
-    runner = runner or SweepRunner()
-    points = runner.map(
-        run_accounting_point,
-        [dict(policy=policy, background_pps=rate, **kwargs)
-         for policy in policies for rate in rates],
-        label="ablations/accounting")
-    series = {}
-    for i, policy in enumerate(policies):
-        pts = points[i * len(rates):(i + 1) * len(rates)]
-        series[f"BSD/{policy}"] = [
-            (rate, round(rtt, 1)) for rate, rtt in zip(rates, pts)]
-    return {"series": series}
-
-
 # ----------------------------------------------------------------------
-def report(corrupt: Dict, accounting: Dict) -> str:
+def sections() -> List[Section]:
+    return [
+        Section("ablations/demux", run_corrupt_flood_point,
+                axes={"arch": ALL_SYSTEMS,
+                      "rate_pps": (0, 4000, 8000, 12000, 16000, 20000)},
+                fast={"rate_pps": (0, 8000, 16000),
+                      "window_usec": 400_000.0}),
+        Section("ablations/accounting", run_accounting_point,
+                axes={"policy": ("interrupted", "system"),
+                      "background_pps": (0, 2000, 4000, 6000)},
+                fast={"background_pps": (0, 4000, 6000),
+                      "duration_usec": 900_000.0}),
+    ]
+
+
+def report(corrupt, accounting) -> str:
+    shares = {name: [(p["rate_pps"], round(p["victim_cpu_share"], 3))
+                     for p in pts]
+              for name, pts in by_arch(corrupt).items()}
+    rtts: Dict[str, List] = {}
+    for kwargs, rtt in accounting:
+        rtts.setdefault(f"BSD/{kwargs['policy']}", []).append(
+            (kwargs["background_pps"], round(rtt, 1)))
     out = [format_series(
         "Ablation: corrupt-packet flood (victim CPU share)",
-        "flood pps", "share", corrupt["series"])]
+        "flood pps", "share", shares)]
     out.append("")
     out.append(format_series(
         "Ablation: interrupt accounting policy (ping-pong RTT, BSD)",
-        "blast pps", "RTT us", accounting["series"]))
+        "blast pps", "RTT us", rtts))
     return "\n".join(out)
-
-
-def main(fast: bool = False,
-         runner: Optional[SweepRunner] = None) -> str:
-    if fast:
-        corrupt = run_corrupt_flood(rates=(0, 8000, 16000),
-                                    window_usec=400_000.0,
-                                    runner=runner)
-        accounting = run_accounting(rates=(0, 4000, 6000),
-                                    duration_usec=900_000.0,
-                                    runner=runner)
-    else:
-        corrupt = run_corrupt_flood(runner=runner)
-        accounting = run_accounting(runner=runner)
-    text = report(corrupt, accounting)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

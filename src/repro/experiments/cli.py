@@ -13,15 +13,25 @@ docs/RUNNING.md for the invalidation rules), and ``--results-json``
 writes a machine-readable record of the run — per-point parameters,
 results, wall-clock and cache disposition — alongside the printed
 tables.
+
+Each experiment module declares its sweep and its report, and this
+module alone runs them.  ``sections(**flags)`` returns the module's
+:class:`~repro.experiments.common.Section` list, taking as keywords
+the flags named in its optional ``FLAGS`` tuple (``"shards"``,
+``"cores"``).  :func:`run_sections` picks each section's full or fast
+grid and runs it through the :class:`~repro.runner.SweepRunner`, and
+``report(*points)`` renders one text report from each section's
+``(kwargs, result)`` pairs, in declaration order.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
+import itertools
 import json
 import sys
 import time
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro import __version__
 from repro.runner import (
@@ -30,6 +40,7 @@ from repro.runner import (
     default_cache_dir,
 )
 from repro.trace import Tracer, set_default_tracer
+from repro.experiments.common import Section
 from repro.experiments import (
     ablations,
     cluster,
@@ -54,8 +65,41 @@ EXPERIMENT_MODULES = {
     "cluster": cluster,
 }
 
-EXPERIMENTS = {name: module.main
-               for name, module in EXPERIMENT_MODULES.items()}
+#: The flags an experiment may declare in ``FLAGS``, with the note
+#: printed when one is set for an experiment that does not.
+FLAG_FALLBACKS = {"shards": "running sequentially",
+                  "cores": "running single-core"}
+
+
+def section_grid(section: Section, fast: bool) -> List[Dict[str, Any]]:
+    """The keyword arguments of each of *section*'s points, in product
+    order."""
+    values = {**section.axes, **section.fixed,
+              **(section.fast if fast else {})}
+    fixed = {name: value for name, value in values.items()
+             if name not in section.axes}
+    grid = []
+    for combo in itertools.product(*(values[name]
+                                     for name in section.axes)):
+        kwargs: Dict[str, Any] = {}
+        for name, value in zip(section.axes, combo):
+            kwargs.update(zip(name, value) if isinstance(name, tuple)
+                          else [(name, value)])
+        grid.append({**kwargs, **fixed})
+    return grid
+
+
+def run_sections(sections: Sequence[Section], runner: SweepRunner,
+                 fast: bool = False) -> List[List[Tuple[Dict, Any]]]:
+    """Each section's ``(kwargs, result)`` pairs, in declaration order;
+    a section whose grid is empty runs nothing."""
+    out = []
+    for section in sections:
+        grid = section_grid(section, fast)
+        results = (runner.map(section.fn, grid, label=section.label)
+                   if grid else [])
+        out.append(list(zip(grid, results)))
+    return out
 
 
 def describe(name: str) -> str:
@@ -66,18 +110,17 @@ def describe(name: str) -> str:
 
 
 def _experiment_listing() -> str:
-    width = max(len(name) for name in EXPERIMENTS)
+    width = max(len(name) for name in EXPERIMENT_MODULES)
     lines = [f"  {name.ljust(width)}  {describe(name)}"
-             for name in sorted(EXPERIMENTS)]
+             for name in sorted(EXPERIMENT_MODULES)]
     return "\n".join(lines)
 
 
-def list_experiments(stream=None) -> None:
-    stream = stream if stream is not None else sys.stdout
-    print("available experiments:", file=stream)
-    print(_experiment_listing(), file=stream)
+def list_experiments() -> None:
+    print("available experiments:")
+    print(_experiment_listing())
     print("\nrun one with: python -m repro.experiments <name> "
-          "[--fast] [--parallel N] [--cache]", file=stream)
+          "[--fast] [--parallel N] [--cache]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +189,8 @@ def main(argv=None) -> int:
     if args.experiment == "list":
         list_experiments()
         return 0
-    if args.experiment != "all" and args.experiment not in EXPERIMENTS:
+    if args.experiment != "all" \
+            and args.experiment not in EXPERIMENT_MODULES:
         parser.error(
             f"unknown experiment {args.experiment!r}\n\n"
             "available experiments:\n" + _experiment_listing() + "\n\n"
@@ -172,7 +216,7 @@ def main(argv=None) -> int:
                          progress=True,
                          point_timeout_sec=args.point_timeout)
 
-    names = sorted(EXPERIMENTS) if args.experiment == "all" \
+    names = sorted(EXPERIMENT_MODULES) if args.experiment == "all" \
         else [args.experiment]
     started_unix = time.time()
     started = time.monotonic()
@@ -181,21 +225,20 @@ def main(argv=None) -> int:
         for name in names:
             print(f"\n##### {name} #####")
             exp_started = time.monotonic()
-            kwargs = {"fast": args.fast, "runner": runner}
-            accepts = inspect.signature(EXPERIMENTS[name]).parameters
-            if args.shards > 1:
-                if "shards" in accepts:
-                    kwargs["shards"] = args.shards
+            module = EXPERIMENT_MODULES[name]
+            flags = {}
+            for flag, fallback in FLAG_FALLBACKS.items():
+                value = getattr(args, flag)
+                if value <= 1:
+                    continue
+                if flag in getattr(module, "FLAGS", ()):
+                    flags[flag] = value
                 else:
-                    print(f"note: {name} does not support --shards; "
-                          "running sequentially", file=sys.stderr)
-            if args.cores > 1:
-                if "cores" in accepts:
-                    kwargs["cores"] = args.cores
-                else:
-                    print(f"note: {name} does not support --cores; "
-                          "running single-core", file=sys.stderr)
-            text = EXPERIMENTS[name](**kwargs)
+                    print(f"note: {name} does not support --{flag}; "
+                          f"{fallback}", file=sys.stderr)
+            text = module.report(*run_sections(
+                module.sections(**flags), runner, args.fast))
+            print(text)
             experiment_log[name] = {
                 "wall_clock_sec": round(
                     time.monotonic() - exp_started, 3),
@@ -245,6 +288,3 @@ def _write_results(args, names, runner: SweepRunner, experiment_log,
         fh.write("\n")
     print(f"results written to {args.results_json}", file=sys.stderr)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

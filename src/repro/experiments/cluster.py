@@ -46,12 +46,11 @@ from repro.net.topology import (
     incast_client_addr,
     incast_spec,
 )
-from repro.runner import SweepRunner
 from repro.apps import udp_blast_sink
 from repro.stats.metrics import LatencyRecorder
 from repro.stats.report import format_series, format_table
 from repro.workloads import RawUdpInjector
-from repro.experiments.common import MAIN_SYSTEMS
+from repro.experiments.common import MAIN_SYSTEMS, Section, by_arch
 
 #: Canonical addresses of the incast rack.
 INCAST_SERVER_ADDR = "10.0.0.1"
@@ -359,59 +358,66 @@ def run_chain_point(arch: Architecture, flood_pps: float,
 
 
 # ----------------------------------------------------------------------
-def run_experiment(
-        fan_ins: Sequence[int] = DEFAULT_FAN_INS,
-        rate_pps: float = INCAST_RATE_PPS,
-        chain_rates: Sequence[float] = DEFAULT_CHAIN_RATES,
-        systems: Sequence[Architecture] = MAIN_SYSTEMS,
-        duration_usec: float = 1_000_000.0,
-        runner: Optional[SweepRunner] = None,
-        shards: int = 1) -> Dict:
-    """The full cluster sweep: incast fan-in × architecture, then the
-    gateway chain over transit rates.
+#: The CLI flags this experiment honours (keywords of :func:`sections`).
+FLAGS = ("shards",)
 
-    *shards* > 1 runs every point under the sharded engine; results
-    (and the sweep cache keys, which bind the shard count) are
-    otherwise identical to the sequential sweep.
-    """
-    runner = runner or SweepRunner()
 
-    incast_grid = [(arch, n) for arch in systems for n in fan_ins]
-    incast_points = runner.map(
-        run_incast_point,
-        [dict(arch=arch, fan_in=n, rate_pps=rate_pps,
-              duration_usec=duration_usec,
-              topology=incast_spec(n), shards=shards)
-         for arch, n in incast_grid],
-        label="cluster-incast")
+def _fan_ins(fan_ins: Sequence[int]) -> List[Tuple[int, TopologySpec]]:
+    """Incast fan-ins, each bound to its own graph so the sweep log
+    and cache key name it."""
+    return [(n, incast_spec(n)) for n in fan_ins]
 
-    chain_grid = [(arch, r) for arch in systems for r in chain_rates]
-    chain_points = runner.map(
-        run_chain_point,
-        [dict(arch=arch, flood_pps=r, duration_usec=duration_usec,
-              topology=gateway_chain_spec(), shards=shards)
-         for arch, r in chain_grid],
-        label="cluster-chain")
 
-    goodput: Dict[str, List[Tuple[float, float]]] = {}
-    p99: Dict[str, List[Tuple[float, float]]] = {}
-    for j, arch in enumerate(systems):
-        pts = incast_points[j * len(fan_ins):(j + 1) * len(fan_ins)]
-        goodput[arch.value] = [(p["fan_in"], p["goodput_pps"])
-                               for p in pts]
-        p99[arch.value] = [(p["fan_in"], p["latency_p99_usec"])
-                           for p in pts]
+def sections(shards: int = 1) -> List[Section]:
+    """The incast sweep (fan-in × architecture), then the gateway
+    chain over transit rates."""
+    return [
+        Section("cluster-incast", run_incast_point,
+                axes={"arch": MAIN_SYSTEMS,
+                      ("fan_in", "topology"): _fan_ins(DEFAULT_FAN_INS)},
+                fixed={"rate_pps": INCAST_RATE_PPS,
+                       "duration_usec": 1_000_000.0, "shards": shards},
+                fast={("fan_in", "topology"): _fan_ins((1, 4)),
+                      "duration_usec": 500_000.0}),
+        Section("cluster-chain", run_chain_point,
+                axes={"arch": MAIN_SYSTEMS,
+                      "flood_pps": DEFAULT_CHAIN_RATES},
+                fixed={"duration_usec": 1_000_000.0,
+                       "topology": gateway_chain_spec(),
+                       "shards": shards},
+                fast={"flood_pps": (2_000.0, 14_000.0),
+                      "duration_usec": 500_000.0}),
+    ]
 
-    incast_rows = [{"system": arch.value, **point}
-                   for (arch, _), point in zip(incast_grid,
-                                               incast_points)]
-    chain_rows = [{"system": arch.value, **point}
-                  for (arch, _), point in zip(chain_grid, chain_points)]
+
+def report(incast, chain) -> str:
+    curves = by_arch(incast)
+    goodput = {name: [(p["fan_in"], p["goodput_pps"]) for p in pts]
+               for name, pts in curves.items()}
+    p99 = {name: [(p["fan_in"], p["latency_p99_usec"]) for p in pts]
+           for name, pts in curves.items()}
+    out = [format_series(
+        "Cluster incast: goodput vs. client fan-in "
+        f"(per-client {INCAST_RATE_PPS:.0f} pkts/sec)",
+        "fan-in", "pps", goodput)]
+    out.append("")
+    out.append(format_series(
+        "Cluster incast: one-way latency p99", "fan-in", "p99 us", p99))
+
+    out.append("\n== Incast drop ledger per hop ==")
+    rows = [(name, r["fan_in"], int(r["offered_pps"]),
+             r["goodput_pps"], r["drop_switch"], r["drop_nic_ring"],
+             r["drop_ipq"], r["drop_channel"], r["drop_sockq"],
+             r["switch_peak_depth"])
+            for name, pts in curves.items() for r in pts]
+    out.append(format_table(
+        ("system", "fan-in", "offered", "goodput", "switch", "ring",
+         "ipq", "channel", "sockq", "sw depth"), rows))
 
     # The headline ratio: LRP goodput over BSD's at maximum fan-in.
-    max_fan = max(fan_ins)
-    at_max = {row["system"]: row["goodput_pps"]
-              for row in incast_rows if row["fan_in"] == max_fan}
+    max_fan = max(kwargs["fan_in"] for kwargs, _ in incast)
+    at_max = {kwargs["arch"].value: r["goodput_pps"]
+              for kwargs, r in incast if r["fan_in"] == max_fan}
     bsd = at_max.get(Architecture.BSD.value)
     ratios = {}
     for name, value in at_max.items():
@@ -423,68 +429,20 @@ def run_experiment(
             # BSD collapsed to zero goodput: any survivor's ratio is
             # unbounded.
             ratios[name] = float("inf") if value > 0 else None
-
-    return {"goodput": goodput, "p99": p99,
-            "incast_rows": incast_rows, "chain_rows": chain_rows,
-            "max_fan_in": max_fan, "goodput_vs_bsd": ratios}
-
-
-def report(result: Dict) -> str:
-    out = [format_series(
-        "Cluster incast: goodput vs. client fan-in "
-        f"(per-client {INCAST_RATE_PPS:.0f} pkts/sec)",
-        "fan-in", "pps", result["goodput"])]
-    out.append("")
-    out.append(format_series(
-        "Cluster incast: one-way latency p99", "fan-in", "p99 us",
-        result["p99"]))
-
-    out.append("\n== Incast drop ledger per hop ==")
-    rows = [(r["system"], r["fan_in"], int(r["offered_pps"]),
-             r["goodput_pps"], r["drop_switch"], r["drop_nic_ring"],
-             r["drop_ipq"], r["drop_channel"], r["drop_sockq"],
-             r["switch_peak_depth"])
-            for r in result["incast_rows"]]
-    out.append(format_table(
-        ("system", "fan-in", "offered", "goodput", "switch", "ring",
-         "ipq", "channel", "sockq", "sw depth"), rows))
-
-    ratios = ", ".join(f"{name}: {value}x"
-                       for name, value in
-                       sorted(result["goodput_vs_bsd"].items()))
-    out.append(f"\nGoodput vs. 4.4BSD at fan-in "
-               f"{result['max_fan_in']}: {ratios}")
+    out.append(f"\nGoodput vs. 4.4BSD at fan-in {max_fan}: "
+               + ", ".join(f"{name}: {value}x"
+                           for name, value in sorted(ratios.items())))
 
     out.append("\n== Gateway chain: offered -> forwarded -> "
                "delivered ==")
-    rows = [(r["system"], int(r["flood_pps"]), r["forwarded_pps"],
-             r["delivered_pps"],
+    rows = [(kwargs["arch"].value, int(r["flood_pps"]),
+             r["forwarded_pps"], r["delivered_pps"],
              "-" if r["app_share"] is None
              else f"{100 * r['app_share']:.1f}%",
              r["app_interrupt_bill_ms"],
              "-" if r["daemon_cpu_ms"] is None else r["daemon_cpu_ms"])
-            for r in result["chain_rows"]]
+            for kwargs, r in chain]
     out.append(format_table(
         ("gateway", "offered", "fwd pps", "delivered", "app share",
          "intr bill ms", "daemon ms"), rows))
     return "\n".join(out)
-
-
-def main(fast: bool = False,
-         runner: Optional[SweepRunner] = None,
-         shards: int = 1) -> str:
-    fan_ins = (1, 4) if fast else DEFAULT_FAN_INS
-    chain_rates = (2_000.0, 14_000.0) if fast \
-        else DEFAULT_CHAIN_RATES
-    duration = 500_000.0 if fast else 1_000_000.0
-    text = report(run_experiment(fan_ins=fan_ins,
-                                 chain_rates=chain_rates,
-                                 duration_usec=duration,
-                                 runner=runner,
-                                 shards=shards))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

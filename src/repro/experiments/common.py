@@ -12,7 +12,8 @@ the same :class:`~repro.engine.world.World`.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Any, Callable, Dict, Generator, List, Mapping, \
+    NamedTuple, Sequence
 
 from repro.engine.process import Sleep
 from repro.engine.world import World
@@ -27,6 +28,34 @@ CLIENT_C_ADDR = "10.0.0.3"
 #: Early-Demux).
 MAIN_SYSTEMS = (Architecture.BSD, Architecture.SOFT_LRP,
                 Architecture.NI_LRP)
+
+
+class Section(NamedTuple):
+    """One sweep of an experiment, declared as plain data.
+
+    Its points call *fn* over the product of *axes* (parameter name →
+    values, outermost first), each point also taking *fixed*.  Under
+    ``--fast`` each entry of *fast* replaces the same-named axis or
+    fixed value, or adds a fixed one.  An axis keyed by a tuple of
+    names takes tuples of values and binds those parameters together.
+    *label* names the section in progress lines.
+    ``repro.experiments.cli`` runs it.
+    """
+
+    label: str
+    fn: Callable
+    axes: Mapping[Any, Sequence]
+    fixed: Mapping[str, Any] = {}
+    fast: Mapping[Any, Any] = {}
+
+
+def by_arch(points: Sequence) -> Dict[str, List[Any]]:
+    """A section's results grouped by their ``arch`` parameter's name,
+    in sweep order."""
+    grouped: Dict[str, List[Any]] = {}
+    for kwargs, result in points:
+        grouped.setdefault(kwargs["arch"].value, []).append(result)
+    return grouped
 
 
 def delayed(usec: float, gen: Generator) -> Generator:

@@ -21,7 +21,7 @@ retransmission/RTO backoff; corrupt segments are dropped at input as
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core import MODERN_ARCHES, Architecture
 from repro.engine.component import HostComponent, SourceComponent
@@ -35,7 +35,6 @@ from repro.net.topology import (
     SwitchSpec,
     TopologySpec,
 )
-from repro.runner import SweepRunner
 from repro.apps import udp_blast_sink
 from repro.stats.metrics import LatencyRecorder
 from repro.stats.report import (
@@ -49,7 +48,9 @@ from repro.experiments.common import (
     CLIENT_C_ADDR,
     MAIN_SYSTEMS,
     SERVER_ADDR,
+    Section,
     Testbed,
+    by_arch,
 )
 
 VICTIM_PORT = 7100
@@ -63,6 +64,11 @@ BLAST_BASE_PPS = 4000.0
 BLAST_EXTRA_PPS = 16000.0
 
 DEFAULT_INTENSITIES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+#: Recovery is measured in bins of this width (µs).  At
+#: :data:`VICTIM_PPS` a bin holds 10 victim packets, the fewest for
+#: which 90% of the baseline is still a meaningful count.
+RECOVERY_BIN_USEC = 5_000.0
 
 #: Declared server think time (µs) — a vacuous lookahead promise (the
 #: sinks never transmit) that collapses the conservative-sync round
@@ -136,17 +142,18 @@ def _num(value: float, digits: int = 3) -> Optional[float]:
 
 
 def _recovery_usec(stamps: Sequence[float], window_end: float,
-                   duration_usec: float, baseline_pps: float,
-                   bin_usec: float = 25_000.0) -> Optional[float]:
-    """Time from the fault window's close until the first *bin_usec*
-    bin whose delivery rate reaches 90% of the pre-window baseline;
-    ``None`` if the victim never recovers within the run."""
+                   duration_usec: float,
+                   baseline_pps: float) -> Optional[float]:
+    """Time from the fault window's close until the end of the first
+    :data:`RECOVERY_BIN_USEC` bin whose delivery rate reaches 90% of
+    the pre-window baseline; ``None`` if the victim never recovers
+    within the run."""
     if baseline_pps <= 0:
         return None
-    need = 0.9 * baseline_pps * bin_usec / 1e6
+    need = 0.9 * baseline_pps * RECOVERY_BIN_USEC / 1e6
     start = window_end
-    while start + bin_usec <= duration_usec:
-        end = start + bin_usec
+    while start + RECOVERY_BIN_USEC <= duration_usec:
+        end = start + RECOVERY_BIN_USEC
         count = sum(1 for t in stamps if start <= t < end)
         if count >= need:
             return end - window_end
@@ -431,96 +438,61 @@ def run_tcp_point(arch: Architecture, intensity: float,
 
 
 # ----------------------------------------------------------------------
-def run_experiment(
-        intensities: Sequence[float] = DEFAULT_INTENSITIES,
-        systems: Sequence[Architecture] = MAIN_SYSTEMS,
-        duration_usec: float = 1_200_000.0,
-        tcp_intensities: Sequence[float] = (1.0,),
-        runner: Optional[SweepRunner] = None,
-        shards: int = 1,
-        cores: int = 1) -> Dict:
-    runner = runner or SweepRunner()
-    grid = [(arch, i) for arch in systems for i in intensities]
-    points = runner.map(
-        run_point,
-        [dict(arch=arch, intensity=i, duration_usec=duration_usec,
-              shards=shards, cores=cores)
-         for arch, i in grid],
-        label="degradation")
-
-    tcp_grid = [(arch, i) for arch in systems for i in tcp_intensities]
-    tcp_points = runner.map(
-        run_tcp_point,
-        [dict(arch=arch, intensity=i, cores=cores)
-         for arch, i in tcp_grid],
-        label="degradation-tcp")
-
-    goodput: Dict[str, List[Tuple[float, float]]] = {}
-    p99: Dict[str, List[Tuple[float, float]]] = {}
-    for j, arch in enumerate(systems):
-        pts = points[j * len(intensities):(j + 1) * len(intensities)]
-        goodput[arch.value] = [(p["intensity"],
-                                p["victim_goodput_pps"]) for p in pts]
-        p99[arch.value] = [(p["intensity"], p["latency_p99_usec"])
-                           for p in pts]
-    rows = [{"system": arch.value, **point}
-            for (arch, _), point in zip(grid, points)]
-    tcp_rows = [{"system": arch.value, **point}
-                for (arch, _), point in zip(tcp_grid, tcp_points)]
-    return {"goodput": goodput, "p99": p99, "rows": rows,
-            "tcp_rows": tcp_rows}
+#: The CLI flags this experiment honours (keywords of :func:`sections`).
+FLAGS = ("shards", "cores")
 
 
-def report(result: Dict) -> str:
+def sections(shards: int = 1, cores: int = 1) -> List[Section]:
+    """The fault-intensity sweep, then TCP delivery through the fault
+    window.  cores >= 2 widens both to the six-architecture family
+    (docs/ARCHITECTURES.md)."""
+    systems = (MAIN_SYSTEMS + MODERN_ARCHES) if cores > 1 \
+        else MAIN_SYSTEMS
+    return [
+        Section("degradation", run_point,
+                axes={"arch": systems, "intensity": DEFAULT_INTENSITIES},
+                fixed={"duration_usec": 1_200_000.0, "shards": shards,
+                       "cores": cores},
+                fast={"intensity": (0.0, 1.0),
+                      "duration_usec": 800_000.0}),
+        Section("degradation-tcp", run_tcp_point,
+                axes={"arch": systems, "intensity": (1.0,)},
+                fixed={"cores": cores}),
+    ]
+
+
+def report(points, tcp_points) -> str:
+    curves = by_arch(points)
+    goodput = {name: [(p["intensity"], p["victim_goodput_pps"])
+                      for p in pts] for name, pts in curves.items()}
+    p99 = {name: [(p["intensity"], p["latency_p99_usec"]) for p in pts]
+           for name, pts in curves.items()}
     out = [format_series(
         "Degradation: victim goodput vs. fault intensity",
-        "intensity", "pps", result["goodput"])]
+        "intensity", "pps", goodput)]
     out.append("")
     out.append(format_series(
         "Degradation: victim one-way latency p99",
-        "intensity", "p99 us", result["p99"]))
+        "intensity", "p99 us", p99))
     out.append("\n== Recovery and fault accounting ==")
-    table = [(r["system"], r["intensity"],
+    table = [(kwargs["arch"].value, r["intensity"],
               r["victim_goodput_pps"],
               "-" if r["recovery_usec"] is None
               else f"{r['recovery_usec'] / 1000:.0f}",
               r["injected_faults"], r["drop_corrupt"],
               r["mbuf_exhaustions"])
-             for r in result["rows"]]
+             for kwargs, r in points]
     out.append(format_table(
         ("system", "intensity", "goodput pps", "recovery ms",
          "faults", "drop_corrupt", "mbuf_exh"), table))
     out.append("\n== TCP delivery through loss + corruption ==")
-    tcp = [(r["system"], r["intensity"],
+    tcp = [(kwargs["arch"].value, r["intensity"],
             f"{r['bytes_received']}/{r['bytes_expected']}",
             "yes" if r["complete"] else "NO",
             r["tcp_rexmt_timeouts"], r["max_backoff"],
             r["injected_faults"])
-           for r in result["tcp_rows"]]
+           for kwargs, r in tcp_points]
     out.append(format_table(
         ("system", "intensity", "bytes", "complete", "rexmt",
          "max backoff", "faults"), tcp))
     return "\n".join(out)
-
-
-def main(fast: bool = False,
-         runner: Optional[SweepRunner] = None,
-         shards: int = 1,
-         cores: int = 1) -> str:
-    intensities = (0.0, 1.0) if fast else DEFAULT_INTENSITIES
-    duration = 800_000.0 if fast else 1_200_000.0
-    # cores >= 2 widens the comparison to the six-architecture family
-    # (docs/ARCHITECTURES.md), TCP-delivery sweep included.
-    systems = (MAIN_SYSTEMS + MODERN_ARCHES) if cores > 1 \
-        else MAIN_SYSTEMS
-    text = report(run_experiment(intensities=intensities,
-                                 systems=systems,
-                                 duration_usec=duration,
-                                 runner=runner, shards=shards,
-                                 cores=cores))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -23,17 +23,21 @@ lookahead and collapses the round count (docs/PDES.md, "Tuning").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.engine.component import HostComponent, SourceComponent
 from repro.engine.process import Syscall
 from repro.engine.sharded import ShardedEngine
 from repro.core import MODERN_ARCHES, Architecture
 from repro.net.topology import TopologySpec, passthrough_spec
-from repro.runner import SweepRunner
 from repro.stats.report import format_series, format_table
 from repro.workloads import RawUdpInjector
-from repro.experiments.common import CLIENT_A_ADDR, SERVER_ADDR
+from repro.experiments.common import (
+    CLIENT_A_ADDR,
+    SERVER_ADDR,
+    Section,
+    by_arch,
+)
 
 DEFAULT_RATES = (1000, 2000, 4000, 6000, 8000, 9000, 10000, 11000,
                  12000, 14000, 16000, 18000, 20000, 22000, 24000)
@@ -45,6 +49,10 @@ SYSTEMS = (Architecture.BSD, Architecture.NI_LRP,
 ALL_SYSTEMS = SYSTEMS + MODERN_ARCHES
 
 BLAST_PORT = 9000
+
+#: The MLFRR bisection stops once its lossless and lossy rates are
+#: this close (pkts/s).
+MLFRR_RESOLUTION_PPS = 25.0
 
 #: The paper's experimental LAN degrades slightly beyond ~19k pkts/s.
 CONGESTION_KNEE_PPS = 19000.0
@@ -214,73 +222,81 @@ def run_point(arch: Architecture, rate_pps: float,
 def mlfrr(arch: Architecture,
           rates: Sequence[float] = DEFAULT_RATES,
           loss_tolerance: float = 0.005,
-          runner: Optional[SweepRunner] = None,
           **kwargs) -> float:
     """Maximum Loss Free Receive Rate: the highest offered rate whose
     loss fraction stays within *loss_tolerance*.
 
-    The probe is inherently sequential (it stops at the first lossy
-    rate), so points run one at a time through ``runner.call`` — still
-    memoized when the runner has a cache.
+    The probe walks *rates* up to the first lossy one, then bisects
+    between it and the last lossless rate until the two are
+    :data:`MLFRR_RESOLUTION_PPS` apart, and returns the lossless end
+    (the highest grid rate if none loses).  Each probe depends on the
+    one before, so the probes run one after another in this call; as a
+    sweep point the whole probe is one cache entry and one
+    ``--point-timeout`` budget.
     """
-    runner = runner or SweepRunner()
-    best = 0.0
-    for rate in rates:
-        point = runner.call(run_point, arch=arch, rate_pps=rate,
-                            congestion=False, **kwargs)
-        if point["delivered_pps"] >= rate * (1.0 - loss_tolerance):
-            best = max(best, point["delivered_pps"])
-        else:
+    def lossless(rate: float) -> bool:
+        point = run_point(arch=arch, rate_pps=rate, congestion=False,
+                          **kwargs)
+        return point["delivered_pps"] >= rate * (1.0 - loss_tolerance)
+
+    low = 0.0
+    for high in rates:
+        if not lossless(high):
             break
-    return best
+        low = high
+    else:
+        return low
+    while high - low > MLFRR_RESOLUTION_PPS:
+        mid = (low + high) / 2
+        if lossless(mid):
+            low = mid
+        else:
+            high = mid
+    return low
 
 
-def run_experiment(rates: Sequence[float] = DEFAULT_RATES,
-                   systems: Sequence[Architecture] = SYSTEMS,
-                   window_usec: float = 1_000_000.0,
-                   compute_mlfrr: bool = True,
-                   runner: Optional[SweepRunner] = None,
-                   shards: int = 1,
-                   cores: int = 1,
-                   flows: int = 1) -> Dict:
-    """The full Figure 3 sweep; returns series plus MLFRR table."""
-    runner = runner or SweepRunner()
-    points = runner.map(
-        run_point,
-        [dict(arch=arch, rate_pps=rate, window_usec=window_usec,
-              shards=shards, cores=cores, flows=flows)
-         for arch in systems for rate in rates],
-        label="figure3")
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    drops: Dict[str, List[Dict]] = {}
-    for i, arch in enumerate(systems):
-        arch_points = points[i * len(rates):(i + 1) * len(rates)]
-        series[arch.value] = [(p["offered_pps"], p["delivered_pps"])
-                              for p in arch_points]
-        drops[arch.value] = arch_points
-    result = {"series": series, "drops": drops}
-    if compute_mlfrr:
-        result["mlfrr"] = {
-            arch.value: mlfrr(arch, window_usec=window_usec,
-                              runner=runner, shards=shards,
-                              cores=cores, flows=flows)
-            for arch in (Architecture.BSD, Architecture.SOFT_LRP)}
-    return result
+#: The CLI flags this experiment honours (keywords of :func:`sections`).
+FLAGS = ("shards", "cores")
 
 
-def report(result: Dict) -> str:
+def sections(shards: int = 1, cores: int = 1) -> List[Section]:
+    """The figure-3 sweep, then the MLFRR probe (full scale only).
+
+    cores >= 2 unlocks the six-architecture comparison: the modern
+    stacks join the sweep and the blast splits into one flow per core
+    so RSS has distinct 4-tuples to steer.
+    """
+    fixed = {"window_usec": 1_000_000.0, "shards": shards,
+             "cores": cores, "flows": cores}
+    return [
+        Section("figure3", run_point,
+                axes={"arch": ALL_SYSTEMS if cores > 1 else SYSTEMS,
+                      "rate_pps": DEFAULT_RATES},
+                fixed=fixed,
+                fast={"rate_pps": DEFAULT_RATES[1::2],
+                      "window_usec": 400_000.0}),
+        Section("figure3-mlfrr", mlfrr,
+                axes={"arch": (Architecture.BSD, Architecture.SOFT_LRP)},
+                fixed=fixed, fast={"arch": ()}),
+    ]
+
+
+def report(points, mlfrrs) -> str:
+    curves = by_arch(points)
+    series = {name: [(p["offered_pps"], p["delivered_pps"]) for p in pts]
+              for name, pts in curves.items()}
     out = [format_series("Figure 3: throughput vs. offered load "
-                         "(pkts/sec)", "offered", "delivered",
-                         result["series"])]
-    if "mlfrr" in result:
-        rows = [(name, f"{value:.0f}")
-                for name, value in result["mlfrr"].items()]
+                         "(pkts/sec)", "offered", "delivered", series)]
+    if mlfrrs:
+        rows = [(kwargs["arch"].value,
+                 "-" if rate is None else f"{rate:.0f}")
+                for kwargs, rate in mlfrrs]
         out.append("\n== MLFRR ==\n"
                    + format_table(("system", "pkts/sec"), rows))
     # Drop attribution at the highest offered rate.
     rows = []
-    for name, points in result["drops"].items():
-        p = points[-1]
+    for name, pts in curves.items():
+        p = pts[-1]
         rows.append((name, int(p["offered_pps"]),
                      int(p["delivered_pps"]), p["drop_ipq"],
                      p["drop_sockq"],
@@ -292,27 +308,3 @@ def report(result: Dict) -> str:
                                "ipq", "sockq", "channel/early",
                                "mbufs", "wire"), rows))
     return "\n".join(out)
-
-
-def main(fast: bool = False,
-         runner: Optional[SweepRunner] = None,
-         shards: int = 1,
-         cores: int = 1) -> str:
-    rates = DEFAULT_RATES[1::2] if fast else DEFAULT_RATES
-    window = 400_000.0 if fast else 1_000_000.0
-    # cores >= 2 unlocks the six-architecture comparison: the modern
-    # stacks join the sweep and the blast splits into one flow per
-    # core so RSS has distinct 4-tuples to steer.
-    systems = ALL_SYSTEMS if cores > 1 else SYSTEMS
-    flows = cores if cores > 1 else 1
-    text = report(run_experiment(rates=rates, window_usec=window,
-                                 systems=systems,
-                                 compute_mlfrr=not fast,
-                                 runner=runner, shards=shards,
-                                 cores=cores, flows=flows))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -19,10 +19,9 @@ queue makes latency unmeasurable beyond ~15k pkts/s.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from repro.core import Architecture
-from repro.runner import SweepRunner
 from repro.apps import pingpong_client, pingpong_server, spinner, \
     udp_blast_sink
 from repro.stats.metrics import LatencyRecorder
@@ -33,7 +32,9 @@ from repro.experiments.common import (
     CLIENT_C_ADDR,
     MAIN_SYSTEMS,
     SERVER_ADDR,
+    Section,
     Testbed,
+    by_arch,
     delayed,
 )
 
@@ -95,47 +96,24 @@ def _pingpong_losses(server) -> int:
     return 0
 
 
-def run_experiment(rates: Sequence[float] = DEFAULT_RATES,
-                   systems: Sequence[Architecture] = MAIN_SYSTEMS,
-                   duration_usec: float = 2_000_000.0,
-                   runner: Optional[SweepRunner] = None) -> Dict:
-    runner = runner or SweepRunner()
-    points = runner.map(
-        run_point,
-        [dict(arch=arch, background_pps=rate,
-              duration_usec=duration_usec)
-         for arch in systems for rate in rates],
-        label="figure4")
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    losses: Dict[str, List[Tuple[float, int]]] = {}
-    for i, arch in enumerate(systems):
-        pts = points[i * len(rates):(i + 1) * len(rates)]
-        series[arch.value] = [(p["background_pps"],
-                               round(p["rtt_mean_usec"], 1))
-                              for p in pts]
-        losses[arch.value] = [(p["background_pps"], p["pingpong_drops"])
-                              for p in pts]
-    return {"series": series, "losses": losses}
+def sections() -> List[Section]:
+    return [Section("figure4", run_point,
+                    axes={"arch": MAIN_SYSTEMS,
+                          "background_pps": DEFAULT_RATES},
+                    fixed={"duration_usec": 2_000_000.0},
+                    fast={"background_pps": (0, 2000, 6000, 10000, 14000),
+                          "duration_usec": 1_000_000.0})]
 
 
-def report(result: Dict) -> str:
+def report(points) -> str:
+    curves = by_arch(points)
+    series = {name: [(p["background_pps"], round(p["rtt_mean_usec"], 1))
+                     for p in pts] for name, pts in curves.items()}
+    losses = {name: [(p["background_pps"], p["pingpong_drops"])
+                     for p in pts] for name, pts in curves.items()}
     out = [format_series("Figure 4: RTT vs. background load",
-                         "blast pps", "RTT us", result["series"])]
+                         "blast pps", "RTT us", series)]
     out.append("\n== Ping-pong packets lost to background traffic ==")
     out.append(format_series("traffic separation", "blast pps",
-                             "drops", result["losses"]))
+                             "drops", losses))
     return "\n".join(out)
-
-
-def main(fast: bool = False,
-         runner: Optional[SweepRunner] = None) -> str:
-    rates = (0, 2000, 6000, 10000, 14000) if fast else DEFAULT_RATES
-    duration = 1_000_000.0 if fast else 2_000_000.0
-    text = report(run_experiment(rates=rates, duration_usec=duration,
-                                 runner=runner))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -21,18 +21,19 @@ traffic flows on separate channels and "does not interfere".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from repro.core import Architecture
 from repro.apps import dummy_server, http_client, httpd_master
-from repro.runner import SweepRunner
-from repro.stats.report import format_series
+from repro.stats.report import format_series, format_table
 from repro.workloads import RawSynInjector
 from repro.experiments.common import (
     CLIENT_A_ADDR,
     CLIENT_C_ADDR,
     SERVER_ADDR,
+    Section,
     Testbed,
+    by_arch,
     delayed,
 )
 
@@ -94,53 +95,28 @@ def _dummy_channel_drops(server) -> int:
     return 0
 
 
-def run_experiment(rates: Sequence[float] = DEFAULT_RATES,
-                   systems: Sequence[Architecture] = SYSTEMS,
-                   window_usec: float = 1_000_000.0,
-                   runner: Optional[SweepRunner] = None) -> Dict:
-    runner = runner or SweepRunner()
-    points = runner.map(
-        run_point,
-        [dict(arch=arch, syn_pps=rate, window_usec=window_usec)
-         for arch in systems for rate in rates],
-        label="figure5")
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    details: Dict[str, List[Dict]] = {}
-    for i, arch in enumerate(systems):
-        pts = points[i * len(rates):(i + 1) * len(rates)]
-        series[arch.value] = [(p["syn_pps"], round(p["http_per_sec"], 1))
-                              for p in pts]
-        details[arch.value] = pts
-    return {"series": series, "details": details}
+def sections() -> List[Section]:
+    return [Section("figure5", run_point,
+                    axes={"arch": SYSTEMS, "syn_pps": DEFAULT_RATES},
+                    fixed={"window_usec": 1_000_000.0},
+                    fast={"syn_pps": (0, 4000, 8000, 12000, 16000, 20000),
+                          "window_usec": 600_000.0})]
 
 
-def report(result: Dict) -> str:
+def report(points) -> str:
+    curves = by_arch(points)
+    series = {name: [(p["syn_pps"], round(p["http_per_sec"], 1))
+                     for p in pts] for name, pts in curves.items()}
     out = [format_series("Figure 5: HTTP throughput vs. SYN flood",
-                         "SYN pps", "HTTP/s", result["series"])]
+                         "SYN pps", "HTTP/s", series)]
     rows = []
-    for name, pts in result["details"].items():
+    for name, pts in curves.items():
         p = pts[-1]
         rows.append((name, int(p["syn_pps"]), p["syn_in"],
                      p["syn_dropped_backlog"],
                      p["syn_dropped_channel"], p["drop_ipq"]))
-    from repro.stats.report import format_table
     out.append("\n== SYN disposition at max flood rate ==\n"
                + format_table(("system", "SYN pps", "processed",
                                "dropped@backlog", "dropped@channel",
                                "ipq drops"), rows))
     return "\n".join(out)
-
-
-def main(fast: bool = False,
-         runner: Optional[SweepRunner] = None) -> str:
-    rates = (0, 4000, 8000, 12000, 16000, 20000) if fast \
-        else DEFAULT_RATES
-    window = 600_000.0 if fast else 1_000_000.0
-    text = report(run_experiment(rates=rates, window_usec=window,
-                                 runner=runner))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

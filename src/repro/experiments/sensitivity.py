@@ -17,15 +17,19 @@ it does not.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.engine.process import Syscall
 from repro.core import Architecture
 from repro.host.costs import DEFAULT_COSTS
-from repro.runner import SweepRunner
 from repro.stats.report import format_table
 from repro.workloads import RawUdpInjector
-from repro.experiments.common import CLIENT_A_ADDR, SERVER_ADDR, Testbed
+from repro.experiments.common import (
+    CLIENT_A_ADDR,
+    SERVER_ADDR,
+    Section,
+    Testbed,
+)
 
 #: The constants that carry the calibration.
 PARAMETERS = ("hw_intr", "soft_demux", "sw_intr_dispatch", "ip_input",
@@ -85,54 +89,44 @@ def check_claims(costs) -> Dict[str, bool]:
     }
 
 
-def run_experiment(parameters: Sequence[str] = PARAMETERS,
-                   scales: Sequence[float] = SCALES,
-                   runner: Optional[SweepRunner] = None) -> List[Dict]:
-    runner = runner or SweepRunner()
-    grid: List[tuple] = []
+def perturbations(parameters: Sequence[str]) -> List[Tuple[str, float]]:
+    """(parameter, scale) pairs: each parameter at each of
+    :data:`SCALES`, with the unperturbed baseline measured once."""
+    grid: List[Tuple[str, float]] = []
     for name in parameters:
-        for scale in scales:
+        for scale in SCALES:
             if scale == 1.0 and grid:
-                continue  # baseline measured once
+                continue
             grid.append((name, scale))
-    claims_list = runner.map(
-        check_claims,
-        [dict(costs=DEFAULT_COSTS.with_overrides(
-            **{name: getattr(DEFAULT_COSTS, name) * scale}))
-         for name, scale in grid],
-        label="sensitivity")
-    return [{"parameter": name if scale != 1.0 else "(baseline)",
-             "scale": scale, **claims}
-            for (name, scale), claims in zip(grid, claims_list)]
+    return grid
 
 
-def report(rows: List[Dict]) -> str:
-    table = [(r["parameter"], f"x{r['scale']}",
-              "yes" if r["bsd_collapses"] else "NO",
-              "yes" if r["ni_flat"] else "NO",
-              "yes" if r["soft_beats_bsd"] else "NO",
-              "yes" if r["overload_ordering"] else "NO")
-             for r in rows]
+def check_perturbation(parameter: str, scale: float) -> Dict[str, bool]:
+    """:func:`check_claims` under the default cost model with
+    *parameter* scaled by *scale*."""
+    return check_claims(DEFAULT_COSTS.with_overrides(
+        **{parameter: getattr(DEFAULT_COSTS, parameter) * scale}))
+
+
+def sections() -> List[Section]:
+    axis = ("parameter", "scale")
+    return [Section("sensitivity", check_perturbation,
+                    axes={axis: perturbations(PARAMETERS)},
+                    fast={axis: perturbations(("soft_demux",
+                                               "sw_intr_dispatch"))})]
+
+
+def report(points) -> str:
+    table = []
+    for kwargs, claims in points:
+        name, scale = kwargs["parameter"], kwargs["scale"]
+        table.append(
+            ("(baseline)" if scale == 1.0 else name, f"x{scale}",
+             *("yes" if claims[claim] else "NO"
+               for claim in ("bsd_collapses", "ni_flat",
+                             "soft_beats_bsd", "overload_ordering"))))
     return ("== Sensitivity: qualitative claims under cost "
             "perturbation ==\n"
             + format_table(("parameter", "scale", "BSD collapses",
                             "NI-LRP flat", "SOFT-LRP wins",
                             "ordering holds"), table))
-
-
-def main(fast: bool = False,
-         runner: Optional[SweepRunner] = None) -> str:
-    if fast:
-        rows = run_experiment(parameters=("soft_demux",
-                                          "sw_intr_dispatch"),
-                              scales=(0.5, 1.0, 1.5),
-                              runner=runner)
-    else:
-        rows = run_experiment(runner=runner)
-    text = report(rows)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -17,7 +17,7 @@ with the Fore driver").
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import List
 
 from repro.core import Architecture
 from repro.host.costs import DEFAULT_COSTS
@@ -28,12 +28,12 @@ from repro.apps import (
     udp_sliding_window_source,
 )
 from repro.engine.process import Syscall
-from repro.runner import SweepRunner
 from repro.stats.metrics import LatencyRecorder
 from repro.stats.report import format_table
 from repro.experiments.common import (
     CLIENT_A_ADDR,
     SERVER_ADDR,
+    Section,
     Testbed,
     delayed,
 )
@@ -144,52 +144,25 @@ def measure_tcp_throughput(system, total_mb: float = 24.0,
     return got * 8.0 / (end - 20_000.0)
 
 
-def run_experiment(systems: Sequence = SYSTEMS,
-                   latency_iters: int = 2000,
-                   udp_mb: float = 8.0,
-                   tcp_mb: float = 24.0,
-                   runner: Optional[SweepRunner] = None
-                   ) -> Dict[str, Dict[str, float]]:
-    runner = runner or SweepRunner()
-    specs = []
-    for system in systems:
-        specs.append((measure_latency,
-                      dict(system=system, iterations=latency_iters)))
-        specs.append((measure_udp_throughput,
-                      dict(system=system, total_mb=udp_mb)))
-        specs.append((measure_tcp_throughput,
-                      dict(system=system, total_mb=tcp_mb)))
-    cells = runner.map_points(specs, label="table1")
-    rows: Dict[str, Dict[str, float]] = {}
-    for i, system in enumerate(systems):
-        name = system if isinstance(system, str) else system.value
-        rows[name] = {
-            "rtt_usec": cells[3 * i],
-            "udp_mbps": cells[3 * i + 1],
-            "tcp_mbps": cells[3 * i + 2],
-        }
-    return rows
+def sections() -> List[Section]:
+    return [
+        Section("table1/latency", measure_latency,
+                axes={"system": SYSTEMS}, fixed={"iterations": 2000},
+                fast={"iterations": 400}),
+        Section("table1/udp", measure_udp_throughput,
+                axes={"system": SYSTEMS}, fixed={"total_mb": 8.0},
+                fast={"total_mb": 2.0}),
+        Section("table1/tcp", measure_tcp_throughput,
+                axes={"system": SYSTEMS}, fixed={"total_mb": 24.0},
+                fast={"total_mb": 4.0}),
+    ]
 
 
-def report(rows: Dict[str, Dict[str, float]]) -> str:
-    table = [(name, f"{r['rtt_usec']:.0f}", f"{r['udp_mbps']:.0f}",
-              f"{r['tcp_mbps']:.0f}") for name, r in rows.items()]
+def report(latency, udp, tcp) -> str:
+    table = [(getattr(kwargs["system"], "value", kwargs["system"]),
+              f"{rtt:.0f}", f"{udp_mbps:.0f}", f"{tcp_mbps:.0f}")
+             for (kwargs, rtt), (_, udp_mbps), (_, tcp_mbps)
+             in zip(latency, udp, tcp)]
     return ("== Table 1: throughput and latency ==\n"
             + format_table(("system", "RTT (usec)", "UDP (Mbps)",
                             "TCP (Mbps)"), table))
-
-
-def main(fast: bool = False,
-         runner: Optional[SweepRunner] = None) -> str:
-    if fast:
-        rows = run_experiment(latency_iters=400, udp_mb=2.0,
-                              tcp_mb=4.0, runner=runner)
-    else:
-        rows = run_experiment(runner=runner)
-    text = report(rows)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

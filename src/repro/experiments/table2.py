@@ -22,17 +22,17 @@ Fast/Medium/Slow request cost:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List
 
 from repro.engine.process import Sleep, Syscall
 from repro.core import Architecture
 from repro.apps import rpc_server, rpc_single_call_client
-from repro.runner import SweepRunner
 from repro.stats.report import format_table
 from repro.experiments.common import (
     CLIENT_A_ADDR,
     MAIN_SYSTEMS,
     SERVER_ADDR,
+    Section,
     Testbed,
     delayed,
 )
@@ -125,43 +125,21 @@ def run_point(arch: Architecture, speed: str,
     }
 
 
-def run_experiment(systems: Sequence[Architecture] = MAIN_SYSTEMS,
-                   speeds: Sequence[str] = ("Fast", "Medium", "Slow"),
-                   scale: float = 0.2,
-                   runner: Optional[SweepRunner] = None) -> Dict:
-    runner = runner or SweepRunner()
-    grid = [(speed, arch) for speed in speeds for arch in systems]
-    points = runner.map(
-        run_point,
-        [dict(arch=arch, speed=speed, scale=scale)
-         for speed, arch in grid],
-        label="table2")
-    rows = [{"speed": speed, "system": arch.value, **point}
-            for (speed, arch), point in zip(grid, points)]
-    return {"rows": rows, "scale": scale}
+def sections() -> List[Section]:
+    return [Section("table2", run_point,
+                    axes={"speed": tuple(SPEEDS), "arch": MAIN_SYSTEMS},
+                    fixed={"scale": 0.2}, fast={"scale": 0.05})]
 
 
-def report(result: Dict) -> str:
-    table = [(r["speed"], r["system"],
+def report(points) -> str:
+    table = [(kwargs["speed"], kwargs["arch"].value,
               f"{r['worker_elapsed_sec']:.1f}",
               f"{r['rpc_per_sec']:.0f}",
               f"{100 * r['worker_cpu_share']:.1f}%")
-             for r in result["rows"]]
-    scale = result["scale"]
+             for kwargs, r in points]
+    scale = points[0][0]["scale"]
     title = (f"== Table 2: synthetic RPC server workload "
              f"(worker CPU scaled x{scale}) ==")
     return title + "\n" + format_table(
         ("RPC", "system", "worker elapsed (s)", "RPCs/sec",
          "worker CPU share"), table)
-
-
-def main(fast: bool = False,
-         runner: Optional[SweepRunner] = None) -> str:
-    scale = 0.05 if fast else 0.2
-    text = report(run_experiment(scale=scale, runner=runner))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

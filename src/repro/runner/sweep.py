@@ -49,7 +49,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
-                    Sequence, TextIO, Tuple)
+                    Sequence, Tuple)
 
 from repro.runner.cache import (
     ResultCache,
@@ -167,8 +167,6 @@ class SweepRunner:
         so re-running an interrupted sweep with the same cache resumes
         it; failed points are never stored, so only they recompute.
     :param progress: stream per-point progress lines to stderr.
-    :param label: name shown in progress lines and the results log.
-    :param stream: where progress lines go (default stderr).
     :param point_timeout_sec: per-point wall-clock budget; a point
         exceeding it fails with :class:`PointTimeout`.  ``None``
         disables the guard.
@@ -177,14 +175,10 @@ class SweepRunner:
     def __init__(self, workers: int = 0,
                  cache: Optional[ResultCache] = None,
                  progress: bool = False,
-                 label: str = "sweep",
-                 stream: Optional[TextIO] = None,
                  point_timeout_sec: Optional[float] = None) -> None:
         self.workers = max(0, int(workers))
         self.cache = cache
         self.progress = progress
-        self.label = label
-        self.stream = stream
         self.point_timeout_sec = point_timeout_sec
         #: One entry per executed point, in submission order, with the
         #: same keys for computed, cached and failed points; the CLI
@@ -235,10 +229,9 @@ class SweepRunner:
 
         reporter = ProgressReporter(
             total=len(points),
-            label=label or self.label,
+            label=label or "sweep",
             workers=workers,
-            enabled=self.progress if progress is None else progress,
-            stream=self.stream)
+            enabled=self.progress if progress is None else progress)
 
         results: List[Any] = [None] * len(points)
         pending: List[int] = []

@@ -13,12 +13,26 @@ fan-in while the LRP architectures hold their plateau.
 import pytest
 
 from repro.core import Architecture
+from repro.net.topology import incast_spec
 from repro.runner import ResultCache, SweepRunner
 from repro.experiments import cluster
+from repro.experiments.cli import run_sections
 
-FAST = dict(fan_ins=(1, 2), chain_rates=(2_000.0,),
-            systems=(Architecture.BSD, Architecture.SOFT_LRP),
-            duration_usec=120_000.0)
+SYSTEMS = (Architecture.BSD, Architecture.SOFT_LRP)
+
+
+def sweep(runner):
+    """The cluster declaration at fan-in 1-2, one chain rate, two
+    architectures and a 120 ms run."""
+    incast, chain = cluster.sections()
+    return run_sections([
+        incast._replace(fast={
+            "arch": SYSTEMS, "duration_usec": 120_000.0,
+            ("fan_in", "topology"): [(n, incast_spec(n))
+                                     for n in (1, 2)]}),
+        chain._replace(fast={"arch": SYSTEMS, "flood_pps": (2_000.0,),
+                             "duration_usec": 120_000.0}),
+    ], runner, fast=True)
 
 
 def test_incast_point_deterministic():
@@ -36,20 +50,17 @@ def test_chain_point_deterministic():
 
 
 def test_serial_parallel_cached_parity(tmp_path):
-    serial = cluster.run_experiment(runner=SweepRunner(workers=0),
-                                    **FAST)
-    parallel = cluster.run_experiment(runner=SweepRunner(workers=2),
-                                      **FAST)
+    serial = sweep(SweepRunner(workers=0))
+    parallel = sweep(SweepRunner(workers=2))
     assert parallel == serial
 
     cache = ResultCache(tmp_path / "cache")
-    cold = cluster.run_experiment(
-        runner=SweepRunner(workers=0, cache=cache), **FAST)
+    cold = sweep(SweepRunner(workers=0, cache=cache))
     assert cold == serial
     assert cache.misses > 0 and cache.hits == 0
     warm_runner = SweepRunner(workers=0,
                               cache=ResultCache(tmp_path / "cache"))
-    warm = cluster.run_experiment(runner=warm_runner, **FAST)
+    warm = sweep(warm_runner)
     assert warm == serial
     assert warm_runner.cache.misses == 0
     assert warm_runner.cache.hits == len(warm_runner.points_log)
@@ -57,7 +68,7 @@ def test_serial_parallel_cached_parity(tmp_path):
 
 def test_sweep_logs_name_the_graphs():
     runner = SweepRunner()
-    cluster.run_experiment(runner=runner, **FAST)
+    sweep(runner)
     topologies = {entry["topology"] for entry in runner.points_log}
     assert topologies == {"incast-1to1", "incast-2to1",
                           "gateway-chain"}
@@ -88,8 +99,7 @@ def test_incast_collapse_acceptance():
 
 
 def test_report_renders(capsys):
-    result = cluster.run_experiment(runner=SweepRunner(), **FAST)
-    text = cluster.report(result)
+    text = cluster.report(*sweep(SweepRunner()))
     assert "Cluster incast" in text
     assert "Gateway chain" in text
     assert "Goodput vs. 4.4BSD" in text

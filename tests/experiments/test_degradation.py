@@ -3,6 +3,8 @@ graceful-degradation ordering the paper predicts."""
 
 from repro.core import Architecture
 from repro.experiments import degradation
+from repro.experiments.cli import run_sections
+from repro.experiments.common import by_arch
 from repro.runner import SweepRunner
 
 FAST = dict(duration_usec=400_000.0, warmup_usec=100_000.0)
@@ -60,16 +62,18 @@ def test_tcp_point_delivers_under_faults():
         assert point["injected_faults"] > 0
 
 
-def test_run_experiment_shapes_and_report():
+def test_sweep_shapes_and_report():
     runner = SweepRunner()
-    result = degradation.run_experiment(
-        intensities=(0.0, 1.0), duration_usec=400_000.0,
-        runner=runner)
-    assert set(result["goodput"]) == {a.value for a in
-                                      degradation.MAIN_SYSTEMS}
-    assert len(result["rows"]) == 6
-    assert len(result["tcp_rows"]) == 3
-    text = degradation.report(result)
+    main, tcp = degradation.sections()
+    points, tcp_points = run_sections(
+        [main._replace(fast={"intensity": (0.0, 1.0),
+                             "duration_usec": 400_000.0}), tcp],
+        runner, fast=True)
+    assert set(by_arch(points)) == {a.value for a in
+                                    degradation.MAIN_SYSTEMS}
+    assert len(points) == 6
+    assert len(tcp_points) == 3
+    text = degradation.report(points, tcp_points)
     assert "victim goodput" in text
     assert "TCP delivery" in text
     assert len(runner.failed) == 0

@@ -11,9 +11,12 @@ from repro.experiments import (
     figure3,
     figure4,
     figure5,
+    sensitivity,
     table1,
     table2,
 )
+from repro.experiments.cli import run_sections
+from repro.runner import SweepRunner
 
 
 class TestFigure3:
@@ -40,13 +43,25 @@ class TestFigure3:
         assert 2_000 <= rate <= 14_000
 
     def test_report_renders(self):
-        result = figure3.run_experiment(
-            rates=(2_000, 12_000),
-            systems=(Architecture.BSD, Architecture.NI_LRP),
-            window_usec=150_000.0, compute_mlfrr=False)
-        text = figure3.report(result)
+        sweep, probe = figure3.sections()
+        points = run_sections(
+            [sweep._replace(fast={
+                "arch": (Architecture.BSD, Architecture.NI_LRP),
+                "rate_pps": (2_000, 12_000), "window_usec": 150_000.0}),
+             probe], SweepRunner(), fast=True)
+        assert points[1] == []  # no MLFRR probe at fast scale
+        text = figure3.report(*points)
         assert "Figure 3" in text
         assert "NI-LRP" in text
+
+    def test_report_marks_failed_mlfrr_probe(self):
+        (sweep,) = run_sections(
+            [figure3.sections()[0]._replace(fast={
+                "arch": (Architecture.BSD,), "rate_pps": (2_000,),
+                "window_usec": 100_000.0})], SweepRunner(), fast=True)
+        text = figure3.report(sweep, [({"arch": Architecture.BSD}, None)])
+        mlfrr_table = text.split("== MLFRR ==")[1].split("\n\n")[0]
+        assert mlfrr_table.splitlines()[-1].split() == ["4.4BSD", "-"]
 
 
 class TestFigure4:
@@ -102,9 +117,12 @@ class TestTable2:
         assert ni["worker_elapsed_sec"] < bsd["worker_elapsed_sec"]
 
     def test_report_renders(self):
-        result = table2.run_experiment(
-            systems=(Architecture.BSD,), speeds=("Fast",), scale=0.02)
-        assert "Table 2" in table2.report(result)
+        (section,) = table2.sections()
+        points = run_sections(
+            [section._replace(axes={"speed": ("Fast",),
+                                    "arch": (Architecture.BSD,)},
+                              fixed={"scale": 0.02})], SweepRunner())
+        assert "Table 2" in table2.report(*points)
 
 
 class TestFigure5:
@@ -143,21 +161,21 @@ class TestAblations:
 
 class TestSensitivity:
     def test_fast_sweep_claims_hold(self):
-        from repro.experiments import sensitivity
-
-        rows = sensitivity.run_experiment(
-            parameters=("soft_demux",), scales=(0.5, 1.0))
-        assert rows
-        for row in rows:
-            assert row["bsd_collapses"]
-            assert row["ni_flat"]
+        (section,) = sensitivity.sections()
+        (points,) = run_sections(
+            [section._replace(axes={("parameter", "scale"): [
+                ("soft_demux", 0.5), ("soft_demux", 1.0)]})],
+            SweepRunner())
+        assert points
+        for _, claims in points:
+            assert claims["bsd_collapses"]
+            assert claims["ni_flat"]
 
     def test_report_renders(self):
-        from repro.experiments import sensitivity
-
-        rows = [{"parameter": "x", "scale": 0.5,
-                 "bsd_collapses": True, "ni_flat": True,
-                 "soft_beats_bsd": False, "overload_ordering": True}]
-        text = sensitivity.report(rows)
+        points = [({"parameter": "soft_demux", "scale": 0.5},
+                   {"bsd_collapses": True, "ni_flat": True,
+                    "soft_beats_bsd": False, "overload_ordering": True})]
+        text = sensitivity.report(points)
         assert "Sensitivity" in text
+        assert "soft_demux" in text
         assert "NO" in text

@@ -1,5 +1,6 @@
 """The `python -m repro.experiments` front end: listing, validation,
-and the --results-json record."""
+section grids, the flags each experiment declares, and the
+--results-json record."""
 
 import json
 import types
@@ -7,6 +8,8 @@ import types
 import pytest
 
 from repro.experiments import cli
+from repro.experiments.common import Section
+from repro.runner import SweepRunner
 
 
 def tiny_point(x, scale=2):
@@ -19,49 +22,32 @@ def failing_point(x):
     return {"x": x}
 
 
-def tiny_main(fast=False, runner=None):
-    runner.map(tiny_point, [dict(x=1), dict(x=2)], label="tiny")
-    return "tiny report"
-
-
-def failing_main(fast=False, runner=None):
-    runner.map(failing_point, [dict(x=1), dict(x=2), dict(x=3)],
-               label="stub")
-    return "ok"
-
-
-def sharded_main(fast=False, runner=None, shards=1):
-    return f"shards={shards}"
-
-
-def multicore_main(fast=False, runner=None, cores=1):
-    return f"cores={cores}"
+def experiment(doc, label, fn, xs):
+    """A stub experiment module: one section over *xs*, reporting the
+    number of points it ran."""
+    return types.SimpleNamespace(
+        __doc__=doc,
+        sections=lambda: [Section(label, fn, axes={"x": xs})],
+        report=lambda points: f"{label} report ({len(points)} points)")
 
 
 @pytest.fixture
 def tiny_experiment(monkeypatch):
-    stub = types.SimpleNamespace(__doc__="A tiny test experiment.",
-                                 main=tiny_main)
-    monkeypatch.setattr(cli, "EXPERIMENT_MODULES", {"tiny": stub})
-    monkeypatch.setattr(cli, "EXPERIMENTS", {"tiny": tiny_main})
+    monkeypatch.setattr(cli, "EXPERIMENT_MODULES", {
+        "tiny": experiment("A tiny test experiment.", "tiny",
+                           tiny_point, (1, 2))})
 
 
-@pytest.fixture
-def mixed_experiments(monkeypatch):
-    """Experiments taking --shards, --cores, and neither."""
-    modules = {
-        "tiny": types.SimpleNamespace(
-            __doc__="A tiny test experiment.", main=tiny_main),
-        "shardy": types.SimpleNamespace(
-            __doc__="A sharded test experiment.", main=sharded_main),
-        "corey": types.SimpleNamespace(
-            __doc__="A multi-core test experiment.",
-            main=multicore_main),
-    }
-    monkeypatch.setattr(cli, "EXPERIMENT_MODULES", modules)
-    monkeypatch.setattr(cli, "EXPERIMENTS",
-                        {name: mod.main
-                         for name, mod in modules.items()})
+def shrink(monkeypatch, module, fast):
+    """Run *module*'s real declaration at a test-sized fast grid:
+    ``fast[label]`` extends the fast overrides of the section so
+    labelled."""
+    declared = module.sections
+
+    def sections(**flags):
+        return [s._replace(fast={**s.fast, **fast.get(s.label, {})})
+                for s in declared(**flags)]
+    monkeypatch.setattr(module, "sections", sections)
 
 
 class TestList:
@@ -98,24 +84,66 @@ class TestValidation:
         assert "figure3" in err
 
 
+class TestSections:
+    def test_grid_is_the_product_then_fixed_values(self):
+        section = Section("s", tiny_point,
+                          axes={"x": (1, 2), "y": ("a", "b")},
+                          fixed={"z": 0}, fast={"y": ("c",), "w": 1})
+        assert cli.section_grid(section, fast=False) == [
+            {"x": 1, "y": "a", "z": 0}, {"x": 1, "y": "b", "z": 0},
+            {"x": 2, "y": "a", "z": 0}, {"x": 2, "y": "b", "z": 0}]
+        assert cli.section_grid(section, fast=True) == [
+            {"x": 1, "y": "c", "z": 0, "w": 1},
+            {"x": 2, "y": "c", "z": 0, "w": 1}]
+
+    def test_tuple_keyed_axis_binds_parameters_together(self):
+        section = Section("s", tiny_point,
+                          axes={("x", "scale"): [(1, 10), (2, 20)]})
+        assert cli.section_grid(section, fast=False) == [
+            {"x": 1, "scale": 10}, {"x": 2, "scale": 20}]
+
+    def test_run_sections_pairs_kwargs_with_results(self):
+        runner = SweepRunner()
+        points = cli.run_sections(
+            [Section("a", tiny_point, axes={"x": (1, 2)}),
+             Section("b", tiny_point, axes={"x": ()})], runner)
+        assert points == [[({"x": 1}, {"x": 1, "y": 2}),
+                           ({"x": 2}, {"x": 2, "y": 4})], []]
+        assert len(runner.points_log) == 2
+
+
+def results(tmp_path, *argv):
+    out = tmp_path / "results.json"
+    assert cli.main([*argv, "--results-json", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
 class TestShardsFlag:
     def test_shards_forwarded_to_supporting_experiments(
-            self, mixed_experiments, tmp_path, capsys):
-        out = tmp_path / "results.json"
-        assert cli.main(["shardy", "--shards", "2",
-                         "--results-json", str(out)]) == 0
-        payload = json.loads(out.read_text())
+            self, monkeypatch, tmp_path, capsys):
+        from repro.experiments import cluster
+        from repro.net.topology import incast_spec
+        shrink(monkeypatch, cluster, {
+            "cluster-incast": {("fan_in", "topology"):
+                               [(1, incast_spec(1))],
+                               "duration_usec": 40_000.0},
+            "cluster-chain": {"flood_pps": (2_000.0,),
+                              "duration_usec": 40_000.0}})
+        payload = results(tmp_path, "cluster", "--fast", "--shards", "2")
         assert payload["invocation"]["shards"] == 2
-        assert payload["experiments"]["shardy"]["report"] \
-            == "shards=2"
+        assert len(payload["points"]) == 6
+        assert {p["shards"] for p in payload["points"]} == {2}
+        assert "does not support" not in capsys.readouterr().err
 
     def test_unsupporting_experiment_falls_back_with_note(
-            self, mixed_experiments, capsys):
-        assert cli.main(["tiny", "--shards", "2"]) == 0
+            self, tiny_experiment, tmp_path, capsys):
+        payload = results(tmp_path, "tiny", "--shards", "2")
         err = capsys.readouterr().err
-        assert "does not support --shards" in err
+        assert "tiny does not support --shards; running sequentially" \
+            in err
+        assert [p["shards"] for p in payload["points"]] == [1, 1]
 
-    def test_default_is_one_shard_no_note(self, mixed_experiments,
+    def test_default_is_one_shard_no_note(self, tiny_experiment,
                                           capsys):
         assert cli.main(["tiny"]) == 0
         assert "--shards" not in capsys.readouterr().err
@@ -123,33 +151,52 @@ class TestShardsFlag:
 
 class TestCoresFlag:
     def test_cores_forwarded_to_supporting_experiments(
-            self, mixed_experiments, tmp_path, capsys):
-        out = tmp_path / "results.json"
-        assert cli.main(["corey", "--cores", "4",
-                         "--results-json", str(out)]) == 0
-        payload = json.loads(out.read_text())
+            self, monkeypatch, tmp_path, capsys):
+        from repro.experiments import figure3
+        shrink(monkeypatch, figure3, {"figure3": {
+            "rate_pps": (1000,), "window_usec": 20_000.0}})
+        payload = results(tmp_path, "figure3", "--fast", "--cores", "4")
         assert payload["invocation"]["cores"] == 4
-        assert payload["experiments"]["corey"]["report"] \
-            == "cores=4"
+        points = payload["points"]
+        assert len(points) == 7  # the six-architecture comparison
+        assert {p["cores"] for p in points} == {4}
+        assert {p["params"]["flows"] for p in points} == {4}
+        assert "does not support" not in capsys.readouterr().err
+
+    def test_cores_forwarded_to_degradation(self, monkeypatch, tmp_path,
+                                            capsys):
+        from repro.experiments import degradation
+        shrink(monkeypatch, degradation, {
+            "degradation": {"intensity": (0.0,),
+                            "duration_usec": 40_000.0},
+            "degradation-tcp": {"intensity": (0.0,), "nbytes": 4_000}})
+        payload = results(tmp_path, "degradation", "--fast",
+                          "--cores", "4")
+        points = payload["points"]
+        assert len(points) == 12  # six architectures, two sections
+        assert {p["cores"] for p in points} == {4}
+        assert "does not support" not in capsys.readouterr().err
 
     def test_unsupporting_experiment_falls_back_with_note(
-            self, mixed_experiments, capsys):
-        assert cli.main(["tiny", "--cores", "4"]) == 0
+            self, tiny_experiment, tmp_path, capsys):
+        payload = results(tmp_path, "tiny", "--cores", "4")
         err = capsys.readouterr().err
-        assert "does not support --cores" in err
-        assert "running single-core" in err
+        assert "tiny does not support --cores; running single-core" \
+            in err
+        assert [p["cores"] for p in payload["points"]] == [1, 1]
 
-    def test_default_is_one_core_no_note(self, mixed_experiments,
+    def test_default_is_one_core_no_note(self, tiny_experiment,
                                          capsys):
         assert cli.main(["tiny"]) == 0
         assert "--cores" not in capsys.readouterr().err
 
     def test_real_figure3_and_degradation_accept_cores(self):
-        import inspect
-        for name in ("figure3", "degradation"):
-            accepts = inspect.signature(
-                cli.EXPERIMENTS[name]).parameters
-            assert "cores" in accepts
+        declared = {name: module.FLAGS
+                    for name, module in cli.EXPERIMENT_MODULES.items()
+                    if hasattr(module, "FLAGS")}
+        assert declared == {"figure3": ("shards", "cores"),
+                            "degradation": ("shards", "cores"),
+                            "cluster": ("shards",)}
 
 
 class TestResultsJson:
@@ -160,7 +207,8 @@ class TestResultsJson:
         payload = json.loads(out.read_text())
         assert payload["invocation"]["experiment"] == "tiny"
         assert payload["experiments"]["tiny"]["report"] \
-            == "tiny report"
+            == "tiny report (2 points)"
+        assert "tiny report (2 points)" in capsys.readouterr().out
         assert payload["sweep"]["wallclock"]["points"] == 2
         assert payload["sweep"]["cache"] is None
         results = [p["result"] for p in payload["points"]]
@@ -185,10 +233,9 @@ class TestResultsJson:
 class TestFailedPoints:
     def test_failed_points_exit_nonzero_with_descriptors(
             self, monkeypatch, tmp_path, capsys):
-        stub = types.SimpleNamespace(__doc__="Stub experiment.",
-                                     main=failing_main)
-        monkeypatch.setattr(cli, "EXPERIMENT_MODULES", {"stub": stub})
-        monkeypatch.setattr(cli, "EXPERIMENTS", {"stub": failing_main})
+        monkeypatch.setattr(cli, "EXPERIMENT_MODULES", {
+            "stub": experiment("Stub experiment.", "stub",
+                               failing_point, (1, 2, 3))})
         out = tmp_path / "results.json"
         assert cli.main(["stub", "--results-json", str(out)]) == 1
         err = capsys.readouterr().err
