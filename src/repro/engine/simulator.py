@@ -16,11 +16,13 @@ cleared.  The golden-trace suite pins the order (same events, same
 times, same order).
 
 Components also avoid events nobody can observe.  :meth:`advance_to`
-lets the CPU end consecutive slices without a heap entry each, and
+lets the CPU end consecutive slices without a heap entry each,
 :meth:`reserve` / :meth:`claim` let a transmit port skip its "wire
-free" event while its queue is empty.  Both leave the heap order
-exactly as one event per step would have it, so the golden behaviour
-digests do not move; only the fired-event count does.
+free" event while its queue is empty, and :meth:`defer` lets a port
+do at once what a pass-through switch's arrival event would do later.
+All three leave the heap order exactly as one event per step would
+have it, so the golden behaviour digests do not move; only the
+fired-event count does.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import hashlib
 import random
 from heapq import heappop, heappush
 from math import inf, nextafter
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.event import EventQueue
 from repro.trace.tracer import (
@@ -82,6 +84,11 @@ class Simulator:
         #: slice end :meth:`advance_to` stands in for); with ``now``
         #: it is the key :meth:`claim` compares reserved keys with.
         self._seq_now = -1
+        #: The items :meth:`defer` made for an elided event, under
+        #: each item's time: ``[event key, entry, reserved key]``.
+        #: Every push or reservation at a listed time consults it;
+        #: the dict object is aliased by the CPU.
+        self._ties: Dict[float, List] = {}
         self.events_processed = 0
         if tracer is None:
             tracer = get_default_tracer()
@@ -116,8 +123,11 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        entry = [self.now + delay, next(self._seq), callback, args]
+        time = self.now + delay
+        entry = [time, next(self._seq), callback, args]
         heappush(self._heap, entry)
+        if time in self._ties:
+            self._retie(time)
         return entry
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
@@ -128,6 +138,8 @@ class Simulator:
                 f"cannot schedule at {time!r}, now is {self.now!r}")
         entry = [time, next(self._seq), callback, args]
         heappush(self._heap, entry)
+        if time in self._ties:
+            self._retie(time)
         return entry
 
     def cancel(self, handle: List) -> None:
@@ -151,9 +163,12 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot reserve {time!r}, now is {self.now!r}")
-        return (time, next(self._seq))
+        key = (time, next(self._seq))
+        if time in self._ties:
+            self._retie(time)
+        return key
 
-    def passed(self, key: Tuple[float, int]) -> bool:
+    def passed(self, key: Sequence) -> bool:
         """Whether an event under reserved *key* would already have
         fired: its time is before now, or it is now and its sequence
         number precedes the event being fired."""
@@ -161,7 +176,7 @@ class Simulator:
         return time < self.now or (time == self.now
                                    and key[1] < self._seq_now)
 
-    def claim(self, key: Tuple[float, int],
+    def claim(self, key: Sequence,
               callback: Callable[..., Any], *args: Any) -> bool:
         """Schedule *callback* under a key from :meth:`reserve`, unless
         the key has :meth:`passed`; then schedule nothing and return
@@ -173,6 +188,64 @@ class Simulator:
             return False
         heappush(self._heap, [time, seq, callback, args])
         return True
+
+    def defer(self, at: float, time: float, callback: Callable[..., Any],
+              args: tuple, reserve_at: float) -> Optional[List]:
+        """Stand in for an event at *at* that would schedule
+        ``callback(*args)`` at *time* and reserve a key at
+        *reserve_at*: reserve that event's key, make both calls now,
+        and return the reserved key (a ``[time, seq]`` list, so that
+        its sequence number can move).
+
+        For a caller that elides such an event.  Made by the event,
+        the entry and the key would take their sequence numbers only
+        once its key had passed, so until then anything scheduled or
+        reserved at their times must sort ahead of them: each time
+        that happens the item takes a fresh sequence number (see
+        :meth:`_retie`).  Returns None, doing nothing, if items of
+        another elided event whose key has not passed stand at *time*
+        or *reserve_at*; the caller then schedules the event.
+        """
+        ties = self._ties
+        for when in (time, reserve_at):
+            if when in ties and not self.passed(ties[when][0]):
+                return None
+        if len(ties) > 32:
+            # Forget the items whose key has passed (passed(), inlined).
+            now, seq_now = self.now, self._seq_now
+            for when in [when for when, (key, _, _) in ties.items()
+                         if key[0] < now
+                         or (key[0] == now and key[1] < seq_now)]:
+                del ties[when]
+        seq = self._seq
+        key = (at, next(seq))
+        if at in ties:
+            self._retie(at)
+        entry = [time, next(seq), callback, args]
+        heappush(self._heap, entry)
+        reserved = [reserve_at, next(seq)]
+        ties[time] = ties[reserve_at] = [key, entry, reserved]
+        return reserved
+
+    def _retie(self, time: float) -> None:
+        """Something was just scheduled or reserved at *time*, where
+        deferred items stand: move each behind it, or forget them
+        once their key has passed."""
+        watch = self._ties[time]
+        if self.passed(watch[0]):
+            del self._ties[time]
+            return
+        for index in range(1, len(watch)):
+            item = watch[index]
+            if item[0] != time:
+                continue
+            if len(item) == 2:
+                item[1] = next(self._seq)
+            else:
+                fresh = [time, next(self._seq), item[2], item[3]]
+                self._queue.cancel(item)
+                heappush(self._heap, fresh)
+                watch[index] = fresh
 
     def advance_to(self, time: float) -> bool:
         """Move the clock to *time* in place of firing an event there.

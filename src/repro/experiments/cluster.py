@@ -50,7 +50,12 @@ from repro.apps import udp_blast_sink
 from repro.stats.metrics import LatencyRecorder
 from repro.stats.report import format_series, format_table
 from repro.workloads import RawUdpInjector
-from repro.experiments.common import MAIN_SYSTEMS, Section, by_arch
+from repro.experiments.common import (
+    MAIN_SYSTEMS,
+    Section,
+    by_arch,
+    json_num,
+)
 
 #: Canonical addresses of the incast rack.
 INCAST_SERVER_ADDR = "10.0.0.1"
@@ -72,13 +77,6 @@ DEFAULT_FAN_INS = (1, 2, 3, 4)
 DEFAULT_CHAIN_RATES = (2_000.0, 8_000.0, 14_000.0)
 
 
-def _num(value: float, digits: int = 1) -> Optional[float]:
-    """NaN-free numeric for JSON-strict results."""
-    if value != value:
-        return None
-    return round(value, digits)
-
-
 # ----------------------------------------------------------------------
 # Component hooks (module-level functions, so a component declaration
 # stays plain picklable data; see docs/PDES.md)
@@ -92,9 +90,9 @@ def _tail_stats(recorder: LatencyRecorder, duration_usec: float,
     for sample in delivered:
         tail.record(sample)
     return {
-        "goodput_pps": _num(len(delivered) * 1e6 / window),
-        "latency_p50_usec": _num(tail.percentile(50.0)),
-        "latency_p99_usec": _num(tail.percentile(99.0)),
+        "goodput_pps": json_num(len(delivered) * 1e6 / window, 1),
+        "latency_p50_usec": json_num(tail.percentile(50.0), 1),
+        "latency_p99_usec": json_num(tail.percentile(99.0), 1),
     }
 
 
@@ -135,7 +133,7 @@ def _incast_server_collect(world, state, duration_usec, warmup_usec,
         "drop_sockq": (stats.get("drop_sockq")
                        + stats.get("drop_early_sockq_full")),
         "drop_mbufs": stats.get("drop_mbufs"),
-        "cpu_idle": _num(host.kernel.cpu.idle_time),
+        "cpu_idle": json_num(host.kernel.cpu.idle_time, 1),
     }
 
 
@@ -255,11 +253,11 @@ def _chain_gateway_collect(world, state, duration_usec, **_):
     app, progress = state["app"], state["progress"]
     forwarded = gateway.stack.stats.get("ip_forwarded")
     return {
-        "forwarded_pps": _num(forwarded * 1e6 / world.sim.now),
-        "app_share": _num(progress[0] * 1_000.0 / duration_usec, 3),
-        "app_interrupt_bill_ms": _num(app.intr_time_charged / 1e3),
+        "forwarded_pps": json_num(forwarded * 1e6 / world.sim.now, 1),
+        "app_share": json_num(progress[0] * 1_000.0 / duration_usec, 3),
+        "app_interrupt_bill_ms": json_num(app.intr_time_charged / 1e3, 1),
         "daemon_cpu_ms": (None if daemon is None
-                          else _num(daemon.proc.cpu_time / 1e3)),
+                          else json_num(daemon.proc.cpu_time / 1e3, 1)),
         "fwd_channel_drops": (0 if daemon is None
                               else daemon.channel.total_discards()),
     }
@@ -418,20 +416,18 @@ def report(incast, chain) -> str:
     max_fan = max(kwargs["fan_in"] for kwargs, _ in incast)
     at_max = {kwargs["arch"].value: r["goodput_pps"]
               for kwargs, r in incast if r["fan_in"] == max_fan}
-    bsd = at_max.get(Architecture.BSD.value)
-    ratios = {}
-    for name, value in at_max.items():
-        if name == Architecture.BSD.value or value is None:
-            continue
-        if bsd:
-            ratios[name] = _num(value / bsd, 2)
-        else:
-            # BSD collapsed to zero goodput: any survivor's ratio is
-            # unbounded.
-            ratios[name] = float("inf") if value > 0 else None
-    out.append(f"\nGoodput vs. 4.4BSD at fan-in {max_fan}: "
-               + ", ".join(f"{name}: {value}x"
-                           for name, value in sorted(ratios.items())))
+    bsd = at_max.pop(Architecture.BSD.value)
+    survivors = sorted((name, value) for name, value in at_max.items()
+                       if value is not None)
+    if bsd:
+        ratios = ", ".join(f"{name}: {json_num(value / bsd, 2)}x"
+                           for name, value in survivors)
+    else:
+        # BSD collapsed to zero goodput: a ratio would be unbounded,
+        # so give each survivor's goodput instead.
+        ratios = "4.4BSD delivered 0 pps; " + ", ".join(
+            f"{name}: {value} pps" for name, value in survivors)
+    out.append(f"\nGoodput vs. 4.4BSD at fan-in {max_fan}: {ratios}")
 
     out.append("\n== Gateway chain: offered -> forwarded -> "
                "delivered ==")

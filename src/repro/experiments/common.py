@@ -13,7 +13,7 @@ the same :class:`~repro.engine.world.World`.
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Mapping, \
-    NamedTuple, Sequence
+    NamedTuple, Optional, Sequence
 
 from repro.engine.process import Sleep
 from repro.engine.world import World
@@ -47,6 +47,14 @@ class Section(NamedTuple):
     axes: Mapping[Any, Sequence]
     fixed: Mapping[str, Any] = {}
     fast: Mapping[Any, Any] = {}
+
+
+def json_num(value: float, digits: int) -> Optional[float]:
+    """*value* rounded to *digits*, or None for NaN (strict JSON has
+    no NaN)."""
+    if value != value:
+        return None
+    return round(value, digits)
 
 
 def by_arch(points: Sequence) -> Dict[str, List[Any]]:

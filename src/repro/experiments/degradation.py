@@ -51,6 +51,7 @@ from repro.experiments.common import (
     Section,
     Testbed,
     by_arch,
+    json_num,
 )
 
 VICTIM_PORT = 7100
@@ -134,13 +135,6 @@ def host_fault_plan(intensity: float, duration_usec: float,
     ))
 
 
-def _num(value: float, digits: int = 3) -> Optional[float]:
-    """NaN-free numeric for JSON-strict results."""
-    if value != value:
-        return None
-    return round(value, digits)
-
-
 def _recovery_usec(stamps: Sequence[float], window_end: float,
                    duration_usec: float,
                    baseline_pps: float) -> Optional[float]:
@@ -220,10 +214,10 @@ def _deg_server_collect(world, state, duration_usec, warmup_usec, **_):
 
     stack = host.stack
     return {
-        "victim_goodput_pps": _num(goodput, 1),
-        "latency_p50_usec": _num(tail.percentile(50.0), 1),
-        "latency_p95_usec": _num(tail.percentile(95.0), 1),
-        "latency_p99_usec": _num(tail.percentile(99.0), 1),
+        "victim_goodput_pps": json_num(goodput, 1),
+        "latency_p50_usec": json_num(tail.percentile(50.0), 1),
+        "latency_p95_usec": json_num(tail.percentile(95.0), 1),
+        "latency_p99_usec": json_num(tail.percentile(99.0), 1),
         "recovery_usec": recovery,
         "injected_faults": plane.injected_total() if plane else 0,
         "faults": plane.snapshot() if plane else {},
@@ -427,7 +421,7 @@ def run_tcp_point(arch: Architecture, intensity: float,
         "bytes_expected": nbytes,
         "bytes_received": received[0] if received else 0,
         "complete": bool(received) and received[0] == nbytes,
-        "elapsed_usec": _num(bed.sim.now, 1),
+        "elapsed_usec": json_num(bed.sim.now, 1),
         "tcp_rexmt_timeouts": rexmt,
         "max_backoff": max_backoff,
         "injected_faults": plane.injected_total() if plane else 0,

@@ -82,6 +82,9 @@ class Cpu:
         self._slice_end = self._on_slice_end
         self._heap = sim._heap
         self._seq = sim._seq
+        # A push at a time where Simulator.defer holds items must
+        # move them behind it, as Simulator.schedule does.
+        self._ties = sim._ties
 
         #: Process context preempted by (or running under) interrupts;
         #: used by accounting policies that bill "the interrupted
@@ -218,10 +221,12 @@ class Cpu:
         # A slice started while _on_slice_end runs is scheduled (or
         # run ahead to) by it, once it has settled which slice runs.
         if not self._ending:
-            entry = [self.sim.now + duration, next(self._seq),
-                     self._slice_end, ()]
+            end = self.sim.now + duration
+            entry = [end, next(self._seq), self._slice_end, ()]
             heappush(self._heap, entry)
             self._slice_event = entry
+            if end in self._ties:
+                self.sim._retie(end)
 
     def _account_elapsed(self, elapsed: float) -> None:
         """Record and bill *elapsed* microseconds of the current slice."""
@@ -352,10 +357,12 @@ class Cpu:
                     break
         finally:
             self._ending = False
-        entry = [sim.now + self._slice_len, next(self._seq),
-                 self._slice_end, ()]
+        end = sim.now + self._slice_len
+        entry = [end, next(self._seq), self._slice_end, ()]
         heappush(self._heap, entry)
         self._slice_event = entry
+        if end in self._ties:
+            sim._retie(end)
 
     def _retire(self, ctx) -> None:
         if ctx is self.last_process_running:

@@ -250,11 +250,16 @@ class OutPort:
     through the queue or :meth:`_service`.  Both paths put a frame on
     the wire with :meth:`_send`, so they make the same ``schedule`` and
     ``reserve`` calls in the same order.
+
+    A port feeding a pass-through switch (``wire`` is that switch's
+    other port) carries a frame across the switch when it can, with no
+    arrival event there: see :meth:`_pass_through`.
     """
 
     __slots__ = ("topology", "node", "link", "neighbour", "local",
                  "capacity", "queue", "_busy", "_free", "enqueued",
-                 "serviced", "drops_overflow", "peak_depth", "name")
+                 "serviced", "drops_overflow", "peak_depth", "name",
+                 "wire", "_hop")
 
     def __init__(self, topology: "Topology", node: str, link: Link,
                  capacity: int):
@@ -277,6 +282,12 @@ class OutPort:
         self.serviced = 0
         self.drops_overflow = 0
         self.peak_depth = 0
+        #: The pass-through switch's port that every frame sent here
+        #: leaves by (set by the topology), or None.
+        self.wire: Optional["OutPort"] = None
+        #: This port's latest scheduled arrival event: a frame
+        #: passes through ``wire`` only once it has fired.
+        self._hop = None
 
     @property
     def busy(self) -> bool:
@@ -348,8 +359,12 @@ class OutPort:
         else:
             link.frames += 1
             if self.local:
-                sim.schedule(tx_time + link.propagation, topo._arrive,
-                             self.neighbour, frame, dst_key)
+                delay = tx_time + link.propagation
+                if self.wire is None or not self._pass_through(
+                        sim.now + delay, frame, dst_key):
+                    self._hop = sim.schedule(delay, topo._arrive,
+                                             self.neighbour, frame,
+                                             dst_key)
             else:
                 topo._in_flight -= 1
                 topo.frames_exported += 1
@@ -360,6 +375,52 @@ class OutPort:
             sim.schedule(tx_time, self._service)
         else:
             self._free = sim.reserve(sim.now + tx_time)
+
+    def _pass_through(self, arrive: float, frame: Frame,
+                      dst_key: int) -> bool:
+        """Carry *frame*, due at the switch at *arrive*, out of the
+        switch's port ``wire`` now, and return True; or return False,
+        doing nothing, if its arrival there must be an event.
+
+        The switch forwards every frame from this link out of
+        ``wire``, and this port's frames reach it in FIFO order, so
+        once this port's earlier arrival events have fired, ``wire``'s
+        state at *arrive* follows from state it has now.  If its queue
+        is empty and its wire frees strictly before *arrive*, the
+        arrival would put the frame straight on that wire: this does
+        the same, with the same counters, schedule and reserve calls,
+        and times, through :meth:`Simulator.defer`, which reserves the
+        arrival's own key in its place and sorts the calls as if that
+        event had made them.
+        """
+        out = self.wire
+        hop = self._hop
+        if out.queue or (hop is not None and hop[3] is not None) \
+                or out.link.fault_plane is not None:
+            return False
+        free = out._free
+        if free is not None:
+            if free[0] >= arrive:
+                return False
+        elif out._busy:
+            return False
+        link = out.link
+        tx_time = frame.wire_len * 8.0 / link.bandwidth
+        far = arrive + (tx_time + link.propagation)
+        free_at = arrive + tx_time
+        key = self.topology.sim.defer(
+            arrive, far, self.topology._arrive,
+            (out.neighbour, frame, dst_key), free_at)
+        if key is None:
+            return False
+        out._free = key
+        out._busy = True
+        out.enqueued += 1
+        out.serviced += 1
+        if not out.peak_depth:
+            out.peak_depth = 1
+        link.frames += 1
+        return True
 
 
 class Switch:
@@ -471,6 +532,12 @@ class Topology:
         #: node -> {dst host node -> neighbour to forward to}
         self.routes: Dict[str, Dict[str, str]] = {}
         self.build_routes()
+
+        # A traced run keeps every switch arrival an event: the trace
+        # records the hop there (pkt_enqueue).
+        if not sim.trace.enabled:
+            for feeder, out in self.pass_through_ports():
+                feeder.wire = out
 
         # The flat LAN's stochastic congestion knee, applied to
         # injections: above it, frames drop at the source access link.
@@ -642,6 +709,24 @@ class Topology:
             for node, towards in parent.items():
                 if towards is not None:
                     self.routes[node][dst] = towards
+
+    def pass_through_ports(self) -> List[Tuple[OutPort, OutPort]]:
+        """``(feeder, out)`` port pairs across each pass-through
+        switch: a switch with two links and room to queue a frame,
+        which forwards every frame *feeder* sends it out of *out*.  A
+        pair needs the switch and both its neighbours owned, so
+        neither port exports frames across a shard cut."""
+        pairs = []
+        for name, switch in self.switches.items():
+            links = self._adjacency[name]
+            if len(links) != 2 or switch.spec.queue_frames < 1:
+                continue
+            for (src, _), (dst, _) in (links, links[::-1]):
+                feeder = self._ports.get((src, name))
+                out = self._ports[(name, dst)]
+                if feeder is not None and out.local:
+                    pairs.append((feeder, out))
+        return pairs
 
     def forwarding_table(self, switch: str) -> Dict[str, str]:
         """A switch's table: destination host node -> egress neighbour."""

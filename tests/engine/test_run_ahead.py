@@ -307,9 +307,13 @@ def run_port(plan, eager=False, propagation=10.0):
     link, then the switch's port toward the server.  With zero
     *propagation* a frame reaches the switch the instant its wire
     frees, so the order of the two events pins the order of
-    ``_send``'s schedule and reserve calls."""
+    ``_send``'s schedule and reserve calls.  The switch is a hop, not
+    a wire: both sides put every frame through ``_send`` at each
+    port."""
     sim = Simulator(seed=1)
     topo = passthrough_spec(propagation_usec=propagation).build(sim)
+    for feeder, _ in topo.pass_through_ports():
+        feeder.wire = None
     log = []
     topo.attach(Sink(sim, log), "10.0.0.1")
     topo.attach(Sink(sim, []), "10.0.0.2")

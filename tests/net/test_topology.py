@@ -292,9 +292,12 @@ def run_hops(times, burst, loss=0.0):
     with *loss*, the client's link drops that share of its frames.
     Returns arrivals, per-port counters and ``busy`` probes taken
     half a frame time into each send, at the instant the wire frees
-    and half a frame time later."""
+    and half a frame time later.  The switch is a hop, not a wire, so
+    each frame passes through ``enqueue`` at both ports."""
     sim = Simulator(seed=1)
     topo = passthrough_spec().build(sim)
+    for feeder, _ in topo.pass_through_ports():
+        feeder.wire = None
     server = SinkNic(sim)
     topo.attach(server, SERVER)
     topo.attach(SinkNic(sim), CLIENT)
