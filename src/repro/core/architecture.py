@@ -88,7 +88,7 @@ def build_host(sim: Simulator, network: Network, addr,
                **stack_kwargs) -> Host:
     """Assemble a host running the given architecture's kernel.
 
-    *cores* sizes the host's :class:`~repro.host.cpu.CpuSet`.  The
+    *cores* is the number of :class:`~repro.host.cpu.Cpu` cores.  The
     paper's four architectures ignore extra cores (their single-queue
     NICs interrupt core 0, as on real pre-RSS hardware); RSS steers
     receive queues across all of them; polling requires ``cores >= 2``

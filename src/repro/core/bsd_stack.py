@@ -75,7 +75,6 @@ class BsdStack(NetworkStack):
 
         def action() -> None:
             ring_release()
-            self.stats.incr("rx_packets")
             trace = self.sim.trace
             chain = self.mbufs.try_allocate(frame.packet.total_len,
                                             frame.packet)

@@ -69,7 +69,6 @@ class EarlyDemuxStack(LrpStackBase):
 
         def hw_action() -> None:
             ring_release()
-            self.stats.incr("rx_packets")
             channel = self.soft_demux(frame.packet)
             if channel is None:
                 return

@@ -144,7 +144,6 @@ class LrpStackBase(NetworkStack):
         enabled = not listener.backlog_full()
         if enabled != channel.processing_enabled:
             channel.processing_enabled = enabled
-            self.stats.incr("backlog_feedback_flips")
 
     def iter_channels(self):
         """Every live per-socket NI channel."""

@@ -83,7 +83,6 @@ class PollingStack(BsdStack):
             burst = nic.poll_burst(POLL_BURST)
             for frame in burst:
                 yield dequeue
-                self.stats.incr("rx_packets")
                 # Protocol input runs inline in the poll thread's
                 # process context — preemptible in principle, but
                 # nothing else is pinned to this core.

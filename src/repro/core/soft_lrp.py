@@ -28,7 +28,6 @@ class SoftLrpStack(LrpStackBase):
                      core: int) -> IntrTask:
         def action() -> None:
             ring_release()
-            self.stats.incr("rx_packets")
             channel = self.soft_demux(frame.packet)
             if channel is None:
                 return

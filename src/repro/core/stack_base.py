@@ -297,7 +297,6 @@ class NetworkStack:
             dgram = UdpDatagram(sock.local.port, dst.port,
                                 payload=payload, payload_len=nbytes)
             self.ip_output(dgram, dst.addr, IPPROTO_UDP, dgram.total_len)
-            self.stats.incr("udp_out")
             return nbytes
         return body()
 
@@ -451,7 +450,6 @@ class NetworkStack:
             total_cost += self.costs.tcp_output + self.costs.ip_output
             self.ip_output(seg, conn.peer.addr, IPPROTO_TCP,
                            seg.total_len)
-            self.stats.incr("tcp_segs_out")
         if total_cost > 0.0:
             yield Compute(total_cost)
 
@@ -467,8 +465,6 @@ class NetworkStack:
         elif actions.cancel_persist:
             self._cancel_timer(sock, "persist")
 
-        if actions.deliver_bytes:
-            self.stats.incr("tcp_bytes_delivered", actions.deliver_bytes)
         if actions.wake_receiver:
             self.kernel.wake_all(sock.rcv_wait)
         if actions.wake_sender:
@@ -496,7 +492,6 @@ class NetworkStack:
         self.listener_backlog_changed(listener)
 
     def _enter_time_wait(self, sock: Socket, hold: float) -> None:
-        self.stats.incr("tcp_time_wait")
         # LRP deallocates the NI channel as soon as the connection
         # enters TIME_WAIT (Section 4.2 discussion on scaling).
         self.endpoint_detached(sock)
@@ -587,7 +582,6 @@ class NetworkStack:
             self.stats.incr("drop_tcp_no_conn")
             return
         yield Compute(self.costs.tcp_input)
-        self.stats.incr("tcp_segs_in")
         actions = conn.segment_arrives(seg, self.sim.now)
         yield from self.apply_tcp_actions(sock, actions)
 
@@ -678,7 +672,6 @@ class NetworkStack:
         trace = self.sim.trace
         if sock.rcv_dgrams.offer((dgram, packet.stamp),
                                  endpoint(packet.src, dgram.src_port)):
-            self.stats.incr("udp_queued")
             if trace.enabled:
                 trace.pkt_deliver("sockq", flow_of(packet))
             self.kernel.wake_one(sock.rcv_wait)

@@ -2,10 +2,10 @@
 
 Four layers, bottom up:
 
-* **Clock and events** — :class:`Simulator` and its
-  :class:`EventQueue`: a sequential microsecond-resolution event loop.
-  Every simulated artifact (CPU, NIC, link, timer) schedules through
-  one simulator, and everything stochastic draws from its seeded RNG
+* **Clock and events** — :class:`Simulator`: a sequential
+  microsecond-resolution event loop that owns the event heap.  Every
+  simulated artifact (CPU, NIC, link, timer) schedules through one
+  simulator, and everything stochastic draws from its seeded RNG
   streams, so a run is a pure function of its seed.
 * **Processes** — :class:`SimProcess` and the request vocabulary
   (:class:`Compute`, :class:`Syscall`, :class:`Sleep`, ...):
@@ -35,7 +35,6 @@ from repro.engine.component import (
     cover_switches,
     make_partition,
 )
-from repro.engine.event import EventQueue
 from repro.engine.process import (
     Block,
     Compute,
@@ -60,7 +59,6 @@ __all__ = [
     "ChannelLink",
     "Component",
     "Compute",
-    "EventQueue",
     "Exit",
     "HostComponent",
     "Partition",

@@ -567,18 +567,11 @@ class ShardedRun:
                 self.trace_digest = payloads[0]["digest"]
 
     def total_conservation(self) -> Dict[str, int]:
-        """Fold the per-shard ledgers; raises if any shard's local
-        invariant or the global export/import balance is broken."""
+        """Fold the per-shard ledgers; raises if the global
+        export/import balance is broken.  (Each shard's world checked
+        its own ledger when it finalized.)"""
         total: Dict[str, int] = {}
         for ledger in self.conservation:
-            drops = sum(v for k, v in ledger.items()
-                        if k.startswith("drops_"))
-            lhs = ledger["sent"] + ledger["imported"]
-            rhs = (ledger["delivered"] + drops + ledger["in_flight"]
-                   + ledger["exported"])
-            if lhs != rhs:
-                raise ShardSyncError(
-                    f"per-shard conservation broken: {ledger}")
             for key, value in ledger.items():
                 total[key] = total.get(key, 0) + value
         if total and total["exported"] != total["imported"]:

@@ -6,14 +6,36 @@ Time is measured in microseconds, matching the granularity at which the
 paper reports per-packet costs (e.g. "hardware plus software interrupt,
 approximately 60 usecs").
 
+The simulator owns the event heap.  Every scheduled action is one heap
+entry of a single shape, the list ``[time, seq, callback, args]``, and
+that list is also the handle the scheduler gets back.  Lists compare
+element by element like tuples, and ``seq`` (one counter) is unique,
+so every sift comparison stays in C on the first two fields and never
+reaches the callback; events scheduled for the same instant fire in
+FIFO order.  A handle is in one of three states:
+
+* **pending** — in the heap with its callback set;
+* **cancelled** — :meth:`Simulator.cancel` cleared its callback
+  (``entry[2] is None``);
+* **fired** — the run loop took it and marked it (``entry[3] is
+  None``) before calling its callback, so a late cancel, even one from
+  the callback itself, does nothing.
+
+Cancellation is O(1) lazy delete with *indexed accounting*: the
+simulator counts its dead entries and compacts the heap when more than
+half of it is cancelled, so timer-churn workloads (TCP
+retransmit/delayed-ACK timers that almost always cancel) cannot grow
+the heap without bound.  The pre-overhaul heap of ``Event`` objects
+survives in tests/engine/test_queue_differential.py as the
+differential-testing oracle.
+
 The run loop is the hottest code in the repository — every simulated
 packet costs several events.  One loop (``Simulator._drain``) serves
 :meth:`~Simulator.run_until`, :meth:`~Simulator.run_events_before` and
-:meth:`~Simulator.run`; it pops the event heap directly.  Every entry is one
-``[time, seq, callback, args]`` list (see :mod:`repro.engine.event`),
-so the loop has one branch, skipping an entry whose callback a cancel
-cleared.  The golden-trace suite pins the order (same events, same
-times, same order).
+:meth:`~Simulator.run`; it pops the event heap directly and has one
+branch, skipping an entry whose callback a cancel cleared.  The
+golden-trace suite pins the order (same events, same times, same
+order).
 
 Components also avoid events nobody can observe.  :meth:`advance_to`
 lets the CPU end consecutive slices without a heap entry each,
@@ -22,18 +44,19 @@ free" event while its queue is empty, and :meth:`defer` lets a port
 do at once what a pass-through switch's arrival event would do later.
 All three leave the heap order exactly as one event per step would
 have it, so the golden behaviour digests do not move; only the
-fired-event count does.
+fired-event count does.  Every push and reservation goes through this
+class, which is what lets it keep that order (see :meth:`_retie`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import inf, nextafter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.event import EventQueue
 from repro.trace.tracer import (
     NULL_TRACER,
     Tracer,
@@ -43,6 +66,10 @@ from repro.trace.tracer import (
 
 #: Number of microseconds in one second, for readability at call sites.
 USEC_PER_SEC = 1_000_000.0
+
+#: Compact the heap when it holds at least this many entries and more
+#: than half of them are cancelled.
+_COMPACT_MIN = 64
 
 
 class SimulationError(RuntimeError):
@@ -71,11 +98,12 @@ class Simulator:
                  tracer: Optional[Tracer] = None) -> None:
         self.now: float = 0.0
         self.seed = seed
-        self._queue = EventQueue()
-        # Direct aliases of the queue's heap and sequence counter: the
-        # scheduling calls and the run loop touch them per event.
-        self._heap = self._queue._heap
-        self._seq = self._queue._seq
+        #: The event heap of ``[time, seq, callback, args]`` entries,
+        #: the counter that hands out ``seq``, and how many entries in
+        #: the heap are cancelled.
+        self._heap: list = []
+        self._seq = itertools.count()
+        self._dead = 0
         self._running = False
         #: Latest time :meth:`advance_to` may move the clock to: the
         #: running drain's limit, ``-inf`` outside a drain.
@@ -86,8 +114,7 @@ class Simulator:
         self._seq_now = -1
         #: The items :meth:`defer` made for an elided event, under
         #: each item's time: ``[event key, entry, reserved key]``.
-        #: Every push or reservation at a listed time consults it;
-        #: the dict object is aliased by the CPU.
+        #: Every push or reservation at a listed time consults it.
         self._ties: Dict[float, List] = {}
         self.events_processed = 0
         if tracer is None:
@@ -144,9 +171,20 @@ class Simulator:
 
     def cancel(self, handle: List) -> None:
         """Prevent a scheduled event from firing.  Idempotent, and a
-        no-op once the event has fired (see
-        :meth:`EventQueue.cancel`)."""
-        self._queue.cancel(handle)
+        no-op once the event has fired."""
+        if handle[2] is None or handle[3] is None:
+            return
+        # Drop references eagerly; a cancelled entry can sit in the
+        # heap for a long time and would otherwise pin its arguments.
+        handle[2] = None
+        handle[3] = ()
+        self._dead += 1
+        heap = self._heap
+        if len(heap) >= _COMPACT_MIN and self._dead * 2 > len(heap):
+            # In place: the run loop holds the list object.
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapify(heap)
+            self._dead = 0
 
     def reserve(self, time: float) -> Tuple[float, int]:
         """Reserve the heap key of an event at *time* without
@@ -243,7 +281,7 @@ class Simulator:
                 item[1] = next(self._seq)
             else:
                 fresh = [time, next(self._seq), item[2], item[3]]
-                self._queue.cancel(item)
+                self.cancel(item)
                 heappush(self._heap, fresh)
                 watch[index] = fresh
 
@@ -268,8 +306,8 @@ class Simulator:
             # A cancelled head is no obstacle: the drain would skip it.
             if heap[0][2] is not None:
                 return False
-            self._queue._drop_cancelled()
-            if heap and heap[0][0] <= time:
+            head = self.next_event_time()
+            if head is not None and head <= time:
                 return False
         self.now = time
         self._seq_now = next(self._seq)
@@ -283,7 +321,6 @@ class Simulator:
         ``time <= limit``, stopping early after *max_events* fired
         events (``-1``: no cap) or on :meth:`stop`.  The clock is left
         at the last fired event."""
-        queue = self._queue
         heap = self._heap
         trace = self.trace
         processed = self.events_processed
@@ -302,7 +339,7 @@ class Simulator:
                 callback = entry[2]
                 if callback is None:
                     # Cancelled: skipped, not counted.
-                    queue._dead -= 1
+                    self._dead -= 1
                     continue
                 self.now = when
                 self._seq_now = entry[1]
@@ -359,11 +396,14 @@ class Simulator:
         """Firing time of the earliest live pending event, or ``None``.
 
         Used by the sharded engine to report a shard's local *next
-        event estimate* for conservative grant computation.  A
-        cancelled-but-unpurged entry may make the estimate early;
-        that only shrinks the granted window, never violates safety.
+        event estimate* for conservative grant computation.  Pops the
+        cancelled entries at the head of the heap first.
         """
-        return self._queue.peek_time()
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heappop(heap)
+            self._dead -= 1
+        return heap[0][0] if heap else None
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Process events until the queue is empty (or *max_events*

@@ -16,7 +16,8 @@ A world owns:
   rules act on the whole network and whose NIC/mbuf rules act on
   every host added to the world;
 * the hosts added, whose CPU accounting :meth:`finalize`
-  freezes at the end of a run.
+  freezes at the end of a run, when it also checks a switched
+  fabric's frame ledger.
 
 Component hooks (:mod:`repro.engine.component`) receive the world as
 their first argument.  With no ownership restriction a world is the
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, FrozenSet, List, Optional
 
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import SimulationError, Simulator
 from repro.host.costs import DEFAULT_COSTS
 
 
@@ -63,6 +64,9 @@ class World:
                  owned: Optional[FrozenSet[str]] = None,
                  boundary=None) -> None:
         self.sim = Simulator(seed=seed, tracer=tracer)
+        #: Whether the network is a switched topology, which keeps a
+        #: frame ledger (the flat LAN keeps none).
+        self.switched = topology is not None
         if topology is None:
             from repro.net.link import Network
             self.network = Network(
@@ -108,6 +112,19 @@ class World:
 
     def finalize(self) -> None:
         """Freeze per-host CPU accounting (idle time, utilization) at
-        the current clock."""
+        the current clock, and check that a switched fabric accounts
+        for every frame: sent + imported == delivered + drops + in
+        flight + exported (see :meth:`Topology.conservation`).  A
+        shard's ledger balances on its own; across shards, exports
+        and imports must also cancel (``ShardedRun``)."""
         for host in self.hosts:
             host.kernel.finalize_stats()
+        if self.switched:
+            ledger = self.network.conservation()
+            drops = sum(value for key, value in ledger.items()
+                        if key.startswith("drops_"))
+            if ledger["sent"] + ledger["imported"] != (
+                    ledger["delivered"] + drops + ledger["in_flight"]
+                    + ledger["exported"]):
+                raise SimulationError(
+                    f"fabric ledger does not balance: {ledger}")

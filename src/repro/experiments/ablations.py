@@ -13,9 +13,9 @@ The paper argues (Section 3) that *both* key techniques are necessary:
    victim process's throughput on each architecture.
 
 2. ``accounting`` ablation — how much of BSD's Figure 4 latency damage
-   is due to *charging the wrong process*?  We re-run the ping-pong +
-   blast workload on BSD under two accounting policies (interrupted
-   / system) and compare round-trip times.
+   is due to *charging the wrong process*?  We re-run Figure 4's
+   ping-pong + blast point on BSD under two accounting policies
+   (interrupted / system) and compare round-trip times.
 """
 
 from __future__ import annotations
@@ -25,19 +25,15 @@ from typing import Dict, List
 from repro.engine.process import Compute, Syscall
 from repro.core import Architecture
 from repro.faults import FaultPlan, FaultRule
-from repro.apps import pingpong_client, pingpong_server, spinner, \
-    udp_blast_sink
-from repro.stats.metrics import LatencyRecorder
 from repro.stats.report import format_series
 from repro.workloads import RawUdpInjector
+from repro.experiments import figure4
 from repro.experiments.common import (
-    CLIENT_A_ADDR,
     CLIENT_C_ADDR,
     SERVER_ADDR,
     Section,
     Testbed,
     by_arch,
-    delayed,
 )
 
 ALL_SYSTEMS = (Architecture.BSD, Architecture.EARLY_DEMUX,
@@ -92,37 +88,6 @@ def run_corrupt_flood_point(arch: Architecture, rate_pps: float,
 
 
 # ----------------------------------------------------------------------
-# Ablation 2: accounting policy (who gets billed matters)
-# ----------------------------------------------------------------------
-def run_accounting_point(policy: str, background_pps: float,
-                         duration_usec: float = 1_500_000.0,
-                         warmup_usec: float = 400_000.0,
-                         seed: int = 1) -> float:
-    """Figure 4's workload on BSD under a given accounting policy."""
-    bed = Testbed(seed=seed)
-    server = bed.add_host(SERVER_ADDR, Architecture.BSD,
-                          accounting_policy=policy)
-    client = bed.add_host(CLIENT_A_ADDR, Architecture.BSD,
-                          accounting_policy=policy)
-    injector = RawUdpInjector(bed.sim, bed.network, CLIENT_C_ADDR,
-                              SERVER_ADDR, 9000)
-    recorder = LatencyRecorder()
-    server.spawn("pp-server", pingpong_server(7000))
-    server.spawn("blast-sink", udp_blast_sink(9000))
-    server.spawn("spin-b", spinner(), nice=20)
-    client.spawn("pp-client",
-                 delayed(20_000.0, pingpong_client(
-                     bed.sim, SERVER_ADDR, 7000, 10_000_000,
-                     recorder)))
-    client.spawn("spin-a", spinner(), nice=20)
-    if background_pps > 0:
-        bed.sim.schedule(50_000.0, injector.start, background_pps)
-    bed.run(duration_usec)
-    samples = recorder.samples_since(warmup_usec)
-    return (sum(samples) / len(samples)) if samples else float("nan")
-
-
-# ----------------------------------------------------------------------
 def sections() -> List[Section]:
     return [
         Section("ablations/demux", run_corrupt_flood_point,
@@ -130,9 +95,13 @@ def sections() -> List[Section]:
                       "rate_pps": (0, 4000, 8000, 12000, 16000, 20000)},
                 fast={"rate_pps": (0, 8000, 16000),
                       "window_usec": 400_000.0}),
-        Section("ablations/accounting", run_accounting_point,
-                axes={"policy": ("interrupted", "system"),
+        # Ablation 2: Figure 4's workload on 4.4BSD under each
+        # accounting policy (who gets billed matters).
+        Section("ablations/accounting", figure4.run_point,
+                axes={"accounting_policy": ("interrupted", "system"),
                       "background_pps": (0, 2000, 4000, 6000)},
+                fixed={"arch": Architecture.BSD,
+                       "duration_usec": 1_500_000.0},
                 fast={"background_pps": (0, 4000, 6000),
                       "duration_usec": 900_000.0}),
     ]
@@ -143,9 +112,9 @@ def report(corrupt, accounting) -> str:
                      for p in pts]
               for name, pts in by_arch(corrupt).items()}
     rtts: Dict[str, List] = {}
-    for kwargs, rtt in accounting:
-        rtts.setdefault(f"BSD/{kwargs['policy']}", []).append(
-            (kwargs["background_pps"], round(rtt, 1)))
+    for kwargs, point in accounting:
+        rtts.setdefault(f"BSD/{kwargs['accounting_policy']}", []).append(
+            (kwargs["background_pps"], round(point["rtt_mean_usec"], 1)))
     out = [format_series(
         "Ablation: corrupt-packet flood (victim CPU share)",
         "flood pps", "share", shares)]

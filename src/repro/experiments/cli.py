@@ -172,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "engine honor it, others note the "
                              "fallback and run sequentially")
     parser.add_argument("--cores", metavar="N", type=int, default=1,
-                        help="size each server host's CpuSet at N "
-                             "cores; N >= 2 widens figure3/degradation "
+                        help="give each server host N cores; "
+                             "N >= 2 widens figure3/degradation "
                              "to the six-architecture comparison (RSS, "
                              "polling, NIC-OS; see "
                              "docs/ARCHITECTURES.md); experiments "

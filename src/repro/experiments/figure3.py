@@ -181,7 +181,7 @@ def run_point(arch: Architecture, rate_pps: float,
     sharded engine; every reported number is invariant to the shard
     count.
 
-    *cores* sizes the server's CpuSet (the polling architecture needs
+    *cores* is the server's core count (the polling architecture needs
     at least 2) and *flows* splits the blast across that many source
     ports — unlike shards, both change the measured system, and both
     are bound into the sweep cache key.

@@ -46,10 +46,16 @@ BLAST_PORT = 9000
 def run_point(arch: Architecture, background_pps: float,
               duration_usec: float = 2_000_000.0,
               warmup_usec: float = 400_000.0,
-              seed: int = 1) -> Dict[str, float]:
+              seed: int = 1,
+              accounting_policy: str = "interrupted") -> Dict[str, float]:
+    """One Figure 4 point.  Both hosts bill interrupt time under
+    *accounting_policy*; the ``ablations/accounting`` sweep varies it
+    on 4.4BSD."""
     bed = Testbed(seed=seed)
-    server = bed.add_host(SERVER_ADDR, arch)
-    client = bed.add_host(CLIENT_A_ADDR, arch)
+    server = bed.add_host(SERVER_ADDR, arch,
+                          accounting_policy=accounting_policy)
+    client = bed.add_host(CLIENT_A_ADDR, arch,
+                          accounting_policy=accounting_policy)
     injector = RawUdpInjector(bed.sim, bed.network, CLIENT_C_ADDR,
                               SERVER_ADDR, BLAST_PORT)
 

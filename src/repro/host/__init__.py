@@ -3,7 +3,7 @@
 from repro.host.accounting import Accounting, core_usage
 from repro.host.cache import CacheModel
 from repro.host.costs import DEFAULT_COSTS, CostModel
-from repro.host.cpu import Cpu, CpuSet
+from repro.host.cpu import Cpu
 from repro.host.interrupts import (
     HARDWARE,
     PROCESS,
@@ -25,7 +25,6 @@ __all__ = [
     "CacheModel",
     "CostModel",
     "Cpu",
-    "CpuSet",
     "DEFAULT_COSTS",
     "HARDWARE",
     "InterruptContextError",

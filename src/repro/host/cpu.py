@@ -29,7 +29,6 @@ the cache model's residency.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Optional
 
 from repro.engine.simulator import Simulator
@@ -75,16 +74,8 @@ class Cpu:
         #: True while _on_slice_end settles the next slice: the slice
         #: started then is not scheduled by _start_slice.
         self._ending = False
-        # Bound once: every slice end pushes this callback straight
-        # onto the simulator's event heap, as a handle-shaped entry
-        # (see repro.engine.event) — no schedule() call, no delay
-        # check, no argument packing.
+        # Bound once: every slice end schedules this callback.
         self._slice_end = self._on_slice_end
-        self._heap = sim._heap
-        self._seq = sim._seq
-        # A push at a time where Simulator.defer holds items must
-        # move them behind it, as Simulator.schedule does.
-        self._ties = sim._ties
 
         #: Process context preempted by (or running under) interrupts;
         #: used by accounting policies that bill "the interrupted
@@ -221,12 +212,8 @@ class Cpu:
         # A slice started while _on_slice_end runs is scheduled (or
         # run ahead to) by it, once it has settled which slice runs.
         if not self._ending:
-            end = self.sim.now + duration
-            entry = [end, next(self._seq), self._slice_end, ()]
-            heappush(self._heap, entry)
-            self._slice_event = entry
-            if end in self._ties:
-                self.sim._retie(end)
+            self._slice_event = self.sim.schedule_at(
+                self.sim.now + duration, self._slice_end)
 
     def _account_elapsed(self, elapsed: float) -> None:
         """Record and bill *elapsed* microseconds of the current slice."""
@@ -357,12 +344,8 @@ class Cpu:
                     break
         finally:
             self._ending = False
-        end = sim.now + self._slice_len
-        entry = [end, next(self._seq), self._slice_end, ()]
-        heappush(self._heap, entry)
-        self._slice_event = entry
-        if end in self._ties:
-            sim._retie(end)
+        self._slice_event = sim.schedule_at(sim.now + self._slice_len,
+                                            self._slice_end)
 
     def _retire(self, ctx) -> None:
         if ctx is self.last_process_running:
@@ -386,40 +369,3 @@ class Cpu:
         if self._idle_since is not None:
             self.idle_time += self.sim.now - self._idle_since
             self._idle_since = self.sim.now
-
-
-class CpuSet:
-    """An ordered set of :class:`Cpu` cores sharing one simulator.
-
-    Core 0 is the boot CPU: it takes the clock tick, hosts
-    single-queue NICs' interrupts, and is where processes run unless
-    pinned elsewhere.  Cores are fully independent — each has its own
-    interrupt queues, run-queue source, and statistics — and an idle
-    core schedules no events at all (the dispatch machinery is purely
-    reactive), so a 1-core ``CpuSet`` is byte-identical to a bare
-    :class:`Cpu`.
-    """
-
-    def __init__(self, sim: Simulator, ncores: int = 1):
-        if ncores < 1:
-            raise ValueError(f"a host needs at least one core, "
-                             f"got {ncores}")
-        self.sim = sim
-        self.cores = [Cpu(sim) for _ in range(ncores)]
-
-    def __len__(self) -> int:
-        return len(self.cores)
-
-    def __getitem__(self, index: int) -> Cpu:
-        return self.cores[index]
-
-    def __iter__(self):
-        return iter(self.cores)
-
-    @property
-    def boot(self) -> Cpu:
-        return self.cores[0]
-
-    def finalize_stats(self) -> None:
-        for cpu in self.cores:
-            cpu.finalize_stats()

@@ -1,8 +1,8 @@
 """The kernel facade: processes, syscalls, ticks, blocking and wakeup.
 
-A :class:`Kernel` owns a :class:`~repro.host.cpu.CpuSet` (one or more
-cores, each with its own run queue), the accounting policy and the
-cache model, and drives simulated processes.  ``kernel.cpu`` and
+A :class:`Kernel` owns a list of :class:`~repro.host.cpu.Cpu` cores
+(one or more, each with its own run queue), the accounting policy and
+the cache model, and drives simulated processes.  ``kernel.cpu`` and
 ``kernel.scheduler`` alias core 0, so single-queue network stacks
 (``repro.core``) plug in unchanged by registering syscall handlers and
 posting interrupt tasks to ``kernel.cpu``; a multi-queue NIC posts
@@ -38,7 +38,7 @@ from repro.engine.simulator import Simulator
 from repro.host.accounting import Accounting
 from repro.host.cache import CacheModel
 from repro.host.costs import DEFAULT_COSTS, CostModel
-from repro.host.cpu import CpuSet
+from repro.host.cpu import Cpu
 from repro.host.interrupts import HARDWARE, PROCESS, SimpleIntrTask
 from repro.host.scheduler import TICK_USEC, Scheduler
 
@@ -119,9 +119,12 @@ class Kernel:
         # N symmetric cores, each with its own run queue.  ``cpu`` and
         # ``scheduler`` alias core 0 (the boot CPU) so every
         # single-core caller — stacks, NICs, experiments — is
-        # untouched and the 1-core path stays byte-identical.
-        self.cpuset = CpuSet(sim, ncores)
-        self.cpus = self.cpuset.cores
+        # untouched and the 1-core path stays byte-identical.  An
+        # idle core schedules no events at all.
+        if ncores < 1:
+            raise ValueError(f"a host needs at least one core, "
+                             f"got {ncores}")
+        self.cpus = [Cpu(sim) for _ in range(ncores)]
         self.cpu = self.cpus[0]
         self.schedulers = [Scheduler(core=i) for i in range(ncores)]
         self.scheduler = self.schedulers[0]
@@ -361,7 +364,8 @@ class Kernel:
     def finalize_stats(self) -> None:
         """Fold open idle intervals on every core; call before reading
         CPU statistics at the end of a run."""
-        self.cpuset.finalize_stats()
+        for cpu in self.cpus:
+            cpu.finalize_stats()
 
     def core_usage(self, elapsed_usec: float):
         """Per-core utilization report (see

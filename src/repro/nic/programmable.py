@@ -37,8 +37,8 @@ class ProgrammableNic(BaseNic):
     """NIC with firmware demux (NI-LRP's hardware substrate)."""
 
     def __init__(self, sim: Simulator, network: Network, addr: IPAddr,
-                 demux_table: DemuxTable, demux_cost: float = 15.0,
-                 service_gap: float = 88.0,
+                 demux_table: DemuxTable, demux_cost: float,
+                 service_gap: float,
                  fifo_size: int = DEFAULT_NIC_FIFO):
         super().__init__(sim, network, addr)
         self.table = demux_table

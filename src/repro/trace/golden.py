@@ -84,7 +84,7 @@ def _arch_of(key: str):
 
 def _server_kwargs(key: str) -> dict:
     """Extra ``build_host`` kwargs for the golden server: the modern
-    architectures exercise the multi-core CpuSet."""
+    architectures exercise the multi-core host."""
     return {"rss": {"cores": 4},
             "polling": {"cores": 2}}.get(key.replace("-faults", ""), {})
 

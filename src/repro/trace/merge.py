@@ -31,7 +31,6 @@ same behaviour.  Records leave each shard as plain
 from __future__ import annotations
 
 import hashlib
-from heapq import merge as _heap_merge
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.trace.tracer import CAT_ENGINE
@@ -52,16 +51,15 @@ def merge_records(per_shard: Sequence[Sequence[ShippedRecord]]
     """Merge per-shard streams into one global stream, ordered by
     ``(timestamp, shard index, position)``.
 
-    Each shard's stream is already time-sorted (a simulator's clock
-    never runs backwards), so this is a deterministic k-way merge;
+    The sort keys are unique, so the order is deterministic;
     same-timestamp records from different shards interleave by shard
     index — an arbitrary but stable choice, which is why parity
     comparisons go through :func:`parity_digest`.
     """
-    keyed = (((rec[0], shard, pos, rec)
-              for pos, rec in enumerate(stream))
-             for shard, stream in enumerate(per_shard))
-    return [entry[3] for entry in _heap_merge(*keyed)]
+    keyed = sorted((rec[0], shard, pos, rec)
+                   for shard, stream in enumerate(per_shard)
+                   for pos, rec in enumerate(stream))
+    return [entry[3] for entry in keyed]
 
 
 def parity_digest(records: Sequence[ShippedRecord]) -> Dict[str, Any]:

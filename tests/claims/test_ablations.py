@@ -12,7 +12,7 @@ policy removes most of it.
 import pytest
 
 from repro.core import Architecture
-from repro.experiments import ablations
+from repro.experiments import ablations, figure4
 
 pytestmark = pytest.mark.slow
 
@@ -26,9 +26,10 @@ def victim_share(point, arch, rate_pps):
 
 
 def rtt(point, policy, background_pps, duration_usec):
-    return point(ablations.run_accounting_point, policy=policy,
+    return point(figure4.run_point, arch=Architecture.BSD,
+                 accounting_policy=policy,
                  background_pps=background_pps,
-                 duration_usec=duration_usec)
+                 duration_usec=duration_usec)["rtt_mean_usec"]
 
 
 def test_early_demux_livelocks_on_corrupt_flood(point):

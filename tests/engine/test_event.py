@@ -1,4 +1,4 @@
-"""Unit tests for the event queue and its handles."""
+"""Unit tests for the simulator's event heap and its handles."""
 
 from repro.engine.simulator import Simulator
 
@@ -38,8 +38,8 @@ def test_cancel_is_idempotent():
     ev = sim.schedule_at(1.0, lambda: None)
     sim.cancel(ev)
     sim.cancel(ev)
-    assert len(sim._queue) == 0
-    assert sim._queue.peek_time() is None
+    assert len(sim._heap) - sim._dead == 0
+    assert sim.next_event_time() is None
 
 
 def test_peek_time_skips_cancelled():
@@ -47,14 +47,14 @@ def test_peek_time_skips_cancelled():
     ev = sim.schedule_at(1.0, lambda: None)
     sim.schedule_at(4.0, lambda: None)
     sim.cancel(ev)
-    assert sim._queue.peek_time() == 4.0
+    assert sim.next_event_time() == 4.0
 
 
 def test_len_counts_heap_entries():
     sim = Simulator()
     sim.schedule_at(1.0, lambda: None)
     sim.schedule_at(2.0, lambda: None)
-    assert len(sim._queue) == 2
+    assert len(sim._heap) - sim._dead == 2
 
 
 def test_pop_empty_returns_none():
@@ -62,8 +62,8 @@ def test_pop_empty_returns_none():
     sim = Simulator()
     sim.run()
     assert sim.events_processed == 0
-    assert sim._queue.peek_time() is None
-    assert len(sim._queue) == 0
+    assert sim.next_event_time() is None
+    assert len(sim._heap) - sim._dead == 0
 
 
 def test_handle_tells_pending_fired_and_cancelled_apart():
@@ -81,5 +81,5 @@ def test_handle_tells_pending_fired_and_cancelled_apart():
     assert pending[2] is not None and pending[3] is not None
     sim.cancel(fired)
     assert fired[2] is not None
-    assert sim._queue._dead == 0
-    assert len(sim._queue) == 1
+    assert sim._dead == 0
+    assert len(sim._heap) - sim._dead == 1

@@ -18,8 +18,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Optional
 
-from repro.engine.event import _COMPACT_MIN
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import _COMPACT_MIN, Simulator
 
 try:
     from hypothesis import given, settings
@@ -191,7 +190,7 @@ class Harness:
         self._check()
 
     def peek(self):
-        assert self.sim._queue.peek_time() == self.old.peek_time()
+        assert self.sim.next_event_time() == self.old.peek_time()
 
     def drain(self):
         while len(self.old):
@@ -202,8 +201,8 @@ class Harness:
         self.ops += 1
         assert self.new_log == self.old_log
         assert self.sim.events_processed == self.old_processed
-        assert len(self.sim._queue) == len(self.old)
-        assert self.sim._queue.peek_time() == self.old.peek_time()
+        assert len(self.sim._heap) - self.sim._dead == len(self.old)
+        assert self.sim.next_event_time() == self.old.peek_time()
 
 
 # A small time grid forces heavy seq tie-breaking; the float arm
@@ -247,7 +246,7 @@ if HAVE_HYPOTHESIS:
             else:
                 h.peek()
         h.drain()
-        assert len(h.sim._queue) == 0 and len(h.old) == 0
+        assert len(h.sim._heap) - h.sim._dead == 0 and len(h.old) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(ops=OPS)
@@ -337,7 +336,7 @@ def test_compaction_preserves_heap_list_identity():
               for i in range(100)]
     for event in events[:80]:
         sim.cancel(event)
-    assert sim._heap is alias and sim._queue._heap is alias
+    assert sim._heap is alias
     assert len(alias) < 100     # compacted
     sim.run()
     assert fired == list(range(80, 100))
@@ -353,7 +352,7 @@ def test_stale_handle_cannot_cancel_new_occupant():
     sim.run()
     fresh = sim.schedule(1.0, lambda: queue_len.append("fresh"))
     sim.cancel(stale)
-    assert sim._queue._dead == 0
+    assert sim._dead == 0
     sim.run()
     assert queue_len == ["fresh"]
     assert fresh[3] is None
@@ -367,7 +366,7 @@ def test_self_cancel_from_callback_is_a_no_op():
                                             sim.cancel(entry[0]))))
     sim.run()
     assert fired == [1.0]
-    assert sim._queue._dead == 0 and len(sim._queue) == 0
+    assert sim._dead == 0 and not sim._heap
 
 
 def test_event_queue_compacts_past_half_dead():
@@ -376,6 +375,5 @@ def test_event_queue_compacts_past_half_dead():
                for i in range(_COMPACT_MIN)]
     for entry in entries[:_COMPACT_MIN // 2 + 1]:
         sim.cancel(entry)
-    queue = sim._queue
-    assert queue._dead == 0
-    assert len(queue._heap) == len(queue) == _COMPACT_MIN // 2 - 1
+    assert sim._dead == 0
+    assert len(sim._heap) == _COMPACT_MIN // 2 - 1

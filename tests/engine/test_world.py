@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Architecture
 from repro.core.forwarding import build_gateway
+from repro.engine.simulator import SimulationError
 from repro.engine.world import World
 from repro.faults import FaultPlan, FaultPlane, FaultRule
 from repro.net.link import Network
@@ -61,3 +62,11 @@ def test_run_advances_the_clock_and_finalizes_hosts():
     world.run(50_000.0)
     assert world.sim.now == 50_000.0
     assert host.kernel.cpu.idle_time == 50_000.0
+
+
+def test_finalize_raises_on_an_unbalanced_fabric_ledger():
+    world = World(seed=1, topology=incast_spec(2))
+    world.run(1_000.0)  # an empty ledger balances
+    world.network.frames_delivered += 1  # a frame from nowhere
+    with pytest.raises(SimulationError, match="ledger does not balance"):
+        world.finalize()

@@ -1,5 +1,5 @@
 """Multi-core kernel invariants: core affinity, idle cores, and the
-1-core byte-identity contract against the pre-CpuSet golden digests."""
+1-core byte-identity contract against the pre-multi-core golden digests."""
 
 import os
 
@@ -12,9 +12,9 @@ from repro.trace import golden
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
 #: The nine pre-multi-core golden keys.  Their digests were committed
-#: before CpuSet existed, so matching them proves the 1-core path of
-#: the generalized kernel is trace-byte-identical to the old
-#: single-Cpu kernel.
+#: before the kernel had several cores, so matching them proves the
+#: 1-core path of the generalized kernel is trace-byte-identical to
+#: the old single-Cpu kernel.
 LEGACY_KEYS = tuple(k for k in golden.GOLDEN_ARCHES
                     if k not in golden.MODERN_KEYS)
 
@@ -78,6 +78,11 @@ def test_sleep_wakeup_requeues_on_spawn_core():
     proc = k.spawn("sleeper", main(), core=2)
     sim.run_until(50_000.0)
     assert dispatched[proc.pid] == {2}
+
+
+def test_kernel_needs_at_least_one_core():
+    with pytest.raises(ValueError, match="at least one core"):
+        Kernel(Simulator(), ncores=0)
 
 
 def test_spawn_rejects_out_of_range_core():
@@ -154,12 +159,12 @@ def test_idle_extra_cores_report_full_idle_time():
 
 
 # ----------------------------------------------------------------------
-# The byte-identity wall: 1-core CpuSet == the old single-Cpu kernel
+# The byte-identity wall: a 1-core kernel == the old single-Cpu kernel
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("key", LEGACY_KEYS)
 def test_one_core_cpuset_matches_pre_multicore_goldens(key):
     """The committed digests for the nine legacy workloads predate the
-    CpuSet refactor; matching them byte-for-byte is the proof that the
+    multi-core kernel; matching them byte-for-byte is the proof that the
     1-core path is unchanged."""
     result = golden.check_golden(key, GOLDEN_DIR)
     assert result["ok"], (
