@@ -31,7 +31,7 @@ from repro.net.ip import IPPROTO_TCP, IPPROTO_UDP, IpPacket
 from repro.net.packet import Frame
 from repro.core.lrp_base import LrpStackBase
 from repro.core.stack_base import NetworkStack
-from repro.sockets.socket import Socket, SockType
+from repro.sockets.socket import DGRAM, Socket
 from repro.trace.tracer import flow_of
 
 
@@ -73,7 +73,7 @@ class EarlyDemuxStack(LrpStackBase):
             if channel is None:
                 return
             sock = channel.owner_socket
-            if (sock is not None and sock.stype == SockType.DGRAM
+            if (sock is not None and sock.stype == DGRAM
                     and sock.rcv_dgrams is not None
                     and sock.rcv_dgrams.full()):
                 # Early packet discard — but note: only works for

@@ -33,7 +33,7 @@ from repro.nic.channels import NiChannel
 from repro.nic.demux import flow_key
 from repro.core.app_thread import AppProcessor, PerProcessAppProcessor
 from repro.core.stack_base import NetworkStack
-from repro.sockets.socket import Socket, SockType
+from repro.sockets.socket import DGRAM, Socket
 from repro.trace.tracer import flow_of
 
 #: Poll period of the idle-priority protocol thread, microseconds.
@@ -48,7 +48,7 @@ def registration(sock: Socket) -> Tuple[int, Optional[Endpoint]]:
     connected TCP socket has an exact entry for its *peer*; every
     other endpoint has a wildcard entry on its local port
     (``peer`` is None)."""
-    if sock.stype == SockType.DGRAM:
+    if sock.stype == DGRAM:
         return IPPROTO_UDP, None
     return IPPROTO_TCP, sock.peer
 
@@ -94,7 +94,7 @@ class LrpStackBase(NetworkStack):
     # ------------------------------------------------------------------
     def endpoint_attached(self, sock: Socket) -> None:
         if sock.channel is None:
-            kind = "udp" if sock.stype == SockType.DGRAM else "tcp"
+            kind = "udp" if sock.stype == DGRAM else "tcp"
             channel = NiChannel(f"ch-{sock.id}", depth=self.channel_depth,
                                 kind=kind)
             channel.owner_socket = sock

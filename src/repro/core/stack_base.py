@@ -49,8 +49,8 @@ from repro.proto.tcp_proto import (
     TcpActions,
     TcpConnection,
 )
-from repro.proto.tcp_states import TcpState
-from repro.sockets.socket import Socket, SockType, SocketError
+from repro.proto.tcp_states import CLOSED, ESTABLISHED, SYN_RCVD, TIME_WAIT
+from repro.sockets.socket import DGRAM, STREAM, Socket, SockType, SocketError
 from repro.stats.metrics import Counter
 from repro.trace.tracer import flow_of
 
@@ -183,8 +183,8 @@ class NetworkStack:
         if snd_hiwat is not None:
             kwargs["snd_hiwat"] = snd_hiwat
         if not isinstance(stype, SockType):
-            aliases = {"udp": SockType.DGRAM, "dgram": SockType.DGRAM,
-                       "tcp": SockType.STREAM, "stream": SockType.STREAM}
+            aliases = {"udp": DGRAM, "dgram": DGRAM,
+                       "tcp": STREAM, "stream": STREAM}
             try:
                 stype = aliases[str(stype).lower()]
             except KeyError:
@@ -194,7 +194,7 @@ class NetworkStack:
         return sock
 
     def _sys_bind(self, kernel, proc, sock: Socket, port: int):
-        if sock.stype == SockType.DGRAM:
+        if sock.stype == DGRAM:
             self.udp_pcb.bind(sock, self.addr, port)
         else:
             self.tcp_pcb.bind(sock, self.addr, port)
@@ -204,7 +204,7 @@ class NetworkStack:
         return 0
 
     def _sys_listen(self, kernel, proc, sock: Socket, backlog: int = 5):
-        if sock.stype != SockType.STREAM:
+        if sock.stype != STREAM:
             raise SocketError("listen on a datagram socket")
         if not sock.bound:
             raise SocketError("listen before bind")
@@ -214,7 +214,7 @@ class NetworkStack:
         return 0
 
     def _sys_connect(self, kernel, proc, sock: Socket, addr, port: int):
-        if sock.stype == SockType.DGRAM:
+        if sock.stype == DGRAM:
             sock.peer = endpoint(addr, port)
             if not sock.bound:
                 lport = self.udp_pcb.alloc_port()
@@ -242,10 +242,9 @@ class NetworkStack:
             yield Compute(self.costs.tcp_output)
             actions = conn.open_active(self.sim.now)
             yield from self.apply_tcp_actions(sock, actions)
-            while conn.state not in (TcpState.ESTABLISHED,
-                                     TcpState.CLOSED):
+            while conn.state not in (ESTABLISHED, CLOSED):
                 yield Block(sock.rcv_wait)
-            if conn.state == TcpState.CLOSED:
+            if conn.state == CLOSED:
                 return -1
             return 0
         return body()
@@ -312,7 +311,7 @@ class NetworkStack:
             sock.owner = proc  # APP follows whoever uses the socket
             remaining = nbytes
             while remaining > 0:
-                if conn.state == TcpState.CLOSED:
+                if conn.state == CLOSED:
                     return -1
                 space = sock.snd_stream.space
                 if space <= 0:
@@ -343,8 +342,7 @@ class NetworkStack:
                     actions = conn.app_recv_window_update()
                     yield from self.apply_tcp_actions(sock, actions)
                     return n
-                if conn.fin_rcvd or conn.state in (TcpState.CLOSED,
-                                                   TcpState.TIME_WAIT):
+                if conn.fin_rcvd or conn.state in (CLOSED, TIME_WAIT):
                     return 0
                 yield Block(sock.rcv_wait)
         return body()
@@ -354,7 +352,7 @@ class NetworkStack:
             if sock.closed:
                 return 0
             sock.closed = True
-            if sock.stype == SockType.DGRAM:
+            if sock.stype == DGRAM:
                 self._teardown_dgram(sock)
                 return 0
             if sock.listening:
@@ -364,7 +362,7 @@ class NetworkStack:
                 self.endpoint_detached(sock)
                 return 0
             conn: TcpConnection = sock.pcb
-            if conn is None or conn.state == TcpState.CLOSED:
+            if conn is None or conn.state == CLOSED:
                 self._teardown_stream(sock)
                 return 0
             yield Compute(self.costs.tcp_output)
@@ -499,8 +497,8 @@ class NetworkStack:
 
     def _time_wait_expired(self, sock: Socket) -> None:
         conn: TcpConnection = sock.pcb
-        if conn is not None and conn.state == TcpState.TIME_WAIT:
-            conn.state = TcpState.CLOSED
+        if conn is not None and conn.state == TIME_WAIT:
+            conn.state = CLOSED
             self._conn_closed(sock)
 
     def _conn_closed(self, sock: Socket) -> None:
@@ -508,7 +506,7 @@ class NetworkStack:
         self._cancel_timer(sock, "persist")
         conn: TcpConnection = sock.pcb
         if conn is not None and conn.listener is not None \
-                and conn.state == TcpState.CLOSED:
+                and conn.state == CLOSED:
             listener: Socket = conn.listener
             if not getattr(sock, "_accepted", False):
                 # A half-open child died (RST / handshake failure):
@@ -547,14 +545,14 @@ class NetworkStack:
     def _timer_fired(self, sock: Socket, kind: str) -> None:
         setattr(sock, f"_{kind}_event", None)
         conn: TcpConnection = sock.pcb
-        if conn is None or conn.state == TcpState.CLOSED:
+        if conn is None or conn.state == CLOSED:
             return
         self.post_tcp_work(sock, kind)
 
     def tcp_timer_gen(self, sock: Socket, kind: str) -> Generator:
         """Run the timer body (context chosen by the subclass)."""
         conn: TcpConnection = sock.pcb
-        if conn is None or conn.state == TcpState.CLOSED:
+        if conn is None or conn.state == CLOSED:
             return
         yield Compute(self.costs.tcp_output)
         if kind == "rexmt":
@@ -596,7 +594,7 @@ class NetworkStack:
             self.stats.incr("drop_syn_backlog")
             self.listener_backlog_changed(listener)
             return
-        child = Socket(SockType.STREAM, owner=listener.owner,
+        child = Socket(STREAM, owner=listener.owner,
                        rcv_hiwat=listener.rcv_stream.hiwat
                        if listener.rcv_stream else 32768)
         child.local = endpoint(self.addr, seg.dst_port)
@@ -623,9 +621,9 @@ class NetworkStack:
 
     def _handshake_expired(self, listener: Socket, child: Socket) -> None:
         conn: TcpConnection = child.pcb
-        if conn is None or conn.state != TcpState.SYN_RCVD:
+        if conn is None or conn.state != SYN_RCVD:
             return
-        conn.state = TcpState.CLOSED
+        conn.state = CLOSED
         self.stats.incr("tcp_handshake_expired")
         listener.incomplete = max(0, listener.incomplete - 1)
         self._cancel_timer(child, "rexmt")

@@ -32,20 +32,31 @@ differential-testing oracle.
 The run loop is the hottest code in the repository — every simulated
 packet costs several events.  One loop (``Simulator._drain``) serves
 :meth:`~Simulator.run_until`, :meth:`~Simulator.run_events_before` and
-:meth:`~Simulator.run`; it pops the event heap directly and has one
-branch, skipping an entry whose callback a cancel cleared.  The
-golden-trace suite pins the order (same events, same times, same
-order).
+:meth:`~Simulator.run`; it pops the event heap directly, skips an
+entry whose callback a cancel cleared, and after each callback settles
+what the callback armed (:meth:`~Simulator.arm`).  The golden-trace
+suite pins the order (same events, same times, same order).
 
-Components also avoid events nobody can observe.  :meth:`advance_to`
-lets the CPU end consecutive slices without a heap entry each,
+Components also avoid events nobody can observe.  :meth:`arm`
+schedules an event that is often the very next one — a CPU slice's
+end — and lets it fire without a heap entry when it is, and
+:meth:`advance_to` lets the CPU end consecutive slices the same way;
 :meth:`reserve` / :meth:`claim` let a transmit port skip its "wire
 free" event while its queue is empty, and :meth:`defer` lets a port
 do at once what a pass-through switch's arrival event would do later.
-All three leave the heap order exactly as one event per step would
+All four leave the heap order exactly as one event per step would
 have it, so the golden behaviour digests do not move; only the
 fired-event count does.  Every push and reservation goes through this
 class, which is what lets it keep that order (see :meth:`_retie`).
+
+The run-ahead rule: an event fires without a heap entry exactly when
+the heap would have popped it next — its key precedes every live
+pending event and it lies within the running drain's limit.  An
+armed event takes its key when it is armed, as :meth:`schedule_at`
+would, but is *held* until the callback that armed it returns; the
+drain then *settles* the held entries in key order, firing each one
+that precedes the heap's head right there and pushing the rest.
+:meth:`advance_to` applies the same rule to a caller's own next step.
 """
 
 from __future__ import annotations
@@ -116,6 +127,9 @@ class Simulator:
         #: each item's time: ``[event key, entry, reserved key]``.
         #: Every push or reservation at a listed time consults it.
         self._ties: Dict[float, List] = {}
+        #: Entries :meth:`arm` holds until the running callback
+        #: returns (see :meth:`_settle`).
+        self._held: List[List] = []
         self.events_processed = 0
         if tracer is None:
             tracer = get_default_tracer()
@@ -169,6 +183,29 @@ class Simulator:
             self._retie(time)
         return entry
 
+    def arm(self, time: float, callback: Callable[..., Any],
+            *args: Any) -> List:
+        """:meth:`schedule_at` for an event that is often the next one
+        to fire once the running callback returns.
+
+        Within the running drain's limit the entry takes its key now,
+        as :meth:`schedule_at` would, but is held instead of pushed;
+        when the callback returns, the drain fires it at once if the
+        heap would pop it next, and pushes it otherwise (see
+        :meth:`_settle`).  Returns the entry, a handle for
+        :meth:`cancel`.
+        """
+        if time > self._limit:
+            return self.schedule_at(time, callback, *args)
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time!r}, now is {self.now!r}")
+        entry = [time, next(self._seq), callback, args]
+        self._held.append(entry)
+        if time in self._ties:
+            self._retie(time)
+        return entry
+
     def cancel(self, handle: List) -> None:
         """Prevent a scheduled event from firing.  Idempotent, and a
         no-op once the event has fired."""
@@ -178,6 +215,12 @@ class Simulator:
         # heap for a long time and would otherwise pin its arguments.
         handle[2] = None
         handle[3] = ()
+        held = self._held
+        if held:
+            for index, entry in enumerate(held):
+                if entry is handle:
+                    del held[index]
+                    return
         self._dead += 1
         heap = self._heap
         if len(heap) >= _COMPACT_MIN and self._dead * 2 > len(heap):
@@ -293,14 +336,17 @@ class Simulator:
         first.  It succeeds — sets the clock, takes the sequence
         number the event would have had, and returns True — only
         while a drain is running, *time* is within the drain's limit,
-        and *time* is strictly earlier than every pending event, so
-        that the event would have been the very next one to fire.
-        Otherwise it returns False and the caller schedules the event.
-        A run-ahead is not a fired event and does not count in
-        :attr:`events_processed`.
+        and *time* is strictly earlier than every pending event, held
+        ones included, so that the event would have been the very
+        next one to fire.  Otherwise it returns False and the caller
+        schedules the event.  A run-ahead is not a fired event and
+        does not count in :attr:`events_processed`.
         """
         if not self._running or time > self._limit:
             return False
+        for entry in self._held:
+            if entry[0] <= time:
+                return False
         heap = self._heap
         if heap and heap[0][0] <= time:
             # A cancelled head is no obstacle: the drain would skip it.
@@ -322,6 +368,7 @@ class Simulator:
         events (``-1``: no cap) or on :meth:`stop`.  The clock is left
         at the last fired event."""
         heap = self._heap
+        held = self._held
         trace = self.trace
         processed = self.events_processed
         stop_at = -1 if max_events < 0 else processed + max_events
@@ -352,15 +399,51 @@ class Simulator:
                 if trace.enabled:
                     trace.event_fired(callback_name(callback))
                 callback(*args)
+                if held:
+                    self._settle()
             if self._running and processed != stop_at \
                     and self.now <= limit:
                 # Drained through the limit: every key up to and at
                 # the clock has fired.
                 self._seq_now = inf
         finally:
+            # A callback that raised leaves its held entries pushed,
+            # as schedule_at would have left them.
+            for entry in held:
+                heappush(heap, entry)
+            held.clear()
             self.events_processed = processed
             self._running = False
             self._limit = -inf
+
+    def _settle(self) -> None:
+        """Settle what :meth:`arm` held while a callback ran, in key
+        order: fire an entry right here when it precedes every live
+        heap entry — exactly when the heap would have popped it next
+        (every held entry lies within the drain's limit) — and push
+        the rest.  A settled entry is a run-ahead: it sets the clock
+        and the sequence number from its key, and does not count in
+        :attr:`events_processed`."""
+        held = self._held
+        heap = self._heap
+        while held:
+            if len(held) > 1:
+                held.sort(reverse=True)
+            entry = held.pop()
+            if self._running:
+                # A cancelled head is no obstacle: the drain would
+                # skip it.
+                while heap and heap[0][2] is None:
+                    heappop(heap)
+                    self._dead -= 1
+                if not heap or entry < heap[0]:
+                    self.now = entry[0]
+                    self._seq_now = entry[1]
+                    args = entry[3]
+                    entry[3] = None
+                    entry[2](*args)
+                    continue
+            heappush(heap, entry)
 
     def run_until(self, time: float) -> None:
         """Process events until the clock reaches *time*.

@@ -16,8 +16,8 @@ A world owns:
   rules act on the whole network and whose NIC/mbuf rules act on
   every host added to the world;
 * the hosts added, whose CPU accounting :meth:`finalize`
-  freezes at the end of a run, when it also checks a switched
-  fabric's frame ledger.
+  freezes at the end of a run, when it also checks every core's CPU
+  ledger and a switched fabric's frame ledger.
 
 Component hooks (:mod:`repro.engine.component`) receive the world as
 their first argument.  With no ownership restriction a world is the
@@ -31,6 +31,14 @@ from typing import Any, FrozenSet, List, Optional
 
 from repro.engine.simulator import SimulationError, Simulator
 from repro.host.costs import DEFAULT_COSTS
+
+#: Largest CPU-ledger error :meth:`World.finalize` tolerates, relative
+#: to the elapsed simulated time.  A core's ledger is a float sum of
+#: its slice lengths and idle intervals, whose rounding error grows
+#: like (number of terms) x 2.2e-16 x elapsed; the worst seen on the
+#: benchmark's points is 1.6e-13, and 1e-9 leaves room for millions
+#: of slices per core.
+CPU_LEDGER_RTOL = 1e-9
 
 
 class World:
@@ -112,13 +120,27 @@ class World:
 
     def finalize(self) -> None:
         """Freeze per-host CPU accounting (idle time, utilization) at
-        the current clock, and check that a switched fabric accounts
-        for every frame: sent + imported == delivered + drops + in
-        flight + exported (see :meth:`Topology.conservation`).  A
-        shard's ledger balances on its own; across shards, exports
-        and imports must also cancel (``ShardedRun``)."""
+        the current clock and check two ledgers, raising
+        :class:`SimulationError` when one does not balance:
+
+        * every core accounts for the elapsed time: hardware +
+          software + process + idle + the slice in progress == the
+          clock, to within :data:`CPU_LEDGER_RTOL` of it;
+        * a switched fabric accounts for every frame: sent + imported
+          == delivered + drops + in flight + exported (see
+          :meth:`Topology.conservation`).  A shard's ledger balances
+          on its own; across shards, exports and imports must also
+          cancel (``ShardedRun``)."""
+        now = self.sim.now
         for host in self.hosts:
             host.kernel.finalize_stats()
+            for core, cpu in enumerate(host.kernel.cpus):
+                accounted = cpu.accounted_usec()
+                if abs(accounted - now) > CPU_LEDGER_RTOL * now:
+                    raise SimulationError(
+                        f"CPU ledger of {host.name} core {core} does "
+                        f"not balance: {accounted!r} µs accounted, "
+                        f"clock {now!r} µs")
         if self.switched:
             ledger = self.network.conservation()
             drops = sum(value for key, value in ledger.items()

@@ -212,7 +212,7 @@ class Cpu:
         # A slice started while _on_slice_end runs is scheduled (or
         # run ahead to) by it, once it has settled which slice runs.
         if not self._ending:
-            self._slice_event = self.sim.schedule_at(
+            self._slice_event = self.sim.arm(
                 self.sim.now + duration, self._slice_end)
 
     def _account_elapsed(self, elapsed: float) -> None:
@@ -274,10 +274,13 @@ class Cpu:
         the CPU asks the engine to advance the clock straight to that
         slice's end (:meth:`Simulator.advance_to`), which succeeds
         only when no other event is due first, and ends that slice
-        too.  Only the first slice end that something else could
-        interleave with is scheduled as an event.  Every slice, bill
-        and timestamp is the one the event-per-slice schedule
-        produces.
+        too.  A slice started by any other callback — an arrival's
+        interrupt, a timer, another core's wakeup — arms its end with
+        :meth:`Simulator.arm`, which fires it without a heap entry
+        when, once that callback returns, nothing else is due first.
+        So only a slice end that something else could interleave with
+        is scheduled as an event.  Every slice, bill and timestamp is
+        the one the event-per-slice schedule produces.
         """
         sim = self.sim
         hw = self._hw
@@ -369,3 +372,12 @@ class Cpu:
         if self._idle_since is not None:
             self.idle_time += self.sim.now - self._idle_since
             self._idle_since = self.sim.now
+
+    def accounted_usec(self) -> float:
+        """The time this core accounts for: hardware + software +
+        process + idle time, plus the slice in progress.  After
+        :meth:`finalize_stats` it equals the clock, to float rounding."""
+        in_progress = (self.sim.now - self._slice_start
+                       if self._current is not None else 0.0)
+        return sum(self.time_by_class.values()) + self.idle_time \
+            + in_progress

@@ -45,7 +45,19 @@ from repro.net.tcp import (
     seq_le,
     seq_lt,
 )
-from repro.proto.tcp_states import SYNCHRONIZED, TcpState
+from repro.proto.tcp_states import (
+    CLOSE_WAIT,
+    CLOSED,
+    CLOSING,
+    ESTABLISHED,
+    FIN_WAIT_1,
+    FIN_WAIT_2,
+    LAST_ACK,
+    SYN_RCVD,
+    SYN_SENT,
+    SYNCHRONIZED,
+    TIME_WAIT,
+)
 
 #: Default maximum segment size (Ethernet-ish; the paper's ATM LAN
 #: used 9180-byte MTUs for classical IP, but MSS only scales costs).
@@ -72,7 +84,7 @@ def next_iss() -> int:
 class TcpActions:
     """Side effects the caller must apply after a protocol event."""
 
-    __slots__ = ("outputs", "deliver_bytes", "wake_receiver",
+    __slots__ = ("outputs", "wake_receiver",
                  "wake_sender", "new_established", "connected",
                  "set_rexmt", "cancel_rexmt", "set_persist",
                  "cancel_persist", "enter_time_wait", "closed",
@@ -80,7 +92,6 @@ class TcpActions:
 
     def __init__(self) -> None:
         self.outputs: List[TcpSegment] = []
-        self.deliver_bytes = 0
         self.wake_receiver = False
         self.wake_sender = False
         #: A child connection completed its handshake (listener side).
@@ -126,7 +137,7 @@ class TcpConnection:
         self.peer = peer
         self.mss = DEFAULT_MSS
         self.time_wait_usec = time_wait_usec
-        self.state = TcpState.CLOSED
+        self.state = CLOSED
 
         # Send sequence space.
         self.iss = next_iss()
@@ -186,8 +197,7 @@ class TcpConnection:
         buffered = self.sock.snd_stream.used if self.sock else 0
         data_inflight = self.inflight
         # SYN/FIN occupy sequence space but not buffer space.
-        if not self.fin_sent and self.state in (TcpState.SYN_SENT,
-                                                TcpState.SYN_RCVD):
+        if not self.fin_sent and self.state in (SYN_SENT, SYN_RCVD):
             data_inflight = max(0, data_inflight - 1)
         if self.fin_sent:
             data_inflight = max(0, data_inflight - 1)
@@ -221,7 +231,7 @@ class TcpConnection:
     def open_active(self, now: float) -> TcpActions:
         """connect(): emit SYN, enter SYN_SENT."""
         actions = TcpActions()
-        self.state = TcpState.SYN_SENT
+        self.state = SYN_SENT
         seg = self._make_segment(SYN)
         seg.ack = 0
         self._advance_snd_nxt(1)
@@ -233,7 +243,7 @@ class TcpConnection:
     def open_passive(self, listener) -> None:
         """Child of a listener, entered on SYN arrival."""
         self.listener = listener
-        self.state = TcpState.SYN_RCVD
+        self.state = SYN_RCVD
 
     def passive_syn(self, seg: TcpSegment, now: float) -> TcpActions:
         """Record the peer's SYN and answer with SYN|ACK."""
@@ -265,16 +275,16 @@ class TcpConnection:
     def app_close(self, now: float) -> TcpActions:
         """close()/shutdown(): send FIN after any pending data."""
         actions = TcpActions()
-        if self.state == TcpState.SYN_SENT:
-            self.state = TcpState.CLOSED
+        if self.state == SYN_SENT:
+            self.state = CLOSED
             actions.closed = True
             return actions
-        if self.state == TcpState.ESTABLISHED:
-            self.state = TcpState.FIN_WAIT_1
-        elif self.state == TcpState.CLOSE_WAIT:
-            self.state = TcpState.LAST_ACK
-        elif self.state == TcpState.SYN_RCVD:
-            self.state = TcpState.FIN_WAIT_1
+        if self.state == ESTABLISHED:
+            self.state = FIN_WAIT_1
+        elif self.state == CLOSE_WAIT:
+            self.state = LAST_ACK
+        elif self.state == SYN_RCVD:
+            self.state = FIN_WAIT_1
         else:
             return actions
         self.fin_pending = True
@@ -328,7 +338,7 @@ class TcpConnection:
     def rexmt_timeout(self, now: float) -> TcpActions:
         """Retransmission timer fired: go-back-N from snd_una."""
         actions = TcpActions()
-        if self.state == TcpState.CLOSED or self.inflight == 0:
+        if self.state == CLOSED or self.inflight == 0:
             actions.cancel_rexmt = True
             return actions
         self.retransmits += 1
@@ -337,11 +347,11 @@ class TcpConnection:
         self._rtt_seq = None  # Karn: don't time retransmitted data
         self.ssthresh = max(2 * self.mss, self.inflight // 2)
         self.cwnd = self.mss
-        if self.state == TcpState.SYN_SENT:
+        if self.state == SYN_SENT:
             seg = self._make_segment(SYN, seq=self.snd_una)
             seg.ack = 0
             actions.outputs.append(seg)
-        elif self.state == TcpState.SYN_RCVD:
+        elif self.state == SYN_RCVD:
             seg = self._make_segment(SYN | ACK, seq=self.snd_una)
             actions.outputs.append(seg)
         else:
@@ -383,27 +393,27 @@ class TcpConnection:
         actions = TcpActions()
         state = self.state
 
-        if state == TcpState.CLOSED:
+        if state == CLOSED:
             self._send_rst_for(seg, actions)
             return actions
 
-        if state == TcpState.SYN_SENT:
+        if state == SYN_SENT:
             self._input_syn_sent(seg, now, actions)
             return actions
 
         # --- general case: check sequence, then flags ------------------
         if seg.flags & RST:
-            if state in SYNCHRONIZED or state == TcpState.SYN_RCVD:
+            if state in SYNCHRONIZED or state == SYN_RCVD:
                 self._enter_closed(actions, "reset by peer")
             return actions
 
-        if seg.flags & SYN and state != TcpState.SYN_RCVD:
+        if seg.flags & SYN and state != SYN_RCVD:
             # SYN in a synchronized state: peer restarted.  Reset.
             self._send_rst_for(seg, actions)
             self._enter_closed(actions, "SYN in synchronized state")
             return actions
 
-        if state == TcpState.SYN_RCVD:
+        if state == SYN_RCVD:
             self._input_syn_rcvd(seg, now, actions)
             return actions
 
@@ -413,8 +423,7 @@ class TcpConnection:
         self._process_ack(seg, now, actions)
         self._process_data(seg, now, actions)
         self._process_fin(seg, now, actions)
-        if self.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT,
-                          TcpState.FIN_WAIT_1):
+        if self.state in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1):
             self._try_output(actions, now)
         return actions
 
@@ -434,7 +443,7 @@ class TcpConnection:
         self.snd_una = seg.ack
         self.snd_wnd = seg.window
         self._measure_rtt(now, seg.ack)
-        self.state = TcpState.ESTABLISHED
+        self.state = ESTABLISHED
         actions.connected = True
         actions.cancel_rexmt = True
         self._ack_now(actions)
@@ -450,7 +459,7 @@ class TcpConnection:
         if seg.flags & ACK and seg.ack == self.snd_nxt:
             self.snd_una = seg.ack
             self.snd_wnd = seg.window
-            self.state = TcpState.ESTABLISHED
+            self.state = ESTABLISHED
             actions.cancel_rexmt = True
             actions.new_established = self
             # The handshake ACK may carry data.
@@ -504,7 +513,7 @@ class TcpConnection:
         if self.fin_sent and self.fin_seq is not None and \
                 seq_gt(ack, self.fin_seq):
             data_acked -= 1
-        if self.state == TcpState.SYN_RCVD:
+        if self.state == SYN_RCVD:
             data_acked -= 1
         if data_acked > 0 and self.sock is not None:
             self.sock.snd_stream.take(data_acked)
@@ -517,11 +526,11 @@ class TcpConnection:
 
         # FIN acknowledged?
         if self.fin_sent and seq_ge(ack, seq_add(self.fin_seq, 1)):
-            if self.state == TcpState.FIN_WAIT_1:
-                self.state = TcpState.FIN_WAIT_2
-            elif self.state == TcpState.CLOSING:
+            if self.state == FIN_WAIT_1:
+                self.state = FIN_WAIT_2
+            elif self.state == CLOSING:
                 self._enter_time_wait(actions)
-            elif self.state == TcpState.LAST_ACK:
+            elif self.state == LAST_ACK:
                 self._enter_closed(actions, None)
 
     def _fast_retransmit(self, actions: TcpActions,
@@ -540,8 +549,7 @@ class TcpConnection:
                       actions: TcpActions) -> None:
         if seg.payload_len == 0:
             return
-        if self.state not in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1,
-                              TcpState.FIN_WAIT_2):
+        if self.state not in (ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2):
             self._ack_now(actions)
             return
         if seg.seq != self.rcv_nxt:
@@ -557,7 +565,6 @@ class TcpConnection:
         if self.sock is not None and self.sock.rcv_stream is not None:
             self.sock.rcv_stream.put(accept)
         self.rcv_nxt = seq_add(self.rcv_nxt, accept)
-        actions.deliver_bytes = accept
         actions.wake_receiver = True
         self._ack_now(actions)
 
@@ -572,22 +579,22 @@ class TcpConnection:
         self.fin_rcvd = True
         actions.wake_receiver = True
         self._ack_now(actions)
-        if self.state == TcpState.ESTABLISHED:
-            self.state = TcpState.CLOSE_WAIT
-        elif self.state == TcpState.FIN_WAIT_1:
+        if self.state == ESTABLISHED:
+            self.state = CLOSE_WAIT
+        elif self.state == FIN_WAIT_1:
             # Our FIN not yet acked: simultaneous close.
-            self.state = TcpState.CLOSING
-        elif self.state == TcpState.FIN_WAIT_2:
+            self.state = CLOSING
+        elif self.state == FIN_WAIT_2:
             self._enter_time_wait(actions)
 
     # ------------------------------------------------------------------
     def _enter_time_wait(self, actions: TcpActions) -> None:
-        self.state = TcpState.TIME_WAIT
+        self.state = TIME_WAIT
         actions.enter_time_wait = self.time_wait_usec
         actions.cancel_rexmt = True
 
     def _enter_closed(self, actions: TcpActions, reason) -> None:
-        self.state = TcpState.CLOSED
+        self.state = CLOSED
         actions.closed = True
         actions.cancel_rexmt = True
         actions.cancel_persist = True

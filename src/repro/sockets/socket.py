@@ -34,6 +34,12 @@ class SockType(enum.Enum):
     STREAM = "stream"   # TCP
 
 
+# As module constants: an enum member read is a metaclass attribute
+# lookup, and the receive paths read a socket's type per packet.
+DGRAM = SockType.DGRAM
+STREAM = SockType.STREAM
+
+
 class Socket:
     """One communication endpoint."""
 
@@ -52,14 +58,14 @@ class Socket:
         self.closed = False
 
         # Receive side.
-        if stype == SockType.DGRAM:
+        if stype == DGRAM:
             self.rcv_dgrams = DatagramQueue(rcv_depth)
             self.rcv_stream = None
         else:
             self.rcv_dgrams = None
             self.rcv_stream = StreamBuffer(rcv_hiwat)
         self.snd_stream = (StreamBuffer(snd_hiwat)
-                           if stype == SockType.STREAM else None)
+                           if stype == STREAM else None)
 
         # Blocking support.
         self.rcv_wait = WaitChannel(f"so{self.id}-rcv")
@@ -85,7 +91,7 @@ class Socket:
         :func:`repro.trace.flow_of` but is built from endpoint state,
         for paths where the original packet is no longer in hand.
         Contains no process-global identifiers (trace determinism)."""
-        proto = 17 if self.stype == SockType.DGRAM else 6
+        proto = 17 if self.stype == DGRAM else 6
         local = (f"{self.local.addr}:{self.local.port}"
                  if self.local is not None else "?:-")
         origin = src if src is not None else self.peer

@@ -2,10 +2,11 @@
 
 Same-instant event order depends on the tie rule that
 :class:`~repro.engine.simulator.Simulator` runs at every push
-(``schedule``, ``schedule_at``, ``reserve``, ``defer``).  A module that
-pushed onto the heap itself, or read the simulator's private state,
-would have to copy that rule by hand, so outside ``repro.engine`` no
-module imports :mod:`heapq` or touches a ``sim._...`` attribute.
+(``schedule``, ``schedule_at``, ``arm``, ``reserve``, ``defer``).  A
+module that pushed onto the heap itself, or read the simulator's
+private state, would have to copy that rule by hand, so outside
+``repro.engine`` no module imports :mod:`heapq` or touches a
+``sim._...`` attribute.
 """
 
 import ast

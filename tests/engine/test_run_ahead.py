@@ -1,12 +1,14 @@
 """The engine's event-elision primitives and the lazy transmit path.
 
 ``Simulator.advance_to`` lets the CPU end consecutive slices without
-one heap entry each; ``reserve``/``claim``/``passed`` let a NIC or a
-switch port skip its "wire free" event when nothing is queued.  Both
-must leave the schedule exactly as the eager event-per-step engine
-had it, so the tests below pin the primitives' edges (drain limit,
-heap head, same-time ties) and compare the lazy transmit path with an
-eager reference frame by frame.
+one heap entry each; ``Simulator.arm`` holds a slice end armed by any
+callback and fires it without a heap entry when it is the next key;
+``reserve``/``claim``/``passed`` let a NIC or a switch port skip its
+"wire free" event when nothing is queued.  All must leave the schedule
+exactly as the eager event-per-step engine had it, so the tests below
+pin the primitives' edges (drain limit, heap head, same-time ties)
+and compare the lazy transmit path with an eager reference frame by
+frame.
 """
 
 import pytest
@@ -95,6 +97,189 @@ def test_capped_and_stopped_drains_do_not_run_ahead():
     sim.schedule(1.0, stop_then_try)
     sim.run()
     assert seen == [False, False]
+
+
+# ----------------------------------------------------------------------
+# arm: held entries
+# ----------------------------------------------------------------------
+def fire_log(script, held=True):
+    """Run *script(sim, note, arm)* from an event at t=1 to t=100,
+    where *arm* is ``sim.arm`` (or, for the reference,
+    ``sim.schedule_at``) and ``note(label)`` logs ``(label, now)``.
+    Returns (log, fired events, final clock)."""
+    sim = Simulator()
+    log = []
+    arm = sim.arm if held else sim.schedule_at
+
+    def note(label):
+        log.append((label, sim.now))
+
+    sim.schedule(1.0, script, sim, note, arm)
+    sim.run_until(100.0)
+    return log, sim.events_processed, sim.now
+
+
+def assert_held_matches_heap(script, saved):
+    """Arming fires in the reference's order, at its clock, with
+    *saved* fewer events."""
+    log, events, now = fire_log(script)
+    ref_log, ref_events, ref_now = fire_log(script, held=False)
+    assert log == ref_log
+    assert now == ref_now
+    assert events == ref_events - saved
+    return log
+
+
+def test_held_entry_fires_inline_only_when_it_is_the_next_key():
+    def alone(sim, note, arm):
+        arm(10.0, note, "slice")
+        # A held entry is not pending in the heap.
+        seen.append(sim.next_event_time())
+
+    seen = []
+    assert assert_held_matches_heap(alone, saved=1) == [("slice", 10.0)]
+    assert seen == [None, 10.0]
+
+    def behind(sim, note, arm):
+        sim.schedule(5.0, note, "timer")
+        arm(10.0, note, "slice")
+
+    assert assert_held_matches_heap(behind, saved=0) \
+        == [("timer", 6.0), ("slice", 10.0)]
+
+
+def test_held_entry_ties_go_to_the_lower_sequence_number():
+    def heap_first(sim, note, arm):
+        sim.schedule_at(10.0, note, "timer")
+        arm(10.0, note, "slice")
+
+    assert assert_held_matches_heap(heap_first, saved=0) \
+        == [("timer", 10.0), ("slice", 10.0)]
+
+    def held_first(sim, note, arm):
+        arm(10.0, note, "slice")
+        sim.schedule_at(10.0, note, "timer")
+
+    assert assert_held_matches_heap(held_first, saved=1) \
+        == [("slice", 10.0), ("timer", 10.0)]
+
+
+def test_held_entries_settle_in_key_order_and_may_arm_more():
+    def cores(sim, note, arm):
+        def first():
+            note("core0")
+            arm(sim.now + 1.0, note, "core0-next")
+
+        arm(8.0, note, "core1")
+        arm(5.0, first)
+        arm(5.0, note, "core2")
+        sim.schedule_at(7.0, note, "timer")
+
+    assert assert_held_matches_heap(cores, saved=3) == [
+        ("core0", 5.0), ("core2", 5.0), ("core0-next", 6.0),
+        ("timer", 7.0), ("core1", 8.0)]
+
+
+def test_cancel_drops_a_held_entry():
+    def cancelled(sim, note, arm):
+        entry = arm(10.0, note, "slice")
+        sim.cancel(entry)
+        sim.cancel(entry)  # idempotent
+        assert sim._dead == 0
+
+    log, events, _ = fire_log(cancelled)
+    assert log == []
+    assert events == 1
+
+
+def test_capped_stopped_and_limit_bound_drains_push_held_entries():
+    sim = Simulator()
+    log = []
+    sim.schedule(1.0, lambda: sim.arm(10.0, log.append, "capped"))
+    sim.run(max_events=1)
+    assert sim.next_event_time() == 10.0
+
+    sim = Simulator()
+
+    def stop_then_arm():
+        sim.stop()
+        sim.arm(10.0, log.append, "stopped")
+
+    sim.schedule(1.0, stop_then_arm)
+    sim.run()
+    assert sim.next_event_time() == 10.0 and sim.now == 1.0
+
+    sim = Simulator()
+    sim.schedule(1.0, lambda: sim.arm(10.0, log.append, "beyond"))
+    sim.run_until(5.0)
+    assert sim.next_event_time() == 10.0 and sim.now == 5.0
+
+    sim = Simulator()
+    sim.schedule(1.0, lambda: [sim.arm(9.0, log.append, "inside"),
+                               sim.arm(10.0, log.append, "bound")])
+    sim.run_events_before(10.0)
+    assert log == ["inside"]
+    assert sim.now == 9.0 and sim.events_processed == 1
+    assert sim.next_event_time() == 10.0
+
+
+def test_a_raising_callback_leaves_its_held_entries_pending():
+    sim = Simulator()
+    log = []
+
+    def arm_then_raise():
+        sim.arm(10.0, log.append, "slice")
+        raise RuntimeError("boom")
+
+    sim.schedule(1.0, arm_then_raise)
+    with pytest.raises(RuntimeError):
+        sim.run_until(20.0)
+    assert sim._held == []
+    assert sim.next_event_time() == 10.0
+    sim.run_until(20.0)
+    assert log == ["slice"]
+
+
+def test_advance_to_refuses_to_pass_a_held_entry():
+    seen = []
+
+    def script(sim, note, arm):
+        arm(10.0, note, "slice")
+        seen.extend([sim.advance_to(12.0), sim.advance_to(10.0),
+                     sim.advance_to(9.0), sim.now])
+
+    log, _, _ = fire_log(script)
+    assert seen == [False, False, True, 9.0]
+    assert log == [("slice", 10.0)]
+
+
+def test_held_key_at_a_deferred_pass_through_time():
+    """An elided switch arrival at 5 would schedule "far" at 10 and
+    reserve a key at 8: a slice armed at 10 before 5 sorts ahead of
+    "far", one armed after 5 behind it."""
+    def before(sim, note, arm):
+        sim.defer(5.0, 10.0, note, ("far",), 8.0)
+        arm(10.0, note, "slice")
+
+    assert assert_held_matches_heap(before, saved=1) \
+        == [("slice", 10.0), ("far", 10.0)]
+
+    def after(sim, note, arm):
+        sim.defer(5.0, 10.0, note, ("far",), 8.0)
+        sim.schedule_at(6.0, lambda: arm(10.0, note, "slice"))
+
+    assert assert_held_matches_heap(after, saved=0) \
+        == [("far", 10.0), ("slice", 10.0)]
+
+
+def test_arm_outside_a_drain_schedules():
+    sim = Simulator()
+    log = []
+    sim.arm(4.0, log.append, "slice")
+    assert sim.next_event_time() == 4.0
+    with pytest.raises(SimulationError):
+        sim.schedule(1.0, lambda: sim.arm(0.5, log.append, "past"))
+        sim.run_until(2.0)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.core.forwarding import build_gateway
 from repro.engine.simulator import SimulationError
 from repro.engine.world import World
 from repro.faults import FaultPlan, FaultPlane, FaultRule
+from repro.host.interrupts import HARDWARE
 from repro.net.link import Network
 from repro.net.topology import Topology, gateway_chain_spec, incast_spec
 
@@ -62,6 +63,18 @@ def test_run_advances_the_clock_and_finalizes_hosts():
     world.run(50_000.0)
     assert world.sim.now == 50_000.0
     assert host.kernel.cpu.idle_time == 50_000.0
+
+
+def test_finalize_raises_on_an_unbalanced_cpu_ledger():
+    world = World(seed=1)
+    server = world.add_host("10.0.0.1", Architecture.BSD)
+    world.add_host("10.0.0.2", Architecture.SOFT_LRP)
+    world.run(1_000.0)  # idle cores balance
+    world.finalize()  # and finalizing again changes nothing
+    server.kernel.cpus[0].time_by_class[HARDWARE] += 1e-3
+    with pytest.raises(SimulationError,
+                       match=r"CPU ledger of \S+ core 0 does not balance"):
+        world.finalize()
 
 
 def test_finalize_raises_on_an_unbalanced_fabric_ledger():

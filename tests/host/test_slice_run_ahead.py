@@ -3,9 +3,9 @@
 Both optimisations remove heap entries only where nothing could
 observe them, so three things must hold on every golden workload:
 
-* **run-ahead is invisible** — refusing every run-ahead (one event
-  per slice end, the reference schedule) changes only the number of
-  fired events;
+* **run-ahead is invisible** — refusing every run-ahead and every
+  hold (one event per slice end, the reference schedule) changes
+  only the number of fired events;
 * **chunking is invisible** — one ``run_until(T)`` and the same run
   cut into random ``run_until`` chunks give the same behaviour digest
   and the same per-core CPU statistics.  A run-ahead or a lazy port
@@ -61,11 +61,13 @@ def behaviour(tracer):
 
 @pytest.mark.parametrize("key", golden.GOLDEN_ARCHES)
 def test_run_ahead_matches_one_event_per_slice(key, monkeypatch):
-    """With run-ahead refused, every slice end is a fired event — the
-    reference schedule.  Run-ahead must reproduce its behaviour and
-    CPU statistics exactly, with fewer events."""
+    """With run-ahead refused and every armed slice end pushed, every
+    slice end is a fired event — the reference schedule.  Run-ahead
+    and held slice ends must reproduce its behaviour and CPU
+    statistics exactly, with fewer events."""
     ahead_tracer, ahead_world = run_chunked(key, [])
     monkeypatch.setattr(Simulator, "advance_to", lambda self, time: False)
+    monkeypatch.setattr(Simulator, "arm", Simulator.schedule_at)
     eager_tracer, eager_world = run_chunked(key, [])
     assert behaviour(ahead_tracer) == behaviour(eager_tracer)
     assert cpu_stats(ahead_world) == cpu_stats(eager_world)
@@ -80,10 +82,7 @@ def test_cpu_ledger_balances_on_every_core(key):
     cores = [cpu for host in world.hosts for cpu in host.kernel.cpus]
     assert cores
     for cpu in cores:
-        in_progress = (now - cpu._slice_start
-                       if cpu.current is not None else 0.0)
-        total = (sum(cpu.time_by_class.values()) + cpu.idle_time
-                 + in_progress)
+        total = cpu.accounted_usec()
         assert abs(total - now) <= LEDGER_TOLERANCE_USEC, (
             f"{key}: core ledger {total!r} != clock {now!r}")
 

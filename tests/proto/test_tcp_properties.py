@@ -55,10 +55,10 @@ def lossy_pump(total_bytes, drop_decider, max_rounds=5000):
         if in_flight:
             dst, seg = in_flight.pop(0)
             actions = dst.segment_arrives(seg, now)
-            delivered += actions.deliver_bytes
             # The receiving app drains instantly (no window stalls).
-            if actions.deliver_bytes:
-                dst.sock.rcv_stream.take(actions.deliver_bytes)
+            rcv_stream = dst.sock.rcv_stream
+            if rcv_stream.used:
+                delivered += rcv_stream.take(rcv_stream.used)
                 emit(dst, dst.app_recv_window_update())
             emit(dst, actions)
         else:
