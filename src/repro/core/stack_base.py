@@ -498,7 +498,7 @@ class NetworkStack:
     def _time_wait_expired(self, sock: Socket) -> None:
         conn: TcpConnection = sock.pcb
         if conn is not None and conn.state == TIME_WAIT:
-            conn.state = CLOSED
+            conn.set_state(CLOSED)
             self._conn_closed(sock)
 
     def _conn_closed(self, sock: Socket) -> None:
@@ -623,7 +623,7 @@ class NetworkStack:
         conn: TcpConnection = child.pcb
         if conn is None or conn.state != SYN_RCVD:
             return
-        conn.state = CLOSED
+        conn.set_state(CLOSED)
         self.stats.incr("tcp_handshake_expired")
         listener.incomplete = max(0, listener.incomplete - 1)
         self._cancel_timer(child, "rexmt")

@@ -39,24 +39,24 @@ suite pins the order (same events, same times, same order).
 
 Components also avoid events nobody can observe.  :meth:`arm`
 schedules an event that is often the very next one — a CPU slice's
-end — and lets it fire without a heap entry when it is, and
-:meth:`advance_to` lets the CPU end consecutive slices the same way;
+end — and lets it fire without a heap entry when it is;
 :meth:`reserve` / :meth:`claim` let a transmit port skip its "wire
 free" event while its queue is empty, and :meth:`defer` lets a port
 do at once what a pass-through switch's arrival event would do later.
-All four leave the heap order exactly as one event per step would
+All three leave the heap order exactly as one event per step would
 have it, so the golden behaviour digests do not move; only the
 fired-event count does.  Every push and reservation goes through this
 class, which is what lets it keep that order (see :meth:`_retie`).
 
-The run-ahead rule: an event fires without a heap entry exactly when
-the heap would have popped it next — its key precedes every live
-pending event and it lies within the running drain's limit.  An
-armed event takes its key when it is armed, as :meth:`schedule_at`
+The run-ahead rule, the one way an event fires without a heap entry:
+an armed event takes its key when it is armed, as :meth:`schedule_at`
 would, but is *held* until the callback that armed it returns; the
-drain then *settles* the held entries in key order, firing each one
-that precedes the heap's head right there and pushing the rest.
-:meth:`advance_to` applies the same rule to a caller's own next step.
+drain then *settles* the held entries in key order (:meth:`_settle`),
+firing each one right there exactly when the heap would have popped
+it next — its key precedes every live pending event and it lies
+within the running drain's limit — and pushing the rest.  A settled
+callback may arm again, so a CPU ends slice after slice this way
+while nothing else is due.
 """
 
 from __future__ import annotations
@@ -116,12 +116,12 @@ class Simulator:
         self._seq = itertools.count()
         self._dead = 0
         self._running = False
-        #: Latest time :meth:`advance_to` may move the clock to: the
-        #: running drain's limit, ``-inf`` outside a drain.
+        #: Latest time :meth:`arm` may hold an entry for: the running
+        #: drain's limit, ``-inf`` outside a drain (or in a capped one).
         self._limit = -inf
-        #: Heap sequence number of the event being fired (or of the
-        #: slice end :meth:`advance_to` stands in for); with ``now``
-        #: it is the key :meth:`claim` compares reserved keys with.
+        #: Heap sequence number of the event being fired (or settled
+        #: inline, see :meth:`_settle`); with ``now`` it is the key
+        #: :meth:`claim` compares reserved keys with.
         self._seq_now = -1
         #: The items :meth:`defer` made for an elided event, under
         #: each item's time: ``[event key, entry, reserved key]``.
@@ -327,37 +327,6 @@ class Simulator:
                 self.cancel(item)
                 heappush(self._heap, fresh)
                 watch[index] = fresh
-
-    def advance_to(self, time: float) -> bool:
-        """Move the clock to *time* in place of firing an event there.
-
-        The CPU's slice run-ahead: a caller that would schedule an
-        event at *time* only to continue its own work there calls this
-        first.  It succeeds — sets the clock, takes the sequence
-        number the event would have had, and returns True — only
-        while a drain is running, *time* is within the drain's limit,
-        and *time* is strictly earlier than every pending event, held
-        ones included, so that the event would have been the very
-        next one to fire.  Otherwise it returns False and the caller
-        schedules the event.  A run-ahead is not a fired event and
-        does not count in :attr:`events_processed`.
-        """
-        if not self._running or time > self._limit:
-            return False
-        for entry in self._held:
-            if entry[0] <= time:
-                return False
-        heap = self._heap
-        if heap and heap[0][0] <= time:
-            # A cancelled head is no obstacle: the drain would skip it.
-            if heap[0][2] is not None:
-                return False
-            head = self.next_event_time()
-            if head is not None and head <= time:
-                return False
-        self.now = time
-        self._seq_now = next(self._seq)
-        return True
 
     # ------------------------------------------------------------------
     # Running

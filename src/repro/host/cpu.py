@@ -71,9 +71,6 @@ class Cpu:
         self._slice_len = 0.0
         self._dispatching = False
         self._redispatch = False
-        #: True while _on_slice_end settles the next slice: the slice
-        #: started then is not scheduled by _start_slice.
-        self._ending = False
         # Bound once: every slice end schedules this callback.
         self._slice_end = self._on_slice_end
 
@@ -191,12 +188,8 @@ class Cpu:
             self._dispatching = False
 
     def _start_slice(self, ctx, duration: float) -> None:
-        if ctx.work_class != PROCESS and not ctx.dispatched:
-            ctx.dispatched = True
-            trace = self._trace
-            if trace.enabled:
-                trace.interrupt_dispatched(
-                    ctx.label, CLASS_NAMES[ctx.work_class])
+        """Run *ctx* for *duration*, clamped to a process's quantum
+        left, and arm the slice's end."""
         if ctx.work_class == PROCESS:
             self.last_process_running = ctx
             remaining_quantum = DEFAULT_QUANTUM - ctx.stint
@@ -205,15 +198,19 @@ class Cpu:
                 ctx.stint = 0.0
             if remaining_quantum < duration:
                 duration = remaining_quantum
+        elif not ctx.dispatched:
+            ctx.dispatched = True
+            trace = self._trace
+            if trace.enabled:
+                trace.interrupt_dispatched(
+                    ctx.label, CLASS_NAMES[ctx.work_class])
+        sim = self.sim
+        now = sim.now
         self._current = ctx
-        self._slice_start = self.sim.now
+        self._slice_start = now
         self._slice_len = duration
         self.slices += 1
-        # A slice started while _on_slice_end runs is scheduled (or
-        # run ahead to) by it, once it has settled which slice runs.
-        if not self._ending:
-            self._slice_event = self.sim.arm(
-                self.sim.now + duration, self._slice_end)
+        self._slice_event = sim.arm(now + duration, self._slice_end)
 
     def _account_elapsed(self, elapsed: float) -> None:
         """Record and bill *elapsed* microseconds of the current slice."""
@@ -268,87 +265,59 @@ class Cpu:
         heads its class queue with no higher class pending, or a
         process with no interrupt pending that its run queue would
         hand straight back (``keeps_cpu``).  Anything else goes
-        through :meth:`_dispatch`.
-
-        Slice ends run ahead: after settling which slice runs next,
-        the CPU asks the engine to advance the clock straight to that
-        slice's end (:meth:`Simulator.advance_to`), which succeeds
-        only when no other event is due first, and ends that slice
-        too.  A slice started by any other callback — an arrival's
-        interrupt, a timer, another core's wakeup — arms its end with
-        :meth:`Simulator.arm`, which fires it without a heap entry
-        when, once that callback returns, nothing else is due first.
-        So only a slice end that something else could interleave with
-        is scheduled as an event.  Every slice, bill and timestamp is
-        the one the event-per-slice schedule produces.
+        through :meth:`_dispatch`.  Either way the next slice starts
+        in :meth:`_start_slice`, which arms its end with
+        :meth:`Simulator.arm`: once the running callback returns, the
+        engine fires that end without a heap entry when nothing else
+        is due first.  So only a slice end that something else could
+        interleave with is scheduled as an event.  Every slice, bill
+        and timestamp is the one the event-per-slice schedule
+        produces.
         """
-        sim = self.sim
-        hw = self._hw
-        sw = self._sw
-        source = self.process_source
         self._slice_event = None
-        self._ending = True
+        ctx = self._current
+        self._account_elapsed(self._slice_len)
+        self._current = None
+        work_class = ctx.work_class
+        keep = False
+        # Guard against reentrant dispatch while ctx.begin() runs
+        # instantaneous side effects (wakeups, interrupt posts, ...).
+        self._dispatching = True
         try:
-            while True:
-                ctx = self._current
-                self._account_elapsed(self._slice_len)
-                self._current = None
-                work_class = ctx.work_class
-                keep = False
-                # Guard against reentrant dispatch while ctx.begin()
-                # runs instantaneous side effects (wakeups, interrupt
-                # posts, ...).
-                self._dispatching = True
-                try:
-                    # Quantum expired: round-robin to the tail of the
-                    # run queue if the process still wants the CPU.
-                    expired = work_class == PROCESS \
-                        and ctx.stint >= DEFAULT_QUANTUM
-                    if expired:
-                        ctx.stint = 0.0
+            # Quantum expired: round-robin to the tail of the run
+            # queue if the process still wants the CPU.
+            expired = work_class == PROCESS \
+                and ctx.stint >= DEFAULT_QUANTUM
+            if expired:
+                ctx.stint = 0.0
+            duration = ctx.begin()
+            if duration is None:
+                self._retire(ctx)
+            elif work_class != PROCESS:
+                # An interrupt heads its class queue, so it keeps the
+                # CPU unless a higher class waits.
+                keep = work_class == HARDWARE or not self._hw
+                if not keep:
+                    self._sw.appendleft(ctx)
+            elif expired:
+                self.process_source.quantum_expired(ctx)
+            elif self._hw or self._sw \
+                    or not self.process_source.keeps_cpu(ctx):
+                self.process_source.requeue_front(ctx)
+            else:
+                keep = True
+                # Dispatch would begin() the process again, which
+                # repays any hot-set lines still missing and otherwise
+                # changes nothing.
+                proc = ctx.proc
+                if proc.cache_resident_kb < proc.cache_hot_kb:
                     duration = ctx.begin()
-                    if duration is None:
-                        self._retire(ctx)
-                    elif work_class != PROCESS:
-                        # An interrupt heads its class queue, so it
-                        # keeps the CPU unless a higher class waits.
-                        keep = work_class == HARDWARE or not hw
-                        if not keep:
-                            sw.appendleft(ctx)
-                    elif expired:
-                        source.quantum_expired(ctx)
-                    elif hw or sw or not source.keeps_cpu(ctx):
-                        source.requeue_front(ctx)
-                    else:
-                        keep = True
-                        # Dispatch would begin() the process again,
-                        # which repays any hot-set lines still missing
-                        # and otherwise changes nothing; then clamp to
-                        # the quantum left, as _start_slice does.
-                        proc = ctx.proc
-                        if proc.cache_resident_kb < proc.cache_hot_kb:
-                            duration = ctx.begin()
-                        remaining_quantum = DEFAULT_QUANTUM - ctx.stint
-                        if duration > remaining_quantum:
-                            duration = remaining_quantum
-                finally:
-                    self._dispatching = False
-                if keep:
-                    self._current = ctx
-                    self._slice_start = sim.now
-                    self._slice_len = duration
-                    self.slices += 1
-                else:
-                    self._dispatch()
-                    if self._current is None:
-                        return
-                if not sim.advance_to(self._slice_start
-                                      + self._slice_len):
-                    break
         finally:
-            self._ending = False
-        self._slice_event = sim.schedule_at(sim.now + self._slice_len,
-                                            self._slice_end)
+            self._dispatching = False
+        if keep:
+            self._start_slice(ctx, duration)
+        else:
+            self._dispatch()
 
     def _retire(self, ctx) -> None:
         if ctx is self.last_process_running:

@@ -115,20 +115,17 @@ class TcpConnection:
     #: Optional ``hook(conn, old_state, new_state)`` invoked on every
     #: state transition.  The network stack wires this to the tracer's
     #: ``tcp_state_change`` emitter; the state machine itself stays
-    #: observer-agnostic.  Class attribute so assignment in
-    #: ``__init__`` works before any instance hook is installed.
+    #: observer-agnostic.  Class attribute, so a connection has none
+    #: until one is installed.
     trace_hook = None
 
-    @property
-    def state(self):
-        return self._state
-
-    @state.setter
-    def state(self, value) -> None:
-        old = getattr(self, "_state", None)
-        self._state = value
-        if self.trace_hook is not None and old is not value:
-            self.trace_hook(self, old, value)
+    def set_state(self, new) -> None:
+        """Enter state *new*: every transition goes through here, so
+        that ``trace_hook`` sees each change."""
+        old = self.state
+        self.state = new
+        if self.trace_hook is not None and old is not new:
+            self.trace_hook(self, old, new)
 
     def __init__(self, sock, local: Endpoint, peer: Endpoint,
                  time_wait_usec: float = TIME_WAIT_DEFAULT):
@@ -137,6 +134,7 @@ class TcpConnection:
         self.peer = peer
         self.mss = DEFAULT_MSS
         self.time_wait_usec = time_wait_usec
+        #: Read freely; written only through set_state().
         self.state = CLOSED
 
         # Send sequence space.
@@ -231,7 +229,7 @@ class TcpConnection:
     def open_active(self, now: float) -> TcpActions:
         """connect(): emit SYN, enter SYN_SENT."""
         actions = TcpActions()
-        self.state = SYN_SENT
+        self.set_state(SYN_SENT)
         seg = self._make_segment(SYN)
         seg.ack = 0
         self._advance_snd_nxt(1)
@@ -243,7 +241,7 @@ class TcpConnection:
     def open_passive(self, listener) -> None:
         """Child of a listener, entered on SYN arrival."""
         self.listener = listener
-        self.state = SYN_RCVD
+        self.set_state(SYN_RCVD)
 
     def passive_syn(self, seg: TcpSegment, now: float) -> TcpActions:
         """Record the peer's SYN and answer with SYN|ACK."""
@@ -276,15 +274,15 @@ class TcpConnection:
         """close()/shutdown(): send FIN after any pending data."""
         actions = TcpActions()
         if self.state == SYN_SENT:
-            self.state = CLOSED
+            self.set_state(CLOSED)
             actions.closed = True
             return actions
         if self.state == ESTABLISHED:
-            self.state = FIN_WAIT_1
+            self.set_state(FIN_WAIT_1)
         elif self.state == CLOSE_WAIT:
-            self.state = LAST_ACK
+            self.set_state(LAST_ACK)
         elif self.state == SYN_RCVD:
-            self.state = FIN_WAIT_1
+            self.set_state(FIN_WAIT_1)
         else:
             return actions
         self.fin_pending = True
@@ -443,7 +441,7 @@ class TcpConnection:
         self.snd_una = seg.ack
         self.snd_wnd = seg.window
         self._measure_rtt(now, seg.ack)
-        self.state = ESTABLISHED
+        self.set_state(ESTABLISHED)
         actions.connected = True
         actions.cancel_rexmt = True
         self._ack_now(actions)
@@ -459,7 +457,7 @@ class TcpConnection:
         if seg.flags & ACK and seg.ack == self.snd_nxt:
             self.snd_una = seg.ack
             self.snd_wnd = seg.window
-            self.state = ESTABLISHED
+            self.set_state(ESTABLISHED)
             actions.cancel_rexmt = True
             actions.new_established = self
             # The handshake ACK may carry data.
@@ -527,7 +525,7 @@ class TcpConnection:
         # FIN acknowledged?
         if self.fin_sent and seq_ge(ack, seq_add(self.fin_seq, 1)):
             if self.state == FIN_WAIT_1:
-                self.state = FIN_WAIT_2
+                self.set_state(FIN_WAIT_2)
             elif self.state == CLOSING:
                 self._enter_time_wait(actions)
             elif self.state == LAST_ACK:
@@ -580,21 +578,21 @@ class TcpConnection:
         actions.wake_receiver = True
         self._ack_now(actions)
         if self.state == ESTABLISHED:
-            self.state = CLOSE_WAIT
+            self.set_state(CLOSE_WAIT)
         elif self.state == FIN_WAIT_1:
             # Our FIN not yet acked: simultaneous close.
-            self.state = CLOSING
+            self.set_state(CLOSING)
         elif self.state == FIN_WAIT_2:
             self._enter_time_wait(actions)
 
     # ------------------------------------------------------------------
     def _enter_time_wait(self, actions: TcpActions) -> None:
-        self.state = TIME_WAIT
+        self.set_state(TIME_WAIT)
         actions.enter_time_wait = self.time_wait_usec
         actions.cancel_rexmt = True
 
     def _enter_closed(self, actions: TcpActions, reason) -> None:
-        self.state = CLOSED
+        self.set_state(CLOSED)
         actions.closed = True
         actions.cancel_rexmt = True
         actions.cancel_persist = True

@@ -6,7 +6,9 @@ Same-instant event order depends on the tie rule that
 module that pushed onto the heap itself, or read the simulator's
 private state, would have to copy that rule by hand, so outside
 ``repro.engine`` no module imports :mod:`heapq` or touches a
-``sim._...`` attribute.
+``sim._...`` attribute.  The run-ahead rule has one home as well: an
+event fires without a heap entry only through ``arm`` and the drain's
+settle step, so no second run-ahead path may come back.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).parent
+DOCS = SRC.parents[1] / "docs"
 SIM_NAMES = {"sim", "simulator"}
 
 
@@ -65,3 +68,17 @@ def test_the_check_sees_a_hand_copied_push(tmp_path):
         "        self.sim._retie(1.0)\n")
     assert [what for _, what in _violations(bad)] == [
         "imports from heapq", "reads sim._heap", "reads sim._retie"]
+
+
+def test_no_second_run_ahead_path():
+    """``advance_to``, a caller moving the clock to its own next step
+    beside ``arm``'s settle, is named nowhere in the code or the
+    docs."""
+    files = sorted(SRC.rglob("*.py")) + sorted(DOCS.rglob("*.md"))
+    assert DOCS.is_dir() and len(files) > 1
+    found = [f"{path.relative_to(SRC.parents[1])}:{lineno}"
+             for path in files
+             for lineno, line in enumerate(
+                 path.read_text().splitlines(), 1)
+             if "advance_to" in line]
+    assert not found, "\n".join(found)

@@ -1,14 +1,15 @@
 """The engine's event-elision primitives and the lazy transmit path.
 
-``Simulator.advance_to`` lets the CPU end consecutive slices without
-one heap entry each; ``Simulator.arm`` holds a slice end armed by any
-callback and fires it without a heap entry when it is the next key;
-``reserve``/``claim``/``passed`` let a NIC or a switch port skip its
-"wire free" event when nothing is queued.  All must leave the schedule
-exactly as the eager event-per-step engine had it, so the tests below
-pin the primitives' edges (drain limit, heap head, same-time ties)
-and compare the lazy transmit path with an eager reference frame by
-frame.
+``Simulator.arm`` holds an event (a CPU slice end) and fires it
+without a heap entry when, once the callback that armed it returns,
+it is the next key; a settled callback may arm again, so a CPU ends
+slice after slice that way.  ``reserve``/``claim``/``passed`` let a
+NIC or a switch port skip its "wire free" event when nothing is
+queued.  All must leave the schedule exactly as the eager
+event-per-step engine had it, so the tests below pin the primitives'
+edges (drain limit, heap head, cancelled heads, same-time ties,
+sequence numbers) and compare the lazy transmit path with an eager
+reference frame by frame.
 """
 
 import pytest
@@ -31,72 +32,6 @@ except ImportError:  # pragma: no cover - minimal environments
 
 needs_hypothesis = pytest.mark.skipif(
     not HAVE_HYPOTHESIS, reason="hypothesis not installed")
-
-
-# ----------------------------------------------------------------------
-# advance_to
-# ----------------------------------------------------------------------
-def test_advance_to_needs_a_running_drain():
-    sim = Simulator()
-    assert not sim.advance_to(5.0)
-    assert sim.now == 0.0
-
-
-def test_advance_to_stops_short_of_the_heap_head_and_the_limit():
-    sim = Simulator()
-    seen = []
-
-    def step():
-        seen.append((sim.advance_to(10.0), sim.now))
-        # An event is due at 20: running ahead onto it, or past it,
-        # would fire work out of order.
-        seen.append((sim.advance_to(20.0), sim.now))
-        seen.append((sim.advance_to(15.0), sim.now))
-
-    sim.schedule(1.0, step)
-    sim.schedule(20.0, lambda: seen.append(
-        (sim.advance_to(60.0), sim.now)))
-    sim.run_until(50.0)
-    assert seen == [(True, 10.0), (False, 10.0), (True, 15.0),
-                    (False, 20.0)]
-    # Run-aheads are not fired events.
-    assert sim.events_processed == 2
-    assert sim.now == 50.0
-
-
-def test_advance_to_respects_run_events_before_bound():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: seen.extend(
-        [sim.advance_to(9.0), sim.advance_to(10.0)]))
-    sim.run_events_before(10.0)
-    assert seen == [True, False]
-    assert sim.now == 9.0
-
-
-def test_advance_to_skips_cancelled_heads():
-    sim = Simulator()
-    seen = []
-    doomed = sim.schedule(5.0, lambda: seen.append("doomed"))
-    sim.schedule(1.0, lambda: seen.append(sim.advance_to(8.0)))
-    sim.cancel(doomed)
-    sim.run_until(10.0)
-    assert seen == [True]
-
-
-def test_capped_and_stopped_drains_do_not_run_ahead():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: seen.append(sim.advance_to(2.0)))
-    sim.run(max_events=1)
-
-    def stop_then_try():
-        sim.stop()
-        seen.append(sim.advance_to(4.0))
-
-    sim.schedule(1.0, stop_then_try)
-    sim.run()
-    assert seen == [False, False]
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +115,42 @@ def test_held_entries_settle_in_key_order_and_may_arm_more():
         ("timer", 7.0), ("core1", 8.0)]
 
 
+def test_self_arming_chain_runs_ahead_to_the_heap_head_and_the_limit():
+    """A settled callback that arms its own next step — a CPU ending
+    slice after slice — fires without a heap entry until a heap entry
+    is due first (strictly: an equal time with a lower sequence number
+    goes first) or the step lies past the drain's limit, which is
+    inclusive."""
+    def chain(sim, note, arm):
+        def step(times):
+            note("step")
+            if times:
+                arm(times[0], step, times[1:])
+
+        sim.schedule_at(20.0, note, "timer")
+        arm(10.0, step, (15.0, 20.0, 100.0, 120.0))
+
+    # 10 and 15 settle; 20 ties the timer's lower sequence number and
+    # is pushed; 100 is the limit and settles; 120 lies past it.
+    assert assert_held_matches_heap(chain, saved=3) == [
+        ("step", 10.0), ("step", 15.0), ("timer", 20.0),
+        ("step", 20.0), ("step", 100.0)]
+
+
+def test_cancelled_heap_head_does_not_hold_back_a_held_entry():
+    dead = []
+
+    def cancelled_head(sim, note, arm):
+        sim.cancel(sim.schedule_at(4.0, note, "doomed"))
+        arm(8.0, note, "slice")
+        sim.schedule_at(50.0, lambda: dead.append(sim._dead))
+
+    assert assert_held_matches_heap(cancelled_head, saved=1) \
+        == [("slice", 8.0)]
+    # Settling popped the cancelled head, as the drain would have.
+    assert dead == [0, 0]
+
+
 def test_cancel_drops_a_held_entry():
     def cancelled(sim, note, arm):
         entry = arm(10.0, note, "slice")
@@ -223,6 +194,29 @@ def test_capped_stopped_and_limit_bound_drains_push_held_entries():
     assert sim.next_event_time() == 10.0
 
 
+def test_capped_and_stopped_drains_do_not_run_ahead():
+    """A capped drain holds nothing; once a callback, a settled one
+    included, stops the drain, what it arms is pushed."""
+    sim = Simulator()
+    log = []
+
+    def step(n):
+        log.append((n, sim.now))
+        if n == 3:
+            sim.stop()
+        if n < 5:
+            sim.arm(sim.now + 1.0, step, n + 1)
+
+    sim.schedule(1.0, step, 0)
+    sim.run(max_events=1)
+    assert log == [(0, 1.0)] and sim.next_event_time() == 2.0
+    sim.run()
+    # Steps 2 and 3 settle inline; step 3 stops the drain.
+    assert log == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]
+    assert sim.events_processed == 2
+    assert sim.next_event_time() == 5.0
+
+
 def test_a_raising_callback_leaves_its_held_entries_pending():
     sim = Simulator()
     log = []
@@ -238,19 +232,6 @@ def test_a_raising_callback_leaves_its_held_entries_pending():
     assert sim.next_event_time() == 10.0
     sim.run_until(20.0)
     assert log == ["slice"]
-
-
-def test_advance_to_refuses_to_pass_a_held_entry():
-    seen = []
-
-    def script(sim, note, arm):
-        arm(10.0, note, "slice")
-        seen.extend([sim.advance_to(12.0), sim.advance_to(10.0),
-                     sim.advance_to(9.0), sim.now])
-
-    log, _, _ = fire_log(script)
-    assert seen == [False, False, True, 9.0]
-    assert log == [("slice", 10.0)]
 
 
 def test_held_key_at_a_deferred_pass_through_time():
@@ -314,21 +295,22 @@ def test_passed_orders_same_time_keys_by_sequence():
 
 
 def test_run_ahead_takes_the_sequence_number_of_the_elided_event():
-    """A run-ahead stands in for an event scheduled when it is taken:
-    keys reserved before it have passed at its instant, keys reserved
-    after it have not."""
+    """A settled entry stands in for the event ``schedule_at`` would
+    have made when it was armed: at its instant, keys reserved before
+    the arm have passed and keys reserved after it have not."""
     sim = Simulator()
     log = []
 
     def step():
         early = sim.reserve(7.0)
-        assert sim.advance_to(7.0)
+        sim.arm(7.0, lambda: log.extend(
+            [sim.passed(early), sim.passed(late), sim.now]))
         late = sim.reserve(7.0)
-        log.extend([sim.passed(early), sim.passed(late)])
 
     sim.schedule(1.0, step)
     sim.run_until(10.0)
-    assert log == [True, False]
+    assert log == [True, False, 7.0]
+    assert sim.events_processed == 1
 
 
 def test_reserve_rejects_the_past():

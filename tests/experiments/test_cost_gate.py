@@ -33,14 +33,17 @@ SHAPES = {
 #: run-ahead and lazy transmit-done events 5228, 5345, 4540, 4128,
 #: 7431, 17884, 5320; before pass-through switches were wires 3520,
 #: 4094, 2989, 2724, 5944, 5965, 4071; before slice ends armed by any
-#: callback ran ahead 2416, 3090, 1864, 1816, 5350, 5362, 3077.
+#: callback ran ahead 2416, 3090, 1864, 1816, 5350, 5362, 3077;
+#: before every slice end was armed (a CPU's own next slice end
+#: became a heap entry whenever another core's held one was due
+#: first) 1815, 3081, 1855, 1811, 4755, 5123, 3068.
 PINNED = {
-    Architecture.BSD: dict(events=1815, slices=2834, frames=600),
+    Architecture.BSD: dict(events=1804, slices=2834, frames=600),
     Architecture.NI_LRP: dict(events=3081, slices=1710, frames=600),
     Architecture.SOFT_LRP: dict(events=1855, slices=2093, frames=600),
-    Architecture.EARLY_DEMUX: dict(events=1811, slices=1731, frames=600),
-    Architecture.RSS: dict(events=4755, slices=4750, frames=597),
-    Architecture.POLLING: dict(events=5123, slices=14905, frames=599),
+    Architecture.EARLY_DEMUX: dict(events=1804, slices=1731, frames=600),
+    Architecture.RSS: dict(events=4751, slices=4750, frames=597),
+    Architecture.POLLING: dict(events=5003, slices=14905, frames=599),
     Architecture.NIC_OS: dict(events=3068, slices=1699, frames=597),
 }
 

@@ -3,9 +3,9 @@
 Both optimisations remove heap entries only where nothing could
 observe them, so three things must hold on every golden workload:
 
-* **run-ahead is invisible** — refusing every run-ahead and every
-  hold (one event per slice end, the reference schedule) changes
-  only the number of fired events;
+* **run-ahead is invisible** — pushing every armed slice end (one
+  event per slice end, the reference schedule) changes only the
+  number of fired events;
 * **chunking is invisible** — one ``run_until(T)`` and the same run
   cut into random ``run_until`` chunks give the same behaviour digest
   and the same per-core CPU statistics.  A run-ahead or a lazy port
@@ -16,7 +16,10 @@ observe them, so three things must hold on every golden workload:
 
 import pytest
 
+from repro.engine import Compute
 from repro.engine.simulator import Simulator
+from repro.host import HARDWARE, Kernel
+from repro.host.interrupts import IntrTask
 from repro.trace import golden
 from repro.trace.tracer import Tracer
 
@@ -61,18 +64,53 @@ def behaviour(tracer):
 
 @pytest.mark.parametrize("key", golden.GOLDEN_ARCHES)
 def test_run_ahead_matches_one_event_per_slice(key, monkeypatch):
-    """With run-ahead refused and every armed slice end pushed, every
-    slice end is a fired event — the reference schedule.  Run-ahead
-    and held slice ends must reproduce its behaviour and CPU
-    statistics exactly, with fewer events."""
+    """With every armed slice end pushed, every slice end is a fired
+    event — the reference schedule.  Held slice ends must reproduce
+    its behaviour and CPU statistics exactly, with fewer events."""
     ahead_tracer, ahead_world = run_chunked(key, [])
-    monkeypatch.setattr(Simulator, "advance_to", lambda self, time: False)
     monkeypatch.setattr(Simulator, "arm", Simulator.schedule_at)
     eager_tracer, eager_world = run_chunked(key, [])
     assert behaviour(ahead_tracer) == behaviour(eager_tracer)
     assert cpu_stats(ahead_world) == cpu_stats(eager_world)
     assert ahead_tracer.digest()["engine_events"] \
         < eager_tracer.digest()["engine_events"]
+
+
+def cross_core_wakeup():
+    """Core 0 runs a 5 µs slice whose end posts a 1 µs interrupt to
+    core 1, then a second 5 µs slice.  Returns (slice-end log,
+    events fired, slices per core)."""
+    sim = Simulator(seed=0)
+    kernel = Kernel(sim, enable_ticks=False, ncores=2)
+    core0, core1 = kernel.cpus
+    log = []
+
+    def wakeup():
+        yield Compute(1.0)
+        log.append(("core1", sim.now))
+
+    def handler():
+        yield Compute(5.0)
+        core1.post(IntrTask(wakeup(), HARDWARE, "wakeup"))
+        yield Compute(5.0)
+        log.append(("core0", sim.now))
+
+    sim.schedule(0.0, core0.post, IntrTask(handler(), HARDWARE, "rx"))
+    sim.run_until(100.0)
+    return log, sim.events_processed, [core0.slices, core1.slices]
+
+
+def test_slice_end_settles_inline_behind_another_cores(monkeypatch):
+    """Core 0's second slice end (10 µs) is armed while core 1's slice
+    end (6 µs) is held: it is not next, but once core 1's settles it
+    is, so it too fires without a heap entry."""
+    log, events, slices = cross_core_wakeup()
+    assert log == [("core1", 6.0), ("core0", 10.0)]
+    assert slices == [2, 1]
+    # Only the event that posts the first interrupt fires.
+    assert events == 1
+    monkeypatch.setattr(Simulator, "arm", Simulator.schedule_at)
+    assert cross_core_wakeup() == (log, 1 + 3, slices)
 
 
 @pytest.mark.parametrize("key", golden.GOLDEN_ARCHES)
