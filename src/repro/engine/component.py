@@ -14,11 +14,10 @@ placement relies on (see docs/PDES.md for the full write-up):
 * The only coupling between shards is timestamped frames crossing
   :class:`ChannelLink` s — one per *directed* topology edge whose
   endpoints land on different shards.  A channel's ``lookahead_usec``
-  is the edge's propagation delay plus the source component's
-  declared think time (``min_delay_usec``): a frame the source emits
-  at clock ``t`` cannot arrive before ``t + lookahead``, which is
-  exactly the guarantee conservative time synchronization needs.  Cut
-  edges must therefore have strictly positive propagation delay.
+  is the edge's propagation delay: a frame the source emits at clock
+  ``t`` cannot arrive before ``t + lookahead``, which is exactly the
+  guarantee conservative time synchronization needs.  Cut edges must
+  therefore have strictly positive propagation delay.
 * :func:`make_partition` maps components to shards (deterministic
   greedy LPT by declared weight, or an explicit assignment) and
   derives the channel set.  The same spec, components and shard count
@@ -85,17 +84,6 @@ class Component:
         Relative load estimate used by the greedy partitioner.  Hosts
         default heavier than switches/sources because the stack and
         CPU model dominate event counts.
-    min_delay_usec:
-        Declared *think time*: a promise that this component never
-        emits a frame onto any outgoing cut edge less than this many
-        microseconds after its current clock (source inter-arrival
-        floors, NIC service minimums, or — the common case — a
-        vacuous promise from a component whose cut edges carry no
-        traffic at all).  It is added to link propagation when
-        deriving channel lookahead, letting conservative sync grant
-        wider horizons per round.  The engine trusts the declaration;
-        an overstated value silently reorders cross-shard arrivals,
-        which the partition-parity digests catch.  See docs/PDES.md.
     """
 
     default_weight = 1.0
@@ -105,8 +93,7 @@ class Component:
                  start: Optional[Callable] = None,
                  collect: Optional[Callable] = None,
                  kwargs: Optional[Dict[str, Any]] = None,
-                 weight: Optional[float] = None,
-                 min_delay_usec: float = 0.0) -> None:
+                 weight: Optional[float] = None) -> None:
         self.name = name
         self.nodes: Tuple[str, ...] = tuple(nodes)
         if not self.nodes:
@@ -117,10 +104,6 @@ class Component:
         self.kwargs = dict(kwargs or {})
         self.weight = float(self.default_weight if weight is None
                             else weight)
-        if min_delay_usec < 0.0:
-            raise PartitionError(
-                f"component {name!r}: min_delay_usec must be >= 0")
-        self.min_delay_usec = float(min_delay_usec)
 
     # Hook runners (kept separate so subclasses can specialize).
     def run_build(self, world: World) -> Any:
@@ -178,10 +161,9 @@ class ChannelLink:
     Derived from a :class:`~repro.net.topology.TopologySpec` edge
     whose endpoints live on different shards.  Frames traverse it as
     plain timestamped messages ``(arrival_time, frame, dst_key)``;
-    ``lookahead_usec`` (the edge's propagation delay plus the source
-    component's declared think time) lower-bounds the gap between a
-    sender's clock and any frame it can still emit onto this channel,
-    which is the conservative-sync safety margin.
+    ``lookahead_usec`` (the edge's propagation delay) lower-bounds the
+    gap between a sender's clock and any frame it can still emit onto
+    this channel, which is the conservative-sync safety margin.
     """
 
     __slots__ = ("src_node", "dst_node", "src_shard", "dst_shard",
@@ -301,10 +283,8 @@ class Partition:
             node: self.shard_of[comp_name]
             for node, comp_name in node_component.items()}
 
-        # Directed channels across the cut, ranked deterministically.
-        # Lookahead = link propagation + the source component's
-        # declared think time (min_delay_usec); the propagation term
-        # alone already guarantees strictly positive lookahead.
+        # Directed channels across the cut, ranked deterministically;
+        # each one's lookahead is the link's propagation delay.
         channels: List[ChannelLink] = []
         seen = set()
         for link in spec.links:
@@ -324,11 +304,8 @@ class Partition:
                         f"parallel cut edges between {src!r} and "
                         f"{dst!r} are not supported")
                 seen.add((src, dst))
-                src_comp = by_name[node_component[src]]
                 channels.append(ChannelLink(
-                    src, dst, ss, ds,
-                    link.propagation_usec + src_comp.min_delay_usec,
-                    rank=0))
+                    src, dst, ss, ds, link.propagation_usec, rank=0))
         channels.sort(key=lambda ch: (ch.src_node, ch.dst_node))
         for rank, channel in enumerate(channels):
             channel.rank = rank

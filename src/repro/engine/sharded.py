@@ -31,15 +31,13 @@ Time synchronization is conservative, in the null-message tradition
    the round.  A grant beyond the horizon lets the shard run to the
    end (:meth:`Simulator.run_until`) and finish.
 
-Three optimizations cut the per-round overhead without touching the
+Two optimizations cut the per-round overhead without touching the
 protocol's semantics (see docs/PDES.md, "Tuning"): the fixpoint
 relaxation is hoisted into a cached :class:`LookaheadClosure` (the
-channel graph is static; only the finished set varies), channel
-lookahead includes each source component's declared think time
-(``min_delay_usec``) so grants advance further per round, and shards
-that are provably idle in a round are skipped instead of
-stepped.  :class:`SyncStats` counts rounds, steps, skips and
-per-channel traffic so the overhead is measurable.
+channel graph is static; only the finished set varies), and shards
+that are provably idle in a round are skipped instead of stepped.
+:class:`SyncStats` counts rounds, steps, skips and per-channel
+traffic so the overhead is measurable.
 
 Progress is guaranteed because lookahead is strictly positive on every
 cut edge (:class:`~repro.engine.component.Partition` enforces it): the
@@ -449,8 +447,7 @@ def _drive(runtimes: List[_ShardRuntime], outbox: List[List[Tuple]],
     round's exports counted, copied across the cut and routed, so no
     shard sees a frame emitted in the same round.
 
-    Round-count reduction, on top of the widened lookahead baked into
-    the channel graph: grants are multi-event horizons (one round
+    Round-count reduction: grants are multi-event horizons (one round
     runs *every* local event below the grant), and shards that are
     provably idle this round — nothing to deliver, no local event
     below the grant, grant within the horizon — are skipped entirely.

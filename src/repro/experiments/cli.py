@@ -167,10 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "N shards under conservative time sync, "
                              "run in-process (a partition-parity "
                              "tool, not a speedup; see docs/PDES.md); "
-                             "only "
-                             "experiments built on the component "
-                             "engine honor it, others note the "
-                             "fallback and run sequentially")
+                             "only cluster honors it, others note "
+                             "the fallback and run sequentially")
     parser.add_argument("--cores", metavar="N", type=int, default=1,
                         help="give each server host N cores; "
                              "N >= 2 widens figure3/degradation "

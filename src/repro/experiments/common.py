@@ -4,10 +4,11 @@ Every experiment builds one or more simulated machines — on the flat
 LAN (the paper's testbed) or on a switched
 :class:`~repro.net.topology.TopologySpec` graph — runs a warmup
 interval, measures inside a window, and reports rows/series shaped
-like the paper's tables and figures.  Scenarios that run directly on
-one simulator build a :class:`Testbed`; those declared as components
-run through :class:`~repro.engine.sharded.ShardedEngine`.  Both build
-the same :class:`~repro.engine.world.World`.
+like the paper's tables and figures.  Every experiment but ``cluster``
+builds one :class:`Testbed` per point; ``cluster`` declares its
+scenarios as components and runs them through
+:class:`~repro.engine.sharded.ShardedEngine`, which can split a point
+into shards.  Both build the same :class:`~repro.engine.world.World`.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ def delayed(usec: float, gen: Generator) -> Generator:
 
 class Testbed(World):
     """A :class:`~repro.engine.world.World` an experiment drives
-    directly (``bed.run(until)``), as opposed to one a sharded run
-    builds per shard.  The benchmark (``perfbench/``) tells the two
-    apart by this class."""
+    directly (``bed.run(until)``), as opposed to one the sharded
+    engine builds per shard for ``cluster``.  The benchmark
+    (``perfbench/``) counts the events and frames of every instance
+    of this class, so an experiment builds a ``Testbed``, not a bare
+    ``World``."""
 
     __test__ = False  # not a test class, despite the Test* name

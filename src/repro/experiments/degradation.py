@@ -24,9 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import MODERN_ARCHES, Architecture
-from repro.engine.component import HostComponent, SourceComponent
 from repro.engine.process import Sleep, Syscall
-from repro.engine.sharded import ShardedEngine
 from repro.faults import FaultPlan, FaultPlane, FaultRule
 from repro.net.ip import IPPROTO_TCP
 from repro.net.topology import (
@@ -71,19 +69,12 @@ DEFAULT_INTENSITIES = (0.0, 0.25, 0.5, 0.75, 1.0)
 #: which 90% of the baseline is still a meaningful count.
 RECOVERY_BIN_USEC = 5_000.0
 
-#: Declared server think time (µs) — a vacuous lookahead promise (the
-#: sinks never transmit) that collapses the conservative-sync round
-#: count when the point runs sharded.  See
-#: :data:`repro.experiments.figure3.SERVER_THINK_USEC`.
-SERVER_THINK_USEC = 5_000.0
-
 
 def degradation_spec() -> TopologySpec:
     """The degradation star: victim and blaster share one switch into
     the server — the flat testbed with its three attachment points
-    made explicit, so the scenario partitions for the sharded engine
-    (the server on one shard, both senders with the switch on the
-    other under the default two-shard placement)."""
+    made explicit, so each sender's access edge can carry a fault
+    plane of its own."""
     return TopologySpec(
         name="degradation-star",
         switches=(SwitchSpec("sw0"),),
@@ -101,8 +92,7 @@ def edge_fault_plan(intensity: float, duration_usec: float,
     corruption over the mid-run window [0.35, 0.55] of the
     duration.  One instance attaches per sender access edge (with a
     per-edge seed), so each client's fault draws are a pure function
-    of its own frame sequence — which is what keeps them invariant to
-    how the scenario is sharded.  ``None`` at intensity 0.
+    of its own frame sequence.  ``None`` at intensity 0.
     """
     if intensity <= 0:
         return None
@@ -120,8 +110,8 @@ def host_fault_plan(intensity: float, duration_usec: float,
     """The receiver half of the plan: a NIC stall on the blast port
     inside the window plus an mbuf-pool squeeze across it.  Stall and
     exhaust rules schedule their window edges at plane construction,
-    so this plane must be built only on the shard owning the server
-    (inside its build hook).  ``None`` at intensity 0.
+    so the plane is built just before the server host it attaches to.
+    ``None`` at intensity 0.
     """
     if intensity <= 0:
         return None
@@ -155,33 +145,33 @@ def _recovery_usec(stamps: Sequence[float], window_end: float,
     return None
 
 
-# ----------------------------------------------------------------------
-# Component hooks (module-level functions, so a component declaration
-# stays plain picklable data; see docs/PDES.md)
-# ----------------------------------------------------------------------
-def _attach_edge_plane(world, node: str, intensity: float,
+def _attach_edge_plane(bed: Testbed, node: str, intensity: float,
                        duration_usec: float, seed: int):
     """Build the wire-fault plane for *node*'s access edge and attach
     it; ``None`` when the plan is empty."""
     plan = edge_fault_plan(intensity, duration_usec, seed)
     if plan is None:
         return None
-    plane = FaultPlane(world.sim, plan)
-    world.network.attach_link_fault_plane(node, "sw0", plane)
+    plane = FaultPlane(bed.sim, plan)
+    bed.network.attach_link_fault_plane(node, "sw0", plane)
     return plane
 
 
-def _deg_server_build(world, arch, intensity, duration_usec, seed,
-                      cores=1, **_):
-    plane = None
+def _build(bed: Testbed, arch: Architecture, intensity: float,
+           duration_usec: float, seed: int, blast_pps: float,
+           cores: int):
+    """The server host with its two sinks, then the victim and the
+    blaster.  Returns ``(server host, victim latency recorder, fault
+    planes)``: the planes are the server's, the victim edge's and the
+    blaster edge's, each ``None`` when empty."""
+    sim = bed.sim
+    host_plane = None
     plan = host_fault_plan(intensity, duration_usec, seed)
     if plan is not None:
-        plane = FaultPlane(world.sim, plan)
-    host = world.add_host(SERVER_ADDR, Architecture(arch),
-                          name="server", fault_plane=plane,
-                          cores=cores)
+        host_plane = FaultPlane(sim, plan)
+    host = bed.add_host(SERVER_ADDR, arch, name="server",
+                        fault_plane=host_plane, cores=cores)
     recorder = LatencyRecorder()
-    sim = world.sim
 
     def on_victim(stamp, dgram):
         recorder.record(sim.now - stamp, now=sim.now)
@@ -189,11 +179,36 @@ def _deg_server_build(world, arch, intensity, duration_usec, seed,
     host.spawn("victim-srv",
                udp_blast_sink(VICTIM_PORT, on_receive=on_victim))
     host.spawn("blast-sink", udp_blast_sink(BLAST_PORT))
-    return host, recorder, plane
+
+    victim_plane = _attach_edge_plane(bed, "victim", intensity,
+                                      duration_usec, seed)
+    victim = RawUdpInjector(sim, bed.network, CLIENT_A_ADDR,
+                            SERVER_ADDR, VICTIM_PORT, src_port=22000)
+    sim.schedule(10_000.0, victim.start, VICTIM_PPS)
+
+    # seed+1: the blaster's edge plane must draw from streams distinct
+    # from the victim's (identical plans share per-rule RNG seeds).
+    blaster_plane = _attach_edge_plane(bed, "blaster", intensity,
+                                       duration_usec, seed + 1)
+    blaster = BurstyUdpBlaster(sim, bed.network, CLIENT_C_ADDR,
+                               SERVER_ADDR, BLAST_PORT)
+    sim.schedule(20_000.0, blaster.start, blast_pps)
+    return host, recorder, (host_plane, victim_plane, blaster_plane)
 
 
-def _deg_server_collect(world, state, duration_usec, warmup_usec, **_):
-    host, recorder, plane = state
+def run_point(arch: Architecture, intensity: float,
+              duration_usec: float = 1_200_000.0,
+              warmup_usec: float = 200_000.0,
+              seed: int = 7,
+              cores: int = 1) -> Dict:
+    """One degradation point: victim flow vs. blaster under the
+    canonical fault plan at *intensity*."""
+    arch = Architecture(arch)
+    blast_pps = BLAST_BASE_PPS + intensity * BLAST_EXTRA_PPS
+    bed = Testbed(seed, topology=degradation_spec())
+    host, recorder, planes = _build(
+        bed, arch, intensity, duration_usec, seed, blast_pps, cores)
+    bed.run(duration_usec)
 
     # Goodput and latency tails over the measurement window.
     window = duration_usec - warmup_usec
@@ -212,127 +227,32 @@ def _deg_server_collect(world, state, duration_usec, warmup_usec, **_):
     recovery = _recovery_usec(recorder.stamps, w1, duration_usec,
                               baseline)
 
+    faults: Dict[str, int] = {}
+    injected = 0
+    for plane in planes:
+        if plane is None:
+            continue
+        injected += plane.injected_total()
+        for key, value in plane.snapshot().items():
+            faults[key] = faults.get(key, 0) + value
+
     stack = host.stack
     return {
+        "intensity": intensity,
+        "blast_pps": blast_pps,
         "victim_goodput_pps": json_num(goodput, 1),
         "latency_p50_usec": json_num(tail.percentile(50.0), 1),
         "latency_p95_usec": json_num(tail.percentile(95.0), 1),
         "latency_p99_usec": json_num(tail.percentile(99.0), 1),
         "recovery_usec": recovery,
-        "injected_faults": plane.injected_total() if plane else 0,
-        "faults": plane.snapshot() if plane else {},
+        "injected_faults": injected,
+        "faults": faults,
         "channel_discards": channel_discard_summary(
             stack.iter_channels()),
         "mbuf_exhaustions": stack.mbufs.exhaustions,
         "drop_corrupt": stack.stats.get("drop_corrupt"),
-        "core_usage": host.kernel.core_usage(world.sim.now),
-    }
-
-
-def _deg_victim_build(world, intensity, duration_usec, seed, **_):
-    plane = _attach_edge_plane(world, "victim", intensity,
-                               duration_usec, seed)
-    injector = RawUdpInjector(world.sim, world.network, CLIENT_A_ADDR,
-                              SERVER_ADDR, VICTIM_PORT, src_port=22000)
-    world.sim.schedule(10_000.0, injector.start, VICTIM_PPS)
-    return injector, plane
-
-
-def _deg_blaster_build(world, intensity, duration_usec, seed,
-                       blast_pps, **_):
-    # seed+1: the blaster's edge plane must draw from streams distinct
-    # from the victim's (identical plans share per-rule RNG seeds).
-    plane = _attach_edge_plane(world, "blaster", intensity,
-                               duration_usec, seed + 1)
-    blaster = BurstyUdpBlaster(world.sim, world.network, CLIENT_C_ADDR,
-                               SERVER_ADDR, BLAST_PORT)
-    world.sim.schedule(20_000.0, blaster.start, blast_pps)
-    return blaster, plane
-
-
-def _deg_sender_collect(world, state, **_):
-    sender, plane = state
-    return {
-        "sent": sender.sent,
-        "injected_faults": plane.injected_total() if plane else 0,
-        "faults": plane.snapshot() if plane else {},
-    }
-
-
-def degradation_components(arch: Architecture, intensity: float,
-                           duration_usec: float, warmup_usec: float,
-                           seed: int, blast_pps: float,
-                           cores: int = 1) -> List:
-    """The degradation point as a component declaration over
-    :func:`degradation_spec` node names."""
-    common = {"intensity": intensity, "duration_usec": duration_usec,
-              "seed": seed}
-    return [
-        HostComponent("server", "server", build=_deg_server_build,
-                      collect=_deg_server_collect,
-                      kwargs={**common, "arch": arch.value,
-                              "warmup_usec": warmup_usec,
-                              "cores": cores},
-                      min_delay_usec=SERVER_THINK_USEC),
-        SourceComponent("victim", "victim", build=_deg_victim_build,
-                        collect=_deg_sender_collect, kwargs=common),
-        SourceComponent("blaster", "blaster", build=_deg_blaster_build,
-                        collect=_deg_sender_collect,
-                        kwargs={**common, "blast_pps": blast_pps}),
-    ]
-
-
-def run_point(arch: Architecture, intensity: float,
-              duration_usec: float = 1_200_000.0,
-              warmup_usec: float = 200_000.0,
-              seed: int = 7,
-              shards: int = 1,
-              cores: int = 1) -> Dict:
-    """One degradation point: victim flow vs. blaster under the
-    canonical fault plan at *intensity*.
-
-    *shards* > 1 runs the same components under the conservative-time
-    sharded engine; the reported numbers are invariant to the shard
-    count because every fault draw is local to one shard (wire rules
-    on each sender's own access edge, NIC/mbuf rules on the server's
-    shard).
-    """
-    arch = Architecture(arch)
-    blast_pps = BLAST_BASE_PPS + intensity * BLAST_EXTRA_PPS
-    spec = degradation_spec()
-    comps = degradation_components(arch, intensity, duration_usec,
-                                   warmup_usec, seed, blast_pps,
-                                   cores=cores)
-    run = ShardedEngine(spec, comps, shards=shards).run(duration_usec,
-                                                        seed=seed)
-
-    server = run.collected["server"]
-    senders = (run.collected["victim"], run.collected["blaster"])
-    faults: Dict[str, int] = {}
-    for part in (server, *senders):
-        for key, value in part["faults"].items():
-            faults[key] = faults.get(key, 0) + value
-    injected = sum(part["injected_faults"]
-                   for part in (server, *senders))
-
-    return {
-        "intensity": intensity,
-        "blast_pps": blast_pps,
-        "victim_goodput_pps": server["victim_goodput_pps"],
-        "latency_p50_usec": server["latency_p50_usec"],
-        "latency_p95_usec": server["latency_p95_usec"],
-        "latency_p99_usec": server["latency_p99_usec"],
-        "recovery_usec": server["recovery_usec"],
-        "injected_faults": injected,
-        "faults": faults,
-        "channel_discards": server["channel_discards"],
-        "mbuf_exhaustions": server["mbuf_exhaustions"],
-        "drop_corrupt": server["drop_corrupt"],
         "cores": cores,
-        "core_usage": server["core_usage"],
-        # Conservative-sync counters (rounds, grants, channel frames);
-        # deterministic for a given (point, shard count).
-        "sync": run.sync,
+        "core_usage": host.kernel.core_usage(bed.sim.now),
     }
 
 
@@ -433,10 +353,10 @@ def run_tcp_point(arch: Architecture, intensity: float,
 
 # ----------------------------------------------------------------------
 #: The CLI flags this experiment honours (keywords of :func:`sections`).
-FLAGS = ("shards", "cores")
+FLAGS = ("cores",)
 
 
-def sections(shards: int = 1, cores: int = 1) -> List[Section]:
+def sections(cores: int = 1) -> List[Section]:
     """The fault-intensity sweep, then TCP delivery through the fault
     window.  cores >= 2 widens both to the six-architecture family
     (docs/ARCHITECTURES.md)."""
@@ -445,8 +365,7 @@ def sections(shards: int = 1, cores: int = 1) -> List[Section]:
     return [
         Section("degradation", run_point,
                 axes={"arch": systems, "intensity": DEFAULT_INTENSITIES},
-                fixed={"duration_usec": 1_200_000.0, "shards": shards,
-                       "cores": cores},
+                fixed={"duration_usec": 1_200_000.0, "cores": cores},
                 fast={"intensity": (0.0, 1.0),
                       "duration_usec": 800_000.0}),
         Section("degradation-tcp", run_tcp_point,

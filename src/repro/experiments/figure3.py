@@ -11,23 +11,15 @@ is how the paper validates its mechanism claims ("4.4BSD additionally
 starts to drop packets at the IP queue at offered rates in excess of
 15,000 pkts/sec.  No packets were dropped due to lack of mbufs.").
 
-The scenario is declared as components over the canonical passthrough
-topology (client — sw0 — server), so a point runs unchanged on the
-sharded PDES engine: ``run_point(..., shards=2)`` puts the server on
-its own shard and the client + switch on the other.  The server is a
-pure sink — its cut edge toward the switch never carries a frame — so
-it declares a vacuous :attr:`~repro.engine.component.Component
-.min_delay_usec` think time, which widens the conservative-sync
-lookahead and collapses the round count (docs/PDES.md, "Tuning").
+The scenario runs on the canonical passthrough topology (client —
+sw0 — server), built as one :class:`~repro.experiments.common.Testbed`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.engine.component import HostComponent, SourceComponent
 from repro.engine.process import Syscall
-from repro.engine.sharded import ShardedEngine
 from repro.core import MODERN_ARCHES, Architecture
 from repro.net.topology import TopologySpec, passthrough_spec
 from repro.stats.report import format_series, format_table
@@ -36,6 +28,7 @@ from repro.experiments.common import (
     CLIENT_A_ADDR,
     SERVER_ADDR,
     Section,
+    Testbed,
     by_arch,
 )
 
@@ -57,14 +50,6 @@ MLFRR_RESOLUTION_PPS = 25.0
 #: The paper's experimental LAN degrades slightly beyond ~19k pkts/s.
 CONGESTION_KNEE_PPS = 19000.0
 
-#: Declared server think time (µs), used only for channel lookahead
-#: when the point runs sharded.  The promise is vacuous — the sink
-#: never transmits, so no frame ever rides the server's outgoing cut
-#: edge — but it lets the client shard run thousands of microseconds
-#: ahead per coordinator round instead of one propagation delay.  The
-#: partition-parity checks (tests + CI) hold the declaration honest.
-SERVER_THINK_USEC = 5_000.0
-
 
 def figure3_spec(congestion: bool = True) -> TopologySpec:
     """The figure-3 graph: client — sw0 — server, with the testbed's
@@ -75,15 +60,13 @@ def figure3_spec(congestion: bool = True) -> TopologySpec:
                              else None))
 
 
-# ----------------------------------------------------------------------
-# Component hooks (module-level functions, so a component declaration
-# stays plain picklable data; see docs/PDES.md)
-# ----------------------------------------------------------------------
-def _server_build(world, arch, cores=1, **_):
-    host = world.add_host(SERVER_ADDR, Architecture(arch),
-                          name="server", cores=cores)
+def _build(bed: Testbed, arch: Architecture, rate_pps: float,
+           payload_bytes: int, cores: int, flows: int):
+    """The server host and its sink, then the client's injectors.
+    Returns ``(server host, receive stamps, injectors)``."""
+    host = bed.add_host(SERVER_ADDR, arch, name="server", cores=cores)
     stamps: List[float] = []
-    sim = world.sim
+    sim = bed.sim
 
     def sink():
         sock = yield Syscall("socket", stype="udp")
@@ -93,30 +76,7 @@ def _server_build(world, arch, cores=1, **_):
             stamps.append(sim.now)
 
     host.spawn("blast-sink", sink())
-    return host, stamps
 
-
-def _server_collect(world, state, warmup_usec, **_):
-    host, stamps = state
-    stack = host.stack
-    stats = stack.stats
-    channel_drops = sum(ch.total_discards()
-                        for ch in getattr(stack, "udp_channels", []))
-    return {
-        "delivered": sum(1 for t in stamps if t >= warmup_usec),
-        "drop_ipq": stats.get("drop_ipq"),
-        "drop_sockq": stats.get("drop_sockq"),
-        "drop_channel": (channel_drops
-                         + stats.get("drop_channel_early")),
-        "drop_early_sockq": stats.get("drop_early_sockq_full"),
-        "drop_mbufs": stats.get("drop_mbufs"),
-        "drop_nic_fifo": getattr(host.nic, "rx_drops_fifo", 0),
-        "cpu_idle": host.kernel.cpu.idle_time,
-        "core_usage": host.kernel.core_usage(world.sim.now),
-    }
-
-
-def _client_build(world, rate_pps, payload_bytes, flows=1, **_):
     # *flows* splits the offered load across distinct UDP source ports
     # at rate_pps/flows each, phase-staggered so the aggregate arrival
     # process stays uniform at rate_pps.  One flow is the paper's
@@ -125,45 +85,18 @@ def _client_build(world, rate_pps, payload_bytes, flows=1, **_):
     injectors = []
     port = None
     for i in range(flows):
-        injector = RawUdpInjector(world.sim, world.network,
-                                  CLIENT_A_ADDR, SERVER_ADDR,
-                                  BLAST_PORT,
+        injector = RawUdpInjector(sim, bed.network, CLIENT_A_ADDR,
+                                  SERVER_ADDR, BLAST_PORT,
                                   payload_bytes=payload_bytes,
                                   src_port=20000 + i, port=port)
         port = injector.port
         # Let the server bind before the flood begins (on the real
         # testbed the server program is long since running when the
         # blast starts).
-        world.sim.schedule(50_000.0 + i * (1e6 / rate_pps),
-                           injector.start, rate_pps / flows)
+        sim.schedule(50_000.0 + i * (1e6 / rate_pps),
+                     injector.start, rate_pps / flows)
         injectors.append(injector)
-    return injectors
-
-
-def _client_collect(world, injectors, **_):
-    return sum(injector.sent for injector in injectors)
-
-
-def figure3_components(arch: Architecture, rate_pps: float,
-                       warmup_usec: float,
-                       payload_bytes: int = 14,
-                       cores: int = 1,
-                       flows: int = 1) -> List:
-    """The figure-3 point as a component declaration (node names
-    follow :func:`repro.net.topology.passthrough_spec`)."""
-    return [
-        HostComponent("server", "server", build=_server_build,
-                      collect=_server_collect,
-                      kwargs={"arch": arch.value,
-                              "warmup_usec": warmup_usec,
-                              "cores": cores},
-                      min_delay_usec=SERVER_THINK_USEC),
-        SourceComponent("client", "client", build=_client_build,
-                        collect=_client_collect,
-                        kwargs={"rate_pps": rate_pps,
-                                "payload_bytes": payload_bytes,
-                                "flows": flows}),
-    ]
+    return host, stamps, injectors
 
 
 def run_point(arch: Architecture, rate_pps: float,
@@ -172,50 +105,44 @@ def run_point(arch: Architecture, rate_pps: float,
               payload_bytes: int = 14,
               seed: int = 1,
               congestion: bool = True,
-              shards: int = 1,
               cores: int = 1,
               flows: int = 1) -> Dict[str, float]:
     """One (system, offered rate) measurement.
 
-    *shards* > 1 runs the same components under the conservative-time
-    sharded engine; every reported number is invariant to the shard
-    count.
-
     *cores* is the server's core count (the polling architecture needs
     at least 2) and *flows* splits the blast across that many source
-    ports — unlike shards, both change the measured system, and both
-    are bound into the sweep cache key.
+    ports; both change the measured system, and both are bound into
+    the sweep cache key.
     """
     arch = Architecture(arch)
-    spec = figure3_spec(congestion=congestion)
-    comps = figure3_components(arch, rate_pps, warmup_usec,
-                               payload_bytes=payload_bytes,
-                               cores=cores, flows=flows)
-    run = ShardedEngine(spec, comps, shards=shards).run(
-        warmup_usec + window_usec, seed=seed)
-    server = run.collected["server"]
+    bed = Testbed(seed, topology=figure3_spec(congestion=congestion))
+    host, stamps, injectors = _build(bed, arch, rate_pps, payload_bytes,
+                                     cores, flows)
+    bed.run(warmup_usec + window_usec)
 
+    stats = host.stack.stats
+    channel_drops = sum(ch.total_discards()
+                        for ch in getattr(host.stack, "udp_channels", []))
     return {
         "offered_pps": rate_pps,
-        "delivered_pps": server["delivered"] * 1e6 / window_usec,
-        "sent": run.collected["client"],
-        "drop_ipq": server["drop_ipq"],
-        "drop_sockq": server["drop_sockq"],
-        "drop_channel": server["drop_channel"],
-        "drop_early_sockq": server["drop_early_sockq"],
-        "drop_mbufs": server["drop_mbufs"],
-        "drop_nic_fifo": server["drop_nic_fifo"],
-        "drop_wire": run.total_conservation()["drops_congestion"],
-        "cpu_idle": server["cpu_idle"],
+        "delivered_pps": (sum(1 for t in stamps if t >= warmup_usec)
+                          * 1e6 / window_usec),
+        "sent": sum(injector.sent for injector in injectors),
+        "drop_ipq": stats.get("drop_ipq"),
+        "drop_sockq": stats.get("drop_sockq"),
+        "drop_channel": (channel_drops
+                         + stats.get("drop_channel_early")),
+        "drop_early_sockq": stats.get("drop_early_sockq_full"),
+        "drop_mbufs": stats.get("drop_mbufs"),
+        "drop_nic_fifo": getattr(host.nic, "rx_drops_fifo", 0),
+        "drop_wire": bed.network.conservation()["drops_congestion"],
+        "cpu_idle": host.kernel.cpu.idle_time,
         "cores": cores,
-        "core_usage": server["core_usage"],
+        "core_usage": host.kernel.core_usage(bed.sim.now),
         # Engine events processed: deterministic for a given point, so
         # it survives caching/parity, and lets the sweep runner report
         # events/sec against wall-clock.
-        "events": run.events,
-        # Conservative-sync counters (rounds, grants, channel frames);
-        # deterministic for a given (point, shard count).
-        "sync": run.sync,
+        "events": bed.sim.events_processed,
     }
 
 
@@ -256,18 +183,18 @@ def mlfrr(arch: Architecture,
 
 
 #: The CLI flags this experiment honours (keywords of :func:`sections`).
-FLAGS = ("shards", "cores")
+FLAGS = ("cores",)
 
 
-def sections(shards: int = 1, cores: int = 1) -> List[Section]:
+def sections(cores: int = 1) -> List[Section]:
     """The figure-3 sweep, then the MLFRR probe (full scale only).
 
     cores >= 2 unlocks the six-architecture comparison: the modern
     stacks join the sweep and the blast splits into one flow per core
     so RSS has distinct 4-tuples to steer.
     """
-    fixed = {"window_usec": 1_000_000.0, "shards": shards,
-             "cores": cores, "flows": cores}
+    fixed = {"window_usec": 1_000_000.0, "cores": cores,
+             "flows": cores}
     return [
         Section("figure3", run_point,
                 axes={"arch": ALL_SYSTEMS if cores > 1 else SYSTEMS,

@@ -1,9 +1,13 @@
 """Golden-trace regression harness.
 
-One canonical small workload per architecture (4.4BSD, SOFT-LRP,
-NI-LRP): a seeded two-host scenario exercising the UDP receive path,
-the TCP handshake/data/teardown path, syscalls, interrupts, and the
-scheduler.  The full event trace of each run is reduced to a stable
+Twelve canonical small workloads (:data:`GOLDEN_ARCHES`).  Six run
+one seeded two-host scenario per architecture (4.4BSD, SOFT-LRP,
+NI-LRP, RSS, Polling, NIC-OS), exercising the UDP receive path, the
+TCP handshake/data/teardown path, syscalls, interrupts, and the
+scheduler; three run the paper stacks' scenario under a small fault
+plan; three run switched multi-host topologies (an incast rack, a
+gateway chain, a fault-injected incast).  The full event trace of
+each run is reduced to a stable
 digest (per-event-type counts plus an order-sensitive hash) and
 checked into ``tests/golden/``.  Any change that perturbs the causal
 event order of a stack — intentionally or not — breaks the digest, and

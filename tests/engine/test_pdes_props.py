@@ -8,10 +8,9 @@
   trace parity with the unsharded reference every time.
 * Batched channel flushes are pure framing: for any placement, the
   batched transport's digests match the unbatched oracle's.
-* Grant monotonicity: widening any channel's lookahead (what a
-  component's ``min_delay_usec`` declaration does) can only move
-  grants forward, never backward — the algebraic half of the
-  round-count-reduction argument.
+* Grant monotonicity: widening any channel's lookahead (a longer
+  propagation delay on a cut edge) can only move grants forward,
+  never backward — the algebraic half of the round-count argument.
 
 Uses hypothesis when available; a fixed sweep of adversarial
 placements (every component alone, pathological splits) keeps the
@@ -166,8 +165,8 @@ if HAVE_HYPOTHESIS:
     @given(grant_instances())
     @settings(max_examples=200, deadline=None)
     def test_wider_lookahead_never_shrinks_grants(instance):
-        """Widening channel lookahead (a ``min_delay_usec``
-        declaration) moves every grant forward or leaves it alone."""
+        """Widening channel lookahead (a longer cut-edge propagation
+        delay) moves every grant forward or leaves it alone."""
         assert_grants_monotone(*instance)
 
 

@@ -16,6 +16,8 @@ def test_point_reports_fault_accounting():
     assert point["injected_faults"] > 0
     assert point["faults"].get("link_drop", 0) > 0
     assert point["faults"].get("link_corrupt", 0) > 0
+    assert point["faults"].get("nic_stall_on", 0) > 0
+    assert point["faults"].get("mbuf_exhaust_on", 0) > 0
     assert point["drop_corrupt"] > 0
     assert point["victim_goodput_pps"] > 0
     for key in ("latency_p50_usec", "latency_p95_usec",

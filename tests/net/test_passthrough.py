@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import Architecture
 from repro.engine.simulator import Simulator
-from repro.experiments import figure3
+from repro.experiments import cluster, figure3
 from repro.faults import FaultPlan, FaultRule
 from repro.faults.plane import FaultPlane
 from repro.net.addr import IPAddr
@@ -125,10 +125,19 @@ def blast(spec, senders, fault_edge=None, traced=False):
     return log, topo.conservation()
 
 
-def figure3_point(shards=1):
+def figure3_point():
+    """20 ms of blast: the injectors start at 50 ms."""
     return figure3.run_point(Architecture.SOFT_LRP, 20_000.0,
-                             warmup_usec=0.0, window_usec=20_000.0,
-                             shards=shards)
+                             warmup_usec=0.0, window_usec=70_000.0)
+
+
+def incast_point(shards):
+    """An untraced one-client incast point, client0 — sw0 — server:
+    at two shards the cut falls between sw0 and the server."""
+    return cluster.run_incast_point(Architecture.SOFT_LRP, 1,
+                                    rate_pps=20_000.0,
+                                    duration_usec=30_000.0,
+                                    warmup_usec=0.0, shards=shards)
 
 
 def without_events(result):
@@ -140,7 +149,7 @@ SCENARIOS = {
         passthrough_spec(), [CLIENT], fault_edge=("sw0", "server")),
     "three-link switch": lambda: blast(
         incast_spec(2), [incast_client_addr(0), incast_client_addr(1)]),
-    "two-shard cut": lambda: without_events(figure3_point(shards=2)),
+    "two-shard cut": lambda: incast_point(shards=2),
     "live tracer": lambda: blast(passthrough_spec(), [CLIENT],
                                  traced=True),
 }
@@ -163,13 +172,15 @@ def test_switch_arrivals_stay_events(name):
 
 def test_pass_through_switch_halves_the_arrival_events():
     """The control for the cases above: untraced, unfaulted and
-    unsharded, each frame is one arrival event, not two."""
+    unsharded, each frame is one arrival event, not two.  The incast
+    point is the two-shard cut's scenario at one shard."""
     for scenario in (lambda: blast(passthrough_spec(), [CLIENT]),
-                     lambda: without_events(figure3_point())):
+                     lambda: without_events(figure3_point()),
+                     lambda: without_events(incast_point(shards=1))):
         wire_arrivals, result = arrivals_and_result(scenario, False)
         hop_arrivals, reference = arrivals_and_result(scenario, True)
         assert result == reference
-        assert 2 * wire_arrivals == hop_arrivals
+        assert 0 < 2 * wire_arrivals == hop_arrivals
 
 
 #: (architecture, server cores, flows): the perfbench udp_blast shapes.

@@ -143,6 +143,20 @@ class TestShardsFlag:
             in err
         assert [p["shards"] for p in payload["points"]] == [1, 1]
 
+    def test_figure3_runs_sequentially_with_note(self, monkeypatch,
+                                                 tmp_path, capsys):
+        from repro.experiments import figure3
+        shrink(monkeypatch, figure3, {"figure3": {
+            "rate_pps": (1000,), "window_usec": 20_000.0}})
+        payload = results(tmp_path, "figure3", "--fast", "--shards", "2")
+        err = capsys.readouterr().err
+        assert "figure3 does not support --shards; running " \
+            "sequentially" in err
+        points = payload["points"]
+        assert len(points) == 4
+        assert {p["shards"] for p in points} == {1}
+        assert {p["sync"] for p in points} == {None}
+
     def test_default_is_one_shard_no_note(self, tiny_experiment,
                                           capsys):
         assert cli.main(["tiny"]) == 0
@@ -194,8 +208,8 @@ class TestCoresFlag:
         declared = {name: module.FLAGS
                     for name, module in cli.EXPERIMENT_MODULES.items()
                     if hasattr(module, "FLAGS")}
-        assert declared == {"figure3": ("shards", "cores"),
-                            "degradation": ("shards", "cores"),
+        assert declared == {"figure3": ("cores",),
+                            "degradation": ("cores",),
                             "cluster": ("shards",)}
 
 
