@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Set, Tuple
 
-from repro.engine.process import Block, Compute, WaitChannel
+from repro.engine.process import Block, WaitChannel
 from repro.host.scheduler import PUSER
 
 
@@ -99,7 +99,7 @@ class _AppThread:
                     while channel is not None and len(channel):
                         packet = channel.pop()
                         self.parent.segments_processed += 1
-                        yield Compute(stack.channel_pop_cost)
+                        yield stack.channel_pop
                         yield from stack.tcp_input_gen(sock, packet)
                         if mirror and owner.alive:
                             # Charges just raised the owner's usage;

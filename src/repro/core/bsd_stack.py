@@ -26,7 +26,7 @@ receiver's schedulable context.  With one core it is 4.4BSD exactly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Optional
+from typing import Generator, NamedTuple, Optional
 
 from repro.engine.process import Compute
 from repro.host.interrupts import (
@@ -45,6 +45,26 @@ from repro.trace.tracer import flow_of
 IPQ_MAXLEN = 50
 
 
+class StageSlices(NamedTuple):
+    """An eager receive stage's slices, allocated once: its lead step
+    and IP input (``ip``), then IP output (``transit``), the PCB lookup
+    (``lookup``: a UDP miss, or a TCP segment up to its own input), or
+    the lookup, UDP input and socket enqueue (``deliver``)."""
+
+    ip: Compute
+    transit: Compute
+    lookup: Compute
+    deliver: Compute
+
+    @classmethod
+    def after(cls, lead: float, costs) -> "StageSlices":
+        ip = lead + costs.ip_input
+        lookup = ip + costs.pcb_lookup
+        return cls(Compute(ip), Compute(ip + costs.ip_output),
+                   Compute(lookup), Compute(lookup + costs.udp_input
+                                            + costs.socket_enqueue))
+
+
 class BsdStack(NetworkStack):
     """Conventional interrupt-driven architecture."""
 
@@ -57,13 +77,8 @@ class BsdStack(NetworkStack):
         #: core the receive interrupt arrived on.
         self.ipqs = [deque() for _ in range(ncores)]
         self._softnet_posted = [False] * ncores
-        # The softnet path's fixed steps, allocated once: a Compute is
-        # read, never changed, by the task that runs it.
-        costs = self.costs
-        self._sw_dispatch = Compute(costs.sw_intr_dispatch)
-        self._ip_in = Compute(costs.ip_input)
-        self._pcb_lookup = Compute(costs.pcb_lookup)
-        self._udp_in = Compute(costs.udp_input + costs.socket_enqueue)
+        self._softnet_slices = StageSlices.after(
+            self.costs.sw_intr_dispatch, self.costs)
 
     # ------------------------------------------------------------------
     # Receive path
@@ -108,65 +123,73 @@ class BsdStack(NetworkStack):
     def _softnet(self, core: int) -> Generator:
         """The software-interrupt drain loop (ipintr) of one core."""
         ipq = self.ipqs[core]
+        slices = self._softnet_slices
         while ipq:
             packet = ipq.popleft()
-            yield self._sw_dispatch
-            yield from self._ip_input_eager(packet)
+            yield from self._eager_input(packet, slices)
             chain = getattr(packet, "_mbuf_chain", None)
             if chain is not None:
                 chain.free()
         self._softnet_posted[core] = False
 
-    def _ip_input_eager(self, packet: IpPacket) -> Generator:
-        """IP + transport input, in software-interrupt context."""
-        yield self._ip_in
-        self.stats.incr("ip_in")
-        if not self.is_local_addr(packet.dst):
+    def _eager_input(self, packet: IpPacket,
+                     slices: StageSlices) -> Generator:
+        """IP and transport input of one packet as one slice, from the
+        stage's lead step on.  The outcome is decided first, from the
+        packet, the address and forwarding configuration and the UDP
+        PCB table (only a process binds or closes, and none runs on
+        this core meanwhile); the slice charges the steps it takes and
+        the outcome applies at its end.  A TCP segment's input reads
+        connection state that timers change, so its slice ends at the
+        PCB lookup and the input follows in its own steps."""
+        proto = packet.proto
+        local = self.is_local_addr(packet.dst)
+        sock: Optional[Socket] = None
+        if not local:
+            stage = slices.transit if self.forwarding_enabled else slices.ip
+        elif packet.corrupt or proto not in (IPPROTO_UDP, IPPROTO_TCP):
+            stage = slices.ip
+        elif proto == IPPROTO_TCP:
+            stage = slices.lookup
+        else:
+            dgram = packet.transport
+            sock = self.udp_pcb.lookup(packet.dst, dgram.dst_port,
+                                       packet.src, dgram.src_port)
+            stage = slices.lookup if sock is None else slices.deliver
+        yield stage
+        stats = self.stats
+        stats.incr("ip_in")
+        if sock is not None:
+            self.udp_deliver_to_socket(sock, packet)
+        elif not local:
             # Transit packet: BSD forwards *in the software interrupt*,
             # at higher priority than any process and billed to the
             # interrupted bystander — the gateway pathology of
             # Section 2.3.
             if not self.forwarding_enabled:
-                self.stats.incr("drop_not_local")
-                return
-            yield Compute(self.costs.ip_output)
-            if packet.ttl <= 1:
-                self.stats.incr("fwd_ttl_expired")
-                return
-            packet.ttl -= 1
-            self.forward_packet(packet)
-            self.stats.incr("ip_forwarded")
-            return
-        if packet.corrupt:
+                stats.incr("drop_not_local")
+            elif packet.ttl <= 1:
+                stats.incr("fwd_ttl_expired")
+            else:
+                packet.ttl -= 1
+                self.forward_packet(packet)
+                stats.incr("ip_forwarded")
+        elif packet.corrupt:
+            # A per-byte cost, not whole microseconds: its own slice,
+            # so the billed sums round as the per-step ones do.
             yield from self.ip_input_checks(packet)
-            return
-        if packet.proto == IPPROTO_UDP:
-            yield from self._udp_input_eager(packet)
-        elif packet.proto == IPPROTO_TCP:
-            yield from self._tcp_input_eager(packet)
+        elif proto == IPPROTO_UDP:
+            stats.incr("drop_pcb_miss")
+        elif proto == IPPROTO_TCP:
+            seg = packet.transport
+            sock = self.tcp_pcb.lookup(packet.dst, seg.dst_port,
+                                       packet.src, seg.src_port)
+            if sock is None:
+                stats.incr("drop_tcp_pcb_miss")
+                return
+            yield from self.tcp_input_gen(sock, packet)
         else:
-            self.stats.incr("drop_unknown_proto")
-
-    def _udp_input_eager(self, packet: IpPacket) -> Generator:
-        yield self._pcb_lookup
-        dgram = packet.transport
-        sock: Optional[Socket] = self.udp_pcb.lookup(
-            packet.dst, dgram.dst_port, packet.src, dgram.src_port)
-        if sock is None:
-            self.stats.incr("drop_pcb_miss")
-            return
-        yield self._udp_in
-        self.udp_deliver_to_socket(sock, packet)
-
-    def _tcp_input_eager(self, packet: IpPacket) -> Generator:
-        yield self._pcb_lookup
-        seg = packet.transport
-        sock: Optional[Socket] = self.tcp_pcb.lookup(
-            packet.dst, seg.dst_port, packet.src, seg.src_port)
-        if sock is None:
-            self.stats.incr("drop_tcp_pcb_miss")
-            return
-        yield from self.tcp_input_gen(sock, packet)
+            stats.incr("drop_unknown_proto")
 
 
 class RssStack(BsdStack):

@@ -51,12 +51,13 @@ class EarlyDemuxStack(LrpStackBase):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # The eager input's fixed steps, allocated once.
+        # The eager input's fixed slices, allocated once.
         costs = self.costs
         self._dispatch_ip_in = Compute(costs.sw_intr_dispatch
                                        + costs.ip_input)
-        self._udp_in_enqueue = Compute(costs.udp_input
-                                       + costs.socket_enqueue)
+        self._udp_deliver = Compute(self._dispatch_ip_in.usec
+                                    + costs.udp_input
+                                    + costs.socket_enqueue)
 
     def listener_backlog_changed(self, listener: Socket) -> None:
         """No LRP backlog feedback: SYNs for over-backlog listeners
@@ -92,26 +93,29 @@ class EarlyDemuxStack(LrpStackBase):
 
     def _eager_input(self, packet: IpPacket) -> Generator:
         """Per-packet software interrupt: BSD processing minus the PCB
-        lookup (the demux already identified the endpoint)."""
-        yield self._dispatch_ip_in
-        self.stats.incr("ip_in")
-        if packet.corrupt:
-            yield from self.ip_input_checks(packet)
-            return
-        if packet.proto == IPPROTO_UDP:
+        lookup (the demux already identified the endpoint).  As in
+        BSD's softnet, a datagram's input is one slice, decided before
+        it is charged, and a TCP segment's input follows its lead."""
+        sock = None
+        if packet.proto == IPPROTO_UDP and not packet.corrupt:
             dgram = packet.transport
             sock = self.udp_pcb.lookup(packet.dst, dgram.dst_port,
                                        packet.src, dgram.src_port)
-            if sock is None:
-                self.stats.incr("drop_pcb_miss")
-                return
-            yield self._udp_in_enqueue
+        yield self._dispatch_ip_in if sock is None else self._udp_deliver
+        stats = self.stats
+        stats.incr("ip_in")
+        if packet.corrupt:
+            # A per-byte cost: its own slice, as in BSD's softnet.
+            yield from self.ip_input_checks(packet)
+        elif sock is not None:
             self.udp_deliver_to_socket(sock, packet)
+        elif packet.proto == IPPROTO_UDP:
+            stats.incr("drop_pcb_miss")
         elif packet.proto == IPPROTO_TCP:
             seg = packet.transport
             sock = self.tcp_pcb.lookup(packet.dst, seg.dst_port,
                                        packet.src, seg.src_port)
             if sock is None:
-                self.stats.incr("drop_tcp_pcb_miss")
+                stats.incr("drop_tcp_pcb_miss")
                 return
             yield from self.tcp_input_gen(sock, packet)

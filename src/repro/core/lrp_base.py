@@ -203,7 +203,7 @@ class LrpStackBase(NetworkStack):
             channel = sock.channel
             packet = channel.pop() if channel is not None else None
             if packet is not None:
-                yield Compute(self.channel_pop_cost)
+                yield self.channel_pop
                 result = yield from self.lazy_udp_input(sock, packet)
                 if result is None:
                     continue  # corrupt packet
@@ -264,7 +264,7 @@ class LrpStackBase(NetworkStack):
                 if proc is not None and owner is not None and owner.alive:
                     proc.charge_to = owner
                 try:
-                    yield Compute(self.channel_pop_cost)
+                    yield self.channel_pop
                     result = yield from self.lazy_udp_input(sock, packet)
                 finally:
                     if proc is not None:

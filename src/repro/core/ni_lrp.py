@@ -11,6 +11,7 @@ and its Figure 4 latency barely moves with background load.
 
 from __future__ import annotations
 
+from repro.engine.process import Compute
 from repro.host.interrupts import HARDWARE, SimpleIntrTask
 from repro.nic.channels import NiChannel
 from repro.nic.programmable import ProgrammableNic
@@ -29,8 +30,8 @@ class NiLrpStack(LrpStackBase):
         self.nic.wakeup_handler = self._ni_channel_interrupt
         # Each packet consumed from an NI channel requires the host to
         # return a buffer to the adaptor's free queue.
-        self.channel_pop_cost = (self.costs.dequeue
-                                 + self.costs.ni_buffer_replenish)
+        self.channel_pop = Compute(self.costs.dequeue
+                                   + self.costs.ni_buffer_replenish)
         # The NIC firmware demuxes TCP and daemon channels on every
         # empty->non-empty transition; those flags stay armed.
 

@@ -24,7 +24,7 @@ from typing import Generator
 
 from repro.engine.process import Compute
 from repro.nic.polling import PollingNic
-from repro.core.bsd_stack import BsdStack
+from repro.core.bsd_stack import BsdStack, StageSlices
 from repro.sockets.socket import Socket
 
 #: Frames dequeued per poll round (DPDK's canonical rx burst).
@@ -79,14 +79,14 @@ class PollingStack(BsdStack):
         # changed, by the process that runs it.
         dequeue = Compute(self.costs.dequeue)
         idle_poll = Compute(POLL_IDLE_USEC)
+        slices = StageSlices.after(self.costs.dequeue, self.costs)
         while True:
             burst = nic.poll_burst(POLL_BURST)
             for frame in burst:
-                yield dequeue
-                # Protocol input runs inline in the poll thread's
-                # process context — preemptible in principle, but
-                # nothing else is pinned to this core.
-                yield from self._ip_input_eager(frame.packet)
+                # Dequeue and protocol input: one slice of the poll
+                # thread's process context, preemptible in principle,
+                # but nothing else is pinned to this core.
+                yield from self._eager_input(frame.packet, slices)
             while tcp_work:
                 sock, kind = tcp_work.popleft()
                 yield dequeue

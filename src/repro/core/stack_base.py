@@ -80,9 +80,10 @@ class NetworkStack:
         #: efficiency alone.
         self.redundant_pcb_lookup = redundant_pcb_lookup
 
-        #: Cost of dequeueing from an NI channel (NI-LRP adds
-        #: free-buffer replenishment on top of the base dequeue).
-        self.channel_pop_cost = self.costs.dequeue
+        #: The step of dequeueing from an NI channel (NI-LRP adds
+        #: free-buffer replenishment on top of the base dequeue),
+        #: allocated once: a Compute is read, never changed.
+        self.channel_pop = Compute(self.costs.dequeue)
         #: Addresses this host answers to (multi-homed gateways add
         #: more via :meth:`add_interface_address`).
         self.local_addrs = {self.addr.value}

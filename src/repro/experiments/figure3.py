@@ -50,6 +50,10 @@ MLFRR_RESOLUTION_PPS = 25.0
 #: The paper's experimental LAN degrades slightly beyond ~19k pkts/s.
 CONGESTION_KNEE_PPS = 19000.0
 
+#: When the blast begins (µs), whatever the warm-up: the server binds
+#: first, as on the real testbed its program is long since running.
+INJECT_START_USEC = 50_000.0
+
 
 def figure3_spec(congestion: bool = True) -> TopologySpec:
     """The figure-3 graph: client — sw0 — server, with the testbed's
@@ -90,10 +94,7 @@ def _build(bed: Testbed, arch: Architecture, rate_pps: float,
                                   payload_bytes=payload_bytes,
                                   src_port=20000 + i, port=port)
         port = injector.port
-        # Let the server bind before the flood begins (on the real
-        # testbed the server program is long since running when the
-        # blast starts).
-        sim.schedule(50_000.0 + i * (1e6 / rate_pps),
+        sim.schedule(INJECT_START_USEC + i * (1e6 / rate_pps),
                      injector.start, rate_pps / flows)
         injectors.append(injector)
     return host, stamps, injectors
@@ -113,6 +114,12 @@ def run_point(arch: Architecture, rate_pps: float,
     at least 2) and *flows* splits the blast across that many source
     ports; both change the measured system, and both are bound into
     the sweep cache key.
+
+    The blast begins at :data:`INJECT_START_USEC` whatever
+    *warmup_usec* is.  A shorter warm-up leaves the start of the
+    window idle, and ``delivered_pps`` still divides by the whole
+    window; a run that ends by then sends nothing at all (the
+    benchmark's warm-up builds such points on purpose).
     """
     arch = Architecture(arch)
     bed = Testbed(seed, topology=figure3_spec(congestion=congestion))

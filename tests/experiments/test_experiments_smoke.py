@@ -36,6 +36,20 @@ class TestFigure3:
                                window_usec=250_000.0)
         assert ni["delivered_pps"] > bsd["delivered_pps"] + 5_000
 
+    def test_blast_starts_at_a_fixed_time(self):
+        """The blast starts at INJECT_START_USEC, not at the end of the
+        warm-up: a run that ends there sends nothing, and a window
+        that opens before it is idle until then."""
+        start = figure3.INJECT_START_USEC
+        idle = figure3.run_point(Architecture.BSD, 4_000, warmup_usec=0.0,
+                                 window_usec=start)
+        assert idle["sent"] == 0
+        assert idle["delivered_pps"] == 0.0
+        half = figure3.run_point(Architecture.BSD, 4_000, warmup_usec=0.0,
+                                 window_usec=2 * start)
+        assert half["sent"] == pytest.approx(4_000 * start / 1e6, abs=1)
+        assert half["delivered_pps"] == pytest.approx(2_000, rel=0.05)
+
     def test_mlfrr_returns_positive_rate(self):
         rate = figure3.mlfrr(Architecture.SOFT_LRP,
                              rates=(2_000, 6_000, 10_000, 14_000),

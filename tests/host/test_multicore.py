@@ -161,6 +161,23 @@ def test_idle_extra_cores_report_full_idle_time():
 # ----------------------------------------------------------------------
 # The byte-identity wall: a 1-core kernel == the old single-Cpu kernel
 # ----------------------------------------------------------------------
+def drift(result):
+    """What drifted in a failed golden check: the behaviour digest,
+    the engine event count, or both, with expected and actual
+    values."""
+    expected, actual = result["expected"], result["actual"]
+    fields = []
+    if not result["behaviour_ok"]:
+        fields.append(f"behaviour (order_hash expected "
+                      f"{expected.get('order_hash')}, got "
+                      f"{actual.get('order_hash')})")
+    if not result["engine_ok"]:
+        fields.append(f"engine_events (expected "
+                      f"{expected.get('engine_events')}, got "
+                      f"{actual.get('engine_events')})")
+    return " and ".join(fields)
+
+
 @pytest.mark.parametrize("key", LEGACY_KEYS)
 def test_one_core_cpuset_matches_pre_multicore_goldens(key):
     """The committed digests for the nine legacy workloads predate the
@@ -169,8 +186,7 @@ def test_one_core_cpuset_matches_pre_multicore_goldens(key):
     result = golden.check_golden(key, GOLDEN_DIR)
     assert result["ok"], (
         f"1-core trace drift vs. pre-multicore golden for {key}: "
-        f"expected {result['expected'].get('order_hash')}, got "
-        f"{result['actual'].get('order_hash')}")
+        f"{drift(result)}")
 
 
 @pytest.mark.parametrize("key", ("bsd", "bsd-faults"))
@@ -185,6 +201,4 @@ def test_one_core_rss_matches_bsd_goldens(key, monkeypatch):
     monkeypatch.setattr(golden, "_server_kwargs", lambda _: {"cores": 1})
     result = golden.check_golden(key, GOLDEN_DIR)
     assert result["ok"], (
-        f"1-core RSS drifts from the {key} golden: expected "
-        f"{result['expected'].get('order_hash')}, got "
-        f"{result['actual'].get('order_hash')}")
+        f"1-core RSS drifts from the {key} golden: {drift(result)}")

@@ -26,8 +26,8 @@ PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
 #: ``events_per_pkt``.
 COUNTS = {
     "incast_sharded": (45_908, 7_674),
-    "tcp_http": (126_037, 30_182),
-    "udp_blast": (451_854, 94_593),
+    "tcp_http": (112_036, 30_182),
+    "udp_blast": (389_151, 94_593),
 }
 
 
